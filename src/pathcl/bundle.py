@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import IO, Iterable, Iterator
 
 from .corpus import Document
-from .metapath import MetaPath, PathHop, PositiveInstance
+from .metapath import MetaPath, PathHop, PositiveInstance, hop_from_record, hop_to_record
 from .negatives import ContextVariant, NegativeSet, SynthSentence
 from .spans import MentionSpan
 
@@ -148,9 +148,7 @@ def bundle_to_record(b: InstanceBundle) -> dict:
         "pair": list(b.pair),
         "path": {
             "entities": list(b.path_entities),
-            "hops": [
-                {"sentence": h.via_sentence, "kg": h.kg_label} for h in b.hops
-            ],
+            "hops": [hop_to_record(h) for h in b.hops],
         },
         "context_sentences": list(b.context_sentences),
         "context": [_text_json(t) for t in b.context],
@@ -197,13 +195,7 @@ def bundle_from_record(obj: dict, line: int = 0) -> InstanceBundle:
             doc_id=obj["doc"],
             pair=(pair[0], pair[1]),
             path_entities=tuple(obj["path"]["entities"]),
-            hops=tuple(
-                PathHop(
-                    via_sentence=h["sentence"] if h["sentence"] is not None else None,
-                    kg_label=h["kg"] if h["kg"] is not None else None,
-                )
-                for h in obj["path"]["hops"]
-            ),
+            hops=tuple(hop_from_record(h) for h in obj["path"]["hops"]),
             context_sentences=tuple(int(k) for k in obj["context_sentences"]),
             context=tuple(_text_from(t, line) for t in obj["context"]),
             answer_sentence=int(obj["answer_sentence"]),

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .bundle import BundleError, write_bundles
-from .corpus import CorpusError, parse_corpus, validate_document
+from .corpus import CorpusError, parse_corpus
 from .emitter import DatasetError, read_instances, stats
 from .metapath import ExtractorConfig
 from .synth import make_corpus
@@ -74,55 +74,18 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _section(cls, file_cfg: dict, name: str, overrides: dict):
-    known = {f.name for f in fields(cls)}
+def _section(cls, file_cfg: dict, name: str, args=None, **fixed):
+    """`cls` from the file's `name` section; a flag whose dest is a field name wins."""
     merged = dict(file_cfg.get(name, {}))
-    unknown = set(merged) - known
+    unknown = set(merged) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {name} config keys: {sorted(unknown)}")
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    for f in fields(cls):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            merged[f.name] = value
+    merged.update(fixed)
     return cls(**merged)
-
-
-def _extractor_overrides(args) -> dict:
-    return {
-        "max_hops": getattr(args, "max_hops", None),
-        "mode": getattr(args, "mode", None),
-        "backtracking": getattr(args, "backtracking", None),
-        "require_context": getattr(args, "require_context", None),
-    }
-
-
-def _negatives_overrides(args) -> dict:
-    return {
-        "num_negatives": getattr(args, "num_negatives", None),
-        "pool_size": getattr(args, "pool_size", None),
-        "allow_cross_document": getattr(args, "allow_cross_document", None),
-        "swap_fallback": getattr(args, "swap_fallback", None),
-        "ready_negatives": getattr(args, "ready_negatives", None),
-    }
-
-
-def _counterfactual_overrides(args) -> dict:
-    return {
-        "copies": getattr(args, "cf_ratio", None),
-        "include_prob": getattr(args, "include_prob", None),
-        "pool_strategy": getattr(args, "pool_strategy", None),
-        "window": getattr(args, "window", None),
-    }
-
-
-def _train_overrides(args) -> dict:
-    return {
-        "learning_rate": getattr(args, "learning_rate", None),
-        "epochs": getattr(args, "epochs", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "seed": getattr(args, "seed", None),
-        "mlm_weight": getattr(args, "mlm_weight", None),
-        "mask_rate": getattr(args, "mask_rate", None),
-        "dim": getattr(args, "dim", None),
-        "hidden": getattr(args, "hidden", None),
-    }
 
 
 def _resolve_seed(args, file_cfg: dict, *, required: bool) -> int:
@@ -154,12 +117,8 @@ def _load_documents_lenient(path: str):
 
 def cmd_validate(args) -> int:
     errors: list[CorpusError] = []
-    n = 0
     with open(args.input, "r", encoding="utf-8") as fp:
-        for doc in parse_corpus(fp, errors):
-            n += 1
-            for problem in validate_document(doc):
-                errors.append(CorpusError(0, doc.id, problem))
+        n = sum(1 for _ in parse_corpus(fp, errors))
     for err in errors:
         print(str(err), file=sys.stderr)
     print(f"{n} documents ok, {len(errors)} problems")
@@ -176,9 +135,9 @@ def cmd_build_graph(args) -> int:
 
 def cmd_extract(args) -> int:
     file_cfg = _load_config_file(args.config)
-    cfg = _section(ExtractorConfig, file_cfg, "extractor", _extractor_overrides(args))
+    cfg = _section(ExtractorConfig, file_cfg, "extractor", args)
     docs = _load_documents_lenient(args.input)
-    per_doc = pl.stage_extract(docs, cfg, args.jobs or 1)
+    per_doc = pl.stage_extract(docs, cfg)
     with open(args.output, "w", encoding="utf-8") as fp:
         n = pl.write_positives((i for doc in per_doc for i in doc), fp)
     print(f"{n} positive instances -> {args.output}")
@@ -199,10 +158,10 @@ def _positives_by_doc(docs, path):
 def cmd_negatives(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg, required=False)
-    cfg = _section(pl.NegativesConfig, file_cfg, "negatives", _negatives_overrides(args))
+    cfg = _section(pl.NegativesConfig, file_cfg, "negatives", args)
     docs = _load_documents_lenient(args.corpus)
     per_doc = _positives_by_doc(docs, args.input)
-    bundles, counts = pl.stage_negatives(docs, per_doc, cfg, seed, args.jobs or 1)
+    bundles, counts = pl.stage_negatives(docs, per_doc, cfg, seed)
     with open(args.output, "w", encoding="utf-8") as fp:
         write_bundles(bundles, fp)
     print(json.dumps(counts))
@@ -212,9 +171,7 @@ def cmd_negatives(args) -> int:
 def cmd_counterfactual(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg, required=False)
-    cfg = _section(
-        pl.CounterfactualConfig, file_cfg, "counterfactual", _counterfactual_overrides(args)
-    )
+    cfg = _section(pl.CounterfactualConfig, file_cfg, "counterfactual", args)
     docs = _load_documents_lenient(args.corpus)
     bundles = pl.read_bundle_file(args.input)
     out, counts = pl.stage_counterfactual(docs, bundles, cfg, seed)
@@ -227,10 +184,8 @@ def cmd_counterfactual(args) -> int:
 def cmd_emit(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg, required=False)
-    emit_cfg = _section(
-        pl.EmitConfig, file_cfg, "emitter", {"shuffle_gold": args.shuffle_gold}
-    )
-    copies = args.cf_ratio
+    emit_cfg = _section(pl.EmitConfig, file_cfg, "emitter", args)
+    copies = args.copies
     if copies is None:
         copies = file_cfg.get("counterfactual", {}).get("copies", 1)
     bundles = pl.read_bundle_file(args.input)
@@ -242,9 +197,8 @@ def cmd_emit(args) -> int:
 
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    overrides = _train_overrides(args)
-    overrides["seed"] = _resolve_seed(args, file_cfg, required=False)
-    cfg = _section(TrainConfig, file_cfg, "train", overrides)
+    seed = _resolve_seed(args, file_cfg, required=False)
+    cfg = _section(TrainConfig, file_cfg, "train", args, seed=seed)
     with open(args.input, "r", encoding="utf-8") as fp:
         instances = list(read_instances(fp))
     params, metrics = train(instances, cfg)
@@ -261,8 +215,8 @@ def cmd_train(args) -> int:
 def cmd_grad_check(args) -> int:
     seed = args.seed if args.seed is not None else 0
     docs = make_corpus(3, seed=seed, blocks=1, fillers=2)
-    per_doc = pl.stage_extract(docs, ExtractorConfig(mode="all"), 1)
-    bundles, _ = pl.stage_negatives(docs, per_doc, pl.NegativesConfig(), seed, 1)
+    per_doc = pl.stage_extract(docs, ExtractorConfig(mode="all"))
+    bundles, _ = pl.stage_negatives(docs, per_doc, pl.NegativesConfig(), seed)
     buf = io.StringIO()
     pl.stage_emit(bundles, 0, pl.EmitConfig(), seed, buf)
     buf.seek(0)
@@ -305,14 +259,12 @@ def cmd_run(args) -> int:
         input=args.input,
         output_dir=args.output_dir,
         seed=seed,
-        jobs=args.jobs or int(file_cfg.get("jobs", 1)),
-        extractor=_section(ExtractorConfig, file_cfg, "extractor", _extractor_overrides(args)),
-        negatives=_section(pl.NegativesConfig, file_cfg, "negatives", _negatives_overrides(args)),
-        counterfactual=_section(
-            pl.CounterfactualConfig, file_cfg, "counterfactual", _counterfactual_overrides(args)
-        ),
-        emitter=_section(pl.EmitConfig, file_cfg, "emitter", {"shuffle_gold": args.shuffle_gold}),
-        train=_section(TrainConfig, file_cfg, "train", {}),
+        extractor=_section(ExtractorConfig, file_cfg, "extractor", args),
+        negatives=_section(pl.NegativesConfig, file_cfg, "negatives", args),
+        counterfactual=_section(pl.CounterfactualConfig, file_cfg, "counterfactual", args),
+        emitter=_section(pl.EmitConfig, file_cfg, "emitter", args),
+        # From the file alone: the `run` parser's --seed must not become TrainConfig.seed.
+        train=_section(TrainConfig, file_cfg, "train"),
     )
     if not Path(cfg.input).exists():
         raise FileNotFoundError(f"input corpus not found: {cfg.input}")
@@ -335,7 +287,9 @@ def _add_common(p: argparse.ArgumentParser, *, seed=True, config=True, jobs=Fals
             help=f"JSON config file (default from ${CONFIG_ENV})",
         )
     if jobs:
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers")
+        p.add_argument(
+            "--jobs", type=int, default=None, help="accepted and ignored; work runs serially"
+        )
 
 
 def _add_extractor_flags(p: argparse.ArgumentParser):
@@ -388,6 +342,7 @@ def _add_negative_flags(p: argparse.ArgumentParser):
 def _add_counterfactual_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--cf-ratio",
+        dest="copies",
         type=parse_ratio,
         default=None,
         metavar="1:N",

@@ -11,8 +11,7 @@ Input corpora are UTF-8 files with one JSON object per line:
 Mention spans are half-open character ranges into the sentence text.
 Entity ids are opaque strings; the same id appearing in two documents
 denotes the same entity. Relation type labels are carried as opaque
-metadata. Documents are immutable after parsing and safe to share
-read-only across parallel workers.
+metadata. Documents are immutable after parsing.
 """
 
 from __future__ import annotations

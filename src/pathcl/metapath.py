@@ -52,6 +52,14 @@ class PathHop:
             raise ValueError("hop must carry exactly one of sentence or KG label")
 
 
+def hop_to_record(hop: PathHop) -> dict:
+    return {"sentence": hop.via_sentence, "kg": hop.kg_label}
+
+
+def hop_from_record(obj: dict) -> PathHop:
+    return PathHop(via_sentence=obj["sentence"], kg_label=obj["kg"])
+
+
 @dataclass(frozen=True)
 class MetaPath:
     entities: tuple[str, ...]

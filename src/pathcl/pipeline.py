@@ -2,8 +2,8 @@
 
 Every stage boundary is a file, so each stage can run standalone and the
 full run is the byte-exact composition of the stages. Randomness is
-derived per instance from the root seed and the instance's stable key;
-worker scheduling cannot change any output.
+derived per instance from the root seed and the instance's stable key.
+Documents are processed one at a time, in input order.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import multiprocessing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -30,9 +29,10 @@ from .graph import build_entity_graph, write_edge_list
 from .metapath import (
     ExtractorConfig,
     MetaPath,
-    PathHop,
     PositiveInstance,
     extract_positive_instances,
+    hop_from_record,
+    hop_to_record,
 )
 from .negatives import (
     DonorSentence,
@@ -78,7 +78,7 @@ class PipelineConfig:
     input: str
     output_dir: str
     seed: int
-    jobs: int = 1
+    jobs: int = 1  # accepted for compatibility; the pipeline always runs serially
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     negatives: NegativesConfig = field(default_factory=NegativesConfig)
     counterfactual: CounterfactualConfig = field(default_factory=CounterfactualConfig)
@@ -91,8 +91,8 @@ class PipelineConfig:
     def hash(self) -> str:
         """Digest of the semantic configuration.
 
-        Paths and worker count are excluded: they change where work happens,
-        never what is produced.
+        Paths and the ignored worker count are excluded: neither changes
+        what is produced.
         """
         payload = self.to_dict()
         for key in ("input", "output_dir", "jobs"):
@@ -110,9 +110,7 @@ def positive_to_record(inst: PositiveInstance) -> dict:
         "pair": list(inst.pair),
         "path": {
             "entities": list(inst.path.entities),
-            "hops": [
-                {"sentence": h.via_sentence, "kg": h.kg_label} for h in inst.path.hops
-            ],
+            "hops": [hop_to_record(h) for h in inst.path.hops],
         },
         "context": list(inst.context),
         "answers": sorted(inst.answers),
@@ -125,10 +123,7 @@ def positive_from_record(obj: dict) -> PositiveInstance:
         pair=(obj["pair"][0], obj["pair"][1]),
         path=MetaPath(
             entities=tuple(obj["path"]["entities"]),
-            hops=tuple(
-                PathHop(via_sentence=h["sentence"], kg_label=h["kg"])
-                for h in obj["path"]["hops"]
-            ),
+            hops=tuple(hop_from_record(h) for h in obj["path"]["hops"]),
         ),
         context=tuple(obj["context"]),
         answers=frozenset(obj["answers"]),
@@ -144,48 +139,17 @@ def write_positives(instances: Iterable[PositiveInstance], fp: IO[str]) -> int:
 
 
 def read_positives(lines: Iterable[str]) -> Iterator[PositiveInstance]:
-    for raw in lines:
-        if raw.strip():
-            yield positive_from_record(json.loads(raw))
-
-
-# -- parallel document mapping --
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(state: dict) -> None:
-    _WORKER_STATE.update(state)
-
-
-def _extract_worker(index: int) -> list[PositiveInstance]:
-    doc = _WORKER_STATE["docs"][index]
-    return extract_positive_instances(
-        doc, build_entity_graph(doc), _WORKER_STATE["extractor"]
-    )
-
-
-def _negative_worker(args: tuple[int, list[PositiveInstance]]) -> list[InstanceBundle]:
-    index, instances = args
-    return _document_bundles(
-        _WORKER_STATE["docs"][index],
-        instances,
-        _WORKER_STATE["docs"],
-        _WORKER_STATE["pool"],
-        _WORKER_STATE["negatives"],
-        _WORKER_STATE["seed"],
-        _WORKER_STATE["ready_index"],
-    )
-
-
-def _parallel_map(worker, tasks, state: dict, jobs: int):
-    if jobs <= 1:
-        _init_worker(state)
-        return [worker(task) for task in tasks]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs, initializer=_init_worker, initargs=(state,)) as pool:
-        chunk = max(1, len(tasks) // (jobs * 8))
-        return list(pool.imap(worker, tasks, chunksize=chunk))
+    """Positive instances from JSONL; a bad record raises ValueError naming its line."""
+    for line_no, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        try:
+            inst = positive_from_record(json.loads(raw))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(f"line {line_no}: malformed positive record: {exc!r}") from exc
+        yield inst
 
 
 # -- stages --
@@ -207,15 +171,17 @@ def stage_graph_export(docs: Sequence[Document], fp: IO[str]) -> int:
     return rows
 
 
-def stage_extract(
-    docs: Sequence[Document], cfg: ExtractorConfig, jobs: int = 1
-) -> list[list[PositiveInstance]]:
-    """Per-document positive instances, merged in input order."""
-    state = {"docs": list(docs), "extractor": cfg}
-    return _parallel_map(_extract_worker, list(range(len(docs))), state, jobs)
+# bench/worker.py traces `_extract_worker` and `_negative_worker` by name; keep both.
+def _extract_worker(doc: Document, cfg: ExtractorConfig) -> list[PositiveInstance]:
+    return extract_positive_instances(doc, build_entity_graph(doc), cfg)
 
 
-def _document_bundles(
+def stage_extract(docs: Sequence[Document], cfg: ExtractorConfig) -> list[list[PositiveInstance]]:
+    """Per-document positive instances, in input order."""
+    return [_extract_worker(doc, cfg) for doc in docs]
+
+
+def _negative_worker(
     doc: Document,
     instances: Sequence[PositiveInstance],
     docs: Sequence[Document],
@@ -270,7 +236,6 @@ def stage_negatives(
     per_doc_instances: Sequence[Sequence[PositiveInstance]],
     cfg: NegativesConfig,
     seed: int,
-    jobs: int = 1,
 ) -> tuple[list[InstanceBundle], dict]:
     pool = build_donor_pool(docs, cfg.pool_size, derive_rng(seed, "donor-pool"))
     ready_index: dict | None = None
@@ -280,20 +245,10 @@ def stage_negatives(
             for inst in instances:
                 answers = sorted(inst.answers)
                 ready_index.setdefault(inst.pair, []).append((d, answers))
-    state = {
-        "docs": list(docs),
-        "pool": pool,
-        "negatives": cfg,
-        "seed": seed,
-        "ready_index": ready_index,
-    }
-    tasks = [(i, list(instances)) for i, instances in enumerate(per_doc_instances)]
-    results = _parallel_map(_negative_worker, tasks, state, jobs)
-
     counters = {"bundles": 0, "skipped_no_donor": 0, "option_shortfalls": 0, "context_shortfalls": 0}
     kept: list[InstanceBundle] = []
-    for bundles in results:
-        for b in bundles:
+    for doc, instances in zip(docs, per_doc_instances, strict=True):
+        for b in _negative_worker(doc, instances, docs, pool, cfg, seed, ready_index):
             if cfg.num_negatives > 0 and not b.options and not b.context_variants:
                 counters["skipped_no_donor"] += 1
                 continue
@@ -410,11 +365,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     with open(paths["graph"], "w", encoding="utf-8") as fp:
         graph_rows = stage_graph_export(docs, fp)
 
-    per_doc = stage_extract(docs, cfg.extractor, cfg.jobs)
+    per_doc = stage_extract(docs, cfg.extractor)
     with open(paths["positives"], "w", encoding="utf-8") as fp:
         n_positives = write_positives((i for doc in per_doc for i in doc), fp)
 
-    bundles, neg_counts = stage_negatives(docs, per_doc, cfg.negatives, cfg.seed, cfg.jobs)
+    bundles, neg_counts = stage_negatives(docs, per_doc, cfg.negatives, cfg.seed)
     with open(paths["bundles"], "w", encoding="utf-8") as fp:
         write_bundles(bundles, fp)
 

@@ -48,9 +48,9 @@ def report(criterion: str, detail: str):
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
 
 
-def build_instances(docs, seed, mode="first", copies=1, shuffle_gold=True, jobs=1):
-    per_doc = pl.stage_extract(docs, ExtractorConfig(mode=mode), jobs)
-    bundles, _ = pl.stage_negatives(docs, per_doc, pl.NegativesConfig(), seed, jobs)
+def build_instances(docs, seed, mode="first", copies=1, shuffle_gold=True):
+    per_doc = pl.stage_extract(docs, ExtractorConfig(mode=mode))
+    bundles, _ = pl.stage_negatives(docs, per_doc, pl.NegativesConfig(), seed)
     cf, _ = pl.stage_counterfactual(docs, bundles, pl.CounterfactualConfig(copies=copies), seed)
     buf = io.StringIO()
     pl.stage_emit(cf, copies, pl.EmitConfig(shuffle_gold=shuffle_gold), seed, buf)

@@ -89,6 +89,26 @@ def test_extract_max_hops_too_small(tmp_path):
     assert len(out.read_text().splitlines()) > 0
 
 
+
+def test_negatives_bad_positives_line_numbered(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(6, seed=4), fp)
+    positives = tmp_path / "positives.jsonl"
+    assert main(["extract", "--input", str(corpus), "--output", str(positives)]) == 0
+    good = positives.read_text().splitlines()
+    assert len(good) >= 3
+    missing_path = json.loads(good[2])
+    del missing_path["path"]
+    capsys.readouterr()
+    for bad_line in ['{"doc": "d0", "pair": ["a"', json.dumps(missing_path)]:
+        bad = tmp_path / "bad.jsonl"
+        write_lines(bad, [good[0], good[1], bad_line, *good[3:]])
+        rc = main(["negatives", "--corpus", str(corpus), "--input", str(bad),
+                   "--output", str(tmp_path / "bundles.jsonl"), "--seed", "1"])
+        assert rc == 1
+        assert "line 3" in capsys.readouterr().err
+
 def test_grad_check_passes(capsys):
     assert main(["grad-check", "--seed", "7"]) == 0
     out = capsys.readouterr().out

@@ -10,10 +10,10 @@ from pathcl.synth import make_corpus
 from corpora import build_document, film_cast_document
 
 
-def run_stages(docs, seed=3, mode="first", negatives=None, cf=None, jobs=1):
-    per_doc = pl.stage_extract(docs, ExtractorConfig(mode=mode), jobs)
+def run_stages(docs, seed=3, mode="first", negatives=None, cf=None):
+    per_doc = pl.stage_extract(docs, ExtractorConfig(mode=mode))
     bundles, neg_counts = pl.stage_negatives(
-        docs, per_doc, negatives or pl.NegativesConfig(), seed, jobs
+        docs, per_doc, negatives or pl.NegativesConfig(), seed
     )
     cf = cf or pl.CounterfactualConfig(copies=0)
     out, cf_counts = pl.stage_counterfactual(docs, bundles, cf, seed)
@@ -25,7 +25,7 @@ def run_stages(docs, seed=3, mode="first", negatives=None, cf=None, jobs=1):
 
 def test_positive_record_round_trip():
     docs = make_corpus(5, seed=2)
-    per_doc = pl.stage_extract(docs, ExtractorConfig(mode="all"), 1)
+    per_doc = pl.stage_extract(docs, ExtractorConfig(mode="all"))
     flat = [i for doc in per_doc for i in doc]
     buf = io.StringIO()
     pl.write_positives(flat, buf)
@@ -45,11 +45,11 @@ def test_skip_counter_for_donorless_instance():
         ],
         {"a": "Ann", "b": "Ben", "c": "Cal"},
     )
-    per_doc = pl.stage_extract([doc], ExtractorConfig(mode="first"), 1)
+    per_doc = pl.stage_extract([doc], ExtractorConfig(mode="first"))
     assert per_doc[0], "expected an extractable instance"
     inst = per_doc[0][0]
     assert inst.pair == ("a", "b")  # answers {0}; donors: only sentences 1, 2
-    bundles, counts = pl.stage_negatives([doc], per_doc, pl.NegativesConfig(), 1, 1)
+    bundles, counts = pl.stage_negatives([doc], per_doc, pl.NegativesConfig(), 1)
     assert counts["bundles"] == len(bundles) == 1  # donors exist for this doc
 
     lonely = build_document(
@@ -63,10 +63,10 @@ def test_skip_counter_for_donorless_instance():
         {"a": "Ann", "b": "Ben", "c": "Cal"},
         relations=[("c", "b", "knows")],
     )
-    per_doc = pl.stage_extract([lonely], ExtractorConfig(mode="first"), 1)
+    per_doc = pl.stage_extract([lonely], ExtractorConfig(mode="first"))
     assert per_doc[0]
     bundles, counts = pl.stage_negatives(
-        [lonely], per_doc, pl.NegativesConfig(swap_fallback=False), 1, 1
+        [lonely], per_doc, pl.NegativesConfig(swap_fallback=False), 1
     )
     assert counts["skipped_no_donor"] == 0  # sentence 3 still provides a donor
 
@@ -82,9 +82,9 @@ def test_shortfall_counted_not_dropped():
         {"a": "Ann", "b": "Ben", "c": "Cal", "d": "Dee"},
         relations=[("c", "b", "knows")],
     )
-    per_doc = pl.stage_extract([doc], ExtractorConfig(mode="all"), 1)
+    per_doc = pl.stage_extract([doc], ExtractorConfig(mode="all"))
     cfg = pl.NegativesConfig(num_negatives=50, swap_fallback=False)
-    bundles, counts = pl.stage_negatives([doc], per_doc, cfg, 1, 1)
+    bundles, counts = pl.stage_negatives([doc], per_doc, cfg, 1)
     assert counts["bundles"] == len(bundles) > 0
     assert counts["option_shortfalls"] == len(bundles)
     # emit drops the under-filled orientations and counts them
@@ -129,11 +129,11 @@ def test_ready_negatives_used_for_shared_pairs():
     doc_a = story("da", "forge", "praised", "built", "supplied", "audited")
     doc_b = story("db", "mill", "thanked", "ran", "paid", "visited")
     docs = [doc_a, doc_b]
-    per_doc = pl.stage_extract(docs, ExtractorConfig(mode="first"), 1)
+    per_doc = pl.stage_extract(docs, ExtractorConfig(mode="first"))
     assert all(instances and instances[0].pair == ("ax", "ay") for instances in per_doc)
 
     cfg = pl.NegativesConfig(num_negatives=3, ready_negatives=True, allow_cross_document=False)
-    bundles, _ = pl.stage_negatives(docs, per_doc, cfg, 2, 1)
+    bundles, _ = pl.stage_negatives(docs, per_doc, cfg, 2)
     ready_used = [
         s
         for b in bundles
@@ -146,7 +146,7 @@ def test_ready_negatives_used_for_shared_pairs():
         assert {"ax", "ay"} <= mentioned
 
     plain_cfg = pl.NegativesConfig(num_negatives=3, ready_negatives=False, allow_cross_document=False)
-    plain_bundles, _ = pl.stage_negatives(docs, per_doc, plain_cfg, 2, 1)
+    plain_bundles, _ = pl.stage_negatives(docs, per_doc, plain_cfg, 2)
     assert not [
         s
         for b in plain_bundles
@@ -167,8 +167,8 @@ def test_fuzzed_micro_corpus_end_to_end():
 
     rng = random.Random(555)
     docs = [random_micro_doc(rng, f"fuzz{i}") for i in range(150)]
-    per_doc = pl.stage_extract(docs, ExtractorConfig(mode="all"), 1)
-    bundles, neg_counts = pl.stage_negatives(docs, per_doc, pl.NegativesConfig(), 1, 1)
+    per_doc = pl.stage_extract(docs, ExtractorConfig(mode="all"))
+    bundles, neg_counts = pl.stage_negatives(docs, per_doc, pl.NegativesConfig(), 1)
     cf, cf_counts = pl.stage_counterfactual(docs, bundles, pl.CounterfactualConfig(copies=2), 1)
     buf = io.StringIO()
     emit_counts = pl.stage_emit(cf, 2, pl.EmitConfig(), 1, buf)
