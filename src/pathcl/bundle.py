@@ -8,20 +8,14 @@ the corpus. Bundles serialize to line-delimited JSON at stage boundaries.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Iterator
 
 from .corpus import Document
+from .jsonl import RecordError, read_records, write_records
 from .metapath import MetaPath, PathHop, PositiveInstance, hop_from_record, hop_to_record
 from .negatives import ContextVariant, NegativeSet, SynthSentence
 from .spans import MentionSpan
-
-
-class BundleError(Exception):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -166,24 +160,21 @@ def bundle_to_record(b: InstanceBundle) -> dict:
     }
 
 
-def _mentions_from(obj, line: int) -> tuple[MentionSpan, ...]:
-    try:
-        return tuple((str(e), int(s), int(t)) for e, s, t in obj)
-    except (TypeError, ValueError) as exc:
-        raise BundleError(line, f"bad mention list: {exc}") from exc
+def _mentions_from(obj) -> tuple[MentionSpan, ...]:
+    return tuple((str(e), int(s), int(t)) for e, s, t in obj)
 
 
-def _text_from(obj: dict, line: int) -> AnnotatedText:
-    return AnnotatedText(text=obj["text"], mentions=_mentions_from(obj["mentions"], line))
+def _text_from(obj: dict) -> AnnotatedText:
+    return AnnotatedText(text=obj["text"], mentions=_mentions_from(obj["mentions"]))
 
 
-def _synth_from(obj: dict, line: int) -> SynthSentence:
+def _synth_from(obj: dict) -> SynthSentence:
     return SynthSentence(
         text=obj["text"],
         donor_doc=obj["donor_doc"],
         donor_sentence=int(obj["donor_sentence"]),
         replaced=tuple((a, b) for a, b in obj["replaced"]),
-        mentions=_mentions_from(obj["mentions"], line),
+        mentions=_mentions_from(obj["mentions"]),
         swap=bool(obj["swap"]),
     )
 
@@ -197,14 +188,14 @@ def bundle_from_record(obj: dict, line: int = 0) -> InstanceBundle:
             path_entities=tuple(obj["path"]["entities"]),
             hops=tuple(hop_from_record(h) for h in obj["path"]["hops"]),
             context_sentences=tuple(int(k) for k in obj["context_sentences"]),
-            context=tuple(_text_from(t, line) for t in obj["context"]),
+            context=tuple(_text_from(t) for t in obj["context"]),
             answer_sentence=int(obj["answer_sentence"]),
-            answer=_text_from(obj["answer"], line),
-            options=tuple(_synth_from(s, line) for s in obj["options"]),
+            answer=_text_from(obj["answer"]),
+            options=tuple(_synth_from(s) for s in obj["options"]),
             context_variants=tuple(
                 ContextVariant(
                     replaced_sentence=int(v["replaced_sentence"]),
-                    replacement=_synth_from(v, line),
+                    replacement=_synth_from(v),
                 )
                 for v in obj["context_variants"]
             ),
@@ -213,24 +204,13 @@ def bundle_from_record(obj: dict, line: int = 0) -> InstanceBundle:
             variant=int(obj["variant"]),
             replacements=tuple(sorted(obj["replacements"].items())),
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise BundleError(line, f"malformed bundle record: {exc!r}") from exc
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise RecordError(line, f"malformed bundle record: {exc!r}") from exc
 
 
 def write_bundles(bundles: Iterable[InstanceBundle], fp: IO[str]) -> int:
-    n = 0
-    for b in bundles:
-        fp.write(json.dumps(bundle_to_record(b), ensure_ascii=False) + "\n")
-        n += 1
-    return n
+    return write_records(bundles, bundle_to_record, fp)
 
 
 def read_bundles(lines: Iterable[str]) -> Iterator[InstanceBundle]:
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise BundleError(line_no, f"invalid JSON: {exc.msg}") from exc
-        yield bundle_from_record(obj, line_no)
+    yield from read_records(lines, bundle_from_record)

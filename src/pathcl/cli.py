@@ -22,9 +22,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pl
-from .bundle import BundleError, write_bundles
-from .corpus import CorpusError, parse_corpus
-from .emitter import DatasetError, read_instances, stats
+from .bundle import write_bundles
+from .emitter import read_instances, stats
+from .jsonl import RecordError
 from .metapath import ExtractorConfig
 from .synth import make_corpus
 from .trainer import (
@@ -104,9 +104,8 @@ class SystemExit2(Exception):
 
 
 def _load_documents_lenient(path: str):
-    errors: list[CorpusError] = []
-    with open(path, "r", encoding="utf-8") as fp:
-        docs = list(parse_corpus(fp, errors))
+    errors: list[RecordError] = []
+    docs = pl.load_documents(path, errors)
     for err in errors:
         print(f"warning: skipped {err}", file=sys.stderr)
     return docs
@@ -116,12 +115,11 @@ def _load_documents_lenient(path: str):
 
 
 def cmd_validate(args) -> int:
-    errors: list[CorpusError] = []
-    with open(args.input, "r", encoding="utf-8") as fp:
-        n = sum(1 for _ in parse_corpus(fp, errors))
+    errors: list[RecordError] = []
+    docs = pl.load_documents(args.input, errors)
     for err in errors:
         print(str(err), file=sys.stderr)
-    print(f"{n} documents ok, {len(errors)} problems")
+    print(f"{len(docs)} documents ok, {len(errors)} problems")
     return EXIT_VALIDATION if errors else EXIT_OK
 
 
@@ -253,6 +251,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_run(args) -> int:
+    # A "train" section in the file is left to `pathcl train`: run never trains.
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg, required=True)
     cfg = pl.PipelineConfig(
@@ -263,8 +262,6 @@ def cmd_run(args) -> int:
         negatives=_section(pl.NegativesConfig, file_cfg, "negatives", args),
         counterfactual=_section(pl.CounterfactualConfig, file_cfg, "counterfactual", args),
         emitter=_section(pl.EmitConfig, file_cfg, "emitter", args),
-        # From the file alone: the `run` parser's --seed must not become TrainConfig.seed.
-        train=_section(TrainConfig, file_cfg, "train"),
     )
     if not Path(cfg.input).exists():
         raise FileNotFoundError(f"input corpus not found: {cfg.input}")
@@ -473,9 +470,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, BundleError, DatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

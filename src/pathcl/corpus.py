@@ -16,18 +16,18 @@ metadata. Documents are immutable after parsing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator
 
+from .jsonl import RecordError, read_records, write_records
 
-class CorpusError(Exception):
+
+class CorpusError(RecordError):
     """Schema or invariant violation tied to one input line."""
 
     def __init__(self, line: int, field: str, message: str):
-        super().__init__(f"line {line}: {field}: {message}" if field else f"line {line}: {message}")
-        self.line = line
+        super().__init__(line, f"{field}: {message}" if field else message)
         self.field = field
         self.message = message
 
@@ -239,27 +239,10 @@ def parse_record(obj: dict, line: int = 0) -> Document:
 
 
 def parse_corpus(
-    lines: Iterable[str], errors: list[CorpusError] | None = None
+    lines: Iterable[str], errors: list[RecordError] | None = None
 ) -> Iterator[Document]:
-    """Lazily parse a line-delimited corpus stream into documents.
-
-    With `errors` given, malformed lines are skipped and their CorpusError
-    appended there (per-line recovery); with `errors=None` the first bad
-    line raises. Blank lines are ignored either way.
-    """
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(line_no, "", f"invalid JSON: {exc.msg}") from exc
-            yield parse_record(obj, line_no)
-        except CorpusError as err:
-            if errors is None:
-                raise
-            errors.append(err)
+    """Lazily parse a corpus stream; `errors` as in `read_records`."""
+    yield from read_records(lines, parse_record, errors)
 
 
 def document_to_record(doc: Document) -> dict:
@@ -282,14 +265,4 @@ def document_to_record(doc: Document) -> dict:
 
 
 def write_corpus(docs: Iterable[Document], fp: IO[str]) -> int:
-    n = 0
-    for doc in docs:
-        fp.write(json.dumps(document_to_record(doc), ensure_ascii=False) + "\n")
-        n += 1
-    return n
-
-
-def load_corpus(path) -> list[Document]:
-    """Read a whole corpus file strictly (any malformed line raises)."""
-    with open(path, "r", encoding="utf-8") as fp:
-        return list(parse_corpus(fp))
+    return write_records(docs, document_to_record, fp)

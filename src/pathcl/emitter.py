@@ -17,22 +17,16 @@ joined query/candidate strings erase.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from .bundle import InstanceBundle
+from .jsonl import RecordError, read_records, write_records
 from .negatives import ContextVariant, SynthSentence
 from .seeding import derive_rng
 
 JOIN = " "
-
-
-class DatasetError(Exception):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -188,68 +182,61 @@ def emit_instances(
         originals.clear()
     if cf_n == 0:
         counterfactuals.clear()
-    count = 0
-    while originals or counterfactuals:
-        for _ in range(orig_n):
-            if originals:
-                fp.write(json.dumps(instance_to_record(originals.popleft()), ensure_ascii=False) + "\n")
-                count += 1
-        for _ in range(cf_n):
-            if counterfactuals:
-                fp.write(json.dumps(instance_to_record(counterfactuals.popleft()), ensure_ascii=False) + "\n")
-                count += 1
-    return count
+
+    def interleaved() -> Iterator[ContrastiveInstance]:
+        while originals or counterfactuals:
+            for queue, n in ((originals, orig_n), (counterfactuals, cf_n)):
+                for _ in range(min(n, len(queue))):
+                    yield queue.popleft()
+
+    return write_records(interleaved(), instance_to_record, fp)
 
 
 def _require(obj: dict, key: str, kind: type, line: int):
     if key not in obj:
-        raise DatasetError(line, f"missing field {key!r}")
+        raise RecordError(line, f"missing field {key!r}")
     value = obj[key]
     if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise DatasetError(line, f"field {key!r}: expected {kind.__name__}")
+        raise RecordError(line, f"field {key!r}: expected {kind.__name__}")
     return value
 
 
 def instance_from_record(obj: dict, line: int = 0) -> ContrastiveInstance:
+    if not isinstance(obj, dict):
+        raise RecordError(line, f"expected object, got {type(obj).__name__}")
     orientation = _require(obj, "orientation", str, line)
     query = _require(obj, "query", str, line)
     candidates = _require(obj, "candidates", list, line)
     gold = _require(obj, "gold", int, line)
     meta = _require(obj, "meta", dict, line)
     if not all(isinstance(c, str) for c in candidates):
-        raise DatasetError(line, "candidates must be strings")
+        raise RecordError(line, "candidates must be strings")
     pair = _require(meta, "pair", list, line)
     if len(pair) != 2:
-        raise DatasetError(line, "meta.pair must have 2 entries")
+        raise RecordError(line, "meta.pair must have 2 entries")
+    info = InstanceMeta(
+        doc=_require(meta, "doc", str, line),
+        pair=(pair[0], pair[1]),
+        path=tuple(_require(meta, "path", list, line)),
+        counterfactual=_require(meta, "counterfactual", bool, line),
+        replacements=tuple(sorted(_require(meta, "replacements", dict, line).items())),
+        strategy=_require(meta, "strategy", str, line),
+        context_texts=tuple(_require(meta, "context_texts", list, line)),
+    )
     try:
         return ContrastiveInstance(
             orientation=orientation,
             query=query,
             candidates=tuple(candidates),
             gold=gold,
-            meta=InstanceMeta(
-                doc=_require(meta, "doc", str, line),
-                pair=(pair[0], pair[1]),
-                path=tuple(_require(meta, "path", list, line)),
-                counterfactual=_require(meta, "counterfactual", bool, line),
-                replacements=tuple(sorted(_require(meta, "replacements", dict, line).items())),
-                strategy=_require(meta, "strategy", str, line),
-                context_texts=tuple(_require(meta, "context_texts", list, line)),
-            ),
+            meta=info,
         )
     except ValueError as exc:
-        raise DatasetError(line, str(exc)) from exc
+        raise RecordError(line, str(exc)) from exc
 
 
 def read_instances(lines: Iterable[str]) -> Iterator[ContrastiveInstance]:
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(line_no, f"invalid JSON: {exc.msg}") from exc
-        yield instance_from_record(obj, line_no)
+    yield from read_records(lines, instance_from_record)
 
 
 @dataclass

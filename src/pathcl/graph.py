@@ -1,34 +1,18 @@
 """Per-document entity graph.
 
-Nodes are the document's entities. An unordered pair of entities is
-connected by an intra-sentence edge for every sentence mentioning both,
-and by one KG-relation edge per declared relation triple. Both kinds can
-coexist on the same pair; adjacency iteration sees one slot per pair.
+Nodes are the document's entities. Two maps keyed by the unordered
+`pair_key` hold the edges: `sentences` sends a pair to the sentences
+mentioning both, `labels` to its sorted relation labels. A pair may sit
+in either map or both; adjacency sees one slot per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO
 
 from .corpus import Document, sentence_entities
-
-
-@dataclass(frozen=True)
-class KgRelation:
-    label: str
-
-
-@dataclass(frozen=True)
-class IntraSentence:
-    sentences: frozenset[int]
-
-    def __post_init__(self):
-        if not self.sentences:
-            raise ValueError("intra-sentence edge needs at least one sentence")
-
-
-EdgeKind = KgRelation | IntraSentence
 
 
 def pair_key(a: str, b: str) -> tuple[str, str]:
@@ -40,19 +24,23 @@ def pair_key(a: str, b: str) -> tuple[str, str]:
 class EntityGraph:
     doc_id: str
     nodes: frozenset[str]
-    edges: dict[tuple[str, str], frozenset[EdgeKind]]
-
-    def edge_kinds(self, a: str, b: str) -> frozenset[EdgeKind]:
-        return self.edges.get(pair_key(a, b), frozenset())
+    sentences: dict[tuple[str, str], frozenset[int]]
+    labels: dict[tuple[str, str], tuple[str, ...]]
 
     def intra_sentences(self, a: str, b: str) -> frozenset[int]:
-        for kind in self.edge_kinds(a, b):
-            if isinstance(kind, IntraSentence):
-                return kind.sentences
-        return frozenset()
+        return self.sentences.get(pair_key(a, b), frozenset())
 
-    def kg_labels(self, a: str, b: str) -> list[str]:
-        return sorted(k.label for k in self.edge_kinds(a, b) if isinstance(k, KgRelation))
+    def kg_labels(self, a: str, b: str) -> tuple[str, ...]:
+        return self.labels.get(pair_key(a, b), ())
+
+    @cached_property
+    def adjacency(self) -> dict[str, tuple[str, ...]]:
+        adj: dict[str, set[str]] = {n: set() for n in self.nodes}
+        for edges in (self.sentences, self.labels):
+            for a, b in edges:
+                adj[a].add(b)
+                adj[b].add(a)
+        return {n: tuple(sorted(vs)) for n, vs in adj.items()}
 
 
 def build_entity_graph(doc: Document) -> EntityGraph:
@@ -60,58 +48,35 @@ def build_entity_graph(doc: Document) -> EntityGraph:
 
     Deterministic: equal documents produce equal graphs.
     """
-    intra: dict[tuple[str, str], set[int]] = {}
+    sentences: dict[tuple[str, str], set[int]] = {}
     for k in range(len(doc.sentences)):
         ids = sorted(sentence_entities(doc, k))
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
-                intra.setdefault(pair_key(a, b), set()).add(k)
+                sentences.setdefault(pair_key(a, b), set()).add(k)
 
-    kg: dict[tuple[str, str], set[str]] = {}
+    labels: dict[tuple[str, str], set[str]] = {}
     for rel in doc.relations:
-        if rel.head == rel.tail:
-            continue
-        kg.setdefault(pair_key(rel.head, rel.tail), set()).add(rel.relation)
-
-    edges: dict[tuple[str, str], frozenset[EdgeKind]] = {}
-    for key in set(intra) | set(kg):
-        kinds: set[EdgeKind] = set()
-        if key in intra:
-            kinds.add(IntraSentence(frozenset(intra[key])))
-        for label in kg.get(key, ()):
-            kinds.add(KgRelation(label))
-        edges[key] = frozenset(kinds)
+        if rel.head != rel.tail:
+            labels.setdefault(pair_key(rel.head, rel.tail), set()).add(rel.relation)
 
     return EntityGraph(
         doc_id=doc.id,
         nodes=frozenset(e.id for e in doc.entities),
-        edges=edges,
+        sentences={key: frozenset(ks) for key, ks in sentences.items()},
+        labels={key: tuple(sorted(ls)) for key, ls in labels.items()},
     )
-
-
-def neighbors(graph: EntityGraph, entity: str) -> dict[str, frozenset[EdgeKind]]:
-    """Adjacent entities of `entity` with the kinds of their shared edges."""
-    if entity not in graph.nodes:
-        raise KeyError(f"entity {entity!r} not in graph of document {graph.doc_id!r}")
-    out: dict[str, frozenset[EdgeKind]] = {}
-    for (a, b), kinds in graph.edges.items():
-        if a == entity:
-            out[b] = kinds
-        elif b == entity:
-            out[a] = kinds
-    return out
 
 
 def write_edge_list(graph: EntityGraph, fp: IO[str]) -> int:
     """Debug export: one `pair<TAB>kind<TAB>detail` line per edge kind, sorted."""
-    rows: list[tuple[str, str, str]] = []
-    for (a, b), kinds in graph.edges.items():
-        pair_id = f"{a}|{b}"
-        for kind in kinds:
-            if isinstance(kind, IntraSentence):
-                rows.append((pair_id, "sent", ",".join(str(i) for i in sorted(kind.sentences))))
-            else:
-                rows.append((pair_id, "kg", kind.label))
+    rows = [
+        (f"{a}|{b}", "sent", ",".join(str(k) for k in sorted(ks)))
+        for (a, b), ks in graph.sentences.items()
+    ]
+    rows.extend(
+        (f"{a}|{b}", "kg", label) for (a, b), ls in graph.labels.items() for label in ls
+    )
     rows.sort()
     for row in rows:
         fp.write("\t".join(row) + "\n")

@@ -96,14 +96,6 @@ def collect_answer_candidates(doc: Document, pair: tuple[str, str]) -> frozenset
     )
 
 
-def _adjacency(graph: EntityGraph) -> dict[str, list[str]]:
-    adj: dict[str, set[str]] = {n: set() for n in graph.nodes}
-    for a, b in graph.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return {n: sorted(vs) for n, vs in adj.items()}
-
-
 def _hop_options(
     graph: EntityGraph, u: str, v: str, usable: frozenset[int]
 ) -> list[PathHop]:
@@ -136,7 +128,7 @@ def dfs_metapath(
     if start not in graph.nodes or goal not in graph.nodes:
         return None
 
-    adjacency = _adjacency(graph)
+    adjacency = graph.adjacency
     path = [start]
     hops: list[PathHop] = []
     consumed: list[int] = []

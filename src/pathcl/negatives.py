@@ -54,9 +54,6 @@ class SynthSentence:
     mentions: tuple[MentionSpan, ...]  # every mention span in the new text
     swap: bool = False
 
-    def replaced_map(self) -> dict[str, str]:
-        return dict(self.replaced)
-
 
 @dataclass(frozen=True)
 class ContextVariant:
@@ -196,32 +193,6 @@ def iter_donor_candidates(
                 swaps.append(donor)
     for donor in swaps:
         yield donor, (t_j, t_i)  # exchange the target mentions
-
-
-def sample_relation_provider(
-    inst: PositiveInstance,
-    doc: Document,
-    pool: Sequence[DonorSentence],
-    rng: random.Random,
-    *,
-    swap_fallback: bool = True,
-    allow_cross_document: bool = True,
-    host_donors: Sequence[DonorSentence] | None = None,
-) -> tuple[DonorSentence, tuple[str, str], bool] | None:
-    """First eligible (donor, pair, is_swap) for the instance, or None."""
-    answers = collect_answer_candidates(doc, inst.pair)
-    for donor, pair in iter_donor_candidates(
-        doc,
-        pool,
-        inst.pair,
-        answers,
-        rng,
-        swap_fallback=swap_fallback,
-        allow_cross_document=allow_cross_document,
-        host_donors=host_donors,
-    ):
-        return donor, pair, set(pair) == set(inst.pair)
-    return None
 
 
 def _target_with_surfaces(doc: Document, pair: tuple[str, str]):

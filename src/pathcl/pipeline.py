@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .bundle import InstanceBundle, assemble_bundle, positive_instance, read_bundles, write_bundles
-from .corpus import CorpusError, Document, parse_corpus
+from .corpus import Document, parse_corpus
 from .counterfactual import (
     AlienEntity,
     apply_counterfactual,
@@ -26,6 +26,7 @@ from .counterfactual import (
 )
 from .emitter import ContrastiveInstance, bundle_to_instances, emit_instances
 from .graph import build_entity_graph, write_edge_list
+from .jsonl import RecordError, read_records, write_records
 from .metapath import (
     ExtractorConfig,
     MetaPath,
@@ -42,7 +43,6 @@ from .negatives import (
     make_negative_options,
 )
 from .seeding import derive_rng
-from .trainer import TrainConfig
 
 
 @dataclass
@@ -83,7 +83,6 @@ class PipelineConfig:
     negatives: NegativesConfig = field(default_factory=NegativesConfig)
     counterfactual: CounterfactualConfig = field(default_factory=CounterfactualConfig)
     emitter: EmitConfig = field(default_factory=EmitConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -117,45 +116,34 @@ def positive_to_record(inst: PositiveInstance) -> dict:
     }
 
 
-def positive_from_record(obj: dict) -> PositiveInstance:
-    return PositiveInstance(
-        doc_id=obj["doc"],
-        pair=(obj["pair"][0], obj["pair"][1]),
-        path=MetaPath(
-            entities=tuple(obj["path"]["entities"]),
-            hops=tuple(hop_from_record(h) for h in obj["path"]["hops"]),
-        ),
-        context=tuple(obj["context"]),
-        answers=frozenset(obj["answers"]),
-    )
+def positive_from_record(obj: dict, line: int = 0) -> PositiveInstance:
+    try:
+        return PositiveInstance(
+            doc_id=obj["doc"],
+            pair=(obj["pair"][0], obj["pair"][1]),
+            path=MetaPath(
+                entities=tuple(obj["path"]["entities"]),
+                hops=tuple(hop_from_record(h) for h in obj["path"]["hops"]),
+            ),
+            context=tuple(obj["context"]),
+            answers=frozenset(obj["answers"]),
+        )
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise RecordError(line, f"malformed positive record: {exc!r}") from exc
 
 
 def write_positives(instances: Iterable[PositiveInstance], fp: IO[str]) -> int:
-    n = 0
-    for inst in instances:
-        fp.write(json.dumps(positive_to_record(inst), ensure_ascii=False) + "\n")
-        n += 1
-    return n
+    return write_records(instances, positive_to_record, fp)
 
 
 def read_positives(lines: Iterable[str]) -> Iterator[PositiveInstance]:
-    """Positive instances from JSONL; a bad record raises ValueError naming its line."""
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            inst = positive_from_record(json.loads(raw))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ValueError(f"line {line_no}: malformed positive record: {exc!r}") from exc
-        yield inst
+    yield from read_records(lines, positive_from_record)
 
 
 # -- stages --
 
 
-def load_documents(path, errors: list[CorpusError] | None = None) -> list[Document]:
+def load_documents(path, errors: list[RecordError] | None = None) -> list[Document]:
     with open(path, "r", encoding="utf-8") as fp:
         return list(parse_corpus(fp, errors))
 
@@ -283,9 +271,11 @@ def stage_counterfactual(
             per_doc_entities[doc_position[alien.source_doc]].append(alien)
 
     for bundle in bundles:
+        doc = by_doc.get(bundle.doc_id)
+        if doc is None:
+            raise ValueError(f"bundle references unknown document {bundle.doc_id!r}")
         out.append(bundle)
         counters["originals"] += 1
-        doc = by_doc[bundle.doc_id]
         inst = positive_instance(bundle)
         if per_doc_entities is None:
             candidates = pool
@@ -359,7 +349,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {name: out_dir / fname for name, fname in OUTPUT_FILES.items()}
 
-    parse_errors: list[CorpusError] = []
+    parse_errors: list[RecordError] = []
     docs = load_documents(cfg.input, parse_errors)
 
     with open(paths["graph"], "w", encoding="utf-8") as fp:

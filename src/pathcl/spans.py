@@ -56,37 +56,3 @@ def rewrite_mentions(
         cursor = end
     pieces.append(text[cursor:])
     return "".join(pieces), new_mentions
-
-
-def diff_outside_spans(original: str, edited: str, original_spans: list[MentionSpan]) -> bool:
-    """True iff `edited` can differ from `original` only inside the given spans.
-
-    Used as the machine check that a synthetic sentence is byte-identical
-    to its donor outside the recorded replacement spans.
-    """
-    ordered = sorted(original_spans, key=lambda m: m[1])
-    fixed: list[str] = []
-    cursor = 0
-    for _, start, end in ordered:
-        fixed.append(original[cursor:start])
-        cursor = end
-    fixed.append(original[cursor:])
-    if len(fixed) == 1:  # no spans: nothing may change
-        return edited == original
-    # The fixed fragments must appear in `edited`, in order, non-overlapping,
-    # anchored at the ends.
-    pos = 0
-    for i, frag in enumerate(fixed):
-        if i == 0:
-            if not edited.startswith(frag):
-                return False
-            pos = len(frag)
-        elif i == len(fixed) - 1:
-            if not edited.endswith(frag) or len(edited) - len(frag) < pos:
-                return False
-        else:
-            found = edited.find(frag, pos) if frag else pos
-            if found < 0:
-                return False
-            pos = found + len(frag)
-    return True

@@ -558,42 +558,62 @@ def save_params(params: ScorerParams, path) -> None:
 
 
 def load_params(path) -> ScorerParams:
+    """Inverse of save_params.
+
+    A malformed or truncated file raises ValueError naming the 1-based line
+    where parsing stopped.
+    """
     with open(path, "r", encoding="utf-8") as fp:
-        lines = fp.read().splitlines()
-    if not lines or lines[0] != FORMAT_TAG:
-        raise ValueError(f"not a {FORMAT_TAG!r} file")
-    dims = lines[1].split()
-    dim, hidden = int(dims[1]), int(dims[2])
-    vocab_size = int(lines[2].split()[1])
-    vocab: dict[str, int] = {}
-    cursor = 3
-    for _ in range(vocab_size):
-        token, index = lines[cursor].split("\t")
-        vocab[token] = int(index)
-        cursor += 1
-    arrays: dict[str, np.ndarray] = {}
-    while cursor < len(lines):
-        header = lines[cursor].split()
-        if header[0] != "array":
-            raise ValueError(f"unexpected line {cursor + 1}: {lines[cursor]!r}")
-        name, rows, cols = header[1], int(header[2]), int(header[3])
-        cursor += 1
-        block = np.array(
-            [[float(v) for v in lines[cursor + r].split()] for r in range(rows)]
+        text = fp.read()
+    lines = text.splitlines()
+    pos = 0  # lines consumed; the line being parsed is lines[pos - 1]
+
+    def take() -> str:
+        nonlocal pos
+        pos += 1
+        if pos > len(lines):
+            raise ValueError("unexpected end of file")
+        return lines[pos - 1]
+
+    def header(tag: str, n: int) -> list[str]:
+        parts = take().split()
+        if len(parts) != n + 1 or parts[0] != tag:
+            raise ValueError(f"expected {tag!r} followed by {n} fields")
+        return parts[1:]
+
+    try:
+        if take() != FORMAT_TAG:
+            raise ValueError(f"not a {FORMAT_TAG!r} file")
+        dim, hidden = map(int, header("dims", 2))
+        vocab_size = int(header("vocab", 1)[0])
+        vocab: dict[str, int] = {}
+        for _ in range(vocab_size):
+            token, index = take().split("\t")
+            vocab[token] = int(index)
+        arrays: dict[str, np.ndarray] = {}
+        while pos < len(lines):
+            name, rows, cols = header("array", 3)
+            rows, cols = int(rows), int(cols)
+            block = [[float(v) for v in take().split()] for _ in range(rows)]
+            if any(len(row) != cols for row in block):
+                raise ValueError(f"array {name}: expected {cols} values per row")
+            arrays[name] = np.array(block).reshape(rows, cols)
+        if not text.endswith("\n"):
+            raise ValueError("last line is cut off")
+        missing = [name for name in ARRAY_FIELDS if name not in arrays]
+        if missing:
+            raise ValueError(f"missing array {missing[0]!r}")
+        params = ScorerParams(
+            vocab=vocab,
+            embeddings=arrays["embeddings"],
+            w1=arrays["w1"],
+            b1=arrays["b1"].ravel(),
+            w2=arrays["w2"].ravel(),
+            b2=arrays["b2"].ravel(),
         )
-        if block.shape != (rows, cols):
-            raise ValueError(f"array {name}: malformed block")
-        arrays[name] = block
-        cursor += rows
-    params = ScorerParams(
-        vocab=vocab,
-        embeddings=arrays["embeddings"],
-        w1=arrays["w1"],
-        b1=arrays["b1"].ravel(),
-        w2=arrays["w2"].ravel(),
-        b2=arrays["b2"].ravel(),
-    )
-    if params.dim != dim or params.hidden != hidden:
-        raise ValueError("header dims do not match array shapes")
-    params.validate()
+        if params.dim != dim or params.hidden != hidden:
+            raise ValueError("header dims do not match array shapes")
+        params.validate()
+    except ValueError as exc:
+        raise ValueError(f"line {pos}: {exc}") from exc
     return params

@@ -1,9 +1,11 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's search and rewrite code paths:
-the path oracle enumerates every simple path and every per-hop sentence
-assignment; the consistency scanner re-derives entity occurrences from
-surfaces instead of trusting recorded spans.
+the path oracle builds its own adjacency from the graph's two edge maps
+and enumerates every simple path and every per-hop sentence assignment;
+the consistency scanner re-derives entity occurrences from surfaces
+instead of trusting recorded spans; the span diff checks an edit from
+the original text's fixed fragments alone.
 """
 
 from __future__ import annotations
@@ -12,14 +14,15 @@ import itertools
 import re
 
 from pathcl.corpus import Document
-from pathcl.graph import EntityGraph, IntraSentence, KgRelation, pair_key
+from pathcl.graph import EntityGraph, pair_key
+from pathcl.spans import MentionSpan
 
 
 def enumerate_simple_paths(
     graph: EntityGraph, start: str, goal: str, max_entities: int
 ) -> list[list[str]]:
     adj: dict[str, set[str]] = {n: set() for n in graph.nodes}
-    for a, b in graph.edges:
+    for a, b in [*graph.sentences, *graph.labels]:
         adj[a].add(b)
         adj[b].add(a)
     paths: list[list[str]] = []
@@ -44,13 +47,9 @@ def enumerate_simple_paths(
 
 def hop_choices(graph: EntityGraph, u: str, v: str, available: frozenset[int]):
     """All ways to realize hop (u, v): ('sent', k) or ('kg', label)."""
-    kinds = graph.edges.get(pair_key(u, v), frozenset())
-    out = []
-    for kind in kinds:
-        if isinstance(kind, IntraSentence):
-            out.extend(("sent", k) for k in sorted(kind.sentences & available))
-        elif isinstance(kind, KgRelation):
-            out.append(("kg", kind.label))
+    key = pair_key(u, v)
+    out = [("sent", k) for k in sorted(graph.sentences.get(key, frozenset()) & available)]
+    out.extend(("kg", label) for label in graph.labels.get(key, ()))
     return out
 
 
@@ -121,3 +120,37 @@ def surface_occurrences(text: str, surface: str) -> int:
         return 0
     pattern = r"(?<!\w)" + re.escape(surface) + r"(?!\w)"
     return len(re.findall(pattern, text))
+
+
+def diff_outside_spans(original: str, edited: str, original_spans: list[MentionSpan]) -> bool:
+    """True iff `edited` can differ from `original` only inside the given spans.
+
+    Used as the machine check that a synthetic sentence is byte-identical
+    to its donor outside the recorded replacement spans.
+    """
+    ordered = sorted(original_spans, key=lambda m: m[1])
+    fixed: list[str] = []
+    cursor = 0
+    for _, start, end in ordered:
+        fixed.append(original[cursor:start])
+        cursor = end
+    fixed.append(original[cursor:])
+    if len(fixed) == 1:  # no spans: nothing may change
+        return edited == original
+    # The fixed fragments must appear in `edited`, in order, non-overlapping,
+    # anchored at the ends.
+    pos = 0
+    for i, frag in enumerate(fixed):
+        if i == 0:
+            if not edited.startswith(frag):
+                return False
+            pos = len(frag)
+        elif i == len(fixed) - 1:
+            if not edited.endswith(frag) or len(edited) - len(frag) < pos:
+                return False
+        else:
+            found = edited.find(frag, pos) if frag else pos
+            if found < 0:
+                return False
+            pos = found + len(frag)
+    return True

@@ -310,3 +310,17 @@ def test_jobs_parallel_matches_serial(tmp_path):
                      "--seed", "4", "--jobs", jobs]) == 0
     for fname in ["positives.jsonl", "bundles.jsonl", "instances.jsonl"]:
         assert file_hash(tmp_path / "serial" / fname) == file_hash(tmp_path / "parallel" / fname)
+
+
+def test_train_section_leaves_config_hash_unchanged(tmp_path, capsys):
+    # run never trains, so the train section (kept for `pathcl train`) is not hashed
+    corpus = tmp_path / "corpus.jsonl"
+    film_cast_corpus(corpus)
+    hashes = []
+    for name, train in (("a", {"epochs": 5}), ("b", {"epochs": 50, "learning_rate": 0.7})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"seed": 3, "train": train}))
+        assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path / name),
+                     "--config", str(config)]) == 0
+        hashes.append(json.loads((tmp_path / name / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1]

@@ -16,7 +16,7 @@ from pathcl.metapath import ExtractorConfig, extract_positive_instances
 from pathcl.negatives import make_negative_contexts, make_negative_options
 
 from corpora import build_document, film_cast_document
-from oracles import surface_occurrences
+from oracles import diff_outside_spans, surface_occurrences
 
 ALIENS = [
     AlienEntity("q1", "Nadia Petrov", "other1"),
@@ -119,8 +119,6 @@ def test_apply_preserves_structure_outside_spans():
     doc, inst, bundle = film_cast_bundle()
     rmap = select_replacements(inst, doc, ALIENS, random.Random(4), include_prob=0.5)
     out = apply_counterfactual(bundle, rmap)
-    from pathcl.spans import diff_outside_spans
-
     for old, new in zip(bundle.context, out.context):
         assert diff_outside_spans(old.text, new.text, list(old.mentions))
 

@@ -8,7 +8,6 @@ from pathcl.bundle import assemble_bundle
 from pathcl.counterfactual import apply_counterfactual, select_replacements
 from pathcl.emitter import (
     ContrastiveInstance,
-    DatasetError,
     InstanceMeta,
     bundle_to_instances,
     emit_instances,
@@ -17,6 +16,7 @@ from pathcl.emitter import (
     stats,
 )
 from pathcl.graph import build_entity_graph
+from pathcl.jsonl import RecordError
 from pathcl.metapath import ExtractorConfig, extract_positive_instances
 from pathcl.negatives import make_negative_contexts, make_negative_options
 
@@ -95,7 +95,7 @@ def test_round_trip_fuzzed():
 def test_read_rejects_truncated_line():
     rng = random.Random(5)
     good = json.dumps(instance_to_record(random_instance(rng)))
-    with pytest.raises(DatasetError) as exc:
+    with pytest.raises(RecordError) as exc:
         list(read_instances([good, good[: len(good) // 2]]))
     assert exc.value.line == 2
 
@@ -104,7 +104,7 @@ def test_read_rejects_bad_gold():
     rng = random.Random(6)
     rec = instance_to_record(random_instance(rng))
     rec["gold"] = 99
-    with pytest.raises(DatasetError):
+    with pytest.raises(RecordError):
         list(read_instances([json.dumps(rec)]))
 
 

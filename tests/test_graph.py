@@ -4,14 +4,7 @@ import random
 import pytest
 
 from pathcl.corpus import sentence_entities
-from pathcl.graph import (
-    IntraSentence,
-    KgRelation,
-    build_entity_graph,
-    neighbors,
-    pair_key,
-    write_edge_list,
-)
+from pathcl.graph import build_entity_graph, pair_key, write_edge_list
 
 from corpora import build_document, film_cast_document, random_micro_doc
 
@@ -37,16 +30,18 @@ def test_single_sentence_pair():
     )
     g = build_entity_graph(doc)
     assert g.nodes == {"a", "b"}
-    assert g.edges == {("a", "b"): frozenset({IntraSentence(frozenset({0}))})}
+    assert g.sentences == {("a", "b"): frozenset({0})}
+    assert g.labels == {}
 
 
 def test_triangle():
     g = build_entity_graph(triangle_document())
-    assert set(g.edges) == {
+    assert set(g.sentences) == {
         pair_key("mckean", "mirrormask"),
         pair_key("mckean", "leonidas"),
         pair_key("leonidas", "mirrormask"),
     }
+    assert g.labels == {}
     assert g.intra_sentences("mckean", "mirrormask") == {0}
     assert g.intra_sentences("mckean", "leonidas") == {2}
     assert g.intra_sentences("leonidas", "mirrormask") == {4}
@@ -60,7 +55,7 @@ def test_no_cooccurrence_no_edges():
     )
     g = build_entity_graph(doc)
     assert g.nodes == {"a", "b"}
-    assert g.edges == {}
+    assert g.sentences == {} and g.labels == {}
 
 
 def test_kg_and_intra_merge_into_one_slot():
@@ -71,15 +66,15 @@ def test_kg_and_intra_merge_into_one_slot():
         relations=[("a", "b", "knows"), ("b", "a", "likes")],
     )
     g = build_entity_graph(doc)
-    kinds = g.edge_kinds("a", "b")
-    assert IntraSentence(frozenset({0})) in kinds
-    assert KgRelation("knows") in kinds and KgRelation("likes") in kinds
-    assert len(g.edges) == 1
+    assert g.intra_sentences("a", "b") == {0}
+    assert g.kg_labels("b", "a") == ("knows", "likes")
+    assert set(g.sentences) == set(g.labels) == {("a", "b")}
+    assert g.adjacency == {"a": ("b",), "b": ("a",)}
 
 
 def test_neighbors_triangle():
     g = build_entity_graph(triangle_document())
-    assert set(neighbors(g, "mirrormask")) == {"mckean", "leonidas"}
+    assert g.adjacency["mirrormask"] == ("leonidas", "mckean")
 
 
 def test_neighbors_isolated_and_kg_only():
@@ -90,12 +85,12 @@ def test_neighbors_isolated_and_kg_only():
         relations=[("a", "b", "knows")],
     )
     g = build_entity_graph(doc)
-    assert neighbors(g, "c") == {}
-    got = neighbors(g, "a")
-    assert set(got) == {"b"}
-    assert got["b"] == frozenset({KgRelation("knows")})
+    assert g.adjacency["c"] == ()
+    assert g.adjacency["a"] == ("b",)
+    assert g.kg_labels("a", "b") == ("knows",)
+    assert g.intra_sentences("a", "b") == frozenset()
     with pytest.raises(KeyError):
-        neighbors(g, "nope")
+        g.adjacency["nope"]
 
 
 def test_neighbors_symmetric():
@@ -104,8 +99,8 @@ def test_neighbors_symmetric():
         doc = random_micro_doc(rng, f"m{i}")
         g = build_entity_graph(doc)
         for node in g.nodes:
-            for other in neighbors(g, node):
-                assert node in neighbors(g, other)
+            for other in g.adjacency[node]:
+                assert node in g.adjacency[other]
 
 
 def test_intra_sentence_edges_match_brute_force():
@@ -123,7 +118,7 @@ def test_intra_sentence_edges_match_brute_force():
                 )
                 assert g.intra_sentences(a, b) == expected
         assert g.nodes == set(ids)
-        for a, b in g.edges:
+        for a, b in [*g.sentences, *g.labels]:
             assert a in g.nodes and b in g.nodes and a != b
 
 

@@ -3,19 +3,29 @@ import random
 import pytest
 
 from pathcl.graph import build_entity_graph
-from pathcl.metapath import ExtractorConfig, extract_positive_instances
+from pathcl.metapath import ExtractorConfig, collect_answer_candidates, extract_positive_instances
 from pathcl.negatives import (
     DonorSentence,
     build_donor_pool,
+    iter_donor_candidates,
     make_negative_contexts,
     make_negative_options,
     relation_replace,
-    sample_relation_provider,
 )
-from pathcl.spans import OverlappingSpans, diff_outside_spans
+from pathcl.spans import OverlappingSpans
 
 from corpora import build_document, film_cast_document
-from oracles import surface_occurrences
+from oracles import diff_outside_spans, surface_occurrences
+
+
+def sample_relation_provider(inst, doc, pool, rng, *, swap_fallback=True):
+    """First eligible (donor, pair, is_swap) for the instance, or None."""
+    answers = collect_answer_candidates(doc, inst.pair)
+    for donor, pair in iter_donor_candidates(
+        doc, pool, inst.pair, answers, rng, swap_fallback=swap_fallback
+    ):
+        return donor, pair, set(pair) == set(inst.pair)
+    return None
 
 
 def film_cast_instance():

@@ -1,0 +1,138 @@
+"""Corrupted stage-boundary files end in a line-numbered error, never a traceback.
+
+Each JSONL reader gets a valid record from the film-cast run on line 1
+and a mutated copy of it on line 2: a key dropped, a value replaced by
+one of another JSON type, or the line cut short. Reading must either
+succeed or raise RecordError naming line 2.
+"""
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pathcl.bundle import read_bundles
+from pathcl.cli import main
+from pathcl.corpus import parse_corpus
+from pathcl.emitter import read_instances
+from pathcl.jsonl import RecordError
+from pathcl.pipeline import read_positives
+from pathcl.trainer import build_vocab, init_params, save_params
+
+from test_cli import film_cast_corpus
+
+READERS = {
+    "corpus.jsonl": parse_corpus,
+    "positives.jsonl": read_positives,
+    "bundles.jsonl": read_bundles,
+    "instances.jsonl": read_instances,
+}
+
+OTHER_VALUES = (None, True, 0, 1.5, "", "x", [], [0], ["x", "y"], {}, {"k": 1})
+
+
+@pytest.fixture(scope="module")
+def film_cast_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("film_cast")
+    film_cast_corpus(root / "corpus.jsonl")
+    rc = main(["run", "--input", str(root / "corpus.jsonl"), "--output-dir", str(root),
+               "--seed", "3"])
+    assert rc == 0
+    return root
+
+
+def json_paths(obj, prefix=()):
+    """Every key or index path into a decoded JSON value, the root included."""
+    yield prefix
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+def lookup(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def mutated_lines(draw, record):
+    line = json.dumps(record, ensure_ascii=False)
+    paths = list(json_paths(record))
+    kind = draw(st.sampled_from(["drop", "retype", "truncate"]))
+    if kind == "truncate":
+        return line[: draw(st.integers(0, len(line) - 1))]
+    obj = copy.deepcopy(record)
+    if kind == "drop":
+        path = draw(st.sampled_from(paths[1:]))
+        del lookup(obj, path[:-1])[path[-1]]
+    else:
+        path = draw(st.sampled_from(paths))
+        old = lookup(obj, path)
+        new = draw(st.sampled_from([v for v in OTHER_VALUES if type(v) is not type(old)]))
+        if not path:
+            obj = new
+        else:
+            lookup(obj, path[:-1])[path[-1]] = new
+    return json.dumps(obj, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_corrupted_record_raises_record_error_for_its_line(film_cast_run, name):
+    valid = (film_cast_run / name).read_text(encoding="utf-8").splitlines()[0]
+    reader = READERS[name]
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(mutated_lines(json.loads(valid)))
+    def check(line):
+        try:
+            list(reader([valid, line]))
+        except RecordError as err:
+            assert err.line == 2, str(err)
+
+    check()
+
+
+def test_eval_truncated_params_exit_1_naming_line(film_cast_run, tmp_path, capsys):
+    params = tmp_path / "scorer.txt"
+    save_params(init_params(build_vocab(["alpha beta"]), 2, 2, seed=0), params)
+    text = params.read_text(encoding="utf-8")
+    instances = str(film_cast_run / "instances.jsonl")
+    assert main(["eval", "--params", str(params), "--input", instances]) == 0
+    capsys.readouterr()
+    for cut in range(len(text)):
+        params.write_text(text[:cut], encoding="utf-8")
+        assert main(["eval", "--params", str(params), "--input", instances]) == 1, cut
+        err = capsys.readouterr().err
+        assert err.startswith("error: line "), (cut, err)
+
+
+def test_counterfactual_unknown_document_exit_1(film_cast_run, tmp_path, capsys):
+    record = json.loads((film_cast_run / "bundles.jsonl").read_text(encoding="utf-8"))
+    record["doc"] = "nope"
+    bundles = tmp_path / "bundles.jsonl"
+    bundles.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    rc = main(["counterfactual", "--corpus", str(film_cast_run / "corpus.jsonl"),
+               "--input", str(bundles), "--output", str(tmp_path / "out.jsonl"), "--seed", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: bundle references unknown document 'nope'\n"
+
+
+@pytest.mark.parametrize("replacements", [[], None, "x"])
+def test_bundle_with_non_object_replacements_exit_1(film_cast_run, tmp_path, capsys, replacements):
+    record = json.loads((film_cast_run / "bundles.jsonl").read_text(encoding="utf-8"))
+    record["replacements"] = replacements
+    bundles = tmp_path / "bundles.jsonl"
+    bundles.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    corpus = str(film_cast_run / "corpus.jsonl")
+    for args in (["counterfactual", "--corpus", corpus], ["emit"]):
+        rc = main([*args, "--input", str(bundles), "--output", str(tmp_path / "out.jsonl")])
+        assert rc == 1
+        assert "line 1: malformed bundle record: AttributeError" in capsys.readouterr().err
