@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import IO, Iterable, Iterator
 
 from .corpus import Document
-from .jsonl import RecordError, read_records, write_records
+from .jsonl import RecordError, read_records, require, require_list, write_records
 from .metapath import MetaPath, PathHop, PositiveInstance, hop_from_record, hop_to_record
 from .negatives import ContextVariant, NegativeSet, SynthSentence
 from .spans import MentionSpan
@@ -180,16 +180,19 @@ def _synth_from(obj: dict) -> SynthSentence:
 
 
 def bundle_from_record(obj: dict, line: int = 0) -> InstanceBundle:
+    doc_id = require(obj, "doc", str, line)
+    pair = require_list(obj, "pair", str, line, length=2)
+    context_sentences = require_list(obj, "context_sentences", int, line)
+    answer_sentence = require(obj, "answer_sentence", int, line)
     try:
-        pair = obj["pair"]
         return InstanceBundle(
-            doc_id=obj["doc"],
-            pair=(pair[0], pair[1]),
+            doc_id=doc_id,
+            pair=pair,
             path_entities=tuple(obj["path"]["entities"]),
             hops=tuple(hop_from_record(h) for h in obj["path"]["hops"]),
-            context_sentences=tuple(int(k) for k in obj["context_sentences"]),
+            context_sentences=context_sentences,
             context=tuple(_text_from(t) for t in obj["context"]),
-            answer_sentence=int(obj["answer_sentence"]),
+            answer_sentence=answer_sentence,
             answer=_text_from(obj["answer"]),
             options=tuple(_synth_from(s) for s in obj["options"]),
             context_variants=tuple(

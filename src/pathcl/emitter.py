@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from .bundle import InstanceBundle
-from .jsonl import RecordError, read_records, write_records
+from .jsonl import RecordError, read_records, require, require_list, write_records
 from .negatives import ContextVariant, SynthSentence
 from .seeding import derive_rng
 
@@ -192,42 +192,26 @@ def emit_instances(
     return write_records(interleaved(), instance_to_record, fp)
 
 
-def _require(obj: dict, key: str, kind: type, line: int):
-    if key not in obj:
-        raise RecordError(line, f"missing field {key!r}")
-    value = obj[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise RecordError(line, f"field {key!r}: expected {kind.__name__}")
-    return value
-
-
 def instance_from_record(obj: dict, line: int = 0) -> ContrastiveInstance:
-    if not isinstance(obj, dict):
-        raise RecordError(line, f"expected object, got {type(obj).__name__}")
-    orientation = _require(obj, "orientation", str, line)
-    query = _require(obj, "query", str, line)
-    candidates = _require(obj, "candidates", list, line)
-    gold = _require(obj, "gold", int, line)
-    meta = _require(obj, "meta", dict, line)
-    if not all(isinstance(c, str) for c in candidates):
-        raise RecordError(line, "candidates must be strings")
-    pair = _require(meta, "pair", list, line)
-    if len(pair) != 2:
-        raise RecordError(line, "meta.pair must have 2 entries")
+    orientation = require(obj, "orientation", str, line)
+    query = require(obj, "query", str, line)
+    candidates = require_list(obj, "candidates", str, line)
+    gold = require(obj, "gold", int, line)
+    meta = require(obj, "meta", dict, line)
     info = InstanceMeta(
-        doc=_require(meta, "doc", str, line),
-        pair=(pair[0], pair[1]),
-        path=tuple(_require(meta, "path", list, line)),
-        counterfactual=_require(meta, "counterfactual", bool, line),
-        replacements=tuple(sorted(_require(meta, "replacements", dict, line).items())),
-        strategy=_require(meta, "strategy", str, line),
-        context_texts=tuple(_require(meta, "context_texts", list, line)),
+        doc=require(meta, "doc", str, line),
+        pair=require_list(meta, "pair", str, line, length=2),
+        path=tuple(require(meta, "path", list, line)),
+        counterfactual=require(meta, "counterfactual", bool, line),
+        replacements=tuple(sorted(require(meta, "replacements", dict, line).items())),
+        strategy=require(meta, "strategy", str, line),
+        context_texts=tuple(require(meta, "context_texts", list, line)),
     )
     try:
         return ContrastiveInstance(
             orientation=orientation,
             query=query,
-            candidates=tuple(candidates),
+            candidates=candidates,
             gold=gold,
             meta=info,
         )

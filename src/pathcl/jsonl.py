@@ -20,6 +20,32 @@ class RecordError(ValueError):
         self.line = line
 
 
+def require(obj: object, key: str, kind: type, line: int):
+    """obj[key], which must be a `kind` (an int field takes no bool)."""
+    if not isinstance(obj, dict):
+        raise RecordError(line, f"expected object, got {type(obj).__name__}")
+    if key not in obj:
+        raise RecordError(line, f"missing field {key!r}")
+    value = obj[key]
+    if not _is(value, kind):
+        raise RecordError(line, f"field {key!r}: expected {kind.__name__}")
+    return value
+
+
+def require_list(obj: object, key: str, kind: type, line: int, length: int | None = None) -> tuple:
+    """obj[key] as a tuple; it must be a list of `kind` values, `length` long if given."""
+    values = require(obj, key, list, line)
+    if not all(_is(v, kind) for v in values):
+        raise RecordError(line, f"field {key!r}: expected a list of {kind.__name__}")
+    if length is not None and len(values) != length:
+        raise RecordError(line, f"field {key!r}: expected {length} entries")
+    return tuple(values)
+
+
+def _is(value: object, kind: type) -> bool:
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
 def read_records(
     lines: Iterable[str],
     from_record: Callable[[object, int], T],

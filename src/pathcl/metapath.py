@@ -57,7 +57,10 @@ def hop_to_record(hop: PathHop) -> dict:
 
 
 def hop_from_record(obj: dict) -> PathHop:
-    return PathHop(via_sentence=obj["sentence"], kg_label=obj["kg"])
+    sentence, label = obj["sentence"], obj["kg"]
+    if not (sentence is None or type(sentence) is int) or not (label is None or type(label) is str):
+        raise TypeError(f"hop needs an int sentence or a str KG label, got {sentence!r}, {label!r}")
+    return PathHop(via_sentence=sentence, kg_label=label)
 
 
 @dataclass(frozen=True)

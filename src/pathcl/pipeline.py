@@ -26,10 +26,11 @@ from .counterfactual import (
 )
 from .emitter import ContrastiveInstance, bundle_to_instances, emit_instances
 from .graph import build_entity_graph, write_edge_list
-from .jsonl import RecordError, read_records, write_records
+from .jsonl import RecordError, read_records, require, require_list, write_records
 from .metapath import (
     ExtractorConfig,
     MetaPath,
+    PathHop,
     PositiveInstance,
     extract_positive_instances,
     hop_from_record,
@@ -117,16 +118,22 @@ def positive_to_record(inst: PositiveInstance) -> dict:
 
 
 def positive_from_record(obj: dict, line: int = 0) -> PositiveInstance:
+    doc_id = require(obj, "doc", str, line)
+    pair = require_list(obj, "pair", str, line, length=2)
+    context = require_list(obj, "context", int, line)
+    answers = frozenset(require_list(obj, "answers", int, line))
+    if not answers:
+        raise RecordError(line, "field 'answers': expected at least one entry")
     try:
         return PositiveInstance(
-            doc_id=obj["doc"],
-            pair=(obj["pair"][0], obj["pair"][1]),
+            doc_id=doc_id,
+            pair=pair,
             path=MetaPath(
                 entities=tuple(obj["path"]["entities"]),
                 hops=tuple(hop_from_record(h) for h in obj["path"]["hops"]),
             ),
-            context=tuple(obj["context"]),
-            answers=frozenset(obj["answers"]),
+            context=context,
+            answers=answers,
         )
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise RecordError(line, f"malformed positive record: {exc!r}") from exc
@@ -169,6 +176,19 @@ def stage_extract(docs: Sequence[Document], cfg: ExtractorConfig) -> list[list[P
     return [_extract_worker(doc, cfg) for doc in docs]
 
 
+def _check_sentences(
+    doc: Document, indices: Iterable[int], hops: Iterable[PathHop], what: str
+) -> None:
+    """Raise ValueError unless every sentence index (hops' included) lies in `doc`."""
+    hop_sentences = [h.via_sentence for h in hops if h.via_sentence is not None]
+    outside = [k for k in (*indices, *hop_sentences) if not 0 <= k < len(doc.sentences)]
+    if outside:
+        raise ValueError(
+            f"{what} in document {doc.id!r} names sentence {outside[0]}, "
+            f"outside its {len(doc.sentences)} sentences"
+        )
+
+
 def _negative_worker(
     doc: Document,
     instances: Sequence[PositiveInstance],
@@ -185,6 +205,7 @@ def _negative_worker(
     ]
     bundles = []
     for inst in instances:
+        _check_sentences(doc, (*inst.context, *inst.answers), inst.path.hops, "positive")
         rng = derive_rng(seed, "negatives", inst.doc_id, *inst.pair, inst.answer)
         ready = ()
         if ready_index is not None:
@@ -274,6 +295,9 @@ def stage_counterfactual(
         doc = by_doc.get(bundle.doc_id)
         if doc is None:
             raise ValueError(f"bundle references unknown document {bundle.doc_id!r}")
+        _check_sentences(
+            doc, (*bundle.context_sentences, bundle.answer_sentence), bundle.hops, "bundle"
+        )
         out.append(bundle)
         counters["originals"] += 1
         inst = positive_instance(bundle)

@@ -14,6 +14,11 @@ computed with max subtraction. Option-oriented instances score
 held-out tokens from the mean of the remaining embeddings through the
 embedding-tied softmax.
 
+Every loss and the evaluation run on one minibatch layout: all candidate
+pairs and masked-token contexts of a batch are segments of one flat id
+array, pooled by one matrix product, scored by one head pass and grouped
+back into per-instance softmaxes with segment reductions.
+
 Gradients are analytic throughout and verified against central
 differences; everything is float64 and deterministic under a fixed seed.
 """
@@ -23,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,12 +135,62 @@ def token_ids(params: ScorerParams, text: str) -> list[int]:
     return [params.vocab.get(t, unk) for t in tokenize(text)]
 
 
-def pair_ids(params: ScorerParams, a: str, b: str) -> list[int]:
-    return token_ids(params, a) + [params.vocab[SEP_TOKEN]] + token_ids(params, b)
+# -- minibatch layout --
+#
+# Every token-id list of a minibatch (each candidate's "query [sep]
+# candidate" pair and each masked-token context) is one segment of a flat
+# id array. A dense (unique ids x segments) pooling matrix then yields all
+# segment means in one product and scatters their gradients back in one
+# more, so a minibatch costs the same few array operations however many
+# candidates it holds.
 
 
-def _candidate_means(params: ScorerParams, id_lists: Sequence[list[int]]) -> np.ndarray:
-    return np.stack([params.embeddings[ids].mean(axis=0) for ids in id_lists])
+class _Encoded(NamedTuple):
+    """An instance as token ids: its query and every candidate's pair ids."""
+
+    orientation: str
+    gold: int
+    query: np.ndarray  # ids of the query, the masked-token text
+    pairs: np.ndarray  # "query [sep] candidate" ids of all candidates, concatenated
+    lengths: np.ndarray  # pair length of each candidate
+
+
+def _encode(
+    params: ScorerParams, orientation: str, query: str, candidates: Sequence[str], gold: int
+) -> _Encoded:
+    if len(candidates) < 2:
+        raise ValueError("candidate set must contain at least one negative")
+    head = token_ids(params, query)
+    prefix = head + [params.vocab[SEP_TOKEN]]
+    pairs = [prefix + token_ids(params, cand) for cand in candidates]
+    return _Encoded(
+        orientation=orientation,
+        gold=gold,
+        query=np.array(head, dtype=np.intp),
+        pairs=np.array([i for pair in pairs for i in pair], dtype=np.intp),
+        lengths=np.array([len(pair) for pair in pairs], dtype=np.intp),
+    )
+
+
+def _encode_instance(params: ScorerParams, inst: ContrastiveInstance) -> _Encoded:
+    return _encode(params, inst.orientation, inst.query, inst.candidates, inst.gold)
+
+
+def _pool(params: ScorerParams, flat: np.ndarray, lengths: np.ndarray):
+    """Unique ids, the (ids x segments) pooling matrix and every segment mean.
+
+    Entry (u, s) is id u's share of segment s (its occurrences over the
+    segment length), so `pool.T @ embeddings[ids]` holds the segment means
+    and `pool @ dmeans` scatters their gradients back. An empty segment is
+    a zero column, that is a zero mean.
+    """
+    n = lengths.size
+    ids, inverse = np.unique(flat, return_inverse=True)
+    share = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
+    column = np.repeat(np.arange(n), lengths)
+    pool = np.bincount(inverse * n + column, weights=share, minlength=ids.size * n)
+    pool = pool.reshape(ids.size, n)
+    return ids, pool, pool.T @ params.embeddings[ids]
 
 
 def _head_forward(params: ScorerParams, means: np.ndarray):
@@ -144,29 +199,22 @@ def _head_forward(params: ScorerParams, means: np.ndarray):
     return scores, hidden
 
 
-def _head_backward(
-    params: ScorerParams,
-    id_lists: Sequence[list[int]],
-    means: np.ndarray,
-    hidden: np.ndarray,
-    dscores: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> None:
-    dhidden = np.outer(dscores, params.w2) * (1.0 - hidden * hidden)
-    grads["w2"] += hidden.T @ dscores
-    grads["b2"][0] += dscores.sum()
-    grads["w1"] += means.T @ dhidden
-    grads["b1"] += dhidden.sum(axis=0)
-    dmeans = dhidden @ params.w1.T
-    for row, ids in zip(dmeans, id_lists):
-        np.add.at(grads["embeddings"], ids, row / len(ids))
+def _group_softmax(scores: np.ndarray, sizes: np.ndarray, golds: np.ndarray):
+    """Per-group cross-entropy of the gold candidate and d(loss)/d(scores).
 
-
-def score_pair(params: ScorerParams, a: str, b: str) -> float:
-    """Scalar compatibility of the pair: mean-pooled "a [sep] b" through the head."""
-    means = _candidate_means(params, [pair_ids(params, a, b)])
-    scores, _ = _head_forward(params, means)
-    return float(scores[0])
+    Groups are consecutive runs of `sizes` scores; within each the loss is
+    log(sum exp) - s_gold with max subtraction, and the gradient is
+    softmax - onehot(gold).
+    """
+    starts = np.cumsum(sizes) - sizes
+    top = np.maximum.reduceat(scores, starts)
+    exp = np.exp(scores - np.repeat(top, sizes))
+    norm = np.add.reduceat(exp, starts)
+    gold_at = starts + golds
+    losses = np.log(norm) + top - scores[gold_at]
+    dscores = exp / np.repeat(norm, sizes)
+    dscores[gold_at] -= 1.0
+    return losses, dscores
 
 
 def cl_loss(s_pos: float, s_negs: Sequence[float]) -> float:
@@ -174,20 +222,108 @@ def cl_loss(s_pos: float, s_negs: Sequence[float]) -> float:
     if len(s_negs) == 0:
         raise ValueError("candidate set must contain at least one negative")
     scores = np.array([s_pos, *s_negs], dtype=float)
-    top = scores.max()
-    lse = top + math.log(np.exp(scores - top).sum())
-    return float(lse - s_pos)
+    losses, _ = _group_softmax(scores, np.array([scores.size]), np.array([0]))
+    return float(losses[0])
 
 
-def softmax_grad(scores: np.ndarray, gold: int) -> tuple[float, np.ndarray]:
-    """Loss and d(loss)/d(scores) = softmax - onehot(gold)."""
-    top = scores.max()
-    exp = np.exp(scores - top)
-    probs = exp / exp.sum()
-    loss = float(math.log(exp.sum()) + top - scores[gold])
-    dscores = probs.copy()
-    dscores[gold] -= 1.0
-    return loss, dscores
+class _Masked(NamedTuple):
+    """Masked-token draws of a batch of texts, as segments."""
+
+    kept: np.ndarray  # unmasked ids of all texts, concatenated
+    kept_lengths: np.ndarray  # unmasked ids per text
+    targets: np.ndarray  # masked ids of all texts, concatenated
+    counts: np.ndarray  # masked ids per text
+
+
+def _mask(
+    texts: Sequence[np.ndarray], mask_rate: float, rngs: Iterable[random.Random]
+) -> _Masked | None:
+    """Mask ceil(mask_rate * n) positions of each text, drawn by its rng.
+
+    None when the rate masks nothing.
+    """
+    if not 0.0 <= mask_rate <= 1.0:
+        raise ValueError("mask_rate must lie in [0, 1]")
+    sizes = [ids.size for ids in texts]
+    if 0 in sizes:
+        raise ValueError("cannot mask an empty text")
+    if mask_rate == 0.0:
+        return None
+    positions: list[int] = []
+    counts = []
+    offset = 0
+    for n, rng in zip(sizes, rngs):
+        m = min(n, math.ceil(mask_rate * n))
+        positions.extend(offset + k for k in rng.sample(range(n), m))
+        counts.append(m)
+        offset += n
+    flat = np.concatenate(texts)
+    keep = np.ones(flat.size, dtype=bool)
+    keep[positions] = False
+    counts = np.array(counts, dtype=np.intp)
+    return _Masked(flat[keep], np.array(sizes) - counts, flat[positions], counts)
+
+
+def _batch(
+    params: ScorerParams,
+    groups: Sequence[_Encoded],
+    cl_weights: np.ndarray,
+    masked: _Masked | None,
+    mlm_weight: float,
+    grads: dict[str, np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Contrastive loss of each group and masked-token loss of each text.
+
+    Candidate pairs and unmasked contexts share one layout, so the
+    embedding table is gathered once and, when `grads` is given, scattered
+    into once; each group's gradient is scaled by its `cl_weights` entry
+    and each text's by `mlm_weight`. The masked tokens are predicted from
+    their context mean through the embedding-tied softmax.
+    """
+    sizes = np.array([e.lengths.size for e in groups], dtype=np.intp)
+    n_pairs = int(sizes.sum())
+    segments = [e.pairs for e in groups]
+    lengths = [e.lengths for e in groups]
+    if masked is not None:
+        segments.append(masked.kept)
+        lengths.append(masked.kept_lengths)
+    ids, pool, means = _pool(params, np.concatenate(segments), np.concatenate(lengths))
+    pair_means, contexts = means[:n_pairs], means[n_pairs:]
+    dmeans = np.zeros_like(means)
+    cl = mlm = np.zeros(0)
+    if groups:
+        scores, hidden = _head_forward(params, pair_means)
+        cl, dscores = _group_softmax(scores, sizes, np.array([e.gold for e in groups]))
+        if grads is not None:
+            dscores *= np.repeat(cl_weights, sizes)
+            dhidden = np.outer(dscores, params.w2) * (1.0 - hidden * hidden)
+            grads["w2"] += hidden.T @ dscores
+            grads["b2"][0] += dscores.sum()
+            grads["w1"] += pair_means.T @ dhidden
+            grads["b1"] += dhidden.sum(axis=0)
+            dmeans[:n_pairs] = dhidden @ params.w1.T
+    if masked is not None:
+        emb = params.embeddings
+        texts, vocab_size = masked.counts.size, emb.shape[0]
+        rows = np.repeat(np.arange(texts), masked.counts)
+        target_share = np.bincount(
+            rows * vocab_size + masked.targets,
+            weights=np.repeat(1.0 / masked.counts, masked.counts),
+            minlength=texts * vocab_size,
+        ).reshape(texts, vocab_size)
+        logits = contexts @ emb.T
+        top = logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits - top)
+        norm = exp.sum(axis=1, keepdims=True)
+        mlm = (np.log(norm) + top)[:, 0] - (target_share * logits).sum(axis=1)
+        if grads is not None:
+            dlogits = mlm_weight * (exp / norm - target_share)
+            # logits = E @ context: output side plus the context's own dependence on E
+            grads["embeddings"] += dlogits.T @ contexts
+            dmeans[n_pairs:] = dlogits @ emb
+    if grads is not None:
+        grads["embeddings"][ids] += pool @ dmeans
+    return cl, mlm
 
 
 def _require_orientation(inst: ContrastiveInstance, orientation: str) -> None:
@@ -195,94 +331,25 @@ def _require_orientation(inst: ContrastiveInstance, orientation: str) -> None:
         raise ValueError(f"expected {orientation} instance, got {inst.orientation}")
 
 
-def _instance_id_lists(params: ScorerParams, inst: ContrastiveInstance) -> list[list[int]]:
-    if len(inst.candidates) < 2:
-        raise ValueError("candidate set must contain at least one negative")
-    return [pair_ids(params, inst.query, cand) for cand in inst.candidates]
-
-
-def _instance_cl(
-    params: ScorerParams,
-    inst: ContrastiveInstance,
-    grads: dict[str, np.ndarray] | None = None,
-    weight: float = 1.0,
-    id_lists: list[list[int]] | None = None,
-) -> float:
-    if id_lists is None:
-        id_lists = _instance_id_lists(params, inst)
-    means = _candidate_means(params, id_lists)
-    scores, hidden = _head_forward(params, means)
-    loss, dscores = softmax_grad(scores, inst.gold)
-    if grads is not None:
-        _head_backward(params, id_lists, means, hidden, weight * dscores, grads)
-    return loss
-
-
 def ocl_loss(params: ScorerParams, inst: ContrastiveInstance) -> float:
     """Option-oriented loss: the context queries, answers are candidates."""
     _require_orientation(inst, "option")
-    return _instance_cl(params, inst)
+    return total_loss(params, [inst], mlm_weight=0.0)
 
 
 def ccl_loss(params: ScorerParams, inst: ContrastiveInstance) -> float:
     """Context-oriented loss: the answer queries, contexts are candidates."""
     _require_orientation(inst, "context")
-    return _instance_cl(params, inst)
+    return total_loss(params, [inst], mlm_weight=0.0)
 
 
 def mlm_loss(params: ScorerParams, text: str, mask_rate: float, rng: random.Random) -> float:
     """Mean cross-entropy of masked tokens under the embedding-tied softmax."""
-    return _mlm(params, text, mask_rate, rng, None)
-
-
-def _mlm(
-    params: ScorerParams,
-    text: str,
-    mask_rate: float,
-    rng: random.Random,
-    grads: dict[str, np.ndarray] | None,
-    weight: float = 1.0,
-    ids: list[int] | None = None,
-) -> float:
-    if not 0.0 <= mask_rate <= 1.0:
-        raise ValueError("mask_rate must lie in [0, 1]")
-    if ids is None:
-        ids = token_ids(params, text)
-    if not ids:
-        raise ValueError("cannot mask an empty text")
-    if mask_rate == 0.0:
+    masked = _mask([np.array(token_ids(params, text), dtype=np.intp)], mask_rate, [rng])
+    if masked is None:
         return 0.0
-    n = len(ids)
-    m_count = min(n, math.ceil(mask_rate * n))
-    masked = sorted(rng.sample(range(n), m_count))
-    masked_set = set(masked)
-    unmasked_ids = [ids[i] for i in range(n) if i not in masked_set]
-    targets = np.array([ids[i] for i in masked], dtype=int)
-
-    emb = params.embeddings
-    context = (
-        emb[unmasked_ids].mean(axis=0) if unmasked_ids else np.zeros(params.dim)
-    )
-    logits = emb @ context
-    top = logits.max()
-    exp = np.exp(logits - top)
-    lse = math.log(exp.sum()) + top
-    loss = float(lse - logits[targets].mean())
-
-    if grads is not None:
-        probs = exp / exp.sum()
-        counts = np.bincount(targets, minlength=len(params.vocab))
-        dlogits = probs - counts / m_count
-        # logits = E @ context: output side plus the context's own dependence on E
-        grads["embeddings"] += weight * np.outer(dlogits, context)
-        if unmasked_ids:
-            dcontext = emb.T @ dlogits
-            np.add.at(
-                grads["embeddings"],
-                unmasked_ids,
-                weight * dcontext / len(unmasked_ids),
-            )
-    return loss
+    _, mlm = _batch(params, [], np.zeros(0), masked, 1.0, None)
+    return float(mlm[0])
 
 
 def total_loss(
@@ -293,7 +360,8 @@ def total_loss(
     mask_rate: float = 0.15,
     seed: int = 0,
 ) -> float:
-    return _total(params, batch, None, mlm_weight=mlm_weight, mask_rate=mask_rate, seed=seed)
+    encoded = [_encode_instance(params, inst) for inst in batch]
+    return _total(params, encoded, None, mlm_weight=mlm_weight, mask_rate=mask_rate, seed=seed)[0]
 
 
 def total_loss_and_grads(
@@ -305,54 +373,49 @@ def total_loss_and_grads(
     seed: int = 0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     grads = zero_grads(params)
-    loss = _total(params, batch, grads, mlm_weight=mlm_weight, mask_rate=mask_rate, seed=seed)
+    encoded = [_encode_instance(params, inst) for inst in batch]
+    loss, _, _ = _total(
+        params, encoded, grads, mlm_weight=mlm_weight, mask_rate=mask_rate, seed=seed
+    )
     return loss, grads
 
 
 def _total(
     params: ScorerParams,
-    batch: Sequence[ContrastiveInstance],
+    batch: Sequence[_Encoded],
     grads: dict[str, np.ndarray] | None,
     *,
     mlm_weight: float,
     mask_rate: float,
     seed: int,
-    compiled: Sequence[tuple[list[list[int]], list[int]]] | None = None,
-) -> float:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Sum of the orientation means plus the weighted masked-token mean.
 
     Each orientation term is the mean over the instances of that
     orientation and is skipped when none are present. Mask patterns are
     derived from (seed, instance position), so repeated evaluation on the
-    same batch is exact, which the gradient checks rely on. `compiled`
-    optionally carries precomputed (candidate id lists, query ids) so the
-    training loop does not re-tokenize every epoch.
+    same batch is exact, which the gradient checks rely on. Also returns
+    every instance's contrastive loss and masked-token loss (the latter
+    empty when the masked-token term is off).
     """
     if not batch:
         raise ValueError("empty batch")
-    option = [i for i, inst in enumerate(batch) if inst.orientation == "option"]
-    context = [i for i, inst in enumerate(batch) if inst.orientation == "context"]
-    total = 0.0
-    for subset in (option, context):
-        if not subset:
-            continue
-        share = 1.0 / len(subset)
-        value = 0.0
-        for i in subset:
-            id_lists = compiled[i][0] if compiled is not None else None
-            value += _instance_cl(params, batch[i], grads, weight=share, id_lists=id_lists)
-        total += value * share
+    option = np.array([e.orientation == "option" for e in batch])
+    n_option = int(option.sum())
+    n_context = len(batch) - n_option
+    cl_weights = np.where(option, 1.0 / max(n_option, 1), 1.0 / max(n_context, 1))
+    masked = None
     if mlm_weight != 0.0:
-        share = 1.0 / len(batch)
-        value = 0.0
-        for i, inst in enumerate(batch):
-            rng = derive_rng(seed, "mlm", i)
-            ids = compiled[i][1] if compiled is not None else None
-            value += _mlm(
-                params, inst.query, mask_rate, rng, grads, weight=mlm_weight * share, ids=ids
-            )
-        total += mlm_weight * value * share
-    return total
+        rngs = (derive_rng(seed, "mlm", i) for i in range(len(batch)))
+        masked = _mask([e.query for e in batch], mask_rate, rngs)
+    cl, mlm = _batch(params, batch, cl_weights, masked, mlm_weight / len(batch), grads)
+    total = 0.0
+    for losses in (cl[option], cl[~option]):
+        if losses.size:
+            total += float(losses.mean())
+    if masked is not None:
+        total += mlm_weight * float(mlm.mean())
+    return total, cl, mlm
 
 
 @dataclass(frozen=True)
@@ -370,13 +433,8 @@ class MCQAExample:
 def mcqa_loss(params: ScorerParams, ex: MCQAExample) -> float:
     """Multiple-choice loss: softmax over score(passage + question, option)."""
     query = f"{ex.passage} {SEP_TOKEN} {ex.question}"
-    id_lists = [pair_ids(params, query, option) for option in ex.options]
-    if len(id_lists) < 2:
-        raise ValueError("candidate set must contain at least one negative")
-    means = _candidate_means(params, id_lists)
-    scores, _ = _head_forward(params, means)
-    loss, _ = softmax_grad(scores, ex.gold)
-    return loss
+    encoded = _encode(params, "option", query, ex.options, ex.gold)
+    return _total(params, [encoded], None, mlm_weight=0.0, mask_rate=0.0, seed=0)[0]
 
 
 # -- gradient verification --
@@ -459,32 +517,53 @@ class TrainConfig:
             raise ValueError("bad epoch or batch size")
 
 
-def _evaluate_compiled(
-    params: ScorerParams,
-    instances: Sequence[ContrastiveInstance],
-    compiled: Sequence[list[list[int]]] | None = None,
-) -> float:
-    if not instances:
-        raise ValueError("nothing to evaluate")
-    hits = 0
-    for i, inst in enumerate(instances):
-        id_lists = (
-            compiled[i] if compiled is not None else _instance_id_lists(params, inst)
-        )
-        scores, _ = _head_forward(params, _candidate_means(params, id_lists))
-        hits += int(np.argmax(scores)) == inst.gold
-    return hits / len(instances)
+EVAL_CHUNK = 32  # instances per evaluation layout; bounds its pooling matrix
+
+
+def _hits(params: ScorerParams, chunk: Sequence[_Encoded]) -> int:
+    """How many instances of `chunk` rank their gold candidate first.
+
+    Ties go to the lowest candidate index, as with np.argmax.
+    """
+    sizes = np.array([e.lengths.size for e in chunk], dtype=np.intp)
+    _, _, means = _pool(
+        params,
+        np.concatenate([e.pairs for e in chunk]),
+        np.concatenate([e.lengths for e in chunk]),
+    )
+    scores, _ = _head_forward(params, means)
+    starts = np.cumsum(sizes) - sizes
+    best = np.repeat(np.maximum.reduceat(scores, starts), sizes)
+    local = np.arange(scores.size) - np.repeat(starts, sizes)
+    first = np.minimum.reduceat(np.where(scores == best, local, scores.size), starts)
+    return int(np.count_nonzero(first == np.array([e.gold for e in chunk])))
+
+
+def _chunks(items: Sequence, size: int):
+    return (items[start : start + size] for start in range(0, len(items), size))
 
 
 def evaluate(params: ScorerParams, instances: Sequence[ContrastiveInstance]) -> float:
     """Fraction of instances whose best-scoring candidate is the gold one."""
-    return _evaluate_compiled(params, instances)
+    if not instances:
+        raise ValueError("nothing to evaluate")
+    hits = sum(
+        _hits(params, [_encode_instance(params, inst) for inst in chunk])
+        for chunk in _chunks(instances, EVAL_CHUNK)
+    )
+    return hits / len(instances)
 
 
 def train(
     instances: Sequence[ContrastiveInstance], cfg: TrainConfig
 ) -> tuple[ScorerParams, list[dict]]:
-    """Plain SGD over the combined loss; returns params and per-epoch metrics."""
+    """Plain SGD over the combined loss; returns params and per-epoch metrics.
+
+    Each metrics row holds the epoch's mean loss, the train-set accuracy
+    after the epoch, the epoch means of the three objective terms over the
+    instances they cover (`ocl`, `ccl`, `mlm`; None when a term is absent)
+    and the mean L2 norm of the step gradients (`grad_norm`).
+    """
     if not instances:
         raise ValueError("no training data")
     texts: list[str] = []
@@ -495,41 +574,47 @@ def train(
     params = init_params(vocab, cfg.dim, cfg.hidden, cfg.seed)
 
     # Tokenization is vocabulary-dependent but parameter-independent, so
-    # id lists are compiled once for the whole run.
-    compiled = [
-        (_instance_id_lists(params, inst), token_ids(params, inst.query))
-        for inst in instances
-    ]
-
-    n = len(instances)
+    # instances are encoded once for the whole run.
+    encoded = [_encode_instance(params, inst) for inst in instances]
+    option = np.array([e.orientation == "option" for e in encoded])
+    n = len(encoded)
+    n_option = int(option.sum())
     metrics: list[dict] = []
     for epoch in range(cfg.epochs):
         order = list(range(n))
         derive_rng(cfg.seed, "order", epoch).shuffle(order)
-        epoch_loss = 0.0
+        sums = dict.fromkeys(("loss", "ocl", "ccl", "mlm", "grad_norm"), 0.0)
+        steps = 0
         for start in range(0, n, cfg.batch_size):
             chosen = order[start : start + cfg.batch_size]
-            batch = [instances[i] for i in chosen]
             grads = zero_grads(params)
-            loss = _total(
+            loss, cl, mlm = _total(
                 params,
-                batch,
+                [encoded[i] for i in chosen],
                 grads,
                 mlm_weight=cfg.mlm_weight,
                 mask_rate=cfg.mask_rate,
                 seed=derive_seed(cfg.seed, "mlm", epoch, start),
-                compiled=[compiled[i] for i in chosen],
             )
             for name, arr in params.arrays().items():
                 arr -= cfg.learning_rate * grads[name]
-            epoch_loss += loss * len(batch)
+            picked = option[chosen]
+            sums["loss"] += loss * len(chosen)
+            sums["ocl"] += float(cl[picked].sum())
+            sums["ccl"] += float(cl[~picked].sum())
+            sums["mlm"] += float(mlm.sum())
+            sums["grad_norm"] += math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+            steps += 1
+        hits = sum(_hits(params, chunk) for chunk in _chunks(encoded, EVAL_CHUNK))
         metrics.append(
             {
                 "epoch": epoch,
-                "loss": epoch_loss / n,
-                "accuracy": _evaluate_compiled(
-                    params, instances, [c[0] for c in compiled]
-                ),
+                "loss": sums["loss"] / n,
+                "accuracy": hits / n,
+                "ocl": sums["ocl"] / n_option if n_option else None,
+                "ccl": sums["ccl"] / (n - n_option) if n_option < n else None,
+                "mlm": sums["mlm"] / n if cfg.mlm_weight != 0.0 else None,
+                "grad_norm": sums["grad_norm"] / steps,
             }
         )
     return params, metrics

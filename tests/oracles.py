@@ -5,17 +5,24 @@ the path oracle builds its own adjacency from the graph's two edge maps
 and enumerates every simple path and every per-hop sentence assignment;
 the consistency scanner re-derives entity occurrences from surfaces
 instead of trusting recorded spans; the span diff checks an edit from
-the original text's fixed fragments alone.
+the original text's fixed fragments alone; the trainer oracle scores
+one candidate and masks one text at a time with the scorer's plain
+formulas, where the library batches them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
+
+import numpy as np
 
 from pathcl.corpus import Document
 from pathcl.graph import EntityGraph, pair_key
+from pathcl.seeding import derive_rng
 from pathcl.spans import MentionSpan
+from pathcl.trainer import SEP_TOKEN, token_ids
 
 
 def enumerate_simple_paths(
@@ -154,3 +161,84 @@ def diff_outside_spans(original: str, edited: str, original_spans: list[MentionS
                 return False
             pos = found + len(frag)
     return True
+
+
+# -- trainer: one candidate, one instance at a time --
+
+
+def pair_ids(params, a: str, b: str) -> list[int]:
+    return token_ids(params, a) + [params.vocab[SEP_TOKEN]] + token_ids(params, b)
+
+
+def score_pair(params, a: str, b: str) -> float:
+    """Scalar compatibility of the pair: mean-pooled "a [sep] b" through the head."""
+    mean = params.embeddings[pair_ids(params, a, b)].mean(axis=0)
+    hidden = np.tanh(mean @ params.w1 + params.b1)
+    return float(hidden @ params.w2 + params.b2[0])
+
+
+def softmax_grad(scores: np.ndarray, gold: int) -> tuple[float, np.ndarray]:
+    """Loss and d(loss)/d(scores) = softmax - onehot(gold)."""
+    top = scores.max()
+    exp = np.exp(scores - top)
+    probs = exp / exp.sum()
+    loss = float(math.log(exp.sum()) + top - scores[gold])
+    dscores = probs.copy()
+    dscores[gold] -= 1.0
+    return loss, dscores
+
+
+def _instance_cl(params, inst, grads, weight: float) -> float:
+    id_lists = [pair_ids(params, inst.query, cand) for cand in inst.candidates]
+    means = np.stack([params.embeddings[ids].mean(axis=0) for ids in id_lists])
+    hidden = np.tanh(means @ params.w1 + params.b1)
+    scores = hidden @ params.w2 + params.b2[0]
+    loss, dscores = softmax_grad(scores, inst.gold)
+    dscores = weight * dscores
+    dhidden = np.outer(dscores, params.w2) * (1.0 - hidden * hidden)
+    grads["w2"] += hidden.T @ dscores
+    grads["b2"][0] += dscores.sum()
+    grads["w1"] += means.T @ dhidden
+    grads["b1"] += dhidden.sum(axis=0)
+    for row, ids in zip(dhidden @ params.w1.T, id_lists):
+        np.add.at(grads["embeddings"], ids, row / len(ids))
+    return loss
+
+
+def _instance_mlm(params, text: str, mask_rate: float, rng, grads, weight: float) -> float:
+    ids = token_ids(params, text)
+    n = len(ids)
+    m_count = min(n, math.ceil(mask_rate * n))
+    if m_count == 0:
+        return 0.0
+    masked = sorted(rng.sample(range(n), m_count))
+    unmasked_ids = [ids[i] for i in range(n) if i not in masked]
+    targets = np.array([ids[i] for i in masked], dtype=int)
+    emb = params.embeddings
+    context = emb[unmasked_ids].mean(axis=0) if unmasked_ids else np.zeros(emb.shape[1])
+    logits = emb @ context
+    top = logits.max()
+    exp = np.exp(logits - top)
+    loss = float(math.log(exp.sum()) + top - logits[targets].mean())
+    dlogits = exp / exp.sum() - np.bincount(targets, minlength=len(emb)) / m_count
+    grads["embeddings"] += weight * np.outer(dlogits, context)
+    if unmasked_ids:
+        dcontext = emb.T @ dlogits
+        np.add.at(grads["embeddings"], unmasked_ids, weight * dcontext / len(unmasked_ids))
+    return loss
+
+
+def oracle_loss_and_grads(params, batch, *, mlm_weight: float, mask_rate: float, seed: int):
+    """`trainer.total_loss_and_grads` with a mean, a head pass and a scatter per candidate."""
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    total = 0.0
+    for orientation in ("option", "context"):
+        subset = [inst for inst in batch if inst.orientation == orientation]
+        for inst in subset:
+            total += _instance_cl(params, inst, grads, 1.0 / len(subset)) / len(subset)
+    if mlm_weight != 0.0:
+        weight = mlm_weight / len(batch)
+        for i, inst in enumerate(batch):
+            rng = derive_rng(seed, "mlm", i)
+            total += weight * _instance_mlm(params, inst.query, mask_rate, rng, grads, weight)
+    return total, grads

@@ -109,6 +109,40 @@ def test_negatives_bad_positives_line_numbered(tmp_path, capsys):
         assert rc == 1
         assert "line 3" in capsys.readouterr().err
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("context", "12", "error: line 3: field 'context': expected list"),
+        ("context", [999], "names sentence 999, outside its"),
+        ("answers", [], "error: line 3: field 'answers': expected at least one entry"),
+        ("hops", {"sentence": "3", "kg": None}, "line 3: malformed positive record: TypeError"),
+        ("hops", {"sentence": 999, "kg": None}, "names sentence 999, outside its"),
+    ],
+)
+def test_negatives_bad_positive_values_exit_1(tmp_path, capsys, key, value, message):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(6, seed=4), fp)
+    positives = tmp_path / "positives.jsonl"
+    assert main(["extract", "--input", str(corpus), "--output", str(positives)]) == 0
+    good = positives.read_text().splitlines()
+    record = json.loads(good[2])
+    if key == "hops":
+        record["path"]["hops"] = [value] * len(record["path"]["hops"])
+    else:
+        record[key] = value
+    bad = tmp_path / "bad.jsonl"
+    write_lines(bad, [good[0], good[1], json.dumps(record), *good[3:]])
+    capsys.readouterr()
+    rc = main(["negatives", "--corpus", str(corpus), "--input", str(bad),
+               "--output", str(tmp_path / "bundles.jsonl"), "--seed", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    if "outside" in message:
+        assert f"document {record['doc']!r}" in err
+
+
 def test_grad_check_passes(capsys):
     assert main(["grad-check", "--seed", "7"]) == 0
     out = capsys.readouterr().out

@@ -136,3 +136,25 @@ def test_bundle_with_non_object_replacements_exit_1(film_cast_run, tmp_path, cap
         rc = main([*args, "--input", str(bundles), "--output", str(tmp_path / "out.jsonl")])
         assert rc == 1
         assert "line 1: malformed bundle record: AttributeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("context_sentences", "12", "line 1: field 'context_sentences': expected list"),
+        ("answer_sentence", "3", "line 1: field 'answer_sentence': expected int"),
+        ("pair", ["a"], "line 1: field 'pair': expected 2 entries"),
+        ("context_sentences", [999], "names sentence 999, outside its"),
+    ],
+)
+def test_bundle_mistyped_or_out_of_range_exit_1(
+    film_cast_run, tmp_path, capsys, key, value, message
+):
+    record = json.loads((film_cast_run / "bundles.jsonl").read_text(encoding="utf-8"))
+    record[key] = value
+    bundles = tmp_path / "bundles.jsonl"
+    bundles.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    rc = main(["counterfactual", "--corpus", str(film_cast_run / "corpus.jsonl"),
+               "--input", str(bundles), "--output", str(tmp_path / "out.jsonl"), "--seed", "3"])
+    assert rc == 1
+    assert message in capsys.readouterr().err

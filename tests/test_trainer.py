@@ -21,14 +21,14 @@ from pathcl.trainer import (
     ocl_loss,
     pack,
     save_params,
-    score_pair,
-    softmax_grad,
     total_loss,
     total_loss_and_grads,
     train,
     unpack_params,
     zero_params,
 )
+
+from oracles import oracle_loss_and_grads, score_pair, softmax_grad
 
 LN4 = math.log(4.0)
 
@@ -302,6 +302,50 @@ def test_grad_total_loss():
     assert err < 1e-4
 
 
+def test_batched_path_matches_per_candidate_oracle():
+    vocab = build_vocab(["solo amber birch cedar dune ember fjord gale heath"])
+    params = init_params(vocab, 6, 5, seed=12)
+    batch = [
+        make_instance("option", "amber birch cedar", ["dune", "ember fjord"], 1),
+        make_instance("context", "solo", ["gale heath", "birch", "cedar dune", "amber"], 2),
+        # "ember" twice inside one candidate; the query is out of vocabulary.
+        make_instance("option", "unseen words", ["ember ember gale", "heath", "fjord", "dune"], 0),
+        make_instance("context", "dune ember gale heath", ["amber", "solo birch"], 0),
+    ]
+    # The one-token query "solo" is masked whole: its context is zero.
+    for mlm_weight in (0.7, 0.0):
+        kwargs = dict(mlm_weight=mlm_weight, mask_rate=0.3, seed=5)
+        loss, grads = total_loss_and_grads(params, batch, **kwargs)
+        want_loss, want_grads = oracle_loss_and_grads(params, batch, **kwargs)
+        assert loss == pytest.approx(want_loss, abs=1e-12)
+        for name, want in want_grads.items():
+            np.testing.assert_allclose(grads[name], want, rtol=0.0, atol=1e-12, err_msg=name)
+        assert np.any(grads["embeddings"] != 0.0)
+
+
+def test_evaluate_mixed_candidate_counts_and_ties():
+    rng = random.Random(43)
+    words = "amber birch cedar dune ember fjord gale heath".split()
+    params = init_params(build_vocab([" ".join(words)]), 6, 5, seed=4)
+    # 70 instances span three evaluation chunks.
+    instances = []
+    for i in range(70):
+        k = 2 + i % 3
+        cands = [" ".join(rng.sample(words, 2)) for _ in range(k)]
+        query = " ".join(rng.sample(words, 2))
+        instances.append(make_instance("option", query, cands, rng.randrange(k)))
+    hits = 0
+    for inst in instances:
+        scores = [score_pair(params, inst.query, c) for c in inst.candidates]
+        hits += int(np.argmax(scores)) == inst.gold
+    assert evaluate(params, instances) == pytest.approx(hits / len(instances), abs=1e-12)
+
+    # Every score ties under zero parameters: the first candidate wins.
+    flat = zero_params(params.vocab, 6, 5)
+    first = sum(inst.gold == 0 for inst in instances)
+    assert evaluate(flat, instances) == pytest.approx(first / len(instances), abs=1e-12)
+
+
 def test_evaluate_chance_and_oracle():
     rng = random.Random(41)
     texts = "q c0 c1 c2 c3"
@@ -354,6 +398,39 @@ def test_train_same_seed_same_metrics():
     assert m1 == m2
     with pytest.raises(ValueError):
         train([], cfg)
+
+
+def test_train_metrics_report_objective_terms():
+    rng = random.Random(19)
+    words = "lake river delta ocean pond creek".split()
+    insts = [
+        make_instance(
+            orientation,
+            " ".join(rng.sample(words, 2)),
+            [" ".join(rng.sample(words, 2)) for _ in range(3)],
+            rng.randrange(3),
+        )
+        for orientation in ["option", "context", "option"] * 4
+    ]
+    # With a zero learning rate every step sees the initial parameters, so
+    # the epoch means of the contrastive terms are the per-instance losses.
+    cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=5, seed=3, dim=6, hidden=4)
+    params, metrics = train(insts, cfg)
+    want_ocl = sum(ocl_loss(params, i) for i in insts if i.orientation == "option") / 8
+    want_ccl = sum(ccl_loss(params, i) for i in insts if i.orientation == "context") / 4
+    for row in metrics:
+        assert set(row) == {"epoch", "loss", "accuracy", "ocl", "ccl", "mlm", "grad_norm"}
+        assert row["ocl"] == pytest.approx(want_ocl, abs=1e-12)
+        assert row["ccl"] == pytest.approx(want_ccl, abs=1e-12)
+        assert row["mlm"] > 0.0 and row["grad_norm"] > 0.0
+
+    options_only = [i for i in insts if i.orientation == "option"]
+    cfg = TrainConfig(
+        learning_rate=0.1, epochs=1, batch_size=4, seed=3, dim=6, hidden=4, mlm_weight=0.0
+    )
+    _, metrics = train(options_only, cfg)
+    assert metrics[0]["ccl"] is None and metrics[0]["mlm"] is None
+    assert metrics[0]["loss"] == pytest.approx(metrics[0]["ocl"], abs=1e-12)
 
 
 def test_params_save_load_round_trip(tmp_path):
