@@ -15,7 +15,7 @@ from .corpus import Document
 from .jsonl import RecordError, read_records, require, require_list, write_records
 from .metapath import MetaPath, PathHop, PositiveInstance, hop_from_record, hop_to_record
 from .negatives import ContextVariant, NegativeSet, SynthSentence
-from .spans import MentionSpan
+from .spans import MentionSpan, OverlappingSpans, check_disjoint
 
 
 @dataclass(frozen=True)
@@ -160,26 +160,34 @@ def bundle_to_record(b: InstanceBundle) -> dict:
     }
 
 
-def _mentions_from(obj) -> tuple[MentionSpan, ...]:
-    return tuple((str(e), int(s), int(t)) for e, s, t in obj)
+def _mentions_from(text: str, obj, line: int, where: str) -> tuple[MentionSpan, ...]:
+    mentions = tuple((str(e), int(s), int(t)) for e, s, t in obj)
+    try:
+        check_disjoint(text, list(mentions))
+    except OverlappingSpans as exc:
+        raise RecordError(line, f"{where}: {exc}") from exc
+    return mentions
 
 
-def _text_from(obj: dict) -> AnnotatedText:
-    return AnnotatedText(text=obj["text"], mentions=_mentions_from(obj["mentions"]))
+def _text_from(obj: dict, line: int, where: str) -> AnnotatedText:
+    text = obj["text"]
+    return AnnotatedText(text=text, mentions=_mentions_from(text, obj["mentions"], line, where))
 
 
-def _synth_from(obj: dict) -> SynthSentence:
+def _synth_from(obj: dict, line: int, where: str) -> SynthSentence:
+    text = obj["text"]
     return SynthSentence(
-        text=obj["text"],
+        text=text,
         donor_doc=obj["donor_doc"],
         donor_sentence=int(obj["donor_sentence"]),
         replaced=tuple((a, b) for a, b in obj["replaced"]),
-        mentions=_mentions_from(obj["mentions"]),
+        mentions=_mentions_from(text, obj["mentions"], line, where),
         swap=bool(obj["swap"]),
     )
 
 
 def bundle_from_record(obj: dict, line: int = 0) -> InstanceBundle:
+    """Decode one bundle line; every text's mention spans must be disjoint and inside it."""
     doc_id = require(obj, "doc", str, line)
     pair = require_list(obj, "pair", str, line, length=2)
     context_sentences = require_list(obj, "context_sentences", int, line)
@@ -191,22 +199,28 @@ def bundle_from_record(obj: dict, line: int = 0) -> InstanceBundle:
             path_entities=tuple(obj["path"]["entities"]),
             hops=tuple(hop_from_record(h) for h in obj["path"]["hops"]),
             context_sentences=context_sentences,
-            context=tuple(_text_from(t) for t in obj["context"]),
+            context=tuple(
+                _text_from(t, line, f"context[{i}]") for i, t in enumerate(obj["context"])
+            ),
             answer_sentence=answer_sentence,
-            answer=_text_from(obj["answer"]),
-            options=tuple(_synth_from(s) for s in obj["options"]),
+            answer=_text_from(obj["answer"], line, "answer"),
+            options=tuple(
+                _synth_from(s, line, f"options[{i}]") for i, s in enumerate(obj["options"])
+            ),
             context_variants=tuple(
                 ContextVariant(
                     replaced_sentence=int(v["replaced_sentence"]),
-                    replacement=_synth_from(v),
+                    replacement=_synth_from(v, line, f"context_variants[{i}]"),
                 )
-                for v in obj["context_variants"]
+                for i, v in enumerate(obj["context_variants"])
             ),
             requested_negatives=int(obj["requested_negatives"]),
             counterfactual=bool(obj["counterfactual"]),
             variant=int(obj["variant"]),
             replacements=tuple(sorted(obj["replacements"].items())),
         )
+    except RecordError:
+        raise
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise RecordError(line, f"malformed bundle record: {exc!r}") from exc
 

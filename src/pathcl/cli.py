@@ -22,7 +22,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pl
-from .bundle import write_bundles
+from .bundle import read_bundles, write_bundles
 from .emitter import read_instances, stats
 from .jsonl import RecordError
 from .metapath import ExtractorConfig
@@ -125,7 +125,7 @@ def cmd_validate(args) -> int:
 
 def cmd_build_graph(args) -> int:
     docs = _load_documents_lenient(args.input)
-    with open(args.output, "w", encoding="utf-8") as fp:
+    with pl.open_output(args.output) as fp:
         rows = pl.stage_graph_export(docs, fp)
     print(f"{rows} edge rows for {len(docs)} documents -> {args.output}")
     return EXIT_OK
@@ -136,7 +136,7 @@ def cmd_extract(args) -> int:
     cfg = _section(ExtractorConfig, file_cfg, "extractor", args)
     docs = _load_documents_lenient(args.input)
     per_doc = pl.stage_extract(docs, cfg)
-    with open(args.output, "w", encoding="utf-8") as fp:
+    with pl.open_output(args.output) as fp:
         n = pl.write_positives((i for doc in per_doc for i in doc), fp)
     print(f"{n} positive instances -> {args.output}")
     return EXIT_OK
@@ -160,7 +160,7 @@ def cmd_negatives(args) -> int:
     docs = _load_documents_lenient(args.corpus)
     per_doc = _positives_by_doc(docs, args.input)
     bundles, counts = pl.stage_negatives(docs, per_doc, cfg, seed)
-    with open(args.output, "w", encoding="utf-8") as fp:
+    with pl.open_output(args.output) as fp:
         write_bundles(bundles, fp)
     print(json.dumps(counts))
     return EXIT_OK
@@ -171,9 +171,8 @@ def cmd_counterfactual(args) -> int:
     seed = _resolve_seed(args, file_cfg, required=False)
     cfg = _section(pl.CounterfactualConfig, file_cfg, "counterfactual", args)
     docs = _load_documents_lenient(args.corpus)
-    bundles = pl.read_bundle_file(args.input)
-    out, counts = pl.stage_counterfactual(docs, bundles, cfg, seed)
-    with open(args.output, "w", encoding="utf-8") as fp:
+    with open(args.input, "r", encoding="utf-8") as src, pl.open_output(args.output) as fp:
+        out, counts = pl.stage_counterfactual(docs, read_bundles(src), cfg, seed)
         write_bundles(out, fp)
     print(json.dumps(counts))
     return EXIT_OK
@@ -186,9 +185,8 @@ def cmd_emit(args) -> int:
     copies = args.copies
     if copies is None:
         copies = file_cfg.get("counterfactual", {}).get("copies", 1)
-    bundles = pl.read_bundle_file(args.input)
-    with open(args.output, "w", encoding="utf-8") as fp:
-        counts = pl.stage_emit(bundles, copies, emit_cfg, seed, fp)
+    with open(args.input, "r", encoding="utf-8") as src, pl.open_output(args.output) as fp:
+        counts = pl.stage_emit(read_bundles(src), copies, emit_cfg, seed, fp)
     print(json.dumps(counts))
     return EXIT_OK
 

@@ -81,16 +81,20 @@ class Document:
                     sets[m.sent].add(entity.id)
         return tuple(frozenset(s) for s in sets)
 
+    @cached_property
+    def _sentence_mentions(self) -> dict[int, tuple[tuple[str, int, int], ...]]:
+        by_sentence: dict[int, list[tuple[str, int, int]]] = {}
+        for e in self.entities:
+            for m in e.mentions:
+                by_sentence.setdefault(m.sent, []).append((e.id, m.start, m.end))
+        return {
+            k: tuple(sorted(spans, key=lambda t: (t[1], t[2])))
+            for k, spans in by_sentence.items()
+        }
+
     def mentions_in_sentence(self, k: int) -> list[tuple[str, int, int]]:
         """All mention spans in sentence k as (entity id, start, end), sorted by start."""
-        out = [
-            (e.id, m.start, m.end)
-            for e in self.entities
-            for m in e.mentions
-            if m.sent == k
-        ]
-        out.sort(key=lambda t: (t[1], t[2]))
-        return out
+        return list(self._sentence_mentions.get(k, ()))
 
 
 def sentence_entities(doc: Document, k: int) -> frozenset[str]:

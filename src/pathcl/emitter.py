@@ -170,24 +170,34 @@ def emit_instances(
     The pattern repeats `ratio[0]` originals then `ratio[1]` counterfactual
     instances until both queues drain, so a streaming reader sees a
     stationary mixture. A zero component drops that queue entirely.
+    Instances are consumed lazily: a full round is written as soon as both
+    queues hold it, and what is left at the end drains round by round, so
+    the bytes do not depend on how far one queue runs ahead of the other.
     """
     orig_n, cf_n = ratio
     if orig_n < 0 or cf_n < 0:
         raise ValueError("ratio components must be >= 0")
     originals: deque[ContrastiveInstance] = deque()
     counterfactuals: deque[ContrastiveInstance] = deque()
-    for inst in instances:
-        (counterfactuals if inst.meta.counterfactual else originals).append(inst)
-    if orig_n == 0:
-        originals.clear()
-    if cf_n == 0:
-        counterfactuals.clear()
+
+    def one_round() -> Iterator[ContrastiveInstance]:
+        for queue, n in ((originals, orig_n), (counterfactuals, cf_n)):
+            for _ in range(min(n, len(queue))):
+                yield queue.popleft()
 
     def interleaved() -> Iterator[ContrastiveInstance]:
+        for inst in instances:
+            if inst.meta.counterfactual:
+                if cf_n:
+                    counterfactuals.append(inst)
+            elif orig_n:
+                originals.append(inst)
+            while (originals or counterfactuals) and (
+                len(originals) >= orig_n and len(counterfactuals) >= cf_n
+            ):
+                yield from one_round()
         while originals or counterfactuals:
-            for queue, n in ((originals, orig_n), (counterfactuals, cf_n)):
-                for _ in range(min(n, len(queue))):
-                    yield queue.popleft()
+            yield from one_round()
 
     return write_records(interleaved(), instance_to_record, fp)
 

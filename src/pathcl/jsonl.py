@@ -73,10 +73,15 @@ def read_records(
         yield record
 
 
+def record_line(record: object) -> str:
+    """One record as a compact JSON line, newline included."""
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
 def write_records(items: Iterable[T], to_record: Callable[[T], object], fp: IO[str]) -> int:
     """Write one compact JSON line per item; returns the number written."""
     n = 0
     for item in items:
-        fp.write(json.dumps(to_record(item), ensure_ascii=False) + "\n")
+        fp.write(record_line(to_record(item)))
         n += 1
     return n

@@ -187,32 +187,29 @@ def extract_positive_instances(
     (all sharing the path and context). mode="first" stops after the first
     successful pair, mode="all" visits every pair.
     """
-    ids = sorted(e.id for e in doc.entities)
     all_sentences = frozenset(range(len(doc.sentences)))
     out: list[PositiveInstance] = []
-    for a in ids:
-        for b in ids:
-            if a == b:
-                continue
-            answers = collect_answer_candidates(doc, (a, b))
-            if not answers:
-                continue
-            found = dfs_metapath(graph, doc, all_sentences - answers, a, b, cfg)
-            if found is None:
-                continue
-            meta, context = found
-            for ans in sorted(answers):
-                out.append(
-                    PositiveInstance(
-                        doc_id=doc.id,
-                        pair=(a, b),
-                        path=meta,
-                        context=tuple(sorted(context)),
-                        answers=frozenset({ans}),
-                    )
+    # The pairs with answer candidates are exactly the graph's sentence
+    # edges, in both directions; sorted, they keep the lexicographic order.
+    pairs = sorted(p for a, b in graph.sentences for p in ((a, b), (b, a)))
+    for a, b in pairs:
+        answers = graph.intra_sentences(a, b)
+        found = dfs_metapath(graph, doc, all_sentences - answers, a, b, cfg)
+        if found is None:
+            continue
+        meta, context = found
+        for ans in sorted(answers):
+            out.append(
+                PositiveInstance(
+                    doc_id=doc.id,
+                    pair=(a, b),
+                    path=meta,
+                    context=tuple(sorted(context)),
+                    answers=frozenset({ans}),
                 )
-            if cfg.mode == "first":
-                return out
+            )
+        if cfg.mode == "first":
+            return out
     return out
 
 

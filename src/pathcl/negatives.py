@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .corpus import Document
@@ -38,7 +39,7 @@ class DonorSentence:
     text: str
     mentions: tuple[MentionSpan, ...]
 
-    @property
+    @cached_property
     def entity_ids(self) -> frozenset[str]:
         return frozenset(m[0] for m in self.mentions)
 

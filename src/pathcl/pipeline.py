@@ -4,6 +4,15 @@ Every stage boundary is a file, so each stage can run standalone and the
 full run is the byte-exact composition of the stages. Randomness is
 derived per instance from the root seed and the instance's stable key.
 Documents are processed one at a time, in input order.
+
+The stages after extraction are lazy. `stage_negatives` and
+`stage_counterfactual` return an iterator of bundles together with a
+counters dict that is final once the iterator is drained, and
+`stage_emit` consumes bundles one at a time. `run_pipeline` chains them
+in one pass, so each bundle reaches its files as soon as it is built:
+only the documents, the positives and the two sampling pools (donor
+sentences and alien entities) stay resident. Every output file is written
+under a temporary name and moved into place only when its stage succeeds.
 """
 
 from __future__ import annotations
@@ -11,11 +20,19 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from .bundle import InstanceBundle, assemble_bundle, positive_instance, read_bundles, write_bundles
+from .bundle import (
+    InstanceBundle,
+    assemble_bundle,
+    bundle_to_record,
+    positive_instance,
+    read_bundles,
+)
 from .corpus import Document, parse_corpus
 from .counterfactual import (
     AlienEntity,
@@ -25,8 +42,8 @@ from .counterfactual import (
     select_replacements,
 )
 from .emitter import ContrastiveInstance, bundle_to_instances, emit_instances
-from .graph import build_entity_graph, write_edge_list
-from .jsonl import RecordError, read_records, require, require_list, write_records
+from .graph import EntityGraph, build_entity_graph, write_edge_list
+from .jsonl import RecordError, read_records, record_line, require, require_list, write_records
 from .metapath import (
     ExtractorConfig,
     MetaPath,
@@ -150,25 +167,49 @@ def read_positives(lines: Iterable[str]) -> Iterator[PositiveInstance]:
 # -- stages --
 
 
+@contextmanager
+def open_output(path) -> Iterator[IO[str]]:
+    """Write `path` through a temporary file beside it, moved into place on success.
+
+    A failed stage leaves no half-written output: the temporary file is
+    removed and any earlier file at `path` stays as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fp:
+            yield fp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def load_documents(path, errors: list[RecordError] | None = None) -> list[Document]:
     with open(path, "r", encoding="utf-8") as fp:
         return list(parse_corpus(fp, errors))
 
 
+def _write_graph_rows(doc: Document, graph: EntityGraph, fp: IO[str]) -> int:
+    buf = io.StringIO()
+    write_edge_list(graph, buf)
+    rows = buf.getvalue().splitlines()
+    for line in rows:
+        fp.write(f"{doc.id}\t{line}\n")
+    return len(rows)
+
+
 def stage_graph_export(docs: Sequence[Document], fp: IO[str]) -> int:
-    rows = 0
-    for doc in docs:
-        buf = io.StringIO()
-        write_edge_list(build_entity_graph(doc), buf)
-        for line in buf.getvalue().splitlines():
-            fp.write(f"{doc.id}\t{line}\n")
-            rows += 1
-    return rows
+    return sum(_write_graph_rows(doc, build_entity_graph(doc), fp) for doc in docs)
 
 
 # bench/worker.py traces `_extract_worker` and `_negative_worker` by name; keep both.
-def _extract_worker(doc: Document, cfg: ExtractorConfig) -> list[PositiveInstance]:
-    return extract_positive_instances(doc, build_entity_graph(doc), cfg)
+def _extract_worker(
+    doc: Document, cfg: ExtractorConfig, graph: EntityGraph | None = None
+) -> list[PositiveInstance]:
+    if graph is None:
+        graph = build_entity_graph(doc)
+    return extract_positive_instances(doc, graph, cfg)
 
 
 def stage_extract(docs: Sequence[Document], cfg: ExtractorConfig) -> list[list[PositiveInstance]]:
@@ -245,7 +286,12 @@ def stage_negatives(
     per_doc_instances: Sequence[Sequence[PositiveInstance]],
     cfg: NegativesConfig,
     seed: int,
-) -> tuple[list[InstanceBundle], dict]:
+) -> tuple[Iterator[InstanceBundle], dict]:
+    """Lazily, the bundle of every positive that found a donor, in input order.
+
+    The donor pool (and the ready-negatives index) is built before this
+    returns; the counters fill in as the iterator is drained.
+    """
     pool = build_donor_pool(docs, cfg.pool_size, derive_rng(seed, "donor-pool"))
     ready_index: dict | None = None
     if cfg.ready_negatives:
@@ -255,17 +301,19 @@ def stage_negatives(
                 answers = sorted(inst.answers)
                 ready_index.setdefault(inst.pair, []).append((d, answers))
     counters = {"bundles": 0, "skipped_no_donor": 0, "option_shortfalls": 0, "context_shortfalls": 0}
-    kept: list[InstanceBundle] = []
-    for doc, instances in zip(docs, per_doc_instances, strict=True):
-        for b in _negative_worker(doc, instances, docs, pool, cfg, seed, ready_index):
-            if cfg.num_negatives > 0 and not b.options and not b.context_variants:
-                counters["skipped_no_donor"] += 1
-                continue
-            counters["bundles"] += 1
-            counters["option_shortfalls"] += b.option_shortfall > 0
-            counters["context_shortfalls"] += b.context_shortfall > 0
-            kept.append(b)
-    return kept, counters
+
+    def kept() -> Iterator[InstanceBundle]:
+        for doc, instances in zip(docs, per_doc_instances, strict=True):
+            for b in _negative_worker(doc, instances, docs, pool, cfg, seed, ready_index):
+                if cfg.num_negatives > 0 and not b.options and not b.context_variants:
+                    counters["skipped_no_donor"] += 1
+                    continue
+                counters["bundles"] += 1
+                counters["option_shortfalls"] += b.option_shortfall > 0
+                counters["context_shortfalls"] += b.context_shortfall > 0
+                yield b
+
+    return kept(), counters
 
 
 def stage_counterfactual(
@@ -273,14 +321,21 @@ def stage_counterfactual(
     bundles: Iterable[InstanceBundle],
     cfg: CounterfactualConfig,
     seed: int,
-) -> tuple[list[InstanceBundle], dict]:
-    """Originals plus cfg.copies augmented copies each, interleaved per original."""
+) -> tuple[Iterator[InstanceBundle], dict]:
+    """Lazily, each original followed by its cfg.copies augmented copies.
+
+    The alien-entity pool is built before this returns; the counters fill
+    in as the iterator is drained.
+    """
     counters = {"originals": 0, "copies": 0, "skipped_small_pool": 0}
-    out: list[InstanceBundle] = []
     if cfg.copies == 0:
-        out = list(bundles)
-        counters["originals"] = len(out)
-        return out, counters
+
+        def originals() -> Iterator[InstanceBundle]:
+            for bundle in bundles:
+                counters["originals"] += 1
+                yield bundle
+
+        return originals(), counters
 
     pool = build_entity_pool(docs)
     doc_position = {doc.id: i for i, doc in enumerate(docs)}
@@ -291,35 +346,37 @@ def stage_counterfactual(
         for alien in pool:
             per_doc_entities[doc_position[alien.source_doc]].append(alien)
 
-    for bundle in bundles:
-        doc = by_doc.get(bundle.doc_id)
-        if doc is None:
-            raise ValueError(f"bundle references unknown document {bundle.doc_id!r}")
-        _check_sentences(
-            doc, (*bundle.context_sentences, bundle.answer_sentence), bundle.hops, "bundle"
-        )
-        out.append(bundle)
-        counters["originals"] += 1
-        inst = positive_instance(bundle)
-        if per_doc_entities is None:
-            candidates = pool
-        else:
-            center = doc_position[bundle.doc_id]
-            lo = max(0, center - cfg.window // 2)
-            hi = min(len(docs), center + cfg.window // 2 + 1)
-            candidates = [a for chunk in per_doc_entities[lo:hi] for a in chunk]
-        for copy in range(1, cfg.copies + 1):
-            rng = derive_rng(seed, "counterfactual", *bundle.key(), copy)
-            try:
-                rmap = select_replacements(
-                    inst, doc, candidates, rng, include_prob=cfg.include_prob
-                )
-            except ValueError:
-                counters["skipped_small_pool"] += 1
-                continue
-            out.append(apply_counterfactual(bundle, rmap, variant=copy))
-            counters["copies"] += 1
-    return out, counters
+    def augmented() -> Iterator[InstanceBundle]:
+        for bundle in bundles:
+            doc = by_doc.get(bundle.doc_id)
+            if doc is None:
+                raise ValueError(f"bundle references unknown document {bundle.doc_id!r}")
+            _check_sentences(
+                doc, (*bundle.context_sentences, bundle.answer_sentence), bundle.hops, "bundle"
+            )
+            counters["originals"] += 1
+            yield bundle
+            inst = positive_instance(bundle)
+            if per_doc_entities is None:
+                candidates = pool
+            else:
+                center = doc_position[bundle.doc_id]
+                lo = max(0, center - cfg.window // 2)
+                hi = min(len(docs), center + cfg.window // 2 + 1)
+                candidates = [a for chunk in per_doc_entities[lo:hi] for a in chunk]
+            for copy in range(1, cfg.copies + 1):
+                rng = derive_rng(seed, "counterfactual", *bundle.key(), copy)
+                try:
+                    rmap = select_replacements(
+                        inst, doc, candidates, rng, include_prob=cfg.include_prob
+                    )
+                except ValueError:
+                    counters["skipped_small_pool"] += 1
+                    continue
+                counters["copies"] += 1
+                yield apply_counterfactual(bundle, rmap, variant=copy)
+
+    return augmented(), counters
 
 
 def stage_emit(
@@ -329,7 +386,7 @@ def stage_emit(
     seed: int,
     fp: IO[str],
 ) -> dict:
-    instances: list[ContrastiveInstance] = []
+    """Write each bundle's instances as it arrives, interleaved 1:copies."""
     counters = {
         "records": 0,
         "option": 0,
@@ -338,19 +395,29 @@ def stage_emit(
         "skipped_option": 0,
         "skipped_context": 0,
     }
-    for bundle in bundles:
-        built = bundle_to_instances(bundle, seed, shuffle_gold=cfg.shuffle_gold)
-        got = {ci.orientation for ci in built}
-        if "option" not in got:
-            counters["skipped_option"] += 1
-        if "context" not in got:
-            counters["skipped_context"] += 1
-        instances.extend(built)
-    counters["records"] = emit_instances(instances, (1, copies), fp)
-    for ci in instances:
-        counters[ci.orientation] += 1
-        counters["counterfactual"] += ci.meta.counterfactual
+
+    def built() -> Iterator[ContrastiveInstance]:
+        for bundle in bundles:
+            instances = bundle_to_instances(bundle, seed, shuffle_gold=cfg.shuffle_gold)
+            got = {ci.orientation for ci in instances}
+            counters["skipped_option"] += "option" not in got
+            counters["skipped_context"] += "context" not in got
+            for ci in instances:
+                counters[ci.orientation] += 1
+                counters["counterfactual"] += ci.meta.counterfactual
+            yield from instances
+
+    counters["records"] = emit_instances(built(), (1, copies), fp)
     return counters
+
+
+def _written(
+    bundles: Iterable[InstanceBundle], fp: IO[str], line: Callable[[InstanceBundle], str]
+) -> Iterator[InstanceBundle]:
+    """Pass bundles through, writing each one's JSON line to `fp` on the way."""
+    for bundle in bundles:
+        fp.write(line(bundle))
+        yield bundle
 
 
 OUTPUT_FILES = {
@@ -367,7 +434,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     """Ingest, graph, extract, negatives, counterfactual, emit; write manifest.
 
     Each intermediate file matches what the corresponding standalone
-    subcommand would produce with the same configuration.
+    subcommand would produce with the same configuration. Each document's
+    graph is built once, for both the export and the extraction. The
+    negatives, counterfactual and emit stages run as one stream that
+    writes `bundles.jsonl`, `bundles_counterfactual.jsonl` and
+    `instances.jsonl` side by side; an original bundle is serialized once
+    for both bundle files.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -376,23 +448,41 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     parse_errors: list[RecordError] = []
     docs = load_documents(cfg.input, parse_errors)
 
-    with open(paths["graph"], "w", encoding="utf-8") as fp:
-        graph_rows = stage_graph_export(docs, fp)
-
-    per_doc = stage_extract(docs, cfg.extractor)
-    with open(paths["positives"], "w", encoding="utf-8") as fp:
+    graph_rows = 0
+    per_doc: list[list[PositiveInstance]] = []
+    with open_output(paths["graph"]) as fp:
+        for doc in docs:
+            graph = build_entity_graph(doc)
+            graph_rows += _write_graph_rows(doc, graph, fp)
+            per_doc.append(_extract_worker(doc, cfg.extractor, graph))
+    with open_output(paths["positives"]) as fp:
         n_positives = write_positives((i for doc in per_doc for i in doc), fp)
 
-    bundles, neg_counts = stage_negatives(docs, per_doc, cfg.negatives, cfg.seed)
-    with open(paths["bundles"], "w", encoding="utf-8") as fp:
-        write_bundles(bundles, fp)
+    # An original passes both bundle writers back to back: keep its line.
+    last_bundle, last_line = None, ""
 
-    cf_bundles, cf_counts = stage_counterfactual(docs, bundles, cfg.counterfactual, cfg.seed)
-    with open(paths["bundles_counterfactual"], "w", encoding="utf-8") as fp:
-        write_bundles(cf_bundles, fp)
+    def line(bundle: InstanceBundle) -> str:
+        nonlocal last_bundle, last_line
+        if bundle is not last_bundle:
+            last_bundle, last_line = bundle, record_line(bundle_to_record(bundle))
+        return last_line
 
-    with open(paths["instances"], "w", encoding="utf-8") as fp:
-        emit_counts = stage_emit(cf_bundles, cfg.counterfactual.copies, cfg.emitter, cfg.seed, fp)
+    with ExitStack() as stack:
+        bundles_fp, cf_fp, instances_fp = (
+            stack.enter_context(open_output(paths[name]))
+            for name in ("bundles", "bundles_counterfactual", "instances")
+        )
+        bundles, neg_counts = stage_negatives(docs, per_doc, cfg.negatives, cfg.seed)
+        cf_bundles, cf_counts = stage_counterfactual(
+            docs, _written(bundles, bundles_fp, line), cfg.counterfactual, cfg.seed
+        )
+        emit_counts = stage_emit(
+            _written(cf_bundles, cf_fp, line),
+            cfg.counterfactual.copies,
+            cfg.emitter,
+            cfg.seed,
+            instances_fp,
+        )
 
     manifest = {
         "config_hash": cfg.hash(),
@@ -409,7 +499,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         # manifest byte-identical across runs into different locations.
         "outputs": {name: fname for name, fname in OUTPUT_FILES.items() if name != "manifest"},
     }
-    with open(paths["manifest"], "w", encoding="utf-8") as fp:
+    with open_output(paths["manifest"]) as fp:
         json.dump(manifest, fp, indent=2, sort_keys=True)
         fp.write("\n")
     return manifest

@@ -19,10 +19,10 @@ def check_disjoint(text: str, mentions: list[MentionSpan]) -> list[MentionSpan]:
     ordered = sorted(mentions, key=lambda m: (m[1], m[2]))
     prev_end = 0
     for eid, start, end in ordered:
-        if start < prev_end:
-            raise OverlappingSpans(f"mention of {eid!r} at [{start}, {end}) overlaps previous span")
         if not 0 <= start < end <= len(text):
             raise OverlappingSpans(f"mention of {eid!r} span [{start}, {end}) outside text")
+        if start < prev_end:
+            raise OverlappingSpans(f"mention of {eid!r} at [{start}, {end}) overlaps previous span")
         prev_end = end
     return ordered
 

@@ -7,7 +7,8 @@ the consistency scanner re-derives entity occurrences from surfaces
 instead of trusting recorded spans; the span diff checks an edit from
 the original text's fixed fragments alone; the trainer oracle scores
 one candidate and masks one text at a time with the scorer's plain
-formulas, where the library batches them.
+formulas, where the library batches them; the batch interleaver queues
+every instance before writing any, where the library streams them.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import deque
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from pathcl.corpus import Document
+from pathcl.emitter import ContrastiveInstance, instance_to_record
 from pathcl.graph import EntityGraph, pair_key
+from pathcl.jsonl import write_records
 from pathcl.seeding import derive_rng
 from pathcl.spans import MentionSpan
 from pathcl.trainer import SEP_TOKEN, token_ids
@@ -161,6 +166,35 @@ def diff_outside_spans(original: str, edited: str, original_spans: list[MentionS
                 return False
             pos = found + len(frag)
     return True
+
+
+# -- emitter: the whole input queued before the first write --
+
+
+def batch_emit_instances(
+    instances: Iterable[ContrastiveInstance], ratio: tuple[int, int], fp: IO[str]
+) -> int:
+    """Queue every instance, then write `ratio[0]` originals and `ratio[1]`
+    counterfactual instances per round until both queues drain."""
+    orig_n, cf_n = ratio
+    if orig_n < 0 or cf_n < 0:
+        raise ValueError("ratio components must be >= 0")
+    originals: deque[ContrastiveInstance] = deque()
+    counterfactuals: deque[ContrastiveInstance] = deque()
+    for inst in instances:
+        (counterfactuals if inst.meta.counterfactual else originals).append(inst)
+    if orig_n == 0:
+        originals.clear()
+    if cf_n == 0:
+        counterfactuals.clear()
+
+    def interleaved() -> Iterator[ContrastiveInstance]:
+        while originals or counterfactuals:
+            for queue, n in ((originals, orig_n), (counterfactuals, cf_n)):
+                for _ in range(min(n, len(queue))):
+                    yield queue.popleft()
+
+    return write_records(interleaved(), instance_to_record, fp)
 
 
 # -- trainer: one candidate, one instance at a time --

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcl.bundle import assemble_bundle
 from pathcl.counterfactual import apply_counterfactual, select_replacements
@@ -21,6 +23,7 @@ from pathcl.metapath import ExtractorConfig, extract_positive_instances
 from pathcl.negatives import make_negative_contexts, make_negative_options
 
 from corpora import film_cast_document
+from oracles import batch_emit_instances
 from test_counterfactual import ALIENS
 
 
@@ -144,6 +147,39 @@ def test_emit_empty_and_bad_ratio():
     assert buf.getvalue() == ""
     with pytest.raises(ValueError):
         emit_instances([], (-1, 2), buf)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(
+    ratio=st.sampled_from([(1, 1), (1, 3), (2, 1), (1, 0), (0, 1), (0, 0)]),
+    # Runs of one kind let either queue drift far ahead of the other.
+    runs=st.lists(st.tuples(st.booleans(), st.integers(1, 25)), max_size=12),
+    seed=st.integers(0, 2**16),
+)
+def test_streaming_interleave_matches_batch_oracle(ratio, runs, seed):
+    rng = random.Random(seed)
+    instances = [
+        random_instance(rng, counterfactual=flag) for flag, length in runs for _ in range(length)
+    ]
+    streamed, batched = io.StringIO(), io.StringIO()
+    n = emit_instances(iter(instances), ratio, streamed)
+    assert n == batch_emit_instances(instances, ratio, batched)
+    assert streamed.getvalue() == batched.getvalue()
+
+
+def test_emit_writes_full_rounds_before_input_ends():
+    rng = random.Random(12)
+    buf = io.StringIO()
+
+    def arriving():
+        yield random_instance(rng)
+        yield random_instance(rng, counterfactual=True)
+        assert buf.getvalue().count("\n") == 0  # a (1, 2) round needs two copies
+        yield random_instance(rng, counterfactual=True)
+        assert buf.getvalue().count("\n") == 3  # the full round went out at once
+        yield random_instance(rng)
+
+    assert emit_instances(arriving(), (1, 2), buf) == 4
 
 
 def test_emit_deterministic_bytes():

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 from pathcl import pipeline as pl
 from pathcl.corpus import write_corpus
@@ -50,6 +51,7 @@ def test_skip_counter_for_donorless_instance():
     inst = per_doc[0][0]
     assert inst.pair == ("a", "b")  # answers {0}; donors: only sentences 1, 2
     bundles, counts = pl.stage_negatives([doc], per_doc, pl.NegativesConfig(), 1)
+    bundles = list(bundles)
     assert counts["bundles"] == len(bundles) == 1  # donors exist for this doc
 
     lonely = build_document(
@@ -68,6 +70,7 @@ def test_skip_counter_for_donorless_instance():
     bundles, counts = pl.stage_negatives(
         [lonely], per_doc, pl.NegativesConfig(swap_fallback=False), 1
     )
+    bundles = list(bundles)
     assert counts["skipped_no_donor"] == 0  # sentence 3 still provides a donor
 
 
@@ -85,6 +88,7 @@ def test_shortfall_counted_not_dropped():
     per_doc = pl.stage_extract([doc], ExtractorConfig(mode="all"))
     cfg = pl.NegativesConfig(num_negatives=50, swap_fallback=False)
     bundles, counts = pl.stage_negatives([doc], per_doc, cfg, 1)
+    bundles = list(bundles)
     assert counts["bundles"] == len(bundles) > 0
     assert counts["option_shortfalls"] == len(bundles)
     # emit drops the under-filled orientations and counts them
@@ -207,3 +211,24 @@ def test_manifest_counts_consistent(tmp_path):
         assert len(fp.read().splitlines()) == emitted["records"]
     blob = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert blob["config_hash"] == cfg.hash()
+
+
+def test_run_pipeline_streams_bundles(tmp_path):
+    # Bundles, counterfactual copies and instances flow to their files one
+    # at a time, so the run allocates less than one of its bundle files.
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(40, seed=5, blocks=2, fillers=8), fp)
+    cfg = pl.PipelineConfig(
+        input=str(corpus),
+        output_dir=str(tmp_path / "out"),
+        seed=5,
+        extractor=ExtractorConfig(mode="all"),
+    )
+    tracemalloc.start()
+    try:
+        pl.run_pipeline(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "out" / "bundles.jsonl").stat().st_size

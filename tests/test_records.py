@@ -158,3 +158,56 @@ def test_bundle_mistyped_or_out_of_range_exit_1(
                "--input", str(bundles), "--output", str(tmp_path / "out.jsonl"), "--seed", "3"])
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+def stage_commands(film_cast_run, bundles, output):
+    corpus = str(film_cast_run / "corpus.jsonl")
+    common = ["--input", str(bundles), "--output", str(output), "--seed", "3"]
+    return (["counterfactual", "--corpus", corpus, *common], ["emit", *common])
+
+
+@pytest.mark.parametrize("earlier", [None, "earlier\n"])
+def test_malformed_line_leaves_no_partial_output(film_cast_run, tmp_path, capsys, earlier):
+    valid = (film_cast_run / "bundles.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    bundles = tmp_path / "bundles.jsonl"
+    bundles.write_text(f"{valid}\n{valid}\n{valid[:40]}\n{valid}\n", encoding="utf-8")
+    output = tmp_path / "out.jsonl"
+    for args in stage_commands(film_cast_run, bundles, output):
+        if earlier is not None:
+            output.write_text(earlier, encoding="utf-8")
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: invalid JSON"), args[0]
+        # no temporary file is left behind, and an earlier output is untouched
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == (["bundles.jsonl"] if earlier is None else ["bundles.jsonl", "out.jsonl"])
+        if earlier is not None:
+            assert output.read_text(encoding="utf-8") == earlier, args[0]
+
+
+@pytest.mark.parametrize(
+    "where, edit, message",
+    [
+        ("answer", lambda t: t["mentions"].append([t["mentions"][0][0], 1, 999]),
+         "line 1: answer: mention of"),
+        ("answer", lambda t: t["mentions"].__setitem__(0, ["x", -1, 3]),
+         "outside text"),
+        ("context", lambda t: t["mentions"].append([t["mentions"][0][0], 1, 3]),
+         "line 1: context[0]: mention of"),
+        ("options", lambda t: t["mentions"].append(["x", 0, len(t["text"]) + 1]),
+         "line 1: options[0]: mention of"),
+        ("context_variants", lambda t: t["mentions"].append(["x", 0, 2]),
+         "line 1: context_variants[0]: mention of"),
+    ],
+)
+def test_bad_mention_spans_rejected_at_read(film_cast_run, tmp_path, capsys, where, edit, message):
+    record = json.loads((film_cast_run / "bundles.jsonl").read_text(encoding="utf-8"))
+    text = record[where] if where == "answer" else record[where][0]
+    edit(text)
+    bundles = tmp_path / "bundles.jsonl"
+    bundles.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(RecordError, match="outside text|overlaps"):
+        list(read_bundles(bundles.read_text(encoding="utf-8").splitlines()))
+    for args in stage_commands(film_cast_run, bundles, tmp_path / "out.jsonl"):
+        assert main(args) == 1
+        assert message in capsys.readouterr().err, args[0]
+        assert not (tmp_path / "out.jsonl").exists()
