@@ -160,8 +160,14 @@ def bundle_to_record(b: InstanceBundle) -> dict:
     }
 
 
+def _is_mention(m) -> bool:
+    return isinstance(m, list) and len(m) == 3 and [type(v) for v in m] == [str, int, int]
+
+
 def _mentions_from(text: str, obj, line: int, where: str) -> tuple[MentionSpan, ...]:
-    mentions = tuple((str(e), int(s), int(t)) for e, s, t in obj)
+    if not isinstance(obj, list) or not all(_is_mention(m) for m in obj):
+        raise RecordError(line, f"{where}: mentions must be [entity, start, end] lists")
+    mentions = tuple(tuple(m) for m in obj)
     try:
         check_disjoint(text, list(mentions))
     except OverlappingSpans as exc:
@@ -179,10 +185,10 @@ def _synth_from(obj: dict, line: int, where: str) -> SynthSentence:
     return SynthSentence(
         text=text,
         donor_doc=obj["donor_doc"],
-        donor_sentence=int(obj["donor_sentence"]),
+        donor_sentence=require(obj, "donor_sentence", int, line),
         replaced=tuple((a, b) for a, b in obj["replaced"]),
         mentions=_mentions_from(text, obj["mentions"], line, where),
-        swap=bool(obj["swap"]),
+        swap=require(obj, "swap", bool, line),
     )
 
 
@@ -209,14 +215,14 @@ def bundle_from_record(obj: dict, line: int = 0) -> InstanceBundle:
             ),
             context_variants=tuple(
                 ContextVariant(
-                    replaced_sentence=int(v["replaced_sentence"]),
+                    replaced_sentence=require(v, "replaced_sentence", int, line),
                     replacement=_synth_from(v, line, f"context_variants[{i}]"),
                 )
                 for i, v in enumerate(obj["context_variants"])
             ),
-            requested_negatives=int(obj["requested_negatives"]),
-            counterfactual=bool(obj["counterfactual"]),
-            variant=int(obj["variant"]),
+            requested_negatives=require(obj, "requested_negatives", int, line),
+            counterfactual=require(obj, "counterfactual", bool, line),
+            variant=require(obj, "variant", int, line),
             replacements=tuple(sorted(obj["replacements"].items())),
         )
     except RecordError:

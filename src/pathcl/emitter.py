@@ -164,6 +164,7 @@ def emit_instances(
     instances: Iterable[ContrastiveInstance],
     ratio: tuple[int, int],
     fp: IO[str],
+    tally: dict | None = None,
 ) -> int:
     """Write instances interleaved at the original:counterfactual ratio.
 
@@ -173,6 +174,8 @@ def emit_instances(
     Instances are consumed lazily: a full round is written as soon as both
     queues hold it, and what is left at the end drains round by round, so
     the bytes do not depend on how far one queue runs ahead of the other.
+    With `tally` given, each written instance adds one to its orientation's
+    entry and, if counterfactual, to the "counterfactual" entry.
     """
     orig_n, cf_n = ratio
     if orig_n < 0 or cf_n < 0:
@@ -183,7 +186,11 @@ def emit_instances(
     def one_round() -> Iterator[ContrastiveInstance]:
         for queue, n in ((originals, orig_n), (counterfactuals, cf_n)):
             for _ in range(min(n, len(queue))):
-                yield queue.popleft()
+                inst = queue.popleft()
+                if tally is not None:
+                    tally[inst.orientation] += 1
+                    tally["counterfactual"] += inst.meta.counterfactual
+                yield inst
 
     def interleaved() -> Iterator[ContrastiveInstance]:
         for inst in instances:

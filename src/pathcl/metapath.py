@@ -29,7 +29,7 @@ from .graph import EntityGraph
 @dataclass(frozen=True)
 class ExtractorConfig:
     max_hops: int = 4  # maximum entities on a path (4 entities = 3 hops)
-    mode: str = "first"  # "first": stop at first successful pair; "all": every pair
+    mode: str = "first"  # "first": stop at first successful pair; "all": every unordered pair
     backtracking: bool = True
     require_context: bool = True  # reject paths that consume no sentence
 
@@ -181,18 +181,23 @@ def extract_positive_instances(
 ) -> list[PositiveInstance]:
     """Run the pair loop over the document and emit positive instances.
 
-    Ordered entity pairs are visited lexicographically. For each pair with
-    answer candidates, the search runs over the sentences outside the
-    answer set; on success one instance per answer sentence is emitted
-    (all sharing the path and context). mode="first" stops after the first
-    successful pair, mode="all" visits every pair.
+    Each co-mentioned entity pair is visited once, as (a, b) with a < b,
+    in lexicographic order: the pairs with answer candidates are exactly
+    the keys of `graph.sentences`. The graph is undirected, so the
+    reversed pair would only repeat the same context and answers. For each
+    pair the search runs over the sentences outside the answer set; on
+    success one instance per answer sentence is emitted (all sharing the
+    path and context). mode="first" stops after the first successful pair,
+    mode="all" visits every pair.
+
+    With backtracking the search is complete and a reversed path is valid
+    through the same sentences, so (b, a) succeeds exactly when (a, b)
+    does; mode="first" therefore finds the same first pair as a loop over
+    both orders would.
     """
     all_sentences = frozenset(range(len(doc.sentences)))
     out: list[PositiveInstance] = []
-    # The pairs with answer candidates are exactly the graph's sentence
-    # edges, in both directions; sorted, they keep the lexicographic order.
-    pairs = sorted(p for a, b in graph.sentences for p in ((a, b), (b, a)))
-    for a, b in pairs:
+    for a, b in sorted(graph.sentences):
         answers = graph.intra_sentences(a, b)
         found = dfs_metapath(graph, doc, all_sentences - answers, a, b, cfg)
         if found is None:

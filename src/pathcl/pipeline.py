@@ -324,22 +324,14 @@ def stage_counterfactual(
 ) -> tuple[Iterator[InstanceBundle], dict]:
     """Lazily, each original followed by its cfg.copies augmented copies.
 
-    The alien-entity pool is built before this returns; the counters fill
-    in as the iterator is drained.
+    Every original is checked against its document, also when no copies
+    are made. The alien-entity pool is built before this returns, and only
+    when copies are made; the counters fill in as the iterator is drained.
     """
     counters = {"originals": 0, "copies": 0, "skipped_small_pool": 0}
-    if cfg.copies == 0:
-
-        def originals() -> Iterator[InstanceBundle]:
-            for bundle in bundles:
-                counters["originals"] += 1
-                yield bundle
-
-        return originals(), counters
-
-    pool = build_entity_pool(docs)
     doc_position = {doc.id: i for i, doc in enumerate(docs)}
     by_doc = {doc.id: doc for doc in docs}
+    pool = build_entity_pool(docs) if cfg.copies else []
     per_doc_entities: list[list[AlienEntity]] | None = None
     if cfg.pool_strategy == "same-batch-documents":
         per_doc_entities = [[] for _ in docs]
@@ -356,6 +348,8 @@ def stage_counterfactual(
             )
             counters["originals"] += 1
             yield bundle
+            if not cfg.copies:
+                continue
             inst = positive_instance(bundle)
             if per_doc_entities is None:
                 candidates = pool
@@ -386,7 +380,12 @@ def stage_emit(
     seed: int,
     fp: IO[str],
 ) -> dict:
-    """Write each bundle's instances as it arrives, interleaved 1:copies."""
+    """Write each bundle's instances as it arrives, interleaved 1:copies.
+
+    The instance counts are those written: with copies == 0 the
+    counterfactual instances of copies in the input are dropped, and not
+    counted.
+    """
     counters = {
         "records": 0,
         "option": 0,
@@ -402,12 +401,9 @@ def stage_emit(
             got = {ci.orientation for ci in instances}
             counters["skipped_option"] += "option" not in got
             counters["skipped_context"] += "context" not in got
-            for ci in instances:
-                counters[ci.orientation] += 1
-                counters["counterfactual"] += ci.meta.counterfactual
             yield from instances
 
-    counters["records"] = emit_instances(built(), (1, copies), fp)
+    counters["records"] = emit_instances(built(), (1, copies), fp, tally=counters)
     return counters
 
 

@@ -8,7 +8,9 @@ instead of trusting recorded spans; the span diff checks an edit from
 the original text's fixed fragments alone; the trainer oracle scores
 one candidate and masks one text at a time with the scorer's plain
 formulas, where the library batches them; the batch interleaver queues
-every instance before writing any, where the library streams them.
+every instance before writing any, where the library streams them; the
+ordered-pair extractor runs the library's search on every co-mentioned
+pair in both orders, where the library visits each unordered pair once.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from pathcl.corpus import Document
 from pathcl.emitter import ContrastiveInstance, instance_to_record
 from pathcl.graph import EntityGraph, pair_key
 from pathcl.jsonl import write_records
+from pathcl.metapath import ExtractorConfig, PositiveInstance, dfs_metapath
 from pathcl.seeding import derive_rng
 from pathcl.spans import MentionSpan
 from pathcl.trainer import SEP_TOKEN, token_ids
@@ -166,6 +169,31 @@ def diff_outside_spans(original: str, edited: str, original_spans: list[MentionS
                 return False
             pos = found + len(frag)
     return True
+
+
+# -- extraction: every co-mentioned pair in both orders --
+
+
+def ordered_pair_positives(
+    doc: Document, graph: EntityGraph, cfg: ExtractorConfig
+) -> list[PositiveInstance]:
+    """The pair loop over ordered pairs: (a, b) and (b, a) are both searched,
+    in lexicographic order; one instance per answer sentence on success."""
+    all_sentences = frozenset(range(len(doc.sentences)))
+    out: list[PositiveInstance] = []
+    for a, b in sorted(p for a, b in graph.sentences for p in ((a, b), (b, a))):
+        answers = graph.intra_sentences(a, b)
+        found = dfs_metapath(graph, doc, all_sentences - answers, a, b, cfg)
+        if found is None:
+            continue
+        meta, context = found
+        out.extend(
+            PositiveInstance(doc.id, (a, b), meta, tuple(sorted(context)), frozenset({ans}))
+            for ans in sorted(answers)
+        )
+        if cfg.mode == "first":
+            return out
+    return out
 
 
 # -- emitter: the whole input queued before the first write --

@@ -236,6 +236,26 @@ def test_run_deterministic_and_equals_composition(tmp_path):
         assert file_hash(s / name) == file_hash(tmp_path / "r1" / name), name
 
 
+def test_emit_counts_the_instances_it_writes(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(4, seed=2), fp)
+    assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path / "r"),
+                 "--seed", "5", "--cf-ratio", "1:1"]) == 0
+    capsys.readouterr()
+    copies = tmp_path / "r" / "bundles_counterfactual.jsonl"
+    for ratio, with_copies in (("0", False), ("1:1", True)):
+        out = tmp_path / f"instances_{with_copies}.jsonl"
+        assert main(["emit", "--input", str(copies), "--output", str(out), "--seed", "5",
+                     "--cf-ratio", ratio]) == 0
+        counts = json.loads(capsys.readouterr().out)
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert counts["records"] == len(records) == counts["option"] + counts["context"] > 0
+        assert counts["option"] == sum(r["orientation"] == "option" for r in records)
+        assert counts["counterfactual"] == sum(r["meta"]["counterfactual"] for r in records)
+        assert (counts["counterfactual"] > 0) == with_copies
+
+
 def test_stats_output(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     film_cast_corpus(corpus)

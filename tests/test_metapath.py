@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcl.graph import build_entity_graph
 from pathcl.metapath import (
@@ -15,7 +17,7 @@ from pathcl.metapath import (
 )
 
 from corpora import build_document, film_cast_document, random_micro_doc
-from oracles import oracle_document_solvable, oracle_pair_solvable
+from oracles import oracle_document_solvable, oracle_pair_solvable, ordered_pair_positives
 
 
 def test_answer_candidates_worked_example():
@@ -169,6 +171,45 @@ def test_extract_all_mode_and_determinism():
         for inst in first:
             assert validate_instance(inst, doc, graph) == []
             assert 1 <= len(inst.context) <= len(inst.path.hops)
+
+
+micro_docs = st.builds(lambda seed: random_micro_doc(random.Random(seed)), st.integers(0, 2**32))
+search_configs = st.builds(
+    lambda hops, context, backtracking: dict(
+        max_hops=hops, require_context=context, backtracking=backtracking
+    ),
+    st.integers(2, 5),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(micro_docs, search_configs)
+def test_all_mode_visits_each_unordered_pair_once(doc, search):
+    graph = build_entity_graph(doc)
+    cfg = ExtractorConfig(mode="all", **search)
+    got = extract_positive_instances(doc, graph, cfg)
+    oracle = ordered_pair_positives(doc, graph, cfg)
+    assert all(a < b for a, b in (inst.pair for inst in got))
+    keys = [(inst.pair, inst.answer) for inst in got]
+    assert len(set(keys)) == len(keys)
+    if search["backtracking"]:
+        # success is symmetric, so folding the ordered pairs loses nothing
+        folded = {(tuple(sorted(inst.pair)), inst.answer) for inst in oracle}
+        assert set(keys) == folded
+    # each instance is the one the ordered loop finds for (a, b) itself
+    assert got == [inst for inst in oracle if inst.pair[0] < inst.pair[1]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(micro_docs, search_configs.filter(lambda search: search["backtracking"]))
+def test_first_mode_matches_ordered_pair_loop(doc, search):
+    # The first successful ordered pair is always the canonical one: its
+    # reverse succeeds too and sorts after it.
+    graph = build_entity_graph(doc)
+    cfg = ExtractorConfig(mode="first", **search)
+    assert extract_positive_instances(doc, graph, cfg) == ordered_pair_positives(doc, graph, cfg)
 
 
 def test_extract_existence_matches_document_oracle():

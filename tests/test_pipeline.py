@@ -215,20 +215,31 @@ def test_manifest_counts_consistent(tmp_path):
 
 def test_run_pipeline_streams_bundles(tmp_path):
     # Bundles, counterfactual copies and instances flow to their files one
-    # at a time, so the run allocates less than one of its bundle files.
+    # at a time, so what the run holds is the documents, positives and
+    # pools: more and larger bundles through the same documents leave the
+    # allocation peak nearly where it was.
     corpus = tmp_path / "corpus.jsonl"
     with open(corpus, "w", encoding="utf-8") as fp:
         write_corpus(make_corpus(40, seed=5, blocks=2, fillers=8), fp)
-    cfg = pl.PipelineConfig(
-        input=str(corpus),
-        output_dir=str(tmp_path / "out"),
-        seed=5,
-        extractor=ExtractorConfig(mode="all"),
-    )
-    tracemalloc.start()
-    try:
-        pl.run_pipeline(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < (tmp_path / "out" / "bundles.jsonl").stat().st_size
+
+    def traced_run(name, copies, num_negatives):
+        cfg = pl.PipelineConfig(
+            input=str(corpus),
+            output_dir=str(tmp_path / name),
+            seed=5,
+            extractor=ExtractorConfig(mode="all"),
+            negatives=pl.NegativesConfig(num_negatives=num_negatives),
+            counterfactual=pl.CounterfactualConfig(copies=copies),
+        )
+        tracemalloc.start()
+        try:
+            pl.run_pipeline(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, (tmp_path / name / "bundles_counterfactual.jsonl").stat().st_size
+
+    light_peak, light_bytes = traced_run("light", copies=1, num_negatives=3)
+    heavy_peak, heavy_bytes = traced_run("heavy", copies=2, num_negatives=9)
+    assert heavy_bytes > 3 * light_bytes
+    assert heavy_peak < 1.5 * light_peak, (light_peak, heavy_peak)

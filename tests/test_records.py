@@ -8,6 +8,7 @@ succeed or raise RecordError naming line 2.
 
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,30 @@ def test_counterfactual_unknown_document_exit_1(film_cast_run, tmp_path, capsys)
     assert capsys.readouterr().err == "error: bundle references unknown document 'nope'\n"
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("doc", "nope", "error: bundle references unknown document 'nope'"),
+        ("context_sentences", [999], "names sentence 999, outside its"),
+    ],
+)
+def test_counterfactual_checks_bundles_without_copies(
+    film_cast_run, tmp_path, capsys, key, value, message
+):
+    # The default ratio makes copies and runs these checks (see the unknown
+    # document test above and the mistyped test below); a ratio of 0 must too.
+    record = json.loads((film_cast_run / "bundles.jsonl").read_text(encoding="utf-8"))
+    record[key] = value
+    bundles = tmp_path / "bundles.jsonl"
+    bundles.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    rc = main(["counterfactual", "--corpus", str(film_cast_run / "corpus.jsonl"),
+               "--input", str(bundles), "--output", str(tmp_path / "out.jsonl"), "--seed", "3",
+               "--cf-ratio", "0"])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize("replacements", [[], None, "x"])
 def test_bundle_with_non_object_replacements_exit_1(film_cast_run, tmp_path, capsys, replacements):
     record = json.loads((film_cast_run / "bundles.jsonl").read_text(encoding="utf-8"))
@@ -158,6 +183,40 @@ def test_bundle_mistyped_or_out_of_range_exit_1(
                "--input", str(bundles), "--output", str(tmp_path / "out.jsonl"), "--seed", "3"])
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda r: r.__setitem__("requested_negatives", 2.7),
+         "line 1: field 'requested_negatives': expected int"),
+        (lambda r: r.__setitem__("variant", 1.5), "line 1: field 'variant': expected int"),
+        (lambda r: r.__setitem__("counterfactual", 0),
+         "line 1: field 'counterfactual': expected bool"),
+        (lambda r: r["options"][0].__setitem__("donor_sentence", 1.5),
+         "line 1: field 'donor_sentence': expected int"),
+        (lambda r: r["options"][0].__setitem__("swap", "no"),
+         "line 1: field 'swap': expected bool"),
+        (lambda r: r["context_variants"][0].__setitem__("replaced_sentence", 1.5),
+         "line 1: field 'replaced_sentence': expected int"),
+        (lambda r: r["answer"]["mentions"][0].__setitem__(1, 0.5),
+         "line 1: answer: mentions must be"),
+        (lambda r: r["options"][0]["mentions"][0].__setitem__(0, 5),
+         "line 1: options[0]: mentions must be"),
+    ],
+    ids=["requested_negatives", "variant", "counterfactual", "donor_sentence", "swap",
+         "replaced_sentence", "mention_start", "mention_entity"],
+)
+def test_bundle_numbers_and_flags_not_coerced(film_cast_run, tmp_path, capsys, edit, message):
+    record = json.loads((film_cast_run / "bundles.jsonl").read_text(encoding="utf-8"))
+    edit(record)
+    bundles = tmp_path / "bundles.jsonl"
+    bundles.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(RecordError, match=re.escape(message)):
+        list(read_bundles([json.dumps(record)]))
+    for args in stage_commands(film_cast_run, bundles, tmp_path / "out.jsonl"):
+        assert main(args) == 1
+        assert message in capsys.readouterr().err, args[0]
 
 
 def stage_commands(film_cast_run, bundles, output):
