@@ -8,7 +8,7 @@ the corpus. Bundles serialize to line-delimited JSON at stage boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .corpus import Document
@@ -90,27 +90,6 @@ def positive_instance(bundle: InstanceBundle) -> PositiveInstance:
         path=MetaPath(entities=bundle.path_entities, hops=bundle.hops),
         context=bundle.context_sentences,
         answers=frozenset({bundle.answer_sentence}),
-    )
-
-
-def with_counterfactual(
-    bundle: InstanceBundle,
-    variant: int,
-    replacements: tuple[tuple[str, str], ...],
-    context: tuple[AnnotatedText, ...],
-    answer: AnnotatedText,
-    options: tuple[SynthSentence, ...],
-    context_variants: tuple[ContextVariant, ...],
-) -> InstanceBundle:
-    return replace(
-        bundle,
-        counterfactual=True,
-        variant=variant,
-        replacements=replacements,
-        context=context,
-        answer=answer,
-        options=options,
-        context_variants=context_variants,
     )
 
 

@@ -74,17 +74,39 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+# JSON types a config field of each annotated type accepts; bool is an int
+# subclass in Python, so it is told apart explicitly.
+_ACCEPTS = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_type(key: str, value, type_name: str) -> None:
+    if not isinstance(value, _ACCEPTS[type_name]) or (
+        type_name != "bool" and isinstance(value, bool)
+    ):
+        raise ValueError(f"{key}: expected {type_name}, got {json.dumps(value)}")
+
+
 def _section(cls, file_cfg: dict, name: str, args=None, **fixed):
-    """`cls` from the file's `name` section; a flag whose dest is a field name wins."""
-    merged = dict(file_cfg.get(name, {}))
-    unknown = set(merged) - {f.name for f in fields(cls)}
+    """`cls` from the file's `name` section; a flag whose dest is a field name wins.
+
+    Every value must have its field's type: a file's "3" or 3.7 for an int
+    field, or "no" for a bool field, is an error naming `name.key`.
+    """
+    merged = file_cfg.get(name, {})
+    if not isinstance(merged, dict):
+        raise ValueError(f"{name}: expected a JSON object")
+    merged = dict(merged)
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(merged) - set(types)
     if unknown:
         raise ValueError(f"unknown {name} config keys: {sorted(unknown)}")
-    for f in fields(cls):
-        value = getattr(args, f.name, None)
+    for key in types:
+        value = getattr(args, key, None)
         if value is not None:
-            merged[f.name] = value
+            merged[key] = value
     merged.update(fixed)
+    for key, value in merged.items():
+        _check_type(f"{name}.{key}", value, types[key])
     return cls(**merged)
 
 
@@ -96,7 +118,8 @@ def _resolve_seed(args, file_cfg: dict, *, required: bool) -> int:
         if required:
             raise SystemExit2("--seed is required (flag or config file)")
         seed = 0
-    return int(seed)
+    _check_type("seed", seed, "int")
+    return seed
 
 
 class SystemExit2(Exception):
@@ -182,9 +205,7 @@ def cmd_emit(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg, required=False)
     emit_cfg = _section(pl.EmitConfig, file_cfg, "emitter", args)
-    copies = args.copies
-    if copies is None:
-        copies = file_cfg.get("counterfactual", {}).get("copies", 1)
+    copies = _section(pl.CounterfactualConfig, file_cfg, "counterfactual", args).copies
     with open(args.input, "r", encoding="utf-8") as src, pl.open_output(args.output) as fp:
         counts = pl.stage_emit(read_bundles(src), copies, emit_cfg, seed, fp)
     print(json.dumps(counts))
@@ -272,7 +293,7 @@ def cmd_run(args) -> int:
 # -- parser wiring --
 
 
-def _add_common(p: argparse.ArgumentParser, *, seed=True, config=True, jobs=False):
+def _add_common(p: argparse.ArgumentParser, *, seed=True, config=True):
     if seed:
         p.add_argument("--seed", type=int, default=None, help="root random seed")
     if config:
@@ -280,10 +301,6 @@ def _add_common(p: argparse.ArgumentParser, *, seed=True, config=True, jobs=Fals
             "--config",
             default=None,
             help=f"JSON config file (default from ${CONFIG_ENV})",
-        )
-    if jobs:
-        p.add_argument(
-            "--jobs", type=int, default=None, help="accepted and ignored; work runs serially"
         )
 
 
@@ -392,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract positive instances")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    _add_common(p, seed=False, jobs=True)
+    _add_common(p, seed=False)
     _add_extractor_flags(p)
     p.set_defaults(func=cmd_extract)
 
@@ -400,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--input", required=True, help="positives file")
     p.add_argument("--output", required=True, help="bundles file")
-    _add_common(p, jobs=True)
+    _add_common(p)
     _add_negative_flags(p)
     p.set_defaults(func=cmd_negatives)
 
@@ -450,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the whole pipeline")
     p.add_argument("--input", required=True)
     p.add_argument("--output-dir", required=True)
-    _add_common(p, jobs=True)
+    _add_common(p)
     _add_extractor_flags(p)
     _add_negative_flags(p)
     _add_counterfactual_flags(p)

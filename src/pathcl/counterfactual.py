@@ -14,10 +14,10 @@ independently with a configurable probability.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
-from .bundle import AnnotatedText, InstanceBundle, with_counterfactual
+from .bundle import AnnotatedText, InstanceBundle
 from .corpus import Document
 from .metapath import PositiveInstance
 from .negatives import ContextVariant, SynthSentence
@@ -36,7 +36,6 @@ class ReplacementMap:
     """Injective map from original path entities to alien replacements."""
 
     entries: tuple[tuple[str, tuple[str, str]], ...]  # orig -> (alien id, surface)
-    sources: tuple[str, ...]  # documents the replacements came from
 
     def mapping(self) -> dict[str, tuple[str, str]]:
         return dict(self.entries)
@@ -107,8 +106,7 @@ def select_replacements(
             )
         chosen.extend(rng.sample(candidates, short))
     return ReplacementMap(
-        entries=tuple((orig, (alien.id, alien.surface)) for orig, alien in zip(keys, chosen)),
-        sources=tuple(sorted({alien.source_doc for alien in chosen})),
+        entries=tuple((orig, (alien.id, alien.surface)) for orig, alien in zip(keys, chosen))
     )
 
 
@@ -140,8 +138,9 @@ def apply_counterfactual(
     if rmap is None or not rmap.entries:
         return bundle
     mapping = rmap.mapping()
-    return with_counterfactual(
+    return replace(
         bundle,
+        counterfactual=True,
         variant=variant,
         replacements=rmap.id_map(),
         context=tuple(_rewrite_text(t, mapping) for t in bundle.context),
@@ -155,37 +154,3 @@ def apply_counterfactual(
             for v in bundle.context_variants
         ),
     )
-
-
-def cross_document_ready_negatives(
-    host_doc: Document,
-    pair: tuple[str, str],
-    donors: Sequence[tuple[Document, Sequence[int]]],
-) -> Iterator[SynthSentence]:
-    """Answer sentences from other documents whose meta-paths link the same pair.
-
-    Because the target pair is always replaced during augmentation, such
-    sentences work as negative options without any text edit beyond
-    normalizing the pair surfaces to the host document's. Yields one
-    synthetic option per donor answer sentence, corpus order.
-    """
-    e_i, e_j = pair
-    surf_i = host_doc.entity_index[e_i].surface
-    surf_j = host_doc.entity_index[e_j].surface
-    mapping = {e_i: (e_i, surf_i), e_j: (e_j, surf_j)}
-    for donor_doc, answers in donors:
-        if donor_doc.id == host_doc.id:
-            continue
-        for k in answers:
-            mentions = donor_doc.mentions_in_sentence(k)
-            text, new_mentions = rewrite_mentions(
-                donor_doc.sentences[k].text, mentions, mapping
-            )
-            yield SynthSentence(
-                text=text,
-                donor_doc=donor_doc.id,
-                donor_sentence=k,
-                replaced=((e_i, e_i), (e_j, e_j)),
-                mentions=tuple(new_mentions),
-                swap=False,
-            )

@@ -9,13 +9,10 @@ separate candidates.
 
 Option-oriented: the rewritten donor replaces the answer. Context-oriented:
 it replaces one context sentence, and the pair rewritten into it must lie
-on the meta-path.
-
-Donor sentences from the host document are preferred over the
-cross-document pool; a donor whose only usable pair IS the target pair is
-used by exchanging the two target surfaces (the swap fallback). Sampling
-is driven entirely by the per-instance generator, so outputs are
-reproducible byte-for-byte for a fixed seed.
+on the meta-path. Where donors come from, and in which order they are
+tried, is one document's `DonorSource`. Sampling is driven entirely by the
+per-instance generator, so outputs are reproducible byte-for-byte for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -23,7 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterator, Mapping, Sequence
 
 from .corpus import Document
 from .metapath import PositiveInstance, collect_answer_candidates
@@ -84,19 +82,20 @@ def donor_from_document(doc: Document, k: int) -> DonorSentence:
     )
 
 
+def _donor_sentences(doc: Document) -> list[int]:
+    """Indices of the sentences usable as donors: those naming >=2 distinct entities."""
+    return [k for k, ids in enumerate(doc.sentence_entity_sets) if len(ids) >= 2]
+
+
 def build_donor_pool(
     docs: Sequence[Document], pool_size: int, rng: random.Random
 ) -> list[DonorSentence]:
-    """Cross-document donor pool: sentences mentioning >=2 distinct entities.
+    """Cross-document donor pool: every document's donor sentences.
 
     When more are eligible than pool_size, a seeded sample is taken; corpus
     order is preserved so pool content is independent of scheduling.
     """
-    refs: list[tuple[int, int]] = []
-    for d, doc in enumerate(docs):
-        for k in range(len(doc.sentences)):
-            if len(doc.sentence_entity_sets[k]) >= 2:
-                refs.append((d, k))
+    refs = [(d, k) for d, doc in enumerate(docs) for k in _donor_sentences(doc)]
     if pool_size >= 0 and len(refs) > pool_size:
         refs = sorted(rng.sample(refs, pool_size))
     return [donor_from_document(docs[d], k) for d, k in refs]
@@ -149,51 +148,90 @@ def _eligible_pairs(
     return normal
 
 
-def iter_donor_candidates(
-    doc: Document,
-    pool: Sequence[DonorSentence],
-    target_pair: tuple[str, str],
-    excluded_sentences: frozenset[int],
-    rng: random.Random,
-    *,
-    swap_fallback: bool = True,
-    allow_cross_document: bool = True,
-    host_donors: Sequence[DonorSentence] | None = None,
-) -> Iterator[tuple[DonorSentence, tuple[str, str]]]:
-    """Yield (donor, ordered pair) candidates: host document first, then pool.
+ReadyIndex = Mapping[tuple[str, str], Sequence[tuple[Document, Sequence[int]]]]
 
-    A donor whose only contribution would be the target pair itself is a
-    last resort: its exchanged pair is yielded only after every ordinary
-    pair of every donor has been tried. `host_donors` may carry the host
-    document's precomputed donor sentences (answer exclusion still applies).
+
+@dataclass(frozen=True)
+class DonorSource:
+    """Everything one document's negatives are drawn from, in the order tried.
+
+    1. `ready(pair)`: answer sentences of other documents whose meta-paths
+       link the same pair (only with a `ready_index`, and only for options).
+    2. The host document's donor sentences, answers of the pair excluded.
+    3. The cross-document `pool`, foreign documents only, unless
+       `allow_cross_document` is off.
+    4. With `swap_fallback`, the donors of 2 and 3 that mention both
+       targets, with the two target mentions exchanged.
     """
-    t_i, t_j = target_pair
-    if host_donors is None:
-        host_donors = [
-            donor_from_document(doc, k)
-            for k in range(len(doc.sentences))
-            if len(doc.sentence_entity_sets[k]) >= 2
-        ]
-    in_doc = [d for d in host_donors if d.sentence not in excluded_sentences]
-    rng.shuffle(in_doc)
-    swaps: list[DonorSentence] = []
-    for donor in in_doc:
-        for pair in _eligible_pairs(donor, target_pair, rng):
-            yield donor, pair
-        if swap_fallback and {t_i, t_j} <= donor.entity_ids:
-            swaps.append(donor)
-    if allow_cross_document:
-        # Materialized only when the host document runs dry: most instances
-        # never touch the pool, and filtering it per instance is not free.
-        foreign = [d for d in pool if d.doc_id != doc.id]
-        rng.shuffle(foreign)
-        for donor in foreign:
-            for pair in _eligible_pairs(donor, target_pair, rng):
-                yield donor, pair
-            if swap_fallback and {t_i, t_j} <= donor.entity_ids:
-                swaps.append(donor)
-    for donor in swaps:
-        yield donor, (t_j, t_i)  # exchange the target mentions
+
+    doc: Document
+    pool: Sequence[DonorSentence] = ()
+    swap_fallback: bool = True
+    allow_cross_document: bool = True
+    ready_index: ReadyIndex | None = None  # pair -> (document, its answer sentences)
+
+    @cached_property
+    def host(self) -> list[DonorSentence]:
+        return [donor_from_document(self.doc, k) for k in _donor_sentences(self.doc)]
+
+    def candidates(
+        self, target_pair: tuple[str, str], excluded: frozenset[int], rng: random.Random
+    ) -> Iterator[tuple[DonorSentence, tuple[str, str]]]:
+        """Yield (donor, ordered pair) candidates: host, then pool, then swaps.
+
+        A donor whose only contribution would be the target pair itself is a
+        last resort: its exchanged pair is yielded only after every ordinary
+        pair of every donor has been tried.
+        """
+        t_i, t_j = target_pair
+        swaps: list[DonorSentence] = []
+
+        def tried(donors: list[DonorSentence]):
+            rng.shuffle(donors)
+            for donor in donors:
+                for pair in _eligible_pairs(donor, target_pair, rng):
+                    yield donor, pair
+                if self.swap_fallback and {t_i, t_j} <= donor.entity_ids:
+                    swaps.append(donor)
+
+        yield from tried([d for d in self.host if d.sentence not in excluded])
+        if self.allow_cross_document:
+            # Filtered only when the host document runs dry: most instances
+            # never touch the pool, and filtering it per instance is not free.
+            yield from tried([d for d in self.pool if d.doc_id != self.doc.id])
+        for donor in swaps:
+            yield donor, (t_j, t_i)  # exchange the target mentions
+
+    def ready(self, pair: tuple[str, str]) -> list[SynthSentence]:
+        """Other documents' answer sentences for `pair`, as ready-made options.
+
+        Because the target pair is always replaced during augmentation, such
+        sentences work as negative options without any text edit beyond
+        normalizing the pair surfaces to the host document's. One option per
+        donor answer sentence, in corpus order.
+        """
+        if self.ready_index is None:
+            return []
+        e_i, e_j = pair
+        mapping = {e: (e, self.doc.entity_index[e].surface) for e in pair}
+        found = []
+        for donor_doc, answers in self.ready_index.get(pair, ()):
+            if donor_doc.id == self.doc.id:
+                continue
+            for k in answers:
+                text, mentions = rewrite_mentions(
+                    donor_doc.sentences[k].text, donor_doc.mentions_in_sentence(k), mapping
+                )
+                found.append(
+                    SynthSentence(
+                        text=text,
+                        donor_doc=donor_doc.id,
+                        donor_sentence=k,
+                        replaced=((e_i, e_i), (e_j, e_j)),
+                        mentions=tuple(mentions),
+                    )
+                )
+        return found
 
 
 def _target_with_surfaces(doc: Document, pair: tuple[str, str]):
@@ -202,72 +240,42 @@ def _target_with_surfaces(doc: Document, pair: tuple[str, str]):
 
 
 def make_negative_options(
-    inst: PositiveInstance,
-    doc: Document,
-    pool: Sequence[DonorSentence],
-    k: int,
-    rng: random.Random,
-    *,
-    swap_fallback: bool = True,
-    allow_cross_document: bool = True,
-    ready: Sequence[SynthSentence] = (),
-    host_donors: Sequence[DonorSentence] | None = None,
+    inst: PositiveInstance, source: DonorSource, k: int, rng: random.Random
 ) -> NegativeSet:
     """Up to k distinct synthetic answer options for the instance.
 
     Each candidate mentions both target entities. Candidates textually
     equal to any answer sentence of the pair, to the donor itself, or to a
-    previously taken negative are rejected and the next donor is tried.
-    `ready` holds pre-built candidates (answer sentences of other documents
-    linking the same pair) tried before any relation editing.
+    previously taken negative are rejected and the next one is tried.
     """
+    doc = source.doc
     answers = collect_answer_candidates(doc, inst.pair)
     forbidden = {doc.sentences[a].text for a in answers}
     target = _target_with_surfaces(doc, inst.pair)
     taken: list[SynthSentence] = []
     seen_texts: set[str] = set()
-
-    def consider(synth: SynthSentence, donor_text: str) -> bool:
-        if synth.text == donor_text or synth.text in forbidden or synth.text in seen_texts:
-            return False
-        taken.append(synth)
-        seen_texts.add(synth.text)
-        return len(taken) == k
-
     if k > 0:
-        prebuilt = list(ready)
-        rng.shuffle(prebuilt)
-        done = False
-        for synth in prebuilt:
-            if consider(synth, ""):
-                done = True
+        ready = source.ready(inst.pair)
+        rng.shuffle(ready)
+        offers = chain(
+            ((synth, "") for synth in ready),
+            (
+                (relation_replace(donor, pair, target), donor.text)
+                for donor, pair in source.candidates(inst.pair, answers, rng)
+            ),
+        )
+        for synth, donor_text in offers:
+            if synth.text == donor_text or synth.text in forbidden or synth.text in seen_texts:
+                continue
+            taken.append(synth)
+            seen_texts.add(synth.text)
+            if len(taken) == k:
                 break
-        if not done:
-            for donor, pair in iter_donor_candidates(
-                doc,
-                pool,
-                inst.pair,
-                answers,
-                rng,
-                swap_fallback=swap_fallback,
-                allow_cross_document=allow_cross_document,
-                host_donors=host_donors,
-            ):
-                if consider(relation_replace(donor, pair, target), donor.text):
-                    break
     return NegativeSet(orientation="option", items=tuple(taken), requested=k)
 
 
 def make_negative_contexts(
-    inst: PositiveInstance,
-    doc: Document,
-    pool: Sequence[DonorSentence],
-    k: int,
-    rng: random.Random,
-    *,
-    swap_fallback: bool = True,
-    allow_cross_document: bool = True,
-    host_donors: Sequence[DonorSentence] | None = None,
+    inst: PositiveInstance, source: DonorSource, k: int, rng: random.Random
 ) -> NegativeSet:
     """Up to k context variants, each replacing one context sentence.
 
@@ -275,6 +283,7 @@ def make_negative_contexts(
     meta-path entities mentioned there; variants cycle over the context
     sentences so no single sentence absorbs every edit.
     """
+    doc = source.doc
     answers = collect_answer_candidates(doc, inst.pair)
     path_entities = inst.path_entities
 
@@ -292,16 +301,7 @@ def make_negative_contexts(
         def tries(s_i=s_i, pairs=pairs) -> Iterator[SynthSentence]:
             for p, q in pairs:
                 target = _target_with_surfaces(doc, (p, q))
-                for donor, dpair in iter_donor_candidates(
-                    doc,
-                    pool,
-                    (p, q),
-                    answers,
-                    rng,
-                    swap_fallback=swap_fallback,
-                    allow_cross_document=allow_cross_document,
-                    host_donors=host_donors,
-                ):
+                for donor, dpair in source.candidates((p, q), answers, rng):
                     yield relation_replace(donor, dpair, target)
 
         streams.append((s_i, tries()))

@@ -34,13 +34,7 @@ from .bundle import (
     read_bundles,
 )
 from .corpus import Document, parse_corpus
-from .counterfactual import (
-    AlienEntity,
-    apply_counterfactual,
-    build_entity_pool,
-    cross_document_ready_negatives,
-    select_replacements,
-)
+from .counterfactual import AlienEntity, apply_counterfactual, build_entity_pool, select_replacements
 from .emitter import ContrastiveInstance, bundle_to_instances, emit_instances
 from .graph import EntityGraph, build_entity_graph, write_edge_list
 from .jsonl import RecordError, read_records, record_line, require, require_list, write_records
@@ -55,8 +49,9 @@ from .metapath import (
 )
 from .negatives import (
     DonorSentence,
+    DonorSource,
+    ReadyIndex,
     build_donor_pool,
-    donor_from_document,
     make_negative_contexts,
     make_negative_options,
 )
@@ -71,6 +66,10 @@ class NegativesConfig:
     swap_fallback: bool = True
     ready_negatives: bool = False
 
+    def __post_init__(self):
+        if self.num_negatives < 0:
+            raise ValueError("negatives.num_negatives must be >= 0")
+
 
 @dataclass
 class CounterfactualConfig:
@@ -81,7 +80,11 @@ class CounterfactualConfig:
 
     def __post_init__(self):
         if self.copies < 0:
-            raise ValueError("copies must be >= 0")
+            raise ValueError("counterfactual.copies must be >= 0")
+        if self.window < 1:
+            raise ValueError("counterfactual.window must be >= 1")
+        if not 0.0 <= self.include_prob <= 1.0:
+            raise ValueError("counterfactual.include_prob must lie in [0, 1]")
         if self.pool_strategy not in ("uniform", "same-batch-documents"):
             raise ValueError(f"unknown pool strategy {self.pool_strategy!r}")
 
@@ -96,7 +99,9 @@ class PipelineConfig:
     input: str
     output_dir: str
     seed: int
-    jobs: int = 1  # accepted for compatibility; the pipeline always runs serially
+    # Ignored: the pipeline always runs serially. Kept only because the
+    # benchmark harness and acceptance criterion 9 still pass it.
+    jobs: int = 1
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     negatives: NegativesConfig = field(default_factory=NegativesConfig)
     counterfactual: CounterfactualConfig = field(default_factory=CounterfactualConfig)
@@ -233,50 +238,18 @@ def _check_sentences(
 def _negative_worker(
     doc: Document,
     instances: Sequence[PositiveInstance],
-    docs: Sequence[Document],
     pool: Sequence[DonorSentence],
     cfg: NegativesConfig,
     seed: int,
-    ready_index: dict | None,
+    ready_index: ReadyIndex | None,
 ) -> list[InstanceBundle]:
-    host_donors = [
-        donor_from_document(doc, k)
-        for k in range(len(doc.sentences))
-        if len(doc.sentence_entity_sets[k]) >= 2
-    ]
+    source = DonorSource(doc, pool, cfg.swap_fallback, cfg.allow_cross_document, ready_index)
     bundles = []
     for inst in instances:
         _check_sentences(doc, (*inst.context, *inst.answers), inst.path.hops, "positive")
         rng = derive_rng(seed, "negatives", inst.doc_id, *inst.pair, inst.answer)
-        ready = ()
-        if ready_index is not None:
-            donors = [
-                (docs[d], answers)
-                for d, answers in ready_index.get(inst.pair, ())
-                if docs[d].id != doc.id
-            ]
-            ready = tuple(cross_document_ready_negatives(doc, inst.pair, donors))
-        options = make_negative_options(
-            inst,
-            doc,
-            pool,
-            cfg.num_negatives,
-            rng,
-            swap_fallback=cfg.swap_fallback,
-            allow_cross_document=cfg.allow_cross_document,
-            ready=ready,
-            host_donors=host_donors,
-        )
-        contexts = make_negative_contexts(
-            inst,
-            doc,
-            pool,
-            cfg.num_negatives,
-            rng,
-            swap_fallback=cfg.swap_fallback,
-            allow_cross_document=cfg.allow_cross_document,
-            host_donors=host_donors,
-        )
+        options = make_negative_options(inst, source, cfg.num_negatives, rng)
+        contexts = make_negative_contexts(inst, source, cfg.num_negatives, rng)
         bundles.append(assemble_bundle(inst, doc, options, contexts))
     return bundles
 
@@ -296,15 +269,14 @@ def stage_negatives(
     ready_index: dict | None = None
     if cfg.ready_negatives:
         ready_index = {}
-        for d, instances in enumerate(per_doc_instances):
+        for doc, instances in zip(docs, per_doc_instances, strict=True):
             for inst in instances:
-                answers = sorted(inst.answers)
-                ready_index.setdefault(inst.pair, []).append((d, answers))
+                ready_index.setdefault(inst.pair, []).append((doc, sorted(inst.answers)))
     counters = {"bundles": 0, "skipped_no_donor": 0, "option_shortfalls": 0, "context_shortfalls": 0}
 
     def kept() -> Iterator[InstanceBundle]:
         for doc, instances in zip(docs, per_doc_instances, strict=True):
-            for b in _negative_worker(doc, instances, docs, pool, cfg, seed, ready_index):
+            for b in _negative_worker(doc, instances, pool, cfg, seed, ready_index):
                 if cfg.num_negatives > 0 and not b.options and not b.context_variants:
                     counters["skipped_no_donor"] += 1
                     continue

@@ -335,12 +335,17 @@ def test_byte_identical_across_interpreter_hash_seeds(tmp_path):
     import subprocess
     import sys
 
+    import pathcl
+
     corpus = tmp_path / "corpus.jsonl"
     with open(corpus, "w", encoding="utf-8") as fp:
         write_corpus(make_corpus(10, seed=2), fp)
+    # The child imports the same pathcl as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(pathcl.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     digests = []
     for hash_seed, out in (("1", "h1"), ("4242", "h2")):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "pathcl.cli", "run",
              "--input", str(corpus), "--output-dir", str(tmp_path / out),
@@ -356,14 +361,58 @@ def test_byte_identical_across_interpreter_hash_seeds(tmp_path):
 
 
 def test_jobs_parallel_matches_serial(tmp_path):
+    # The pipeline runs serially; the --jobs flag it accepted and ignored is
+    # gone, so asking for workers is a usage error on every subcommand.
+    corpus = str(tmp_path / "corpus.jsonl")
+    for command in (
+        ["run", "--input", corpus, "--output-dir", str(tmp_path / "o"), "--seed", "4"],
+        ["extract", "--input", corpus, "--output", str(tmp_path / "p.jsonl")],
+        ["negatives", "--corpus", corpus, "--input", "p", "--output", str(tmp_path / "b.jsonl")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--jobs", "3"])
+        assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+BAD_CONFIG_VALUES = [
+    ("run", {"counterfactual": {"copies": "2"}}, [], "counterfactual.copies"),
+    ("run", {"negatives": {"num_negatives": "3"}}, [], "negatives.num_negatives"),
+    ("run", {"extractor": {"max_hops": "4"}}, [], "extractor.max_hops"),
+    ("emit", {"counterfactual": {"copies": "2"}}, [], "counterfactual.copies"),
+    ("run", {"seed": 3.7}, [], "seed"),
+    ("run", {"negatives": {"swap_fallback": "no"}}, [], "negatives.swap_fallback"),
+    ("run", {}, ["--num-negatives", "-1"], "negatives.num_negatives"),
+    ("run", {}, ["--window", "0"], "counterfactual.window"),
+    ("run", {}, ["--include-prob", "5"], "counterfactual.include_prob"),
+    ("emit", {}, ["--include-prob", "-0.5"], "counterfactual.include_prob"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, key",
+    BAD_CONFIG_VALUES,
+    ids=[f"{command}-{i}-{key}" for i, (command, _, _, key) in enumerate(BAD_CONFIG_VALUES)],
+)
+def test_config_values_checked_at_boundary(tmp_path, capsys, command, config, flags, key):
     corpus = tmp_path / "corpus.jsonl"
     with open(corpus, "w", encoding="utf-8") as fp:
-        write_corpus(make_corpus(16, seed=13), fp)
-    for jobs, name in [("1", "serial"), ("3", "parallel")]:
-        assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path / name),
-                     "--seed", "4", "--jobs", jobs]) == 0
-    for fname in ["positives.jsonl", "bundles.jsonl", "instances.jsonl"]:
-        assert file_hash(tmp_path / "serial" / fname) == file_hash(tmp_path / "parallel" / fname)
+        write_corpus(make_corpus(4, seed=2), fp)
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"seed": 1, **config}))
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--input", str(corpus), "--output-dir", str(out)]
+    else:
+        assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path / "r"),
+                     "--seed", "1"]) == 0
+        argv = ["emit", "--input", str(tmp_path / "r" / "bundles_counterfactual.jsonl"),
+                "--output", str(out)]
+    capsys.readouterr()
+    assert main([*argv, "--config", str(config_file), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and "Traceback" not in err, err
+    assert not out.exists()
 
 
 def test_train_section_leaves_config_hash_unchanged(tmp_path, capsys):

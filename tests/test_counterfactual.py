@@ -8,12 +8,11 @@ from pathcl.counterfactual import (
     ReplacementMap,
     apply_counterfactual,
     build_entity_pool,
-    cross_document_ready_negatives,
     select_replacements,
 )
 from pathcl.graph import build_entity_graph
 from pathcl.metapath import ExtractorConfig, extract_positive_instances
-from pathcl.negatives import make_negative_contexts, make_negative_options
+from pathcl.negatives import DonorSource, make_negative_contexts, make_negative_options
 
 from corpora import build_document, film_cast_document
 from oracles import diff_outside_spans, surface_occurrences
@@ -32,8 +31,8 @@ def film_cast_bundle():
     graph = build_entity_graph(doc)
     inst = extract_positive_instances(doc, graph, ExtractorConfig())[0]
     rng = random.Random(13)
-    options = make_negative_options(inst, doc, [], 3, rng)
-    contexts = make_negative_contexts(inst, doc, [], 3, rng)
+    options = make_negative_options(inst, DonorSource(doc), 3, rng)
+    contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
     return doc, inst, assemble_bundle(inst, doc, options, contexts)
 
 
@@ -97,7 +96,7 @@ def test_apply_rewrites_every_text_consistently():
 def test_apply_identity_on_empty_map():
     _, _, bundle = film_cast_bundle()
     assert apply_counterfactual(bundle, None) == bundle
-    empty = ReplacementMap(entries=(), sources=())
+    empty = ReplacementMap(entries=())
     assert apply_counterfactual(bundle, empty) == bundle
     assert not bundle.counterfactual
 
@@ -105,7 +104,7 @@ def test_apply_identity_on_empty_map():
 def test_apply_leaves_unmentioned_negative_unchanged():
     doc, inst, bundle = film_cast_bundle()
     # key only the producer entity e4, absent from most texts
-    rmap = ReplacementMap(entries=(("e4", ("q5", "Harbor Lane Press")),), sources=("other3",))
+    rmap = ReplacementMap(entries=(("e4", ("q5", "Harbor Lane Press")),))
     out = apply_counterfactual(bundle, rmap)
     for old_t, new_t in zip(all_bundle_texts(bundle), all_bundle_texts(out)):
         if surface_occurrences(old_t, "Jim Henson Company") == 0:
@@ -142,9 +141,7 @@ def test_ready_negatives_cross_document():
         ],
         {"e1": "McKean", "e2": "S. Leonidas"},
     )
-    ready = list(
-        cross_document_ready_negatives(host, ("e1", "e2"), [(other, [0])])
-    )
+    ready = DonorSource(host, ready_index={("e1", "e2"): [(other, [0])]}).ready(("e1", "e2"))
     assert len(ready) == 1
     synth = ready[0]
     # surfaces normalized to the host document's forms

@@ -20,7 +20,7 @@ from pathcl.emitter import (
 from pathcl.graph import build_entity_graph
 from pathcl.jsonl import RecordError
 from pathcl.metapath import ExtractorConfig, extract_positive_instances
-from pathcl.negatives import make_negative_contexts, make_negative_options
+from pathcl.negatives import DonorSource, make_negative_contexts, make_negative_options
 
 from corpora import film_cast_document
 from oracles import batch_emit_instances
@@ -32,8 +32,8 @@ def film_cast_instances(root_seed=7, shuffle_gold=True):
     graph = build_entity_graph(doc)
     inst = extract_positive_instances(doc, graph, ExtractorConfig())[0]
     rng = random.Random(root_seed)
-    options = make_negative_options(inst, doc, [], 3, rng)
-    contexts = make_negative_contexts(inst, doc, [], 3, rng)
+    options = make_negative_options(inst, DonorSource(doc), 3, rng)
+    contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
     bundle = assemble_bundle(inst, doc, options, contexts)
     return doc, inst, bundle, bundle_to_instances(bundle, root_seed, shuffle_gold=shuffle_gold)
 
@@ -218,8 +218,8 @@ def test_gold_histogram_uniform_under_shuffle():
     graph = build_entity_graph(doc)
     inst = extract_positive_instances(doc, graph, ExtractorConfig())[0]
     rng = random.Random(1)
-    options = make_negative_options(inst, doc, [], 3, rng)
-    contexts = make_negative_contexts(inst, doc, [], 3, rng)
+    options = make_negative_options(inst, DonorSource(doc), 3, rng)
+    contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
     bundle = assemble_bundle(inst, doc, options, contexts)
 
     from dataclasses import replace

@@ -6,8 +6,8 @@ from pathcl.graph import build_entity_graph
 from pathcl.metapath import ExtractorConfig, collect_answer_candidates, extract_positive_instances
 from pathcl.negatives import (
     DonorSentence,
+    DonorSource,
     build_donor_pool,
-    iter_donor_candidates,
     make_negative_contexts,
     make_negative_options,
     relation_replace,
@@ -21,9 +21,8 @@ from oracles import diff_outside_spans, surface_occurrences
 def sample_relation_provider(inst, doc, pool, rng, *, swap_fallback=True):
     """First eligible (donor, pair, is_swap) for the instance, or None."""
     answers = collect_answer_candidates(doc, inst.pair)
-    for donor, pair in iter_donor_candidates(
-        doc, pool, inst.pair, answers, rng, swap_fallback=swap_fallback
-    ):
+    source = DonorSource(doc, pool, swap_fallback=swap_fallback)
+    for donor, pair in source.candidates(inst.pair, answers, rng):
         return donor, pair, set(pair) == set(inst.pair)
     return None
 
@@ -190,7 +189,7 @@ def test_provider_no_donor_anywhere():
 def test_negative_options_worked_example():
     doc, inst = film_cast_instance()
     rng = random.Random(42)
-    negs = make_negative_options(inst, doc, [], 3, rng)
+    negs = make_negative_options(inst, DonorSource(doc), 3, rng)
     assert negs.orientation == "option"
     assert len(negs.items) == 3
     assert negs.shortfall == 0
@@ -210,11 +209,11 @@ def test_negative_options_worked_example():
 
 def test_negative_options_k_zero_and_seeded_reproducibility():
     doc, inst = film_cast_instance()
-    assert make_negative_options(inst, doc, [], 0, random.Random(1)).items == ()
-    a = make_negative_options(inst, doc, [], 3, random.Random(7))
-    b = make_negative_options(inst, doc, [], 3, random.Random(7))
+    assert make_negative_options(inst, DonorSource(doc), 0, random.Random(1)).items == ()
+    a = make_negative_options(inst, DonorSource(doc), 3, random.Random(7))
+    b = make_negative_options(inst, DonorSource(doc), 3, random.Random(7))
     assert a == b
-    c = make_negative_options(inst, doc, [], 3, random.Random(8))
+    c = make_negative_options(inst, DonorSource(doc), 3, random.Random(8))
     assert a != c  # different seed reshuffles donor order
 
 
@@ -232,14 +231,14 @@ def test_negative_options_shortfall():
     graph = build_entity_graph(doc)
     inst = extract_positive_instances(doc, graph, ExtractorConfig())[0]
     assert inst.pair == ("a", "b")
-    negs = make_negative_options(inst, doc, [], 8, random.Random(0), swap_fallback=False)
+    negs = make_negative_options(inst, DonorSource(doc, swap_fallback=False), 8, random.Random(0))
     assert 0 < len(negs.items) < 8
     assert negs.shortfall == 8 - len(negs.items)
 
 
 def test_negative_contexts_worked_example():
     doc, inst = film_cast_instance()
-    negs = make_negative_contexts(inst, doc, [], 3, random.Random(5))
+    negs = make_negative_contexts(inst, DonorSource(doc), 3, random.Random(5))
     assert negs.orientation == "context"
     assert len(negs.items) == 3
     for variant in negs.items:
@@ -267,7 +266,7 @@ def test_negative_contexts_single_sentence_context():
     instances = extract_positive_instances(doc, graph, ExtractorConfig(mode="all"))
     inst = next(i for i in instances if i.pair == ("a", "b"))
     assert len(inst.context) == 1
-    negs = make_negative_contexts(inst, doc, [], 2, random.Random(3))
+    negs = make_negative_contexts(inst, DonorSource(doc), 2, random.Random(3))
     assert len(negs.items) == 2
     assert {v.replaced_sentence for v in negs.items} == set(inst.context)
     texts = [v.replacement.text for v in negs.items]
@@ -293,7 +292,9 @@ def test_pool_used_after_in_document_exhaustion():
     )
     pool = build_donor_pool([doc, other], 100, random.Random(0))
     assert any(p.doc_id == "other" for p in pool)
-    negs = make_negative_options(inst, doc, pool, 8, random.Random(0), swap_fallback=False)
+    negs = make_negative_options(
+        inst, DonorSource(doc, pool, swap_fallback=False), 8, random.Random(0)
+    )
     assert any(s.donor_doc == "other" for s in negs.items)
     in_doc = [s for s in negs.items if s.donor_doc == "d"]
     assert in_doc  # host donors appear despite pool access

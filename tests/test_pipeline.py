@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import random
 import tracemalloc
 
 from pathcl import pipeline as pl
@@ -8,7 +10,7 @@ from pathcl.emitter import read_instances
 from pathcl.metapath import ExtractorConfig
 from pathcl.synth import make_corpus
 
-from corpora import build_document, film_cast_document
+from corpora import build_document, film_cast_document, random_micro_doc
 
 
 def run_stages(docs, seed=3, mode="first", negatives=None, cf=None):
@@ -243,3 +245,65 @@ def test_run_pipeline_streams_bundles(tmp_path):
     heavy_peak, heavy_bytes = traced_run("heavy", copies=2, num_negatives=9)
     assert heavy_bytes > 3 * light_bytes
     assert heavy_peak < 1.5 * light_peak, (light_peak, heavy_peak)
+
+
+# sha256 of (bundles.jsonl, instances.jsonl) for the runs below, recorded
+# before the donor order moved into `negatives.DonorSource`. A change to the
+# donor paths that is meant to keep outputs must keep these.
+DONOR_PATH_DIGESTS = {
+    True: (
+        "c83eae84c632071767fc6fa2ceb6cbd61e253bccfbf572a9eb75bdfcfaa2d0e6",
+        "14015d33703233abcd797835243d3f963f4e297d79371ec194d8c4b99612feab",
+    ),
+    False: (
+        "e5c40768733d38baf206fe45163f239fd99435b29650c2d36c36f6946dbc2950",
+        "a0ffb0494f6316623cc080ecb91771a9c68d68df4663ea864875a413d5b9d974",
+    ),
+}
+
+
+def donor_path_run(corpus, out, cross_document):
+    """`run` in mode all with ready negatives: (output digests, (doc, donor tag)s)."""
+    pl.run_pipeline(
+        pl.PipelineConfig(
+            input=str(corpus),
+            output_dir=str(out),
+            seed=1,
+            extractor=ExtractorConfig(mode="all"),
+            negatives=pl.NegativesConfig(
+                ready_negatives=True, allow_cross_document=cross_document
+            ),
+        )
+    )
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("bundles.jsonl", "instances.jsonl")
+    )
+    tags = []
+    with open(out / "instances.jsonl", encoding="utf-8") as fp:
+        for inst in read_instances(fp):
+            donors = inst.meta.strategy.removeprefix("donors=").split(",")
+            tags += [(inst.meta.doc, tag) for tag in donors]
+    return digests, tags
+
+
+def test_ready_swap_and_pool_donors_byte_stable(tmp_path):
+    # Micro documents share entity ids, so ready negatives, swapped targets
+    # and donors from other documents' sentences all occur; the template
+    # corpora of the benchmark give every document its own ids and never
+    # reach these paths.
+    rng = random.Random(555)
+    corpus = tmp_path / "fuzz.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus([random_micro_doc(rng, f"fuzz{i}") for i in range(150)], fp)
+    tags = []
+    for cross_document in (True, False):
+        out = tmp_path / f"cross_{cross_document}"
+        digests, found = donor_path_run(corpus, out, cross_document)
+        assert digests == DONOR_PATH_DIGESTS[cross_document], cross_document
+        tags += found
+    assert any("+ready" in tag for _, tag in tags)
+    assert any("+swap" in tag for _, tag in tags)
+    assert any(
+        tag.split(":")[0] != doc and "+ready" not in tag for doc, tag in tags
+    ), "no relation-edited donor from another document"
