@@ -13,8 +13,8 @@ from typing import IO, Iterable, Iterator
 
 from .corpus import Document
 from .jsonl import RecordError, read_records, require, require_list, write_records
-from .metapath import MetaPath, PathHop, PositiveInstance, hop_from_record, hop_to_record
-from .negatives import ContextVariant, NegativeSet, SynthSentence
+from .metapath import MetaPath, PositiveInstance, path_from_record, path_to_record
+from .negatives import ContextVariant, SynthSentence
 from .spans import MentionSpan, OverlappingSpans, check_disjoint
 
 
@@ -28,8 +28,7 @@ class AnnotatedText:
 class InstanceBundle:
     doc_id: str
     pair: tuple[str, str]
-    path_entities: tuple[str, ...]
-    hops: tuple[PathHop, ...]
+    path: MetaPath
     context_sentences: tuple[int, ...]
     context: tuple[AnnotatedText, ...]  # aligned with context_sentences
     answer_sentence: int
@@ -40,14 +39,6 @@ class InstanceBundle:
     counterfactual: bool = False
     variant: int = 0  # 0 = original, >=1 = augmented copy ordinal
     replacements: tuple[tuple[str, str], ...] = ()  # original id -> replacement id
-
-    @property
-    def option_shortfall(self) -> int:
-        return self.requested_negatives - len(self.options)
-
-    @property
-    def context_shortfall(self) -> int:
-        return self.requested_negatives - len(self.context_variants)
 
     def key(self) -> tuple:
         """Stable identity used to derive per-instance seeds."""
@@ -63,33 +54,22 @@ def annotated_sentence(doc: Document, k: int) -> AnnotatedText:
 def assemble_bundle(
     inst: PositiveInstance,
     doc: Document,
-    options: NegativeSet,
-    contexts: NegativeSet,
+    options: tuple[SynthSentence, ...],
+    contexts: tuple[ContextVariant, ...],
+    k: int,
 ) -> InstanceBundle:
-    if options.requested != contexts.requested:
-        raise ValueError("option and context sets were built with different K")
+    """The bundle of one positive whose negatives were requested K = `k` at a time."""
     return InstanceBundle(
         doc_id=inst.doc_id,
         pair=inst.pair,
-        path_entities=inst.path.entities,
-        hops=inst.path.hops,
+        path=inst.path,
         context_sentences=inst.context,
-        context=tuple(annotated_sentence(doc, k) for k in inst.context),
+        context=tuple(annotated_sentence(doc, s) for s in inst.context),
         answer_sentence=inst.answer,
         answer=annotated_sentence(doc, inst.answer),
-        options=options.items,
-        context_variants=contexts.items,
-        requested_negatives=options.requested,
-    )
-
-
-def positive_instance(bundle: InstanceBundle) -> PositiveInstance:
-    return PositiveInstance(
-        doc_id=bundle.doc_id,
-        pair=bundle.pair,
-        path=MetaPath(entities=bundle.path_entities, hops=bundle.hops),
-        context=bundle.context_sentences,
-        answers=frozenset({bundle.answer_sentence}),
+        options=options,
+        context_variants=contexts,
+        requested_negatives=k,
     )
 
 
@@ -119,10 +99,7 @@ def bundle_to_record(b: InstanceBundle) -> dict:
     return {
         "doc": b.doc_id,
         "pair": list(b.pair),
-        "path": {
-            "entities": list(b.path_entities),
-            "hops": [hop_to_record(h) for h in b.hops],
-        },
+        "path": path_to_record(b.path),
         "context_sentences": list(b.context_sentences),
         "context": [_text_json(t) for t in b.context],
         "answer_sentence": b.answer_sentence,
@@ -181,8 +158,7 @@ def bundle_from_record(obj: dict, line: int = 0) -> InstanceBundle:
         return InstanceBundle(
             doc_id=doc_id,
             pair=pair,
-            path_entities=tuple(obj["path"]["entities"]),
-            hops=tuple(hop_from_record(h) for h in obj["path"]["hops"]),
+            path=path_from_record(obj["path"]),
             context_sentences=context_sentences,
             context=tuple(
                 _text_from(t, line, f"context[{i}]") for i, t in enumerate(obj["context"])

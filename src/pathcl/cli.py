@@ -14,7 +14,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -23,7 +22,7 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .bundle import read_bundles, write_bundles
-from .emitter import read_instances, stats
+from .emitter import bundle_to_instances, read_instances, stats
 from .jsonl import RecordError
 from .metapath import ExtractorConfig
 from .synth import make_corpus
@@ -40,6 +39,8 @@ from .trainer import (
 )
 
 CONFIG_ENV = "PATHCL_CONFIG"
+# Top-level keys of a config file; one file serves every subcommand.
+CONFIG_KEYS = ("seed", "extractor", "negatives", "counterfactual", "emitter", "train")
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -71,6 +72,11 @@ def _load_config_file(path: str | None) -> dict:
         data = json.load(fp)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(
+            f"{', '.join(unknown)}: unknown config key, expected one of {', '.join(CONFIG_KEYS)}"
+        )
     return data
 
 
@@ -90,7 +96,9 @@ def _section(cls, file_cfg: dict, name: str, args=None, **fixed):
     """`cls` from the file's `name` section; a flag whose dest is a field name wins.
 
     Every value must have its field's type: a file's "3" or 3.7 for an int
-    field, or "no" for a bool field, is an error naming `name.key`.
+    field, or "no" for a bool field, is an error naming `name.key`. An int
+    given for a float field is stored as a float, so 1 and 1.0 configure
+    (and hash) alike.
     """
     merged = file_cfg.get(name, {})
     if not isinstance(merged, dict):
@@ -107,7 +115,7 @@ def _section(cls, file_cfg: dict, name: str, args=None, **fixed):
     merged.update(fixed)
     for key, value in merged.items():
         _check_type(f"{name}.{key}", value, types[key])
-    return cls(**merged)
+    return cls(**{k: float(v) if types[k] == "float" else v for k, v in merged.items()})
 
 
 def _resolve_seed(args, file_cfg: dict, *, required: bool) -> int:
@@ -234,10 +242,7 @@ def cmd_grad_check(args) -> int:
     docs = make_corpus(3, seed=seed, blocks=1, fillers=2)
     per_doc = pl.stage_extract(docs, ExtractorConfig(mode="all"))
     bundles, _ = pl.stage_negatives(docs, per_doc, pl.NegativesConfig(), seed)
-    buf = io.StringIO()
-    pl.stage_emit(bundles, 0, pl.EmitConfig(), seed, buf)
-    buf.seek(0)
-    instances = list(read_instances(buf))[: args.batch]
+    instances = [i for b in bundles for i in bundle_to_instances(b, seed)][: args.batch]
     if not instances:
         print("no instances for the check", file=sys.stderr)
         return EXIT_RUNTIME

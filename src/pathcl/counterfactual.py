@@ -58,19 +58,21 @@ def build_entity_pool(docs: Sequence[Document]) -> list[AlienEntity]:
 
 
 def select_replacements(
-    inst: PositiveInstance,
+    inst: PositiveInstance | InstanceBundle,
     doc: Document,
     pool: Sequence[AlienEntity],
     rng: random.Random,
     *,
     include_prob: float = 0.5,
 ) -> ReplacementMap:
-    """Choose which path entities to replace and what replaces each.
+    """Choose which path entities of `inst` to replace and what replaces each.
 
-    The target pair is always keyed; every other path entity is keyed with
-    probability include_prob. Replacement entities are sampled without
-    replacement from pool entries absent from the host document. Raises
-    ValueError when the filtered pool cannot cover the keyed entities.
+    Only `inst.pair` and `inst.path.entities` are read, so a positive and
+    its bundle select alike. The target pair is always keyed; every other
+    path entity is keyed with probability include_prob. Replacement
+    entities are sampled without replacement from pool entries absent from
+    the host document. Raises ValueError when the filtered pool cannot
+    cover the keyed entities.
     """
     host_ids = set(doc.entity_index)
     keys = list(inst.pair)

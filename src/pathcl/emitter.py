@@ -3,8 +3,11 @@
 An option-oriented instance queries with the joined context and ranks the
 true answer against synthetic options; a context-oriented instance
 queries with the answer and ranks the true context against corrupted
-ones. The gold index is placed by a seeded per-instance permutation so
-position carries no signal. Output is line-delimited JSON:
+ones. Both orientations go through one code path: a query, the gold text,
+K negative texts and their donor tags. The gold text is inserted at an
+index drawn from a generator seeded per instance and orientation (index 0
+without shuffling), so position carries no signal. Output is
+line-delimited JSON:
 
     {"orientation": "option"|"context", "query": str, "candidates": [str],
      "gold": int, "meta": {"doc": str, "pair": [str, str], "path": [str],
@@ -64,12 +67,6 @@ def _donor_tag(s: SynthSentence) -> str:
     return tag
 
 
-def _place_gold(gold_text: str, negatives: list[str], rng) -> tuple[tuple[str, ...], int]:
-    gold = rng.randrange(len(negatives) + 1)
-    candidates = negatives[:gold] + [gold_text] + negatives[gold:]
-    return tuple(candidates), gold
-
-
 def bundle_to_instances(
     bundle: InstanceBundle, root_seed: int, *, shuffle_gold: bool = True
 ) -> list[ContrastiveInstance]:
@@ -78,58 +75,48 @@ def bundle_to_instances(
     Only orientations with the full complement of negatives are emitted,
     keeping candidate counts uniform at K+1 across the dataset.
     """
-    out: list[ContrastiveInstance] = []
     context_texts = tuple(t.text for t in bundle.context)
     context_joined = JOIN.join(context_texts)
     k = bundle.requested_negatives
-
-    def meta(strategy: str) -> InstanceMeta:
-        return InstanceMeta(
-            doc=bundle.doc_id,
-            pair=bundle.pair,
-            path=bundle.path_entities,
-            counterfactual=bundle.counterfactual,
-            replacements=bundle.replacements,
-            strategy=strategy,
-            context_texts=context_texts,
-        )
-
-    if len(bundle.options) == k and k > 0:
-        rng = derive_rng(root_seed, "gold", *bundle.key(), "option")
-        negatives = [s.text for s in bundle.options]
+    variants = bundle.context_variants
+    orientations = (
+        (
+            "option",
+            context_joined,
+            bundle.answer.text,
+            [s.text for s in bundle.options],
+            [_donor_tag(s) for s in bundle.options],
+        ),
+        (
+            "context",
+            bundle.answer.text,
+            context_joined,
+            [_variant_text(bundle, v) for v in variants],
+            [f"{_donor_tag(v.replacement)}>{v.replaced_sentence}" for v in variants],
+        ),
+    )
+    out: list[ContrastiveInstance] = []
+    for orientation, query, gold_text, negatives, tags in orientations:
+        if k == 0 or len(negatives) != k:
+            continue
+        gold = 0
         if shuffle_gold:
-            candidates, gold = _place_gold(bundle.answer.text, negatives, rng)
-        else:
-            candidates, gold = tuple([bundle.answer.text] + negatives), 0
-        strategy = "donors=" + ",".join(_donor_tag(s) for s in bundle.options)
+            gold = derive_rng(root_seed, "gold", *bundle.key(), orientation).randrange(k + 1)
         out.append(
             ContrastiveInstance(
-                orientation="option",
-                query=context_joined,
-                candidates=candidates,
+                orientation=orientation,
+                query=query,
+                candidates=(*negatives[:gold], gold_text, *negatives[gold:]),
                 gold=gold,
-                meta=meta(strategy),
-            )
-        )
-
-    if len(bundle.context_variants) == k and k > 0:
-        rng = derive_rng(root_seed, "gold", *bundle.key(), "context")
-        negatives = [_variant_text(bundle, v) for v in bundle.context_variants]
-        if shuffle_gold:
-            candidates, gold = _place_gold(context_joined, negatives, rng)
-        else:
-            candidates, gold = tuple([context_joined] + negatives), 0
-        strategy = "donors=" + ",".join(
-            f"{_donor_tag(v.replacement)}>{v.replaced_sentence}"
-            for v in bundle.context_variants
-        )
-        out.append(
-            ContrastiveInstance(
-                orientation="context",
-                query=bundle.answer.text,
-                candidates=candidates,
-                gold=gold,
-                meta=meta(strategy),
+                meta=InstanceMeta(
+                    doc=bundle.doc_id,
+                    pair=bundle.pair,
+                    path=bundle.path.entities,
+                    counterfactual=bundle.counterfactual,
+                    replacements=bundle.replacements,
+                    strategy="donors=" + ",".join(tags),
+                    context_texts=context_texts,
+                ),
             )
         )
     return out

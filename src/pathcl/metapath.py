@@ -52,21 +52,33 @@ class PathHop:
             raise ValueError("hop must carry exactly one of sentence or KG label")
 
 
-def hop_to_record(hop: PathHop) -> dict:
-    return {"sentence": hop.via_sentence, "kg": hop.kg_label}
+@dataclass(frozen=True)
+class MetaPath:
+    entities: tuple[str, ...]
+    hops: tuple[PathHop, ...]
 
 
-def hop_from_record(obj: dict) -> PathHop:
+def path_to_record(path: MetaPath) -> dict:
+    """The JSON form of a meta-path, shared by the positives and bundle files."""
+    return {
+        "entities": list(path.entities),
+        "hops": [{"sentence": h.via_sentence, "kg": h.kg_label} for h in path.hops],
+    }
+
+
+def _hop_from_record(obj: dict) -> PathHop:
     sentence, label = obj["sentence"], obj["kg"]
     if not (sentence is None or type(sentence) is int) or not (label is None or type(label) is str):
         raise TypeError(f"hop needs an int sentence or a str KG label, got {sentence!r}, {label!r}")
     return PathHop(via_sentence=sentence, kg_label=label)
 
 
-@dataclass(frozen=True)
-class MetaPath:
-    entities: tuple[str, ...]
-    hops: tuple[PathHop, ...]
+def path_from_record(obj: dict) -> MetaPath:
+    """Inverse of `path_to_record`; a malformed hop raises TypeError or ValueError."""
+    return MetaPath(
+        entities=tuple(obj["entities"]),
+        hops=tuple(_hop_from_record(h) for h in obj["hops"]),
+    )
 
 
 @dataclass(frozen=True)

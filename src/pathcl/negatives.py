@@ -62,17 +62,6 @@ class ContextVariant:
     replacement: SynthSentence
 
 
-@dataclass(frozen=True)
-class NegativeSet:
-    orientation: str  # "option" | "context"
-    items: tuple[SynthSentence, ...] | tuple[ContextVariant, ...]
-    requested: int
-
-    @property
-    def shortfall(self) -> int:
-        return self.requested - len(self.items)
-
-
 def donor_from_document(doc: Document, k: int) -> DonorSentence:
     return DonorSentence(
         doc_id=doc.id,
@@ -241,7 +230,7 @@ def _target_with_surfaces(doc: Document, pair: tuple[str, str]):
 
 def make_negative_options(
     inst: PositiveInstance, source: DonorSource, k: int, rng: random.Random
-) -> NegativeSet:
+) -> tuple[SynthSentence, ...]:
     """Up to k distinct synthetic answer options for the instance.
 
     Each candidate mentions both target entities. Candidates textually
@@ -271,12 +260,12 @@ def make_negative_options(
             seen_texts.add(synth.text)
             if len(taken) == k:
                 break
-    return NegativeSet(orientation="option", items=tuple(taken), requested=k)
+    return tuple(taken)
 
 
 def make_negative_contexts(
     inst: PositiveInstance, source: DonorSource, k: int, rng: random.Random
-) -> NegativeSet:
+) -> tuple[ContextVariant, ...]:
     """Up to k context variants, each replacing one context sentence.
 
     The pair rewritten into the chosen sentence is drawn from the
@@ -325,4 +314,4 @@ def make_negative_contexts(
                 break
             # else: stream exhausted, dropped from the rotation
         streams = live
-    return NegativeSet(orientation="context", items=tuple(taken), requested=k)
+    return tuple(taken)

@@ -26,13 +26,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from .bundle import (
-    InstanceBundle,
-    assemble_bundle,
-    bundle_to_record,
-    positive_instance,
-    read_bundles,
-)
+from .bundle import InstanceBundle, assemble_bundle, bundle_to_record, read_bundles
 from .corpus import Document, parse_corpus
 from .counterfactual import AlienEntity, apply_counterfactual, build_entity_pool, select_replacements
 from .emitter import ContrastiveInstance, bundle_to_instances, emit_instances
@@ -40,12 +34,11 @@ from .graph import EntityGraph, build_entity_graph, write_edge_list
 from .jsonl import RecordError, read_records, record_line, require, require_list, write_records
 from .metapath import (
     ExtractorConfig,
-    MetaPath,
     PathHop,
     PositiveInstance,
     extract_positive_instances,
-    hop_from_record,
-    hop_to_record,
+    path_from_record,
+    path_to_record,
 )
 from .negatives import (
     DonorSentence,
@@ -130,10 +123,7 @@ def positive_to_record(inst: PositiveInstance) -> dict:
     return {
         "doc": inst.doc_id,
         "pair": list(inst.pair),
-        "path": {
-            "entities": list(inst.path.entities),
-            "hops": [hop_to_record(h) for h in inst.path.hops],
-        },
+        "path": path_to_record(inst.path),
         "context": list(inst.context),
         "answers": sorted(inst.answers),
     }
@@ -150,10 +140,7 @@ def positive_from_record(obj: dict, line: int = 0) -> PositiveInstance:
         return PositiveInstance(
             doc_id=doc_id,
             pair=pair,
-            path=MetaPath(
-                entities=tuple(obj["path"]["entities"]),
-                hops=tuple(hop_from_record(h) for h in obj["path"]["hops"]),
-            ),
+            path=path_from_record(obj["path"]),
             context=context,
             answers=answers,
         )
@@ -250,7 +237,7 @@ def _negative_worker(
         rng = derive_rng(seed, "negatives", inst.doc_id, *inst.pair, inst.answer)
         options = make_negative_options(inst, source, cfg.num_negatives, rng)
         contexts = make_negative_contexts(inst, source, cfg.num_negatives, rng)
-        bundles.append(assemble_bundle(inst, doc, options, contexts))
+        bundles.append(assemble_bundle(inst, doc, options, contexts, cfg.num_negatives))
     return bundles
 
 
@@ -281,8 +268,8 @@ def stage_negatives(
                     counters["skipped_no_donor"] += 1
                     continue
                 counters["bundles"] += 1
-                counters["option_shortfalls"] += b.option_shortfall > 0
-                counters["context_shortfalls"] += b.context_shortfall > 0
+                counters["option_shortfalls"] += len(b.options) < cfg.num_negatives
+                counters["context_shortfalls"] += len(b.context_variants) < cfg.num_negatives
                 yield b
 
     return kept(), counters
@@ -315,14 +302,12 @@ def stage_counterfactual(
             doc = by_doc.get(bundle.doc_id)
             if doc is None:
                 raise ValueError(f"bundle references unknown document {bundle.doc_id!r}")
-            _check_sentences(
-                doc, (*bundle.context_sentences, bundle.answer_sentence), bundle.hops, "bundle"
-            )
+            indices = (*bundle.context_sentences, bundle.answer_sentence)
+            _check_sentences(doc, indices, bundle.path.hops, "bundle")
             counters["originals"] += 1
             yield bundle
             if not cfg.copies:
                 continue
-            inst = positive_instance(bundle)
             if per_doc_entities is None:
                 candidates = pool
             else:
@@ -334,7 +319,7 @@ def stage_counterfactual(
                 rng = derive_rng(seed, "counterfactual", *bundle.key(), copy)
                 try:
                     rmap = select_replacements(
-                        inst, doc, candidates, rng, include_prob=cfg.include_prob
+                        bundle, doc, candidates, rng, include_prob=cfg.include_prob
                     )
                 except ValueError:
                     counters["skipped_small_pool"] += 1

@@ -386,6 +386,9 @@ BAD_CONFIG_VALUES = [
     ("run", {}, ["--window", "0"], "counterfactual.window"),
     ("run", {}, ["--include-prob", "5"], "counterfactual.include_prob"),
     ("emit", {}, ["--include-prob", "-0.5"], "counterfactual.include_prob"),
+    ("run", {"negative": {"num_negatives": 0}}, [], "negative"),
+    ("run", {"jobs": 2}, [], "jobs"),
+    ("emit", {"emit": {"shuffle_gold": False}}, [], "emit"),
 ]
 
 
@@ -426,4 +429,21 @@ def test_train_section_leaves_config_hash_unchanged(tmp_path, capsys):
         assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path / name),
                      "--config", str(config)]) == 0
         hashes.append(json.loads((tmp_path / name / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1]
+
+
+def test_int_for_float_field_hashes_like_float(tmp_path, capsys):
+    # JSON 1 and 1.0 are the same number and configure the same run.
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(4, seed=2), fp)
+    hashes, outputs = [], []
+    for name, prob in (("int", 1), ("float", 1.0)):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"seed": 1, "counterfactual": {"include_prob": prob}}))
+        assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path / name),
+                     "--config", str(config)]) == 0
+        hashes.append(json.loads((tmp_path / name / "manifest.json").read_text())["config_hash"])
+        outputs.append(file_hash(tmp_path / name / "instances.jsonl"))
+    assert outputs[0] == outputs[1]
     assert hashes[0] == hashes[1]

@@ -33,7 +33,7 @@ def film_cast_bundle():
     rng = random.Random(13)
     options = make_negative_options(inst, DonorSource(doc), 3, rng)
     contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
-    return doc, inst, assemble_bundle(inst, doc, options, contexts)
+    return doc, inst, assemble_bundle(inst, doc, options, contexts, 3)
 
 
 def test_select_always_keys_target_pair():

@@ -34,7 +34,7 @@ def film_cast_instances(root_seed=7, shuffle_gold=True):
     rng = random.Random(root_seed)
     options = make_negative_options(inst, DonorSource(doc), 3, rng)
     contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
-    bundle = assemble_bundle(inst, doc, options, contexts)
+    bundle = assemble_bundle(inst, doc, options, contexts, 3)
     return doc, inst, bundle, bundle_to_instances(bundle, root_seed, shuffle_gold=shuffle_gold)
 
 
@@ -220,7 +220,7 @@ def test_gold_histogram_uniform_under_shuffle():
     rng = random.Random(1)
     options = make_negative_options(inst, DonorSource(doc), 3, rng)
     contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
-    bundle = assemble_bundle(inst, doc, options, contexts)
+    bundle = assemble_bundle(inst, doc, options, contexts, 3)
 
     from dataclasses import replace
 

@@ -190,12 +190,10 @@ def test_negative_options_worked_example():
     doc, inst = film_cast_instance()
     rng = random.Random(42)
     negs = make_negative_options(inst, DonorSource(doc), 3, rng)
-    assert negs.orientation == "option"
-    assert len(negs.items) == 3
-    assert negs.shortfall == 0
+    assert len(negs) == 3
     answer_text = doc.sentences[3].text
     seen = set()
-    for synth in negs.items:
+    for synth in negs:
         assert synth.text != answer_text
         assert synth.text not in seen
         seen.add(synth.text)
@@ -209,7 +207,7 @@ def test_negative_options_worked_example():
 
 def test_negative_options_k_zero_and_seeded_reproducibility():
     doc, inst = film_cast_instance()
-    assert make_negative_options(inst, DonorSource(doc), 0, random.Random(1)).items == ()
+    assert make_negative_options(inst, DonorSource(doc), 0, random.Random(1)) == ()
     a = make_negative_options(inst, DonorSource(doc), 3, random.Random(7))
     b = make_negative_options(inst, DonorSource(doc), 3, random.Random(7))
     assert a == b
@@ -232,16 +230,14 @@ def test_negative_options_shortfall():
     inst = extract_positive_instances(doc, graph, ExtractorConfig())[0]
     assert inst.pair == ("a", "b")
     negs = make_negative_options(inst, DonorSource(doc, swap_fallback=False), 8, random.Random(0))
-    assert 0 < len(negs.items) < 8
-    assert negs.shortfall == 8 - len(negs.items)
+    assert 0 < len(negs) < 8
 
 
 def test_negative_contexts_worked_example():
     doc, inst = film_cast_instance()
     negs = make_negative_contexts(inst, DonorSource(doc), 3, random.Random(5))
-    assert negs.orientation == "context"
-    assert len(negs.items) == 3
-    for variant in negs.items:
+    assert len(negs) == 3
+    for variant in negs:
         assert variant.replaced_sentence in inst.context
         original = doc.sentences[variant.replaced_sentence].text
         assert variant.replacement.text != original
@@ -267,9 +263,9 @@ def test_negative_contexts_single_sentence_context():
     inst = next(i for i in instances if i.pair == ("a", "b"))
     assert len(inst.context) == 1
     negs = make_negative_contexts(inst, DonorSource(doc), 2, random.Random(3))
-    assert len(negs.items) == 2
-    assert {v.replaced_sentence for v in negs.items} == set(inst.context)
-    texts = [v.replacement.text for v in negs.items]
+    assert len(negs) == 2
+    assert {v.replaced_sentence for v in negs} == set(inst.context)
+    texts = [v.replacement.text for v in negs]
     assert len(set(texts)) == 2
 
 
@@ -295,8 +291,8 @@ def test_pool_used_after_in_document_exhaustion():
     negs = make_negative_options(
         inst, DonorSource(doc, pool, swap_fallback=False), 8, random.Random(0)
     )
-    assert any(s.donor_doc == "other" for s in negs.items)
-    in_doc = [s for s in negs.items if s.donor_doc == "d"]
+    assert any(s.donor_doc == "other" for s in negs)
+    in_doc = [s for s in negs if s.donor_doc == "d"]
     assert in_doc  # host donors appear despite pool access
 
 

@@ -307,3 +307,68 @@ def test_ready_swap_and_pool_donors_byte_stable(tmp_path):
     assert any(
         tag.split(":")[0] != doc and "+ready" not in tag for doc, tag in tags
     ), "no relation-edited donor from another document"
+
+
+# sha256 of (bundles_counterfactual.jsonl, instances.jsonl) for the runs
+# below, recorded before the bundle layer moved to plain negative tuples and
+# one emitter path. Settings the benchmark never runs: gold kept at index 0,
+# two copies from a document window, and K=8 without swaps, where some
+# orientations fall short and are skipped. The template corpus fills K=8
+# from any pool, so the short run uses micro documents and a 10-sentence pool.
+UNBENCHED_SETTINGS_DIGESTS = {
+    "unshuffled-window": (
+        "74220e8ba843d1509a88a5c13b33ffdc95ab5302221474e7ad8e10232ad75a5a",
+        "6dfdf96c90b985a285fec0556549ae38c33b1b8a7f065e99927c2e243f6cb84c",
+    ),
+    "k8-no-swaps": (
+        "906e240ab941577dc9742a16636b9302b0653679837190dd0a4634b02ff6421f",
+        "a6c79513b34f66f82aeeda89a8a487211b514af3b13cfffc569dc227724c19d8",
+    ),
+}
+
+
+def test_unbenched_emit_and_counterfactual_settings_byte_stable(tmp_path):
+    corpora = {
+        "template": make_corpus(12, seed=11, blocks=2, fillers=8),
+        "micro": [random_micro_doc(random.Random(31 + i), f"m{i}") for i in range(40)],
+    }
+    runs = {
+        "unshuffled-window": (
+            "template",
+            dict(
+                counterfactual=pl.CounterfactualConfig(
+                    copies=2, pool_strategy="same-batch-documents", window=8
+                ),
+                emitter=pl.EmitConfig(shuffle_gold=False),
+            ),
+        ),
+        "k8-no-swaps": (
+            "micro",
+            dict(negatives=pl.NegativesConfig(num_negatives=8, pool_size=10, swap_fallback=False)),
+        ),
+    }
+    for name, (corpus_name, settings) in runs.items():
+        corpus = tmp_path / f"{corpus_name}.jsonl"
+        if not corpus.exists():
+            with open(corpus, "w", encoding="utf-8") as fp:
+                write_corpus(corpora[corpus_name], fp)
+        out = tmp_path / name
+        manifest = pl.run_pipeline(
+            pl.PipelineConfig(
+                input=str(corpus),
+                output_dir=str(out),
+                seed=3,
+                extractor=ExtractorConfig(mode="all"),
+                **settings,
+            )
+        )
+        digests = tuple(
+            hashlib.sha256((out / fname).read_bytes()).hexdigest()
+            for fname in ("bundles_counterfactual.jsonl", "instances.jsonl")
+        )
+        assert digests == UNBENCHED_SETTINGS_DIGESTS[name], name
+        emitted = manifest["stages"]["emit"]
+        if name == "k8-no-swaps":
+            assert emitted["skipped_option"] + emitted["skipped_context"] > 0
+        else:
+            assert emitted["counterfactual"] == 2 * (emitted["records"] - emitted["counterfactual"])
