@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .corpus import Document
-from .jsonl import RecordError, read_records, require, require_list, write_records
+from .jsonl import RecordError, read_records, require, require_list, require_map, write_records
 from .metapath import MetaPath, PositiveInstance, path_from_record, path_to_record
 from .negatives import ContextVariant, SynthSentence
 from .spans import MentionSpan, OverlappingSpans, check_disjoint
@@ -116,74 +116,62 @@ def bundle_to_record(b: InstanceBundle) -> dict:
     }
 
 
-def _is_mention(m) -> bool:
-    return isinstance(m, list) and len(m) == 3 and [type(v) for v in m] == [str, int, int]
+def _text_from(obj, line: int, at: str) -> AnnotatedText:
+    text = require(obj, "text", str, line, at)
+    return AnnotatedText(text=text, mentions=_mentions_from(text, obj, line, at))
 
 
-def _mentions_from(text: str, obj, line: int, where: str) -> tuple[MentionSpan, ...]:
-    if not isinstance(obj, list) or not all(_is_mention(m) for m in obj):
-        raise RecordError(line, f"{where}: mentions must be [entity, start, end] lists")
-    mentions = tuple(tuple(m) for m in obj)
+def _mentions_from(text: str, obj, line: int, at: str) -> tuple[MentionSpan, ...]:
+    mentions = require_list(obj, "mentions", (str, int, int), line, at)
     try:
         check_disjoint(text, list(mentions))
     except OverlappingSpans as exc:
-        raise RecordError(line, f"{where}: {exc}") from exc
+        raise RecordError(line, f"{at}: {exc}", f"{at}.mentions") from exc
     return mentions
 
 
-def _text_from(obj: dict, line: int, where: str) -> AnnotatedText:
-    text = obj["text"]
-    return AnnotatedText(text=text, mentions=_mentions_from(text, obj["mentions"], line, where))
-
-
-def _synth_from(obj: dict, line: int, where: str) -> SynthSentence:
-    text = obj["text"]
+def _synth_from(obj, line: int, at: str) -> SynthSentence:
+    text = require(obj, "text", str, line, at)
     return SynthSentence(
         text=text,
-        donor_doc=obj["donor_doc"],
-        donor_sentence=require(obj, "donor_sentence", int, line),
-        replaced=tuple((a, b) for a, b in obj["replaced"]),
-        mentions=_mentions_from(text, obj["mentions"], line, where),
-        swap=require(obj, "swap", bool, line),
+        donor_doc=require(obj, "donor_doc", str, line, at),
+        donor_sentence=require(obj, "donor_sentence", int, line, at),
+        replaced=require_list(obj, "replaced", (str, str), line, at),
+        mentions=_mentions_from(text, obj, line, at),
+        swap=require(obj, "swap", bool, line, at),
     )
 
 
-def bundle_from_record(obj: dict, line: int = 0) -> InstanceBundle:
+def _variant_from(obj, line: int, at: str) -> ContextVariant:
+    return ContextVariant(
+        replaced_sentence=require(obj, "replaced_sentence", int, line, at),
+        replacement=_synth_from(obj, line, at),
+    )
+
+
+def bundle_from_record(obj, line: int = 0) -> InstanceBundle:
     """Decode one bundle line; every text's mention spans must be disjoint and inside it."""
-    doc_id = require(obj, "doc", str, line)
-    pair = require_list(obj, "pair", str, line, length=2)
     context_sentences = require_list(obj, "context_sentences", int, line)
-    answer_sentence = require(obj, "answer_sentence", int, line)
-    try:
-        return InstanceBundle(
-            doc_id=doc_id,
-            pair=pair,
-            path=path_from_record(obj["path"]),
-            context_sentences=context_sentences,
-            context=tuple(
-                _text_from(t, line, f"context[{i}]") for i, t in enumerate(obj["context"])
-            ),
-            answer_sentence=answer_sentence,
-            answer=_text_from(obj["answer"], line, "answer"),
-            options=tuple(
-                _synth_from(s, line, f"options[{i}]") for i, s in enumerate(obj["options"])
-            ),
-            context_variants=tuple(
-                ContextVariant(
-                    replaced_sentence=require(v, "replaced_sentence", int, line),
-                    replacement=_synth_from(v, line, f"context_variants[{i}]"),
-                )
-                for i, v in enumerate(obj["context_variants"])
-            ),
-            requested_negatives=require(obj, "requested_negatives", int, line),
-            counterfactual=require(obj, "counterfactual", bool, line),
-            variant=require(obj, "variant", int, line),
-            replacements=tuple(sorted(obj["replacements"].items())),
-        )
-    except RecordError:
-        raise
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
-        raise RecordError(line, f"malformed bundle record: {exc!r}") from exc
+    context = require_list(obj, "context", dict, line)
+    options = require_list(obj, "options", dict, line)
+    variants = require_list(obj, "context_variants", dict, line)
+    return InstanceBundle(
+        doc_id=require(obj, "doc", str, line),
+        pair=require_list(obj, "pair", str, line, length=2),
+        path=path_from_record(require(obj, "path", dict, line), line),
+        context_sentences=context_sentences,
+        context=tuple(_text_from(t, line, f"context[{i}]") for i, t in enumerate(context)),
+        answer_sentence=require(obj, "answer_sentence", int, line),
+        answer=_text_from(require(obj, "answer", dict, line), line, "answer"),
+        options=tuple(_synth_from(s, line, f"options[{i}]") for i, s in enumerate(options)),
+        context_variants=tuple(
+            _variant_from(v, line, f"context_variants[{i}]") for i, v in enumerate(variants)
+        ),
+        requested_negatives=require(obj, "requested_negatives", int, line),
+        counterfactual=require(obj, "counterfactual", bool, line),
+        variant=require(obj, "variant", int, line),
+        replacements=require_map(obj, "replacements", str, line),
+    )
 
 
 def write_bundles(bundles: Iterable[InstanceBundle], fp: IO[str]) -> int:

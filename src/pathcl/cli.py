@@ -23,7 +23,7 @@ from pathlib import Path
 from . import pipeline as pl
 from .bundle import read_bundles, write_bundles
 from .emitter import bundle_to_instances, read_instances, stats
-from .jsonl import RecordError
+from .jsonl import RecordError, typed
 from .metapath import ExtractorConfig
 from .synth import make_corpus
 from .trainer import (
@@ -69,9 +69,10 @@ def _load_config_file(path: str | None) -> dict:
     if not resolved:
         return {}
     with open(resolved, "r", encoding="utf-8") as fp:
-        data = json.load(fp)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
+        try:
+            data = typed(json.load(fp), dict, resolved)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{resolved}: invalid JSON: {exc}") from exc
     unknown = sorted(set(data) - set(CONFIG_KEYS))
     if unknown:
         raise ValueError(
@@ -80,42 +81,21 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-# JSON types a config field of each annotated type accepts; bool is an int
-# subclass in Python, so it is told apart explicitly.
-_ACCEPTS = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
-
-
-def _check_type(key: str, value, type_name: str) -> None:
-    if not isinstance(value, _ACCEPTS[type_name]) or (
-        type_name != "bool" and isinstance(value, bool)
-    ):
-        raise ValueError(f"{key}: expected {type_name}, got {json.dumps(value)}")
-
-
 def _section(cls, file_cfg: dict, name: str, args=None, **fixed):
     """`cls` from the file's `name` section; a flag whose dest is a field name wins.
 
-    Every value must have its field's type: a file's "3" or 3.7 for an int
-    field, or "no" for a bool field, is an error naming `name.key`. An int
-    given for a float field is stored as a float, so 1 and 1.0 configure
-    (and hash) alike.
+    The config class checks every value itself, naming `name.key`.
     """
-    merged = file_cfg.get(name, {})
-    if not isinstance(merged, dict):
-        raise ValueError(f"{name}: expected a JSON object")
-    merged = dict(merged)
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(merged) - set(types)
+    merged = dict(typed(file_cfg.get(name, {}), dict, name))
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(merged) - set(names))
     if unknown:
-        raise ValueError(f"unknown {name} config keys: {sorted(unknown)}")
-    for key in types:
+        raise ValueError(f"{name}.{unknown[0]}: unknown config key")
+    for key in names:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    merged.update(fixed)
-    for key, value in merged.items():
-        _check_type(f"{name}.{key}", value, types[key])
-    return cls(**{k: float(v) if types[k] == "float" else v for k, v in merged.items()})
+    return cls(**{**merged, **fixed})
 
 
 def _resolve_seed(args, file_cfg: dict, *, required: bool) -> int:
@@ -126,8 +106,7 @@ def _resolve_seed(args, file_cfg: dict, *, required: bool) -> int:
         if required:
             raise SystemExit2("--seed is required (flag or config file)")
         seed = 0
-    _check_type("seed", seed, "int")
-    return seed
+    return typed(seed, int, "seed")
 
 
 class SystemExit2(Exception):
@@ -309,51 +288,27 @@ def _add_common(p: argparse.ArgumentParser, *, seed=True, config=True):
         )
 
 
+def _switch(p: argparse.ArgumentParser, flag: str, dest: str, value: bool, help=None):
+    """A flag setting the bool field `dest` to `value`; without it the config file decides."""
+    p.add_argument(flag, dest=dest, action="store_const", const=value, default=None, help=help)
+
+
 def _add_extractor_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-hops", type=int, default=None, help="max entities on a path")
     p.add_argument("--mode", choices=["first", "all"], default=None, help="pair iteration mode")
-    p.add_argument(
-        "--greedy",
-        dest="backtracking",
-        action="store_const",
-        const=False,
-        default=None,
-        help="commit to the first viable hop instead of backtracking",
-    )
-    p.add_argument(
-        "--allow-empty-context",
-        dest="require_context",
-        action="store_const",
-        const=False,
-        default=None,
-        help="accept paths whose hops consume no sentence",
-    )
+    _switch(p, "--greedy", "backtracking", False,
+            "commit to the first viable hop instead of backtracking")
+    _switch(p, "--allow-empty-context", "require_context", False,
+            "accept paths whose hops consume no sentence")
 
 
 def _add_negative_flags(p: argparse.ArgumentParser):
     p.add_argument("--num-negatives", type=int, default=None, help="negatives per instance (K)")
     p.add_argument("--pool-size", type=int, default=None, help="cross-document donor pool cap")
-    p.add_argument(
-        "--no-cross-document",
-        dest="allow_cross_document",
-        action="store_const",
-        const=False,
-        default=None,
-    )
-    p.add_argument(
-        "--no-swap-fallback",
-        dest="swap_fallback",
-        action="store_const",
-        const=False,
-        default=None,
-    )
-    p.add_argument(
-        "--ready-negatives",
-        action="store_const",
-        const=True,
-        default=None,
-        help="reuse other documents' answers for the same pair as negatives",
-    )
+    _switch(p, "--no-cross-document", "allow_cross_document", False)
+    _switch(p, "--no-swap-fallback", "swap_fallback", False)
+    _switch(p, "--ready-negatives", "ready_negatives", True,
+            "reuse other documents' answers for the same pair as negatives")
 
 
 def _add_counterfactual_flags(p: argparse.ArgumentParser):
@@ -375,14 +330,7 @@ def _add_counterfactual_flags(p: argparse.ArgumentParser):
 
 
 def _add_emit_flags(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--no-shuffle-gold",
-        dest="shuffle_gold",
-        action="store_const",
-        const=False,
-        default=None,
-        help="keep the gold candidate at index 0",
-    )
+    _switch(p, "--no-shuffle-gold", "shuffle_gold", False, "keep the gold candidate at index 0")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):

@@ -20,16 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator
 
-from .jsonl import RecordError, read_records, write_records
-
-
-class CorpusError(RecordError):
-    """Schema or invariant violation tied to one input line."""
-
-    def __init__(self, line: int, field: str, message: str):
-        super().__init__(line, f"{field}: {message}" if field else message)
-        self.field = field
-        self.message = message
+from .jsonl import RecordError, read_records, require, write_records
 
 
 @dataclass(frozen=True)
@@ -110,35 +101,41 @@ def validate_document(doc: Document) -> list[str]:
     An empty list means the document is well-formed. Violations are data,
     not exceptions: callers decide whether to skip, report, or abort.
     """
-    problems: list[str] = []
+    return [f"{where}: {problem}" for where, problem in _problems(doc)]
+
+
+def _problems(doc: Document) -> list[tuple[str, str]]:
+    """Each violated invariant as (field path, description)."""
+    problems: list[tuple[str, str]] = []
     n_sent = len(doc.sentences)
 
     for i, sent in enumerate(doc.sentences):
         if sent.index != i:
-            problems.append(f"sentences[{i}].index: is {sent.index}, expected {i}")
+            problems.append((f"sentences[{i}].index", f"is {sent.index}, expected {i}"))
 
     seen_ids: set[str] = set()
     for i, entity in enumerate(doc.entities):
         if entity.id in seen_ids:
-            problems.append(f"entities[{i}].id: duplicate entity id {entity.id!r}")
+            problems.append((f"entities[{i}].id", f"duplicate entity id {entity.id!r}"))
         seen_ids.add(entity.id)
         if not entity.surface:
-            problems.append(f"entities[{i}].name: entity {entity.id!r} has empty surface")
+            problems.append((f"entities[{i}].name", f"entity {entity.id!r} has empty surface"))
         if not entity.mentions:
-            problems.append(f"entities[{i}].mentions: entity {entity.id!r} has no mentions")
+            problems.append((f"entities[{i}].mentions", f"entity {entity.id!r} has no mentions"))
         for j, m in enumerate(entity.mentions):
             where = f"entities[{i}].mentions[{j}]"
             if not 0 <= m.sent < n_sent:
                 problems.append(
-                    f"{where}: entity {entity.id!r} mention sentence {m.sent} out of range"
+                    (where, f"entity {entity.id!r} mention sentence {m.sent} out of range")
                 )
                 continue
             length = len(doc.sentences[m.sent].text)
             if m.start < 0 or m.end > length or m.start >= m.end:
-                problems.append(
-                    f"{where}: entity {entity.id!r} span [{m.start}, {m.end}) invalid "
-                    f"for sentence {m.sent} of length {length}"
-                )
+                problems.append((
+                    where,
+                    f"entity {entity.id!r} span [{m.start}, {m.end}) invalid "
+                    f"for sentence {m.sent} of length {length}",
+                ))
 
     # Overlap check between distinct mentions sharing a sentence.
     by_sentence: dict[int, list[tuple[int, int, str]]] = {}
@@ -150,81 +147,56 @@ def validate_document(doc: Document) -> list[str]:
         spans.sort()
         for (s1, e1, id1), (s2, e2, id2) in zip(spans, spans[1:]):
             if s2 < e1:
-                problems.append(
-                    f"sentence {k}: mention [{s1}, {e1}) of {id1!r} overlaps "
-                    f"[{s2}, {e2}) of {id2!r}"
-                )
+                problems.append((
+                    f"sentences[{k}]",
+                    f"mention [{s1}, {e1}) of {id1!r} overlaps [{s2}, {e2}) of {id2!r}",
+                ))
 
     for i, rel in enumerate(doc.relations):
         if rel.head == rel.tail:
-            problems.append(f"relations[{i}]: self-relation on entity {rel.head!r}")
+            problems.append((f"relations[{i}]", f"self-relation on entity {rel.head!r}"))
         for role, eid in (("head", rel.head), ("tail", rel.tail)):
             if eid not in seen_ids:
-                problems.append(f"relations[{i}].{role}: unknown entity id {eid!r}")
+                problems.append((f"relations[{i}].{role}", f"unknown entity id {eid!r}"))
 
     return problems
 
 
-def _expect(obj: dict, key: str, kind: type, path: str, line: int):
-    if key not in obj:
-        raise CorpusError(line, f"{path}.{key}" if path else key, "missing field")
-    value = obj[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise CorpusError(
-            line,
-            f"{path}.{key}" if path else key,
-            f"expected {kind.__name__}, got {type(value).__name__}",
-        )
-    return value
-
-
 def parse_record(obj: dict, line: int = 0) -> Document:
     """Build a Document from one decoded record, enforcing all invariants."""
-    if not isinstance(obj, dict):
-        raise CorpusError(line, "", f"expected object, got {type(obj).__name__}")
-    doc_id = _expect(obj, "id", str, "", line)
-
-    sentences = []
-    for i, s in enumerate(_expect(obj, "sentences", list, "", line)):
-        if not isinstance(s, dict):
-            raise CorpusError(line, f"sentences[{i}]", "expected object")
-        sentences.append(Sentence(index=i, text=_expect(s, "text", str, f"sentences[{i}]", line)))
-
+    doc_id = require(obj, "id", str, line)
+    sentences = [
+        Sentence(index=i, text=require(s, "text", str, line, f"sentences[{i}]"))
+        for i, s in enumerate(require(obj, "sentences", list, line))
+    ]
     entities = []
-    for i, e in enumerate(_expect(obj, "entities", list, "", line)):
-        if not isinstance(e, dict):
-            raise CorpusError(line, f"entities[{i}]", "expected object")
-        path = f"entities[{i}]"
+    for i, e in enumerate(require(obj, "entities", list, line)):
+        at = f"entities[{i}]"
         mentions = []
-        for j, m in enumerate(_expect(e, "mentions", list, path, line)):
-            if not isinstance(m, dict):
-                raise CorpusError(line, f"{path}.mentions[{j}]", "expected object")
-            mpath = f"{path}.mentions[{j}]"
+        for j, m in enumerate(require(e, "mentions", list, line, at)):
+            m_at = f"{at}.mentions[{j}]"
             mentions.append(
                 Mention(
-                    sent=_expect(m, "sent", int, mpath, line),
-                    start=_expect(m, "start", int, mpath, line),
-                    end=_expect(m, "end", int, mpath, line),
+                    sent=require(m, "sent", int, line, m_at),
+                    start=require(m, "start", int, line, m_at),
+                    end=require(m, "end", int, line, m_at),
                 )
             )
         entities.append(
             Entity(
-                id=_expect(e, "id", str, path, line),
-                surface=_expect(e, "name", str, path, line),
+                id=require(e, "id", str, line, at),
+                surface=require(e, "name", str, line, at),
                 mentions=tuple(mentions),
             )
         )
-
     relations = []
-    for i, r in enumerate(_expect(obj, "relations", list, "", line)):
-        if not isinstance(r, dict):
-            raise CorpusError(line, f"relations[{i}]", "expected object")
-        path = f"relations[{i}]"
+    for i, r in enumerate(require(obj, "relations", list, line)):
+        at = f"relations[{i}]"
         relations.append(
             RelationTriple(
-                head=_expect(r, "head", str, path, line),
-                tail=_expect(r, "tail", str, path, line),
-                relation=_expect(r, "type", str, path, line),
+                head=require(r, "head", str, line, at),
+                tail=require(r, "tail", str, line, at),
+                relation=require(r, "type", str, line, at),
             )
         )
 
@@ -234,11 +206,10 @@ def parse_record(obj: dict, line: int = 0) -> Document:
         entities=tuple(entities),
         relations=tuple(relations),
     )
-    problems = validate_document(doc)
+    problems = _problems(doc)
     if problems:
-        head = problems[0]
-        field = head.split(":", 1)[0] if ":" in head else ""
-        raise CorpusError(line, field, "; ".join(problems))
+        message = "; ".join(f"{where}: {problem}" for where, problem in problems)
+        raise RecordError(line, message, problems[0][0])
     return doc
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from .bundle import InstanceBundle
-from .jsonl import RecordError, read_records, require, require_list, write_records
+from .jsonl import RecordError, read_records, require, require_list, require_map, write_records
 from .negatives import ContextVariant, SynthSentence
 from .seeding import derive_rng
 
@@ -196,20 +196,20 @@ def emit_instances(
     return write_records(interleaved(), instance_to_record, fp)
 
 
-def instance_from_record(obj: dict, line: int = 0) -> ContrastiveInstance:
+def instance_from_record(obj, line: int = 0) -> ContrastiveInstance:
     orientation = require(obj, "orientation", str, line)
     query = require(obj, "query", str, line)
     candidates = require_list(obj, "candidates", str, line)
     gold = require(obj, "gold", int, line)
     meta = require(obj, "meta", dict, line)
     info = InstanceMeta(
-        doc=require(meta, "doc", str, line),
-        pair=require_list(meta, "pair", str, line, length=2),
-        path=tuple(require(meta, "path", list, line)),
-        counterfactual=require(meta, "counterfactual", bool, line),
-        replacements=tuple(sorted(require(meta, "replacements", dict, line).items())),
-        strategy=require(meta, "strategy", str, line),
-        context_texts=tuple(require(meta, "context_texts", list, line)),
+        doc=require(meta, "doc", str, line, "meta"),
+        pair=require_list(meta, "pair", str, line, "meta", length=2),
+        path=require_list(meta, "path", str, line, "meta"),
+        counterfactual=require(meta, "counterfactual", bool, line, "meta"),
+        replacements=require_map(meta, "replacements", str, line, "meta"),
+        strategy=require(meta, "strategy", str, line, "meta"),
+        context_texts=require_list(meta, "context_texts", str, line, "meta"),
     )
     try:
         return ContrastiveInstance(

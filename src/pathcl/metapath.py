@@ -24,20 +24,19 @@ from dataclasses import dataclass
 
 from .corpus import Document, sentence_entities
 from .graph import EntityGraph
+from .jsonl import RecordError, bounded, check_config, require, require_list
 
 
 @dataclass(frozen=True)
 class ExtractorConfig:
-    max_hops: int = 4  # maximum entities on a path (4 entities = 3 hops)
-    mode: str = "first"  # "first": stop at first successful pair; "all": every unordered pair
+    max_hops: int = bounded(4, low=2)  # maximum entities on a path (4 entities = 3 hops)
+    # "first": stop at the first successful pair; "all": every unordered pair
+    mode: str = bounded("first", choices=("first", "all"))
     backtracking: bool = True
     require_context: bool = True  # reject paths that consume no sentence
 
     def __post_init__(self):
-        if self.max_hops < 2:
-            raise ValueError("max_hops must allow at least two entities")
-        if self.mode not in ("first", "all"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        check_config(self, "extractor")
 
 
 @dataclass(frozen=True)
@@ -66,19 +65,23 @@ def path_to_record(path: MetaPath) -> dict:
     }
 
 
-def _hop_from_record(obj: dict) -> PathHop:
-    sentence, label = obj["sentence"], obj["kg"]
-    if not (sentence is None or type(sentence) is int) or not (label is None or type(label) is str):
-        raise TypeError(f"hop needs an int sentence or a str KG label, got {sentence!r}, {label!r}")
-    return PathHop(via_sentence=sentence, kg_label=label)
+def _hop_from_record(obj, line: int, at: str) -> PathHop:
+    sentence = require(obj, "sentence", int, line, at, nullable=True)
+    label = require(obj, "kg", str, line, at, nullable=True)
+    try:
+        return PathHop(via_sentence=sentence, kg_label=label)
+    except ValueError as exc:
+        raise RecordError(line, f"{at}: {exc}", at) from exc
 
 
-def path_from_record(obj: dict) -> MetaPath:
-    """Inverse of `path_to_record`; a malformed hop raises TypeError or ValueError."""
-    return MetaPath(
-        entities=tuple(obj["entities"]),
-        hops=tuple(_hop_from_record(h) for h in obj["hops"]),
+def path_from_record(obj, line: int, at: str = "path") -> MetaPath:
+    """Inverse of `path_to_record`: the path at field `at` of a record's `line`."""
+    hops = tuple(
+        _hop_from_record(h, line, f"{at}.hops[{i}]")
+        for i, h in enumerate(require(obj, "hops", list, line, at))
     )
+    entities = require_list(obj, "entities", str, line, at, length=len(hops) + 1)
+    return MetaPath(entities=entities, hops=hops)
 
 
 @dataclass(frozen=True)

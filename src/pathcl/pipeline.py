@@ -31,7 +31,16 @@ from .corpus import Document, parse_corpus
 from .counterfactual import AlienEntity, apply_counterfactual, build_entity_pool, select_replacements
 from .emitter import ContrastiveInstance, bundle_to_instances, emit_instances
 from .graph import EntityGraph, build_entity_graph, write_edge_list
-from .jsonl import RecordError, read_records, record_line, require, require_list, write_records
+from .jsonl import (
+    RecordError,
+    bounded,
+    check_config,
+    read_records,
+    record_line,
+    require,
+    require_list,
+    write_records,
+)
 from .metapath import (
     ExtractorConfig,
     PathHop,
@@ -53,38 +62,33 @@ from .seeding import derive_rng
 
 @dataclass
 class NegativesConfig:
-    num_negatives: int = 3
+    num_negatives: int = bounded(3, low=0)
     pool_size: int = 1000
     allow_cross_document: bool = True
     swap_fallback: bool = True
     ready_negatives: bool = False
 
     def __post_init__(self):
-        if self.num_negatives < 0:
-            raise ValueError("negatives.num_negatives must be >= 0")
+        check_config(self, "negatives")
 
 
 @dataclass
 class CounterfactualConfig:
-    copies: int = 1  # counterfactual copies per original (the N of a 1:N mix)
-    include_prob: float = 0.5
-    pool_strategy: str = "uniform"  # "uniform" | "same-batch-documents"
-    window: int = 64  # document window for same-batch-documents
+    copies: int = bounded(1, low=0)  # counterfactual copies per original (the N of a 1:N mix)
+    include_prob: float = bounded(0.5, low=0.0, high=1.0)
+    pool_strategy: str = bounded("uniform", choices=("uniform", "same-batch-documents"))
+    window: int = bounded(64, low=1)  # document window for same-batch-documents
 
     def __post_init__(self):
-        if self.copies < 0:
-            raise ValueError("counterfactual.copies must be >= 0")
-        if self.window < 1:
-            raise ValueError("counterfactual.window must be >= 1")
-        if not 0.0 <= self.include_prob <= 1.0:
-            raise ValueError("counterfactual.include_prob must lie in [0, 1]")
-        if self.pool_strategy not in ("uniform", "same-batch-documents"):
-            raise ValueError(f"unknown pool strategy {self.pool_strategy!r}")
+        check_config(self, "counterfactual")
 
 
 @dataclass
 class EmitConfig:
     shuffle_gold: bool = True
+
+    def __post_init__(self):
+        check_config(self, "emitter")
 
 
 @dataclass
@@ -129,23 +133,17 @@ def positive_to_record(inst: PositiveInstance) -> dict:
     }
 
 
-def positive_from_record(obj: dict, line: int = 0) -> PositiveInstance:
-    doc_id = require(obj, "doc", str, line)
-    pair = require_list(obj, "pair", str, line, length=2)
-    context = require_list(obj, "context", int, line)
-    answers = frozenset(require_list(obj, "answers", int, line))
+def positive_from_record(obj, line: int = 0) -> PositiveInstance:
+    answers = require_list(obj, "answers", int, line)
     if not answers:
-        raise RecordError(line, "field 'answers': expected at least one entry")
-    try:
-        return PositiveInstance(
-            doc_id=doc_id,
-            pair=pair,
-            path=path_from_record(obj["path"]),
-            context=context,
-            answers=answers,
-        )
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
-        raise RecordError(line, f"malformed positive record: {exc!r}") from exc
+        raise RecordError(line, "answers: expected at least one entry, got 0", "answers")
+    return PositiveInstance(
+        doc_id=require(obj, "doc", str, line),
+        pair=require_list(obj, "pair", str, line, length=2),
+        path=path_from_record(require(obj, "path", dict, line), line),
+        context=require_list(obj, "context", int, line),
+        answers=frozenset(answers),
+    )
 
 
 def write_positives(instances: Iterable[PositiveInstance], fp: IO[str]) -> int:

@@ -33,6 +33,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .emitter import ContrastiveInstance
+from .jsonl import bounded, check_config
 from .seeding import derive_rng, derive_seed
 
 UNK_TOKEN = "[unk]"
@@ -500,21 +501,16 @@ def grad_check(
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.1
-    epochs: int = 200
-    batch_size: int = 8
+    epochs: int = bounded(200, low=0)
+    batch_size: int = bounded(8, low=1)
     seed: int = 0
     mlm_weight: float = 1.0
-    mask_rate: float = 0.15
-    dim: int = 32
-    hidden: int = 64
+    mask_rate: float = bounded(0.15, low=0.0, high=1.0)
+    dim: int = bounded(32, low=1)
+    hidden: int = bounded(64, low=1)
 
     def __post_init__(self):
-        if self.dim <= 0 or self.hidden <= 0:
-            raise ValueError("dimensions must be positive")
-        if not 0.0 <= self.mask_rate <= 1.0:
-            raise ValueError("mask_rate must lie in [0, 1]")
-        if self.epochs < 0 or self.batch_size <= 0:
-            raise ValueError("bad epoch or batch size")
+        check_config(self, "train")
 
 
 EVAL_CHUNK = 32  # instances per evaluation layout; bounds its pooling matrix

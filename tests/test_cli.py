@@ -112,11 +112,13 @@ def test_negatives_bad_positives_line_numbered(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("context", "12", "error: line 3: field 'context': expected list"),
+        ("context", "12", "error: line 3: context: expected array, got string"),
         ("context", [999], "names sentence 999, outside its"),
-        ("answers", [], "error: line 3: field 'answers': expected at least one entry"),
-        ("hops", {"sentence": "3", "kg": None}, "line 3: malformed positive record: TypeError"),
+        ("answers", [], "error: line 3: answers: expected at least one entry, got 0"),
+        ("hops", {"sentence": "3", "kg": None},
+         "error: line 3: path.hops[0].sentence: expected int, got string"),
         ("hops", {"sentence": 999, "kg": None}, "names sentence 999, outside its"),
+        ("entities", "syn", "error: line 3: path.entities: expected array, got string"),
     ],
 )
 def test_negatives_bad_positive_values_exit_1(tmp_path, capsys, key, value, message):
@@ -129,6 +131,8 @@ def test_negatives_bad_positive_values_exit_1(tmp_path, capsys, key, value, mess
     record = json.loads(good[2])
     if key == "hops":
         record["path"]["hops"] = [value] * len(record["path"]["hops"])
+    elif key == "entities":
+        record["path"]["entities"] = value
     else:
         record[key] = value
     bad = tmp_path / "bad.jsonl"
@@ -416,6 +420,20 @@ def test_config_values_checked_at_boundary(tmp_path, capsys, command, config, fl
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}") and "Traceback" not in err, err
     assert not out.exists()
+
+
+def test_config_file_syntax_error_names_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    film_cast_corpus(corpus)
+    config = tmp_path / "bad.json"
+    config.write_text('{"seed": 1,}')
+    assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path / "out"),
+                 "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: invalid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 12 (char 11)\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_section_leaves_config_hash_unchanged(tmp_path, capsys):

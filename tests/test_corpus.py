@@ -5,7 +5,6 @@ import random
 import pytest
 
 from pathcl.corpus import (
-    CorpusError,
     Document,
     Entity,
     Mention,
@@ -18,6 +17,7 @@ from pathcl.corpus import (
     validate_document,
     write_corpus,
 )
+from pathcl.jsonl import RecordError
 
 from corpora import film_cast_document, random_micro_doc
 
@@ -53,7 +53,7 @@ def test_parse_empty_stream():
 def test_parse_bad_span_names_mention():
     bad = json.loads(json.dumps(MINIMAL))
     bad["entities"][1]["mentions"][0]["end"] = 99
-    errors: list[CorpusError] = []
+    errors: list[RecordError] = []
     docs = list(parse_corpus([record_line(bad)], errors))
     assert docs == []
     assert len(errors) == 1
@@ -64,14 +64,14 @@ def test_parse_bad_span_names_mention():
 
 def test_parse_recovers_per_line():
     lines = [record_line(MINIMAL), "not json\n", record_line({**MINIMAL, "id": "d1"})]
-    errors: list[CorpusError] = []
+    errors: list[RecordError] = []
     docs = list(parse_corpus(lines, errors))
     assert [d.id for d in docs] == ["d0", "d1"]
     assert [e.line for e in errors] == [2]
 
 
 def test_parse_strict_raises():
-    with pytest.raises(CorpusError) as exc:
+    with pytest.raises(RecordError) as exc:
         list(parse_corpus(["{}"]))
     assert exc.value.line == 1
     assert "id" in str(exc.value)
@@ -80,7 +80,7 @@ def test_parse_strict_raises():
 def test_missing_field_path():
     bad = json.loads(json.dumps(MINIMAL))
     del bad["entities"][0]["mentions"]
-    with pytest.raises(CorpusError) as exc:
+    with pytest.raises(RecordError) as exc:
         parse_record(bad, 7)
     assert exc.value.line == 7
     assert exc.value.field == "entities[0].mentions"

@@ -109,6 +109,17 @@ def test_read_rejects_bad_gold():
     rec["gold"] = 99
     with pytest.raises(RecordError):
         list(read_instances([json.dumps(rec)]))
+    # Nor does it take a meta list holding anything but strings.
+    rec = instance_to_record(random_instance(rng))
+    rec["meta"]["path"][1] = 7
+    rec["meta"]["context_texts"] = ["s one", None]
+    with pytest.raises(RecordError, match=r"^line 1: meta\.path\[1\]: expected string, got int$"):
+        list(read_instances([json.dumps(rec)]))
+    rec["meta"]["path"][1] = "m"
+    with pytest.raises(
+        RecordError, match=r"^line 1: meta\.context_texts\[1\]: expected string, got null$"
+    ):
+        list(read_instances([json.dumps(rec)]))
 
 
 def test_read_empty_file():

@@ -4,11 +4,14 @@ import json
 import random
 import tracemalloc
 
+import pytest
+
 from pathcl import pipeline as pl
 from pathcl.corpus import write_corpus
 from pathcl.emitter import read_instances
 from pathcl.metapath import ExtractorConfig
 from pathcl.synth import make_corpus
+from pathcl.trainer import TrainConfig
 
 from corpora import build_document, film_cast_document, random_micro_doc
 
@@ -24,6 +27,41 @@ def run_stages(docs, seed=3, mode="first", negatives=None, cf=None):
     emit_counts = pl.stage_emit(out, cf.copies, pl.EmitConfig(), seed, buf)
     buf.seek(0)
     return list(read_instances(buf)), neg_counts, cf_counts, emit_counts
+
+
+def test_default_config_hash_pinned():
+    # manifest.json carries this hash, so moving it changes every run's bytes.
+    cfg = pl.PipelineConfig(input="a", output_dir="b", seed=0)
+    assert cfg.hash() == "f588c2a6e2f25021712a305a0e8589e39d9b041a7ead4d42ffb66ac426da1100"
+
+
+def test_config_values_typed_when_built_in_python():
+    # An int for a float field configures and hashes like the float.
+    spellings = [
+        pl.PipelineConfig(input="a", output_dir="b", seed=1,
+                          counterfactual=pl.CounterfactualConfig(include_prob=prob))
+        for prob in (1, 1.0)
+    ]
+    assert spellings[0].counterfactual.include_prob == 1.0
+    assert type(spellings[0].counterfactual.include_prob) is float
+    assert spellings[0].hash() == spellings[1].hash()
+    for build, message in (
+        (lambda: pl.NegativesConfig(num_negatives="3"),
+         "negatives.num_negatives: expected int, got string"),
+        (lambda: pl.NegativesConfig(num_negatives=True),
+         "negatives.num_negatives: expected int, got bool"),
+        (lambda: ExtractorConfig(max_hops=2.5), "extractor.max_hops: expected int, got float"),
+        (lambda: ExtractorConfig(max_hops=1), "extractor.max_hops: expected int >= 2, got 1"),
+        (lambda: ExtractorConfig(mode="some"),
+         "extractor.mode: expected one of 'first', 'all', got 'some'"),
+        (lambda: pl.CounterfactualConfig(include_prob=1.5),
+         "counterfactual.include_prob: expected float in [0.0, 1.0], got 1.5"),
+        (lambda: pl.EmitConfig(shuffle_gold=1), "emitter.shuffle_gold: expected bool, got int"),
+        (lambda: TrainConfig(batch_size=0), "train.batch_size: expected int >= 1, got 0"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_positive_record_round_trip():

@@ -157,18 +157,21 @@ def test_bundle_with_non_object_replacements_exit_1(film_cast_run, tmp_path, cap
     bundles = tmp_path / "bundles.jsonl"
     bundles.write_text(json.dumps(record) + "\n", encoding="utf-8")
     corpus = str(film_cast_run / "corpus.jsonl")
+    got = {list: "array", type(None): "null", str: "string"}[type(replacements)]
     for args in (["counterfactual", "--corpus", corpus], ["emit"]):
         rc = main([*args, "--input", str(bundles), "--output", str(tmp_path / "out.jsonl")])
         assert rc == 1
-        assert "line 1: malformed bundle record: AttributeError" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: line 1: replacements: expected object, got {got}\n"
+        )
 
 
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("context_sentences", "12", "line 1: field 'context_sentences': expected list"),
-        ("answer_sentence", "3", "line 1: field 'answer_sentence': expected int"),
-        ("pair", ["a"], "line 1: field 'pair': expected 2 entries"),
+        ("context_sentences", "12", "line 1: context_sentences: expected array, got string"),
+        ("answer_sentence", "3", "line 1: answer_sentence: expected int, got string"),
+        ("pair", ["a"], "line 1: pair: expected 2 entries, got 1"),
         ("context_sentences", [999], "names sentence 999, outside its"),
     ],
 )
@@ -189,23 +192,30 @@ def test_bundle_mistyped_or_out_of_range_exit_1(
     "edit, message",
     [
         (lambda r: r.__setitem__("requested_negatives", 2.7),
-         "line 1: field 'requested_negatives': expected int"),
-        (lambda r: r.__setitem__("variant", 1.5), "line 1: field 'variant': expected int"),
+         "line 1: requested_negatives: expected int, got float"),
+        (lambda r: r.__setitem__("variant", 1.5), "line 1: variant: expected int, got float"),
         (lambda r: r.__setitem__("counterfactual", 0),
-         "line 1: field 'counterfactual': expected bool"),
+         "line 1: counterfactual: expected bool, got int"),
         (lambda r: r["options"][0].__setitem__("donor_sentence", 1.5),
-         "line 1: field 'donor_sentence': expected int"),
+         "line 1: options[0].donor_sentence: expected int, got float"),
         (lambda r: r["options"][0].__setitem__("swap", "no"),
-         "line 1: field 'swap': expected bool"),
+         "line 1: options[0].swap: expected bool, got string"),
         (lambda r: r["context_variants"][0].__setitem__("replaced_sentence", 1.5),
-         "line 1: field 'replaced_sentence': expected int"),
+         "line 1: context_variants[0].replaced_sentence: expected int, got float"),
         (lambda r: r["answer"]["mentions"][0].__setitem__(1, 0.5),
-         "line 1: answer: mentions must be"),
+         "line 1: answer.mentions[0][1]: expected int, got float"),
         (lambda r: r["options"][0]["mentions"][0].__setitem__(0, 5),
-         "line 1: options[0]: mentions must be"),
+         "line 1: options[0].mentions[0][0]: expected string, got int"),
+        (lambda r: r["options"][0].__setitem__("donor_doc", 5),
+         "line 1: options[0].donor_doc: expected string, got int"),
+        (lambda r: r["options"][0]["replaced"][0].__setitem__(1, None),
+         "line 1: options[0].replaced[0][1]: expected string, got null"),
+        (lambda r: r.__setitem__("replacements", {"e1": 5}),
+         "line 1: replacements.e1: expected string, got int"),
     ],
     ids=["requested_negatives", "variant", "counterfactual", "donor_sentence", "swap",
-         "replaced_sentence", "mention_start", "mention_entity"],
+         "replaced_sentence", "mention_start", "mention_entity", "donor_doc", "replaced",
+         "replacements"],
 )
 def test_bundle_numbers_and_flags_not_coerced(film_cast_run, tmp_path, capsys, edit, message):
     record = json.loads((film_cast_run / "bundles.jsonl").read_text(encoding="utf-8"))
