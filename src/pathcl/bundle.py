@@ -150,9 +150,13 @@ def _variant_from(obj, line: int, at: str) -> ContextVariant:
 
 
 def bundle_from_record(obj, line: int = 0) -> InstanceBundle:
-    """Decode one bundle line; every text's mention spans must be disjoint and inside it."""
+    """Decode one bundle line.
+
+    Every text's mention spans must be disjoint and inside it, and `context`
+    must hold one text per entry of `context_sentences`.
+    """
     context_sentences = require_list(obj, "context_sentences", int, line)
-    context = require_list(obj, "context", dict, line)
+    context = require_list(obj, "context", dict, line, length=len(context_sentences))
     options = require_list(obj, "options", dict, line)
     variants = require_list(obj, "context_variants", dict, line)
     return InstanceBundle(

@@ -40,7 +40,7 @@ from .trainer import (
 
 CONFIG_ENV = "PATHCL_CONFIG"
 # Top-level keys of a config file; one file serves every subcommand.
-CONFIG_KEYS = ("seed", "extractor", "negatives", "counterfactual", "emitter", "train")
+CONFIG_KEYS = ("seed", "extractor", "negatives", "counterfactual", "train")
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -191,10 +191,9 @@ def cmd_counterfactual(args) -> int:
 def cmd_emit(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg, required=False)
-    emit_cfg = _section(pl.EmitConfig, file_cfg, "emitter", args)
     copies = _section(pl.CounterfactualConfig, file_cfg, "counterfactual", args).copies
     with open(args.input, "r", encoding="utf-8") as src, pl.open_output(args.output) as fp:
-        counts = pl.stage_emit(read_bundles(src), copies, emit_cfg, seed, fp)
+        counts = pl.stage_emit(read_bundles(src), copies, seed, fp)
     print(json.dumps(counts))
     return EXIT_OK
 
@@ -264,7 +263,6 @@ def cmd_run(args) -> int:
         extractor=_section(ExtractorConfig, file_cfg, "extractor", args),
         negatives=_section(pl.NegativesConfig, file_cfg, "negatives", args),
         counterfactual=_section(pl.CounterfactualConfig, file_cfg, "counterfactual", args),
-        emitter=_section(pl.EmitConfig, file_cfg, "emitter", args),
     )
     if not Path(cfg.input).exists():
         raise FileNotFoundError(f"input corpus not found: {cfg.input}")
@@ -288,27 +286,14 @@ def _add_common(p: argparse.ArgumentParser, *, seed=True, config=True):
         )
 
 
-def _switch(p: argparse.ArgumentParser, flag: str, dest: str, value: bool, help=None):
-    """A flag setting the bool field `dest` to `value`; without it the config file decides."""
-    p.add_argument(flag, dest=dest, action="store_const", const=value, default=None, help=help)
-
-
 def _add_extractor_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-hops", type=int, default=None, help="max entities on a path")
     p.add_argument("--mode", choices=["first", "all"], default=None, help="pair iteration mode")
-    _switch(p, "--greedy", "backtracking", False,
-            "commit to the first viable hop instead of backtracking")
-    _switch(p, "--allow-empty-context", "require_context", False,
-            "accept paths whose hops consume no sentence")
 
 
 def _add_negative_flags(p: argparse.ArgumentParser):
     p.add_argument("--num-negatives", type=int, default=None, help="negatives per instance (K)")
     p.add_argument("--pool-size", type=int, default=None, help="cross-document donor pool cap")
-    _switch(p, "--no-cross-document", "allow_cross_document", False)
-    _switch(p, "--no-swap-fallback", "swap_fallback", False)
-    _switch(p, "--ready-negatives", "ready_negatives", True,
-            "reuse other documents' answers for the same pair as negatives")
 
 
 def _add_counterfactual_flags(p: argparse.ArgumentParser):
@@ -327,10 +312,6 @@ def _add_counterfactual_flags(p: argparse.ArgumentParser):
         default=None,
     )
     p.add_argument("--window", type=int, default=None, help="document window for same-batch-documents")
-
-
-def _add_emit_flags(p: argparse.ArgumentParser):
-    _switch(p, "--no-shuffle-gold", "shuffle_gold", False, "keep the gold candidate at index 0")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -387,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     _add_common(p)
     _add_counterfactual_flags(p)
-    _add_emit_flags(p)
     p.set_defaults(func=cmd_emit)
 
     p = sub.add_parser("train", help="train the toy scorer")
@@ -424,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_extractor_flags(p)
     _add_negative_flags(p)
     _add_counterfactual_flags(p)
-    _add_emit_flags(p)
     p.set_defaults(func=cmd_run)
 
     return parser

@@ -5,9 +5,8 @@ true answer against synthetic options; a context-oriented instance
 queries with the answer and ranks the true context against corrupted
 ones. Both orientations go through one code path: a query, the gold text,
 K negative texts and their donor tags. The gold text is inserted at an
-index drawn from a generator seeded per instance and orientation (index 0
-without shuffling), so position carries no signal. Output is
-line-delimited JSON:
+index drawn from a generator seeded per instance and orientation, so
+position carries no signal. Output is line-delimited JSON:
 
     {"orientation": "option"|"context", "query": str, "candidates": [str],
      "gold": int, "meta": {"doc": str, "pair": [str, str], "path": [str],
@@ -62,14 +61,10 @@ def _donor_tag(s: SynthSentence) -> str:
     tag = f"{s.donor_doc}:{s.donor_sentence}"
     if s.swap:
         tag += "+swap"
-    if all(a == b for a, b in s.replaced):
-        tag += "+ready"
     return tag
 
 
-def bundle_to_instances(
-    bundle: InstanceBundle, root_seed: int, *, shuffle_gold: bool = True
-) -> list[ContrastiveInstance]:
+def bundle_to_instances(bundle: InstanceBundle, root_seed: int) -> list[ContrastiveInstance]:
     """Both orientations for one bundle, skipping under-filled ones.
 
     Only orientations with the full complement of negatives are emitted,
@@ -99,9 +94,7 @@ def bundle_to_instances(
     for orientation, query, gold_text, negatives, tags in orientations:
         if k == 0 or len(negatives) != k:
             continue
-        gold = 0
-        if shuffle_gold:
-            gold = derive_rng(root_seed, "gold", *bundle.key(), orientation).randrange(k + 1)
+        gold = derive_rng(root_seed, "gold", *bundle.key(), orientation).randrange(k + 1)
         out.append(
             ContrastiveInstance(
                 orientation=orientation,

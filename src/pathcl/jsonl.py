@@ -106,7 +106,7 @@ def require_map(obj, key: str, kind: type, line: int, at: str = "") -> tuple:
 
 # -- config values --
 
-_FIELD_TYPES = {"bool": bool, "int": int, "float": float, "str": str}
+_FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
 def bounded(default, *, low=None, high=None, choices: tuple = ()):

@@ -10,12 +10,10 @@ pair (context, answer sentence) is logically consistent by construction:
 the context implies an indirect connection whose direct statement is the
 answer.
 
-Two search modes exist. `backtracking=True` (default) explores every
-(neighbor, hop-support) alternative and is complete: it finds a valid
-path whenever one exists under the constraints. `backtracking=False`
-reproduces a greedy walk that commits to the first viable hop at each
-node and fails if that commitment dead-ends; it is kept for comparison
-and provably misses solvable cases.
+The search backtracks over every (neighbor, hop-support) alternative, so
+it is complete: it finds a valid path whenever one exists under the
+constraints. A path must consume at least one sentence; a chain of KG
+edges alone has no context text to imply the answer.
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ class ExtractorConfig:
     max_hops: int = bounded(4, low=2)  # maximum entities on a path (4 entities = 3 hops)
     # "first": stop at the first successful pair; "all": every unordered pair
     mode: str = bounded("first", choices=("first", "all"))
-    backtracking: bool = True
-    require_context: bool = True  # reject paths that consume no sentence
 
     def __post_init__(self):
         check_config(self, "extractor")
@@ -138,8 +134,7 @@ def dfs_metapath(
     Every sentence-supported hop consumes a distinct sentence from
     `available`; the consumed set is returned as the context. Entities
     never repeat on a path and at most cfg.max_hops entities are visited.
-    Returns None when no acceptable path exists (in greedy mode: when the
-    committed walk fails).
+    Returns None when no path consuming at least one sentence exists.
     """
     if start == goal:
         raise ValueError("start and goal must differ")
@@ -152,12 +147,9 @@ def dfs_metapath(
     consumed: list[int] = []
     visited = {start}
 
-    def accept() -> bool:
-        return bool(consumed) or not cfg.require_context
-
     def walk(u: str, usable: frozenset[int]) -> bool:
         if u == goal:
-            return accept()
+            return bool(consumed)
         if len(path) >= cfg.max_hops:
             return False
         candidates = (
@@ -175,9 +167,8 @@ def dfs_metapath(
                 remaining = usable - {hop.via_sentence}
             else:
                 remaining = usable
-            ok = walk(v, remaining)
-            if ok or not cfg.backtracking:
-                return ok
+            if walk(v, remaining):
+                return True
             visited.discard(v)
             path.pop()
             hops.pop()
@@ -205,10 +196,9 @@ def extract_positive_instances(
     path and context). mode="first" stops after the first successful pair,
     mode="all" visits every pair.
 
-    With backtracking the search is complete and a reversed path is valid
-    through the same sentences, so (b, a) succeeds exactly when (a, b)
-    does; mode="first" therefore finds the same first pair as a loop over
-    both orders would.
+    The search is complete and a reversed path is valid through the same
+    sentences, so (b, a) succeeds exactly when (a, b) does; mode="first"
+    therefore finds the same first pair as a loop over both orders would.
     """
     all_sentences = frozenset(range(len(doc.sentences)))
     out: list[PositiveInstance] = []

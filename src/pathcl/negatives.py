@@ -20,8 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .corpus import Document
 from .metapath import PositiveInstance, collect_answer_candidates
@@ -137,27 +136,18 @@ def _eligible_pairs(
     return normal
 
 
-ReadyIndex = Mapping[tuple[str, str], Sequence[tuple[Document, Sequence[int]]]]
-
-
 @dataclass(frozen=True)
 class DonorSource:
     """Everything one document's negatives are drawn from, in the order tried.
 
-    1. `ready(pair)`: answer sentences of other documents whose meta-paths
-       link the same pair (only with a `ready_index`, and only for options).
-    2. The host document's donor sentences, answers of the pair excluded.
-    3. The cross-document `pool`, foreign documents only, unless
-       `allow_cross_document` is off.
-    4. With `swap_fallback`, the donors of 2 and 3 that mention both
-       targets, with the two target mentions exchanged.
+    1. The host document's donor sentences, answers of the pair excluded.
+    2. The cross-document `pool`, foreign documents only.
+    3. The donors of 1 and 2 that mention both targets, with the two target
+       mentions exchanged.
     """
 
     doc: Document
     pool: Sequence[DonorSentence] = ()
-    swap_fallback: bool = True
-    allow_cross_document: bool = True
-    ready_index: ReadyIndex | None = None  # pair -> (document, its answer sentences)
 
     @cached_property
     def host(self) -> list[DonorSentence]:
@@ -180,47 +170,15 @@ class DonorSource:
             for donor in donors:
                 for pair in _eligible_pairs(donor, target_pair, rng):
                     yield donor, pair
-                if self.swap_fallback and {t_i, t_j} <= donor.entity_ids:
+                if {t_i, t_j} <= donor.entity_ids:
                     swaps.append(donor)
 
         yield from tried([d for d in self.host if d.sentence not in excluded])
-        if self.allow_cross_document:
-            # Filtered only when the host document runs dry: most instances
-            # never touch the pool, and filtering it per instance is not free.
-            yield from tried([d for d in self.pool if d.doc_id != self.doc.id])
+        # Filtered only when the host document runs dry: most instances
+        # never touch the pool, and filtering it per instance is not free.
+        yield from tried([d for d in self.pool if d.doc_id != self.doc.id])
         for donor in swaps:
             yield donor, (t_j, t_i)  # exchange the target mentions
-
-    def ready(self, pair: tuple[str, str]) -> list[SynthSentence]:
-        """Other documents' answer sentences for `pair`, as ready-made options.
-
-        Because the target pair is always replaced during augmentation, such
-        sentences work as negative options without any text edit beyond
-        normalizing the pair surfaces to the host document's. One option per
-        donor answer sentence, in corpus order.
-        """
-        if self.ready_index is None:
-            return []
-        e_i, e_j = pair
-        mapping = {e: (e, self.doc.entity_index[e].surface) for e in pair}
-        found = []
-        for donor_doc, answers in self.ready_index.get(pair, ()):
-            if donor_doc.id == self.doc.id:
-                continue
-            for k in answers:
-                text, mentions = rewrite_mentions(
-                    donor_doc.sentences[k].text, donor_doc.mentions_in_sentence(k), mapping
-                )
-                found.append(
-                    SynthSentence(
-                        text=text,
-                        donor_doc=donor_doc.id,
-                        donor_sentence=k,
-                        replaced=((e_i, e_i), (e_j, e_j)),
-                        mentions=tuple(mentions),
-                    )
-                )
-        return found
 
 
 def _target_with_surfaces(doc: Document, pair: tuple[str, str]):
@@ -244,17 +202,9 @@ def make_negative_options(
     taken: list[SynthSentence] = []
     seen_texts: set[str] = set()
     if k > 0:
-        ready = source.ready(inst.pair)
-        rng.shuffle(ready)
-        offers = chain(
-            ((synth, "") for synth in ready),
-            (
-                (relation_replace(donor, pair, target), donor.text)
-                for donor, pair in source.candidates(inst.pair, answers, rng)
-            ),
-        )
-        for synth, donor_text in offers:
-            if synth.text == donor_text or synth.text in forbidden or synth.text in seen_texts:
+        for donor, pair in source.candidates(inst.pair, answers, rng):
+            synth = relation_replace(donor, pair, target)
+            if synth.text == donor.text or synth.text in forbidden or synth.text in seen_texts:
                 continue
             taken.append(synth)
             seen_texts.add(synth.text)

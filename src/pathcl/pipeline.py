@@ -39,6 +39,7 @@ from .jsonl import (
     record_line,
     require,
     require_list,
+    typed,
     write_records,
 )
 from .metapath import (
@@ -52,7 +53,6 @@ from .metapath import (
 from .negatives import (
     DonorSentence,
     DonorSource,
-    ReadyIndex,
     build_donor_pool,
     make_negative_contexts,
     make_negative_options,
@@ -64,9 +64,6 @@ from .seeding import derive_rng
 class NegativesConfig:
     num_negatives: int = bounded(3, low=0)
     pool_size: int = 1000
-    allow_cross_document: bool = True
-    swap_fallback: bool = True
-    ready_negatives: bool = False
 
     def __post_init__(self):
         check_config(self, "negatives")
@@ -84,14 +81,6 @@ class CounterfactualConfig:
 
 
 @dataclass
-class EmitConfig:
-    shuffle_gold: bool = True
-
-    def __post_init__(self):
-        check_config(self, "emitter")
-
-
-@dataclass
 class PipelineConfig:
     input: str
     output_dir: str
@@ -102,7 +91,9 @@ class PipelineConfig:
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     negatives: NegativesConfig = field(default_factory=NegativesConfig)
     counterfactual: CounterfactualConfig = field(default_factory=CounterfactualConfig)
-    emitter: EmitConfig = field(default_factory=EmitConfig)
+
+    def __post_init__(self):
+        typed(self.seed, int, "seed")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -226,9 +217,8 @@ def _negative_worker(
     pool: Sequence[DonorSentence],
     cfg: NegativesConfig,
     seed: int,
-    ready_index: ReadyIndex | None,
 ) -> list[InstanceBundle]:
-    source = DonorSource(doc, pool, cfg.swap_fallback, cfg.allow_cross_document, ready_index)
+    source = DonorSource(doc, pool)
     bundles = []
     for inst in instances:
         _check_sentences(doc, (*inst.context, *inst.answers), inst.path.hops, "positive")
@@ -247,21 +237,15 @@ def stage_negatives(
 ) -> tuple[Iterator[InstanceBundle], dict]:
     """Lazily, the bundle of every positive that found a donor, in input order.
 
-    The donor pool (and the ready-negatives index) is built before this
-    returns; the counters fill in as the iterator is drained.
+    The donor pool is built before this returns; the counters fill in as
+    the iterator is drained.
     """
     pool = build_donor_pool(docs, cfg.pool_size, derive_rng(seed, "donor-pool"))
-    ready_index: dict | None = None
-    if cfg.ready_negatives:
-        ready_index = {}
-        for doc, instances in zip(docs, per_doc_instances, strict=True):
-            for inst in instances:
-                ready_index.setdefault(inst.pair, []).append((doc, sorted(inst.answers)))
     counters = {"bundles": 0, "skipped_no_donor": 0, "option_shortfalls": 0, "context_shortfalls": 0}
 
     def kept() -> Iterator[InstanceBundle]:
         for doc, instances in zip(docs, per_doc_instances, strict=True):
-            for b in _negative_worker(doc, instances, pool, cfg, seed, ready_index):
+            for b in _negative_worker(doc, instances, pool, cfg, seed):
                 if cfg.num_negatives > 0 and not b.options and not b.context_variants:
                     counters["skipped_no_donor"] += 1
                     continue
@@ -331,7 +315,6 @@ def stage_counterfactual(
 def stage_emit(
     bundles: Iterable[InstanceBundle],
     copies: int,
-    cfg: EmitConfig,
     seed: int,
     fp: IO[str],
 ) -> dict:
@@ -352,7 +335,7 @@ def stage_emit(
 
     def built() -> Iterator[ContrastiveInstance]:
         for bundle in bundles:
-            instances = bundle_to_instances(bundle, seed, shuffle_gold=cfg.shuffle_gold)
+            instances = bundle_to_instances(bundle, seed)
             got = {ci.orientation for ci in instances}
             counters["skipped_option"] += "option" not in got
             counters["skipped_context"] += "context" not in got
@@ -428,11 +411,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             docs, _written(bundles, bundles_fp, line), cfg.counterfactual, cfg.seed
         )
         emit_counts = stage_emit(
-            _written(cf_bundles, cf_fp, line),
-            cfg.counterfactual.copies,
-            cfg.emitter,
-            cfg.seed,
-            instances_fp,
+            _written(cf_bundles, cf_fp, line), cfg.counterfactual.copies, cfg.seed, instances_fp
         )
 
     manifest = {

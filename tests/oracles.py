@@ -72,9 +72,8 @@ def path_assignments(
     graph: EntityGraph,
     path: list[str],
     available: frozenset[int],
-    require_context: bool,
 ) -> list[list[tuple[str, int | str]]]:
-    """Valid per-hop assignments: distinct sentences, >=1 sentence if required."""
+    """Valid per-hop assignments: distinct sentences, at least one of them."""
     per_hop = [
         hop_choices(graph, u, v, available) for u, v in zip(path, path[1:])
     ]
@@ -85,7 +84,7 @@ def path_assignments(
         sentences = [c[1] for c in combo if c[0] == "sent"]
         if len(set(sentences)) != len(sentences):
             continue
-        if require_context and not sentences:
+        if not sentences:
             continue
         valid.append(list(combo))
     return valid
@@ -98,17 +97,14 @@ def oracle_pair_solvable(
     goal: str,
     available: frozenset[int],
     max_entities: int,
-    require_context: bool = True,
 ) -> bool:
     for path in enumerate_simple_paths(graph, start, goal, max_entities):
-        if path_assignments(graph, path, available, require_context):
+        if path_assignments(graph, path, available):
             return True
     return False
 
 
-def oracle_document_solvable(
-    doc: Document, graph: EntityGraph, max_entities: int, require_context: bool = True
-) -> bool:
+def oracle_document_solvable(doc: Document, graph: EntityGraph, max_entities: int) -> bool:
     """Does any ordered entity pair admit a valid (path, assignment) solution?"""
     ids = sorted(e.id for e in doc.entities)
     all_sentences = frozenset(range(len(doc.sentences)))
@@ -122,9 +118,7 @@ def oracle_document_solvable(
             )
             if not answers:
                 continue
-            if oracle_pair_solvable(
-                graph, doc, a, b, all_sentences - answers, max_entities, require_context
-            ):
+            if oracle_pair_solvable(graph, doc, a, b, all_sentences - answers, max_entities):
                 return True
     return False
 

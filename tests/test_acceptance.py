@@ -48,12 +48,12 @@ def report(criterion: str, detail: str):
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
 
 
-def build_instances(docs, seed, mode="first", copies=1, shuffle_gold=True):
+def build_instances(docs, seed, mode="first", copies=1):
     per_doc = pl.stage_extract(docs, ExtractorConfig(mode=mode))
     bundles, _ = pl.stage_negatives(docs, per_doc, pl.NegativesConfig(), seed)
     cf, _ = pl.stage_counterfactual(docs, bundles, pl.CounterfactualConfig(copies=copies), seed)
     buf = io.StringIO()
-    pl.stage_emit(cf, copies, pl.EmitConfig(shuffle_gold=shuffle_gold), seed, buf)
+    pl.stage_emit(cf, copies, seed, buf)
     buf.seek(0)
     return list(read_instances(buf))
 
@@ -67,8 +67,8 @@ def separation_corpus():
 
 def test_criterion_1_dfs_oracle_equivalence():
     started = time.monotonic()
-    cfg = ExtractorConfig(mode="all", max_hops=4, backtracking=True)
-    first_cfg = ExtractorConfig(mode="first", max_hops=4, backtracking=True)
+    cfg = ExtractorConfig(mode="all", max_hops=4)
+    first_cfg = ExtractorConfig(mode="first", max_hops=4)
     rng = random.Random(20240)
     solvable = 0
     checked = 0

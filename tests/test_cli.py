@@ -1,11 +1,16 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from pathcl.cli import main
+from pathcl import pipeline as pl
+from pathcl.cli import build_parser, main
 from pathcl.corpus import document_to_record, write_corpus
+from pathcl.metapath import ExtractorConfig
 from pathcl.synth import make_corpus
+from pathcl.trainer import TrainConfig
 
 from corpora import build_document, film_cast_document
 
@@ -46,6 +51,39 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # a deleted option
+        main(["run", "--input", "c", "--output-dir", str(tmp_path / "o"), "--seed", "1",
+              "--greedy"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+# The config sections each subcommand builds from its flags and config file.
+FLAG_SECTIONS = {
+    "extract": (ExtractorConfig,),
+    "negatives": (pl.NegativesConfig,),
+    "counterfactual": (pl.CounterfactualConfig,),
+    "emit": (pl.CounterfactualConfig,),
+    "train": (TrainConfig,),
+    "run": (ExtractorConfig, pl.NegativesConfig, pl.CounterfactualConfig),
+}
+FIXED_DESTS = {"help", "input", "output", "output_dir", "corpus", "config", "seed",
+               "params", "params_out", "metrics_out"}
+GRAD_CHECK_SIZES = {"threshold", "coords", "step", "batch", "dim", "hidden"}
+
+
+def test_every_flag_sets_a_config_field_or_fixed_argument():
+    # A flag whose dest is no field of a section its subcommand builds is
+    # dropped without a word, so a flag left behind by a deleted field would
+    # silently do nothing.
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    stray = []
+    for command, sub in subparsers.choices.items():
+        known = {f.name for cls in FLAG_SECTIONS.get(command, ()) for f in dataclasses.fields(cls)}
+        known |= FIXED_DESTS | (GRAD_CHECK_SIZES if command == "grad-check" else set())
+        stray += [f"{command} {a.option_strings[0]}" for a in sub._actions if a.dest not in known]
+    assert stray == []
 
 
 def test_missing_file_exit_1(tmp_path, capsys):
@@ -385,7 +423,7 @@ BAD_CONFIG_VALUES = [
     ("run", {"extractor": {"max_hops": "4"}}, [], "extractor.max_hops"),
     ("emit", {"counterfactual": {"copies": "2"}}, [], "counterfactual.copies"),
     ("run", {"seed": 3.7}, [], "seed"),
-    ("run", {"negatives": {"swap_fallback": "no"}}, [], "negatives.swap_fallback"),
+    ("run", {"negatives": {"pool_size": "no"}}, [], "negatives.pool_size"),
     ("run", {}, ["--num-negatives", "-1"], "negatives.num_negatives"),
     ("run", {}, ["--window", "0"], "counterfactual.window"),
     ("run", {}, ["--include-prob", "5"], "counterfactual.include_prob"),
@@ -393,6 +431,9 @@ BAD_CONFIG_VALUES = [
     ("run", {"negative": {"num_negatives": 0}}, [], "negative"),
     ("run", {"jobs": 2}, [], "jobs"),
     ("emit", {"emit": {"shuffle_gold": False}}, [], "emit"),
+    ("run", {"extractor": {"backtracking": False}}, [],
+     "extractor.backtracking: unknown config key"),
+    ("run", {"emitter": {"shuffle_gold": True}}, [], "emitter"),
 ]
 
 

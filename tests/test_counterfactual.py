@@ -130,22 +130,3 @@ def test_entity_pool_from_corpus():
     pool = build_entity_pool([doc_a, doc_b])
     assert [a.id for a in pool] == ["e1", "e2", "e3", "e4", "x", "y"]
     assert pool[-1].source_doc == "z"
-
-
-def test_ready_negatives_cross_document():
-    host = film_cast_document()
-    other = build_document(
-        "wiki2",
-        [
-            [("e1", "McKean"), " also cast ", ("e2", "S. Leonidas"), " in a sequel."],
-        ],
-        {"e1": "McKean", "e2": "S. Leonidas"},
-    )
-    ready = DonorSource(host, ready_index={("e1", "e2"): [(other, [0])]}).ready(("e1", "e2"))
-    assert len(ready) == 1
-    synth = ready[0]
-    # surfaces normalized to the host document's forms
-    assert synth.text == "Dave McKean also cast Stephanie Leonidas in a sequel."
-    assert synth.replaced == (("e1", "e1"), ("e2", "e2"))
-    mentioned = {m[0] for m in synth.mentions}
-    assert {"e1", "e2"} <= mentioned

@@ -27,7 +27,7 @@ from oracles import batch_emit_instances
 from test_counterfactual import ALIENS
 
 
-def film_cast_instances(root_seed=7, shuffle_gold=True):
+def film_cast_instances(root_seed=7):
     doc = film_cast_document()
     graph = build_entity_graph(doc)
     inst = extract_positive_instances(doc, graph, ExtractorConfig())[0]
@@ -35,7 +35,7 @@ def film_cast_instances(root_seed=7, shuffle_gold=True):
     options = make_negative_options(inst, DonorSource(doc), 3, rng)
     contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
     bundle = assemble_bundle(inst, doc, options, contexts, 3)
-    return doc, inst, bundle, bundle_to_instances(bundle, root_seed, shuffle_gold=shuffle_gold)
+    return doc, inst, bundle, bundle_to_instances(bundle, root_seed)
 
 
 def random_instance(rng: random.Random, counterfactual=False) -> ContrastiveInstance:
@@ -73,11 +73,6 @@ def test_bundle_to_instances_shapes():
     context = next(i for i in instances if i.orientation == "context")
     assert context.query == bundle.answer.text
     assert context.candidates[context.gold] == option.query
-
-
-def test_gold_fixed_without_shuffle():
-    _, _, _, instances = film_cast_instances(shuffle_gold=False)
-    assert [i.gold for i in instances] == [0, 0]
 
 
 def test_round_trip_fuzzed():

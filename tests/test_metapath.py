@@ -74,12 +74,6 @@ def test_dfs_kg_only_path_rejected_without_context():
     graph = build_entity_graph(doc)
     cfg = ExtractorConfig()
     assert dfs_metapath(graph, doc, frozenset({0, 1}), "a", "b", cfg) is None
-    relaxed = ExtractorConfig(require_context=False)
-    found = dfs_metapath(graph, doc, frozenset({0, 1}), "a", "b", relaxed)
-    assert found is not None
-    path, context = found
-    assert path.hops == (PathHop(kg_label="knows"),)
-    assert context == frozenset()
 
 
 def test_dfs_consumes_distinct_sentences():
@@ -174,14 +168,7 @@ def test_extract_all_mode_and_determinism():
 
 
 micro_docs = st.builds(lambda seed: random_micro_doc(random.Random(seed)), st.integers(0, 2**32))
-search_configs = st.builds(
-    lambda hops, context, backtracking: dict(
-        max_hops=hops, require_context=context, backtracking=backtracking
-    ),
-    st.integers(2, 5),
-    st.booleans(),
-    st.booleans(),
-)
+search_configs = st.builds(lambda hops: dict(max_hops=hops), st.integers(2, 5))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
@@ -194,16 +181,15 @@ def test_all_mode_visits_each_unordered_pair_once(doc, search):
     assert all(a < b for a, b in (inst.pair for inst in got))
     keys = [(inst.pair, inst.answer) for inst in got]
     assert len(set(keys)) == len(keys)
-    if search["backtracking"]:
-        # success is symmetric, so folding the ordered pairs loses nothing
-        folded = {(tuple(sorted(inst.pair)), inst.answer) for inst in oracle}
-        assert set(keys) == folded
+    # success is symmetric, so folding the ordered pairs loses nothing
+    folded = {(tuple(sorted(inst.pair)), inst.answer) for inst in oracle}
+    assert set(keys) == folded
     # each instance is the one the ordered loop finds for (a, b) itself
     assert got == [inst for inst in oracle if inst.pair[0] < inst.pair[1]]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
-@given(micro_docs, search_configs.filter(lambda search: search["backtracking"]))
+@given(micro_docs, search_configs)
 def test_first_mode_matches_ordered_pair_loop(doc, search):
     # The first successful ordered pair is always the canonical one: its
     # reverse succeeds too and sorts after it.
@@ -224,32 +210,6 @@ def test_extract_existence_matches_document_oracle():
         assert got == expected
         hits += got
     assert hits > 0  # the generator must produce solvable documents
-
-
-def test_greedy_mode_misses_backtracking_finds():
-    # a-b is supported only by sentence 0, which also supports a-c.
-    # Greedy first tries hop a->b via sentence 0 (b sorts before c), then
-    # cannot reach d from b; backtracking recovers via a->c->d.
-    doc = build_document(
-        "d",
-        [
-            [("a", "A"), " met ", ("b", "B"), " and ", ("c", "C"), "."],
-            [("c", "C"), " praised ", ("d", "D"), "."],
-            [("a", "A"), " thanked ", ("d", "D"), "."],
-        ],
-        {"a": "A", "b": "B", "c": "C", "d": "D"},
-    )
-    graph = build_entity_graph(doc)
-    available = frozenset({0, 1})
-    greedy = dfs_metapath(
-        graph, doc, available, "a", "d", ExtractorConfig(backtracking=False)
-    )
-    assert greedy is None
-    full = dfs_metapath(graph, doc, available, "a", "d", ExtractorConfig())
-    assert full is not None
-    path, context = full
-    assert path.entities == ("a", "c", "d")
-    assert context == {0, 1}
 
 
 def test_max_hops_bound():

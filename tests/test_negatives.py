@@ -18,10 +18,10 @@ from corpora import build_document, film_cast_document
 from oracles import diff_outside_spans, surface_occurrences
 
 
-def sample_relation_provider(inst, doc, pool, rng, *, swap_fallback=True):
+def sample_relation_provider(inst, doc, pool, rng):
     """First eligible (donor, pair, is_swap) for the instance, or None."""
     answers = collect_answer_candidates(doc, inst.pair)
-    source = DonorSource(doc, pool, swap_fallback=swap_fallback)
+    source = DonorSource(doc, pool)
     for donor, pair in source.candidates(inst.pair, answers, rng):
         return donor, pair, set(pair) == set(inst.pair)
     return None
@@ -161,8 +161,6 @@ def test_provider_swap_fallback():
     assert got_donor.doc_id == "other"
     assert swap
     assert pair == ("b", "a")
-    strict = sample_relation_provider(inst, doc, pool, random.Random(0), swap_fallback=False)
-    assert strict is None
 
 
 def test_provider_no_donor_anywhere():
@@ -180,10 +178,7 @@ def test_provider_no_donor_anywhere():
         context=(0,),
         answers=frozenset({0}),
     )
-    assert (
-        sample_relation_provider(inst, doc, [], random.Random(1), swap_fallback=False)
-        is None
-    )
+    assert sample_relation_provider(inst, doc, [], random.Random(1)) is None
 
 
 def test_negative_options_worked_example():
@@ -229,7 +224,7 @@ def test_negative_options_shortfall():
     graph = build_entity_graph(doc)
     inst = extract_positive_instances(doc, graph, ExtractorConfig())[0]
     assert inst.pair == ("a", "b")
-    negs = make_negative_options(inst, DonorSource(doc, swap_fallback=False), 8, random.Random(0))
+    negs = make_negative_options(inst, DonorSource(doc), 8, random.Random(0))
     assert 0 < len(negs) < 8
 
 
@@ -288,9 +283,7 @@ def test_pool_used_after_in_document_exhaustion():
     )
     pool = build_donor_pool([doc, other], 100, random.Random(0))
     assert any(p.doc_id == "other" for p in pool)
-    negs = make_negative_options(
-        inst, DonorSource(doc, pool, swap_fallback=False), 8, random.Random(0)
-    )
+    negs = make_negative_options(inst, DonorSource(doc, pool), 8, random.Random(0))
     assert any(s.donor_doc == "other" for s in negs)
     in_doc = [s for s in negs if s.donor_doc == "d"]
     assert in_doc  # host donors appear despite pool access

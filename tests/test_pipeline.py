@@ -24,7 +24,7 @@ def run_stages(docs, seed=3, mode="first", negatives=None, cf=None):
     cf = cf or pl.CounterfactualConfig(copies=0)
     out, cf_counts = pl.stage_counterfactual(docs, bundles, cf, seed)
     buf = io.StringIO()
-    emit_counts = pl.stage_emit(out, cf.copies, pl.EmitConfig(), seed, buf)
+    emit_counts = pl.stage_emit(out, cf.copies, seed, buf)
     buf.seek(0)
     return list(read_instances(buf)), neg_counts, cf_counts, emit_counts
 
@@ -32,7 +32,7 @@ def run_stages(docs, seed=3, mode="first", negatives=None, cf=None):
 def test_default_config_hash_pinned():
     # manifest.json carries this hash, so moving it changes every run's bytes.
     cfg = pl.PipelineConfig(input="a", output_dir="b", seed=0)
-    assert cfg.hash() == "f588c2a6e2f25021712a305a0e8589e39d9b041a7ead4d42ffb66ac426da1100"
+    assert cfg.hash() == "0e43f99309f4dd24b6412575d294376ef81ccb433f69e9bf4cae22f0c4a65e22"
 
 
 def test_config_values_typed_when_built_in_python():
@@ -56,7 +56,12 @@ def test_config_values_typed_when_built_in_python():
          "extractor.mode: expected one of 'first', 'all', got 'some'"),
         (lambda: pl.CounterfactualConfig(include_prob=1.5),
          "counterfactual.include_prob: expected float in [0.0, 1.0], got 1.5"),
-        (lambda: pl.EmitConfig(shuffle_gold=1), "emitter.shuffle_gold: expected bool, got int"),
+        (lambda: pl.PipelineConfig(input="a", output_dir="b", seed="1"),
+         "seed: expected int, got string"),
+        (lambda: pl.PipelineConfig(input="a", output_dir="b", seed=1.0),
+         "seed: expected int, got float"),
+        (lambda: pl.PipelineConfig(input="a", output_dir="b", seed=True),
+         "seed: expected int, got bool"),
         (lambda: TrainConfig(batch_size=0), "train.batch_size: expected int >= 1, got 0"),
     ):
         with pytest.raises(ValueError) as exc:
@@ -108,7 +113,7 @@ def test_skip_counter_for_donorless_instance():
     per_doc = pl.stage_extract([lonely], ExtractorConfig(mode="first"))
     assert per_doc[0]
     bundles, counts = pl.stage_negatives(
-        [lonely], per_doc, pl.NegativesConfig(swap_fallback=False), 1
+        [lonely], per_doc, pl.NegativesConfig(), 1
     )
     bundles = list(bundles)
     assert counts["skipped_no_donor"] == 0  # sentence 3 still provides a donor
@@ -126,14 +131,14 @@ def test_shortfall_counted_not_dropped():
         relations=[("c", "b", "knows")],
     )
     per_doc = pl.stage_extract([doc], ExtractorConfig(mode="all"))
-    cfg = pl.NegativesConfig(num_negatives=50, swap_fallback=False)
+    cfg = pl.NegativesConfig(num_negatives=50)
     bundles, counts = pl.stage_negatives([doc], per_doc, cfg, 1)
     bundles = list(bundles)
     assert counts["bundles"] == len(bundles) > 0
     assert counts["option_shortfalls"] == len(bundles)
     # emit drops the under-filled orientations and counts them
     buf = io.StringIO()
-    emit_counts = pl.stage_emit(bundles, 0, pl.EmitConfig(), 1, buf)
+    emit_counts = pl.stage_emit(bundles, 0, 1, buf)
     assert emit_counts["records"] == 0
     assert emit_counts["skipped_option"] == len(bundles)
     assert emit_counts["skipped_context"] == len(bundles)
@@ -155,50 +160,6 @@ def test_same_batch_documents_pool_strategy():
             assert delta <= 3, (inst.meta.doc, alien_id, delta)
 
 
-def test_ready_negatives_used_for_shared_pairs():
-    # two documents whose meta-paths link the same entity pair (x, y)
-    def story(doc_id, mid, answer_verb, hop1, hop2, extra):
-        mid_id = f"m_{mid}"
-        return build_document(
-            doc_id,
-            [
-                [("ax", "Xenia Moss"), f" {hop1} ", (mid_id, mid.title()), "."],
-                [(mid_id, mid.title()), f" {hop2} ", ("ay", "Yann Pryce"), "."],
-                [("ax", "Xenia Moss"), f" {answer_verb} ", ("ay", "Yann Pryce"), "."],
-                [("zz", "Zora Quill"), f" {extra} ", (mid_id, mid.title()), "."],
-            ],
-            {"ax": "Xenia Moss", "ay": "Yann Pryce", mid_id: mid.title(), "zz": "Zora Quill"},
-        )
-
-    doc_a = story("da", "forge", "praised", "built", "supplied", "audited")
-    doc_b = story("db", "mill", "thanked", "ran", "paid", "visited")
-    docs = [doc_a, doc_b]
-    per_doc = pl.stage_extract(docs, ExtractorConfig(mode="first"))
-    assert all(instances and instances[0].pair == ("ax", "ay") for instances in per_doc)
-
-    cfg = pl.NegativesConfig(num_negatives=3, ready_negatives=True, allow_cross_document=False)
-    bundles, _ = pl.stage_negatives(docs, per_doc, cfg, 2)
-    ready_used = [
-        s
-        for b in bundles
-        for s in b.options
-        if all(orig == repl for orig, repl in s.replaced)
-    ]
-    assert ready_used, "expected at least one ready negative"
-    for synth in ready_used:
-        mentioned = {m[0] for m in synth.mentions}
-        assert {"ax", "ay"} <= mentioned
-
-    plain_cfg = pl.NegativesConfig(num_negatives=3, ready_negatives=False, allow_cross_document=False)
-    plain_bundles, _ = pl.stage_negatives(docs, per_doc, plain_cfg, 2)
-    assert not [
-        s
-        for b in plain_bundles
-        for s in b.options
-        if all(orig == repl for orig, repl in s.replaced)
-    ]
-
-
 def test_fuzzed_micro_corpus_end_to_end():
     # Random micro documents share entity ids across documents, which
     # exercises cross-document donor eligibility, swap candidates, and
@@ -215,7 +176,7 @@ def test_fuzzed_micro_corpus_end_to_end():
     bundles, neg_counts = pl.stage_negatives(docs, per_doc, pl.NegativesConfig(), 1)
     cf, cf_counts = pl.stage_counterfactual(docs, bundles, pl.CounterfactualConfig(copies=2), 1)
     buf = io.StringIO()
-    emit_counts = pl.stage_emit(cf, 2, pl.EmitConfig(), 1, buf)
+    emit_counts = pl.stage_emit(cf, 2, 1, buf)
     buf.seek(0)
     instances = list(read_instances(buf))
 
@@ -285,82 +246,20 @@ def test_run_pipeline_streams_bundles(tmp_path):
     assert heavy_peak < 1.5 * light_peak, (light_peak, heavy_peak)
 
 
-# sha256 of (bundles.jsonl, instances.jsonl) for the runs below, recorded
-# before the donor order moved into `negatives.DonorSource`. A change to the
-# donor paths that is meant to keep outputs must keep these.
-DONOR_PATH_DIGESTS = {
-    True: (
-        "c83eae84c632071767fc6fa2ceb6cbd61e253bccfbf572a9eb75bdfcfaa2d0e6",
-        "14015d33703233abcd797835243d3f963f4e297d79371ec194d8c4b99612feab",
-    ),
-    False: (
-        "e5c40768733d38baf206fe45163f239fd99435b29650c2d36c36f6946dbc2950",
-        "a0ffb0494f6316623cc080ecb91771a9c68d68df4663ea864875a413d5b9d974",
-    ),
-}
-
-
-def donor_path_run(corpus, out, cross_document):
-    """`run` in mode all with ready negatives: (output digests, (doc, donor tag)s)."""
-    pl.run_pipeline(
-        pl.PipelineConfig(
-            input=str(corpus),
-            output_dir=str(out),
-            seed=1,
-            extractor=ExtractorConfig(mode="all"),
-            negatives=pl.NegativesConfig(
-                ready_negatives=True, allow_cross_document=cross_document
-            ),
-        )
-    )
-    digests = tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("bundles.jsonl", "instances.jsonl")
-    )
-    tags = []
-    with open(out / "instances.jsonl", encoding="utf-8") as fp:
-        for inst in read_instances(fp):
-            donors = inst.meta.strategy.removeprefix("donors=").split(",")
-            tags += [(inst.meta.doc, tag) for tag in donors]
-    return digests, tags
-
-
-def test_ready_swap_and_pool_donors_byte_stable(tmp_path):
-    # Micro documents share entity ids, so ready negatives, swapped targets
-    # and donors from other documents' sentences all occur; the template
-    # corpora of the benchmark give every document its own ids and never
-    # reach these paths.
-    rng = random.Random(555)
-    corpus = tmp_path / "fuzz.jsonl"
-    with open(corpus, "w", encoding="utf-8") as fp:
-        write_corpus([random_micro_doc(rng, f"fuzz{i}") for i in range(150)], fp)
-    tags = []
-    for cross_document in (True, False):
-        out = tmp_path / f"cross_{cross_document}"
-        digests, found = donor_path_run(corpus, out, cross_document)
-        assert digests == DONOR_PATH_DIGESTS[cross_document], cross_document
-        tags += found
-    assert any("+ready" in tag for _, tag in tags)
-    assert any("+swap" in tag for _, tag in tags)
-    assert any(
-        tag.split(":")[0] != doc and "+ready" not in tag for doc, tag in tags
-    ), "no relation-edited donor from another document"
-
-
 # sha256 of (bundles_counterfactual.jsonl, instances.jsonl) for the runs
-# below, recorded before the bundle layer moved to plain negative tuples and
-# one emitter path. Settings the benchmark never runs: gold kept at index 0,
-# two copies from a document window, and K=8 without swaps, where some
-# orientations fall short and are skipped. The template corpus fills K=8
-# from any pool, so the short run uses micro documents and a 10-sentence pool.
+# below, recorded before the six test-only switches were deleted. Settings the
+# benchmark never runs: two copies from a document window, and K=8 from a
+# 10-sentence pool. Micro documents share entity ids, so the K=8 run reaches
+# swapped targets, donors from other documents and skipped orientations; the
+# template corpora give every document its own ids and never reach these.
 UNBENCHED_SETTINGS_DIGESTS = {
-    "unshuffled-window": (
+    "window": (
         "74220e8ba843d1509a88a5c13b33ffdc95ab5302221474e7ad8e10232ad75a5a",
-        "6dfdf96c90b985a285fec0556549ae38c33b1b8a7f065e99927c2e243f6cb84c",
+        "2a1b4a4d50c1e7594f4b6f835143874dd7d282f185f98419c4cb9f7950158c48",
     ),
-    "k8-no-swaps": (
-        "906e240ab941577dc9742a16636b9302b0653679837190dd0a4634b02ff6421f",
-        "a6c79513b34f66f82aeeda89a8a487211b514af3b13cfffc569dc227724c19d8",
+    "k8": (
+        "1f7abeaaf005c569a330191bd89e29aaaebadd4a32ef0385916560a110bc957b",
+        "0624fcfabae00bdf0421dfe3daadf5168067ec6944165838d990cb7d7a346208",
     ),
 }
 
@@ -371,25 +270,20 @@ def test_unbenched_emit_and_counterfactual_settings_byte_stable(tmp_path):
         "micro": [random_micro_doc(random.Random(31 + i), f"m{i}") for i in range(40)],
     }
     runs = {
-        "unshuffled-window": (
+        "window": (
             "template",
             dict(
                 counterfactual=pl.CounterfactualConfig(
                     copies=2, pool_strategy="same-batch-documents", window=8
                 ),
-                emitter=pl.EmitConfig(shuffle_gold=False),
             ),
         ),
-        "k8-no-swaps": (
-            "micro",
-            dict(negatives=pl.NegativesConfig(num_negatives=8, pool_size=10, swap_fallback=False)),
-        ),
+        "k8": ("micro", dict(negatives=pl.NegativesConfig(num_negatives=8, pool_size=10))),
     }
     for name, (corpus_name, settings) in runs.items():
         corpus = tmp_path / f"{corpus_name}.jsonl"
-        if not corpus.exists():
-            with open(corpus, "w", encoding="utf-8") as fp:
-                write_corpus(corpora[corpus_name], fp)
+        with open(corpus, "w", encoding="utf-8") as fp:
+            write_corpus(corpora[corpus_name], fp)
         out = tmp_path / name
         manifest = pl.run_pipeline(
             pl.PipelineConfig(
@@ -406,7 +300,16 @@ def test_unbenched_emit_and_counterfactual_settings_byte_stable(tmp_path):
         )
         assert digests == UNBENCHED_SETTINGS_DIGESTS[name], name
         emitted = manifest["stages"]["emit"]
-        if name == "k8-no-swaps":
-            assert emitted["skipped_option"] + emitted["skipped_context"] > 0
-        else:
+        if name == "window":
             assert emitted["counterfactual"] == 2 * (emitted["records"] - emitted["counterfactual"])
+            continue
+        assert emitted["skipped_option"] + emitted["skipped_context"] > 0
+        tags = []
+        with open(out / "instances.jsonl", encoding="utf-8") as fp:
+            for inst in read_instances(fp):
+                donors = inst.meta.strategy.removeprefix("donors=").split(",")
+                tags += [(inst.meta.doc, tag) for tag in donors]
+        assert any("+swap" in tag for _, tag in tags)
+        assert any(
+            tag.split(":")[0] != doc for doc, tag in tags
+        ), "no relation-edited donor from another document"

@@ -130,7 +130,7 @@ def test_counterfactual_unknown_document_exit_1(film_cast_run, tmp_path, capsys)
     "key, value, message",
     [
         ("doc", "nope", "error: bundle references unknown document 'nope'"),
-        ("context_sentences", [999], "names sentence 999, outside its"),
+        ("context_sentences", [1, 999], "names sentence 999, outside its"),
     ],
 )
 def test_counterfactual_checks_bundles_without_copies(
@@ -172,7 +172,10 @@ def test_bundle_with_non_object_replacements_exit_1(film_cast_run, tmp_path, cap
         ("context_sentences", "12", "line 1: context_sentences: expected array, got string"),
         ("answer_sentence", "3", "line 1: answer_sentence: expected int, got string"),
         ("pair", ["a"], "line 1: pair: expected 2 entries, got 1"),
-        ("context_sentences", [999], "names sentence 999, outside its"),
+        ("context_sentences", [1, 999], "names sentence 999, outside its"),
+        # one text per context sentence: a dropped index would leave the gold
+        # context longer than its corrupted variants
+        ("context_sentences", [1], "line 1: context: expected 1 entries, got 2"),
     ],
 )
 def test_bundle_mistyped_or_out_of_range_exit_1(
