@@ -246,6 +246,62 @@ def test_run_pipeline_streams_bundles(tmp_path):
     assert heavy_peak < 1.5 * light_peak, (light_peak, heavy_peak)
 
 
+# sha256 of (bundles.jsonl, instances.jsonl) for the runs below, recorded
+# before the six test-only switches were deleted (there with ready negatives
+# off). A change to the donor paths that is meant to keep outputs must keep
+# these.
+DONOR_PATH_DIGESTS = {
+    "default": (
+        "8a68a63fd715ad89cc683d9f7e2cbe8e6e02695435d545c2dafca7510bbc42ee",
+        "4a1b599355ff099c2a315ad503de571440401788b1e8cfa3fbc88d814a5a26c6",
+    ),
+    "k8-pool5": (
+        "0dc5ccf3e614f84456eaf1680ae15b72a2f3550419fe8a28b8c92dcf6ee8ad83",
+        "84ab0ac6185c9c72ba532dc3e9073eaed467042f0c420d5fb19af0cacade5826",
+    ),
+}
+
+
+def test_ready_swap_and_pool_donors_byte_stable(tmp_path):
+    # Micro documents share entity ids, so swapped targets and donors from
+    # other documents' sentences occur; the template corpora of the benchmark
+    # give every document its own ids and never reach these paths. Swaps need
+    # the host and the pool to run dry, hence K=8 from a 5-sentence pool.
+    rng = random.Random(555)
+    corpus = tmp_path / "fuzz.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus([random_micro_doc(rng, f"fuzz{i}") for i in range(150)], fp)
+    runs = {
+        "default": pl.NegativesConfig(),
+        "k8-pool5": pl.NegativesConfig(num_negatives=8, pool_size=5),
+    }
+    tags = []
+    for name, negatives in runs.items():
+        out = tmp_path / name
+        pl.run_pipeline(
+            pl.PipelineConfig(
+                input=str(corpus),
+                output_dir=str(out),
+                seed=1,
+                extractor=ExtractorConfig(mode="all"),
+                negatives=negatives,
+            )
+        )
+        digests = tuple(
+            hashlib.sha256((out / fname).read_bytes()).hexdigest()
+            for fname in ("bundles.jsonl", "instances.jsonl")
+        )
+        assert digests == DONOR_PATH_DIGESTS[name], name
+        with open(out / "instances.jsonl", encoding="utf-8") as fp:
+            for inst in read_instances(fp):
+                donors = inst.meta.strategy.removeprefix("donors=").split(",")
+                tags += [(inst.meta.doc, tag) for tag in donors]
+    assert any("+swap" in tag for _, tag in tags)
+    assert any(
+        tag.split(":")[0] != doc for doc, tag in tags
+    ), "no relation-edited donor from another document"
+
+
 # sha256 of (bundles_counterfactual.jsonl, instances.jsonl) for the runs
 # below, recorded before the six test-only switches were deleted. Settings the
 # benchmark never runs: two copies from a document window, and K=8 from a
