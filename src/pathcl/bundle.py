@@ -152,13 +152,27 @@ def _variant_from(obj, line: int, at: str) -> ContextVariant:
 def bundle_from_record(obj, line: int = 0) -> InstanceBundle:
     """Decode one bundle line.
 
-    Every text's mention spans must be disjoint and inside it, and `context`
-    must hold one text per entry of `context_sentences`.
+    Every text's mention spans must be disjoint and inside it, `context`
+    must hold one text per entry of `context_sentences`, and every context
+    variant must replace one of `context_sentences`.
     """
     context_sentences = require_list(obj, "context_sentences", int, line)
     context = require_list(obj, "context", dict, line, length=len(context_sentences))
     options = require_list(obj, "options", dict, line)
-    variants = require_list(obj, "context_variants", dict, line)
+    variants = tuple(
+        _variant_from(v, line, f"context_variants[{i}]")
+        for i, v in enumerate(require_list(obj, "context_variants", dict, line))
+    )
+    for i, v in enumerate(variants):
+        if v.replaced_sentence not in context_sentences:
+            # Such a variant would leave the gold context unchanged.
+            path = f"context_variants[{i}].replaced_sentence"
+            raise RecordError(
+                line,
+                f"{path}: expected one of context_sentences {list(context_sentences)}, "
+                f"got {v.replaced_sentence}",
+                path,
+            )
     return InstanceBundle(
         doc_id=require(obj, "doc", str, line),
         pair=require_list(obj, "pair", str, line, length=2),
@@ -168,9 +182,7 @@ def bundle_from_record(obj, line: int = 0) -> InstanceBundle:
         answer_sentence=require(obj, "answer_sentence", int, line),
         answer=_text_from(require(obj, "answer", dict, line), line, "answer"),
         options=tuple(_synth_from(s, line, f"options[{i}]") for i, s in enumerate(options)),
-        context_variants=tuple(
-            _variant_from(v, line, f"context_variants[{i}]") for i, v in enumerate(variants)
-        ),
+        context_variants=variants,
         requested_negatives=require(obj, "requested_negatives", int, line),
         counterfactual=require(obj, "counterfactual", bool, line),
         variant=require(obj, "variant", int, line),

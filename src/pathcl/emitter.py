@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from .bundle import InstanceBundle
-from .jsonl import RecordError, read_records, require, require_list, require_map, write_records
+from .jsonl import RecordError, read_records, record_line, require, require_list, require_map
 from .negatives import ContextVariant, SynthSentence
 from .seeding import derive_rng
 
@@ -140,45 +140,53 @@ def instance_to_record(inst: ContrastiveInstance) -> dict:
     }
 
 
+TaggedLine = tuple[str, bool, str]  # (orientation, counterfactual, JSON line)
+
+
+def tagged_line(inst: ContrastiveInstance) -> TaggedLine:
+    """One instance's JSON line with the two tags `emit_instances` needs."""
+    return inst.orientation, inst.meta.counterfactual, record_line(instance_to_record(inst))
+
+
 def emit_instances(
-    instances: Iterable[ContrastiveInstance],
+    lines: Iterable[TaggedLine],
     ratio: tuple[int, int],
     fp: IO[str],
     tally: dict | None = None,
 ) -> int:
-    """Write instances interleaved at the original:counterfactual ratio.
+    """Write instance lines interleaved at the original:counterfactual ratio.
 
     The pattern repeats `ratio[0]` originals then `ratio[1]` counterfactual
     instances until both queues drain, so a streaming reader sees a
     stationary mixture. A zero component drops that queue entirely.
-    Instances are consumed lazily: a full round is written as soon as both
+    Lines are consumed lazily: a full round is written as soon as both
     queues hold it, and what is left at the end drains round by round, so
     the bytes do not depend on how far one queue runs ahead of the other.
-    With `tally` given, each written instance adds one to its orientation's
+    With `tally` given, each written line adds one to its orientation's
     entry and, if counterfactual, to the "counterfactual" entry.
     """
     orig_n, cf_n = ratio
     if orig_n < 0 or cf_n < 0:
         raise ValueError("ratio components must be >= 0")
-    originals: deque[ContrastiveInstance] = deque()
-    counterfactuals: deque[ContrastiveInstance] = deque()
+    originals: deque[TaggedLine] = deque()
+    counterfactuals: deque[TaggedLine] = deque()
 
-    def one_round() -> Iterator[ContrastiveInstance]:
+    def one_round() -> Iterator[str]:
         for queue, n in ((originals, orig_n), (counterfactuals, cf_n)):
             for _ in range(min(n, len(queue))):
-                inst = queue.popleft()
+                orientation, counterfactual, line = queue.popleft()
                 if tally is not None:
-                    tally[inst.orientation] += 1
-                    tally["counterfactual"] += inst.meta.counterfactual
-                yield inst
+                    tally[orientation] += 1
+                    tally["counterfactual"] += counterfactual
+                yield line
 
-    def interleaved() -> Iterator[ContrastiveInstance]:
-        for inst in instances:
-            if inst.meta.counterfactual:
+    def interleaved() -> Iterator[str]:
+        for tagged in lines:
+            if tagged[1]:
                 if cf_n:
-                    counterfactuals.append(inst)
+                    counterfactuals.append(tagged)
             elif orig_n:
-                originals.append(inst)
+                originals.append(tagged)
             while (originals or counterfactuals) and (
                 len(originals) >= orig_n and len(counterfactuals) >= cf_n
             ):
@@ -186,7 +194,11 @@ def emit_instances(
         while originals or counterfactuals:
             yield from one_round()
 
-    return write_records(interleaved(), instance_to_record, fp)
+    written = 0
+    for line in interleaved():
+        fp.write(line)
+        written += 1
+    return written
 
 
 def instance_from_record(obj, line: int = 0) -> ContrastiveInstance:

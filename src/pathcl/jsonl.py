@@ -28,7 +28,13 @@ class RecordError(ValueError):
     def __init__(self, line: int, message: str, field: str = ""):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
         self.field = field
+
+    def __reduce__(self):
+        # Rebuilt from its parts: an error raised in a pool worker reaches
+        # the caller by pickle.
+        return type(self), (self.line, self.message, self.field)
 
 
 def is_a(value: object, kind: type) -> bool:

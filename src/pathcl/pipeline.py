@@ -3,16 +3,23 @@
 Every stage boundary is a file, so each stage can run standalone and the
 full run is the byte-exact composition of the stages. Randomness is
 derived per instance from the root seed and the instance's stable key.
-Documents are processed one at a time, in input order.
 
 The stages after extraction are lazy. `stage_negatives` and
 `stage_counterfactual` return an iterator of bundles together with a
 counters dict that is final once the iterator is drained, and
-`stage_emit` consumes bundles one at a time. `run_pipeline` chains them
-in one pass, so each bundle reaches its files as soon as it is built:
-only the documents, the positives and the two sampling pools (donor
-sentences and alien entities) stay resident. Every output file is written
-under a temporary name and moved into place only when its stage succeeds.
+`stage_emit` consumes bundles one at a time.
+
+`run_pipeline` parses the corpus and builds the two sampling pools (donor
+sentences and alien entities) once. Everything after that depends only on
+one document, the seed and the pools, so each document's whole chain
+(graph, extraction, negatives, counterfactual copies, instances) is one
+task that returns the document's output lines and counts; the standalone
+stages share its per-document and per-bundle loop bodies. With
+`PipelineConfig.jobs` above 1 the tasks run in forked worker processes,
+which inherit the documents and pools; only a document's index goes to a
+worker and only strings and counts come back. The parent writes the lines
+in input order, one document at a time. Every output file is written under
+a temporary name and moved into place only when its stage succeeds.
 """
 
 from __future__ import annotations
@@ -24,12 +31,12 @@ import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .bundle import InstanceBundle, assemble_bundle, bundle_to_record, read_bundles
 from .corpus import Document, parse_corpus
 from .counterfactual import AlienEntity, apply_counterfactual, build_entity_pool, select_replacements
-from .emitter import ContrastiveInstance, bundle_to_instances, emit_instances
+from .emitter import TaggedLine, bundle_to_instances, emit_instances, tagged_line
 from .graph import EntityGraph, build_entity_graph, write_edge_list
 from .jsonl import (
     RecordError,
@@ -85,15 +92,15 @@ class PipelineConfig:
     input: str
     output_dir: str
     seed: int
-    # Ignored: the pipeline always runs serially. Kept only because the
-    # benchmark harness and acceptance criterion 9 still pass it.
-    jobs: int = 1
+    jobs: int = 1  # processes for the per-document chains; see `worker_count`
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     negatives: NegativesConfig = field(default_factory=NegativesConfig)
     counterfactual: CounterfactualConfig = field(default_factory=CounterfactualConfig)
 
     def __post_init__(self):
         typed(self.seed, int, "seed")
+        if typed(self.jobs, int, "jobs") < 1:
+            raise ValueError(f"jobs: expected int >= 1, got {self.jobs!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -101,8 +108,8 @@ class PipelineConfig:
     def hash(self) -> str:
         """Digest of the semantic configuration.
 
-        Paths and the ignored worker count are excluded: neither changes
-        what is produced.
+        Paths and the worker count are excluded: neither changes what is
+        produced.
         """
         payload = self.to_dict()
         for key in ("input", "output_dir", "jobs"):
@@ -147,6 +154,19 @@ def read_positives(lines: Iterable[str]) -> Iterator[PositiveInstance]:
 
 # -- stages --
 
+# The manifest counts of the stages that run per document.
+STAGE_COUNTS = {
+    "graph": ("edges",),
+    "extract": ("instances",),
+    "negatives": ("bundles", "skipped_no_donor", "option_shortfalls", "context_shortfalls"),
+    "counterfactual": ("originals", "copies", "skipped_small_pool"),
+    "emit": ("records", "option", "context", "counterfactual", "skipped_option", "skipped_context"),
+}
+
+
+def _zeroed(stage: str) -> dict[str, int]:
+    return dict.fromkeys(STAGE_COUNTS[stage], 0)
+
 
 @contextmanager
 def open_output(path) -> Iterator[IO[str]]:
@@ -171,17 +191,19 @@ def load_documents(path, errors: list[RecordError] | None = None) -> list[Docume
         return list(parse_corpus(fp, errors))
 
 
-def _write_graph_rows(doc: Document, graph: EntityGraph, fp: IO[str]) -> int:
+def _graph_rows(doc: Document, graph: EntityGraph) -> list[str]:
     buf = io.StringIO()
     write_edge_list(graph, buf)
-    rows = buf.getvalue().splitlines()
-    for line in rows:
-        fp.write(f"{doc.id}\t{line}\n")
-    return len(rows)
+    return [f"{doc.id}\t{line}\n" for line in buf.getvalue().splitlines()]
 
 
 def stage_graph_export(docs: Sequence[Document], fp: IO[str]) -> int:
-    return sum(_write_graph_rows(doc, build_entity_graph(doc), fp) for doc in docs)
+    rows = 0
+    for doc in docs:
+        lines = _graph_rows(doc, build_entity_graph(doc))
+        fp.writelines(lines)
+        rows += len(lines)
+    return rows
 
 
 # bench/worker.py traces `_extract_worker` and `_negative_worker` by name; keep both.
@@ -229,6 +251,25 @@ def _negative_worker(
     return bundles
 
 
+def _kept_bundles(
+    doc: Document,
+    instances: Sequence[PositiveInstance],
+    pool: Sequence[DonorSentence],
+    cfg: NegativesConfig,
+    seed: int,
+    counts: dict[str, int],
+) -> Iterator[InstanceBundle]:
+    """The bundle of every positive of `doc` that found a donor; counts into `counts`."""
+    for b in _negative_worker(doc, instances, pool, cfg, seed):
+        if cfg.num_negatives > 0 and not b.options and not b.context_variants:
+            counts["skipped_no_donor"] += 1
+            continue
+        counts["bundles"] += 1
+        counts["option_shortfalls"] += len(b.options) < cfg.num_negatives
+        counts["context_shortfalls"] += len(b.context_variants) < cfg.num_negatives
+        yield b
+
+
 def stage_negatives(
     docs: Sequence[Document],
     per_doc_instances: Sequence[Sequence[PositiveInstance]],
@@ -241,20 +282,58 @@ def stage_negatives(
     the iterator is drained.
     """
     pool = build_donor_pool(docs, cfg.pool_size, derive_rng(seed, "donor-pool"))
-    counters = {"bundles": 0, "skipped_no_donor": 0, "option_shortfalls": 0, "context_shortfalls": 0}
+    counters = _zeroed("negatives")
+    kept = (
+        b
+        for doc, instances in zip(docs, per_doc_instances, strict=True)
+        for b in _kept_bundles(doc, instances, pool, cfg, seed, counters)
+    )
+    return kept, counters
 
-    def kept() -> Iterator[InstanceBundle]:
-        for doc, instances in zip(docs, per_doc_instances, strict=True):
-            for b in _negative_worker(doc, instances, pool, cfg, seed):
-                if cfg.num_negatives > 0 and not b.options and not b.context_variants:
-                    counters["skipped_no_donor"] += 1
-                    continue
-                counters["bundles"] += 1
-                counters["option_shortfalls"] += len(b.options) < cfg.num_negatives
-                counters["context_shortfalls"] += len(b.context_variants) < cfg.num_negatives
-                yield b
 
-    return kept(), counters
+class _Augmenter:
+    """Counterfactual copies of bundles, drawn from an alien pool built once for `docs`."""
+
+    def __init__(self, docs: Sequence[Document], cfg: CounterfactualConfig):
+        self.cfg = cfg
+        self.position = {doc.id: i for i, doc in enumerate(docs)}
+        self.pool = build_entity_pool(docs) if cfg.copies else []
+        self.per_doc: list[list[AlienEntity]] | None = None
+        if cfg.pool_strategy == "same-batch-documents":
+            self.per_doc = [[] for _ in docs]
+            for alien in self.pool:
+                self.per_doc[self.position[alien.source_doc]].append(alien)
+
+    def _candidates(self, doc_id: str) -> Sequence[AlienEntity]:
+        if self.per_doc is None:
+            return self.pool
+        center = self.position[doc_id]
+        lo = max(0, center - self.cfg.window // 2)
+        hi = min(len(self.per_doc), center + self.cfg.window // 2 + 1)
+        return [a for chunk in self.per_doc[lo:hi] for a in chunk]
+
+    def __call__(
+        self, bundle: InstanceBundle, doc: Document, seed: int, counts: dict[str, int]
+    ) -> Iterator[InstanceBundle]:
+        """`bundle`, checked against `doc`, then its copies; counts into `counts`."""
+        indices = (*bundle.context_sentences, bundle.answer_sentence)
+        _check_sentences(doc, indices, bundle.path.hops, "bundle")
+        counts["originals"] += 1
+        yield bundle
+        if not self.cfg.copies:
+            return
+        candidates = self._candidates(bundle.doc_id)
+        for copy in range(1, self.cfg.copies + 1):
+            rng = derive_rng(seed, "counterfactual", *bundle.key(), copy)
+            try:
+                rmap = select_replacements(
+                    bundle, doc, candidates, rng, include_prob=self.cfg.include_prob
+                )
+            except ValueError:
+                counts["skipped_small_pool"] += 1
+                continue
+            counts["copies"] += 1
+            yield apply_counterfactual(bundle, rmap, variant=copy)
 
 
 def stage_counterfactual(
@@ -269,47 +348,27 @@ def stage_counterfactual(
     are made. The alien-entity pool is built before this returns, and only
     when copies are made; the counters fill in as the iterator is drained.
     """
-    counters = {"originals": 0, "copies": 0, "skipped_small_pool": 0}
-    doc_position = {doc.id: i for i, doc in enumerate(docs)}
+    counters = _zeroed("counterfactual")
     by_doc = {doc.id: doc for doc in docs}
-    pool = build_entity_pool(docs) if cfg.copies else []
-    per_doc_entities: list[list[AlienEntity]] | None = None
-    if cfg.pool_strategy == "same-batch-documents":
-        per_doc_entities = [[] for _ in docs]
-        for alien in pool:
-            per_doc_entities[doc_position[alien.source_doc]].append(alien)
+    augment = _Augmenter(docs, cfg)
 
     def augmented() -> Iterator[InstanceBundle]:
         for bundle in bundles:
             doc = by_doc.get(bundle.doc_id)
             if doc is None:
                 raise ValueError(f"bundle references unknown document {bundle.doc_id!r}")
-            indices = (*bundle.context_sentences, bundle.answer_sentence)
-            _check_sentences(doc, indices, bundle.path.hops, "bundle")
-            counters["originals"] += 1
-            yield bundle
-            if not cfg.copies:
-                continue
-            if per_doc_entities is None:
-                candidates = pool
-            else:
-                center = doc_position[bundle.doc_id]
-                lo = max(0, center - cfg.window // 2)
-                hi = min(len(docs), center + cfg.window // 2 + 1)
-                candidates = [a for chunk in per_doc_entities[lo:hi] for a in chunk]
-            for copy in range(1, cfg.copies + 1):
-                rng = derive_rng(seed, "counterfactual", *bundle.key(), copy)
-                try:
-                    rmap = select_replacements(
-                        bundle, doc, candidates, rng, include_prob=cfg.include_prob
-                    )
-                except ValueError:
-                    counters["skipped_small_pool"] += 1
-                    continue
-                counters["copies"] += 1
-                yield apply_counterfactual(bundle, rmap, variant=copy)
+            yield from augment(bundle, doc, seed, counters)
 
     return augmented(), counters
+
+
+def _instance_lines(bundle: InstanceBundle, seed: int, counts: dict[str, int]) -> list[TaggedLine]:
+    """The tagged lines of one bundle's instances; counts skipped orientations."""
+    instances = bundle_to_instances(bundle, seed)
+    got = {ci.orientation for ci in instances}
+    counts["skipped_option"] += "option" not in got
+    counts["skipped_context"] += "context" not in got
+    return [tagged_line(ci) for ci in instances]
 
 
 def stage_emit(
@@ -324,34 +383,130 @@ def stage_emit(
     counterfactual instances of copies in the input are dropped, and not
     counted.
     """
-    counters = {
-        "records": 0,
-        "option": 0,
-        "context": 0,
-        "counterfactual": 0,
-        "skipped_option": 0,
-        "skipped_context": 0,
-    }
-
-    def built() -> Iterator[ContrastiveInstance]:
-        for bundle in bundles:
-            instances = bundle_to_instances(bundle, seed)
-            got = {ci.orientation for ci in instances}
-            counters["skipped_option"] += "option" not in got
-            counters["skipped_context"] += "context" not in got
-            yield from instances
-
-    counters["records"] = emit_instances(built(), (1, copies), fp, tally=counters)
+    counters = _zeroed("emit")
+    lines = (line for bundle in bundles for line in _instance_lines(bundle, seed, counters))
+    counters["records"] = emit_instances(lines, (1, copies), fp, tally=counters)
     return counters
 
 
-def _written(
-    bundles: Iterable[InstanceBundle], fp: IO[str], line: Callable[[InstanceBundle], str]
-) -> Iterator[InstanceBundle]:
-    """Pass bundles through, writing each one's JSON line to `fp` on the way."""
-    for bundle in bundles:
-        fp.write(line(bundle))
-        yield bundle
+# -- the whole run --
+
+
+# One piece of a document's output: (file name, text) for the four stage
+# files, ("instances", tagged line) or, last, ("counts", per-stage counts).
+Piece = tuple[str, object]
+
+
+class _DocumentChain:
+    """Graph, extraction, negatives, copies and instances of one document at a time.
+
+    Both sampling pools are built here, once per run and before any worker
+    forks, so forked workers inherit them with the documents.
+    """
+
+    def __init__(self, docs: Sequence[Document], cfg: PipelineConfig):
+        self.docs = docs
+        self.cfg = cfg
+        self.donors = build_donor_pool(
+            docs, cfg.negatives.pool_size, derive_rng(cfg.seed, "donor-pool")
+        )
+        self.augment = _Augmenter(docs, cfg.counterfactual)
+
+    def __call__(self, index: int) -> Iterator[Piece]:
+        """Lazily, the document's output pieces, one bundle's at a time."""
+        doc, cfg, seed = self.docs[index], self.cfg, self.cfg.seed
+        counts = {stage: _zeroed(stage) for stage in STAGE_COUNTS}
+        graph = build_entity_graph(doc)
+        rows = _graph_rows(doc, graph)
+        positives = _extract_worker(doc, cfg.extractor, graph)
+        counts["graph"]["edges"] = len(rows)
+        counts["extract"]["instances"] = len(positives)
+        yield "graph", "".join(rows)
+        yield "positives", "".join(record_line(positive_to_record(p)) for p in positives)
+        for original in _kept_bundles(
+            doc, positives, self.donors, cfg.negatives, seed, counts["negatives"]
+        ):
+            line = record_line(bundle_to_record(original))
+            yield "bundles", line
+            for bundle in self.augment(original, doc, seed, counts["counterfactual"]):
+                if bundle is not original:
+                    line = record_line(bundle_to_record(bundle))
+                yield "bundles_counterfactual", line
+                for tagged in _instance_lines(bundle, seed, counts["emit"]):
+                    yield "instances", tagged
+        yield "counts", counts
+
+
+def worker_count(jobs: int, n_docs: int) -> int:
+    """Processes to run `n_docs` document chains on when `jobs` are asked for.
+
+    Never more than the usable CPUs or the documents, and 1 where the fork
+    start method is unavailable.
+    """
+    wanted = min(jobs, n_docs)
+    if wanted <= 1:
+        return 1
+    import multiprocessing  # here, so that a run without workers never loads it
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(wanted, cpus)
+
+
+# Documents per message to and from a worker. A `first` document's chain
+# takes about a millisecond: smaller chunks cost the parent more CPU in
+# messages, larger ones lengthen the uneven tail of a run.
+CHUNK_DOCS = 16
+
+# Set in each forked worker by `_install_chain`, never in the parent.
+_worker_chain: _DocumentChain | None = None
+
+
+def _install_chain(chain: _DocumentChain) -> None:
+    global _worker_chain
+    _worker_chain = chain
+
+
+def _run_chain(index: int) -> list[Piece]:
+    return list(_worker_chain(index))
+
+
+@contextmanager
+def _document_outputs(chain: _DocumentChain, jobs: int) -> Iterator[Iterator[Iterable[Piece]]]:
+    """Each document's output, lazily and in input order.
+
+    With one worker the chain runs here, one document at a time. Otherwise
+    it runs in forked worker processes, which inherit `chain` (documents
+    and pools) instead of receiving it pickled; all of them are forked
+    before the executor starts its own thread. `multiprocessing.Pool.imap`
+    would do the same, but its worker-handler thread also waits on the
+    result pipe and spins while results wait there: on 2,000 `first`
+    documents that cost the parent about 0.2 s of CPU, as much again as
+    all its other work after set-up. On an error, unstarted chunks are
+    cancelled and the workers are joined before it propagates.
+    """
+    n_docs = len(chain.docs)
+    workers = worker_count(jobs, n_docs)
+    if workers == 1:
+        yield map(chain, range(n_docs))
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    executor = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_chain,
+        initargs=(chain,),
+    )
+    try:
+        yield executor.map(_run_chain, range(n_docs), chunksize=CHUNK_DOCS)
+    finally:
+        executor.shutdown(cancel_futures=True)
 
 
 OUTPUT_FILES = {
@@ -368,12 +523,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     """Ingest, graph, extract, negatives, counterfactual, emit; write manifest.
 
     Each intermediate file matches what the corresponding standalone
-    subcommand would produce with the same configuration. Each document's
-    graph is built once, for both the export and the extraction. The
-    negatives, counterfactual and emit stages run as one stream that
-    writes `bundles.jsonl`, `bundles_counterfactual.jsonl` and
-    `instances.jsonl` side by side; an original bundle is serialized once
-    for both bundle files.
+    subcommand would produce with the same configuration. After parsing
+    and building the two sampling pools, each document's whole chain runs
+    as one task, in `worker_count(cfg.jobs, documents)` processes; its
+    graph is built once, for both the export and the extraction, and an
+    original bundle is serialized once for both bundle files. This process
+    writes the pieces to the five files in input order and interleaves
+    the instance lines 1:copies; with one worker it holds one bundle's
+    output at a time. The outputs do not depend on `cfg.jobs`.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -381,50 +538,37 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     parse_errors: list[RecordError] = []
     docs = load_documents(cfg.input, parse_errors)
-
-    graph_rows = 0
-    per_doc: list[list[PositiveInstance]] = []
-    with open_output(paths["graph"]) as fp:
-        for doc in docs:
-            graph = build_entity_graph(doc)
-            graph_rows += _write_graph_rows(doc, graph, fp)
-            per_doc.append(_extract_worker(doc, cfg.extractor, graph))
-    with open_output(paths["positives"]) as fp:
-        n_positives = write_positives((i for doc in per_doc for i in doc), fp)
-
-    # An original passes both bundle writers back to back: keep its line.
-    last_bundle, last_line = None, ""
-
-    def line(bundle: InstanceBundle) -> str:
-        nonlocal last_bundle, last_line
-        if bundle is not last_bundle:
-            last_bundle, last_line = bundle, record_line(bundle_to_record(bundle))
-        return last_line
+    chain = _DocumentChain(docs, cfg)
+    stages = {stage: _zeroed(stage) for stage in STAGE_COUNTS}
 
     with ExitStack() as stack:
-        bundles_fp, cf_fp, instances_fp = (
-            stack.enter_context(open_output(paths[name]))
-            for name in ("bundles", "bundles_counterfactual", "instances")
-        )
-        bundles, neg_counts = stage_negatives(docs, per_doc, cfg.negatives, cfg.seed)
-        cf_bundles, cf_counts = stage_counterfactual(
-            docs, _written(bundles, bundles_fp, line), cfg.counterfactual, cfg.seed
-        )
-        emit_counts = stage_emit(
-            _written(cf_bundles, cf_fp, line), cfg.counterfactual.copies, cfg.seed, instances_fp
+        files = {
+            name: stack.enter_context(open_output(paths[name]))
+            for name in ("graph", "positives", "bundles", "bundles_counterfactual", "instances")
+        }
+        outputs = stack.enter_context(_document_outputs(chain, cfg.jobs))
+
+        def instance_lines() -> Iterator[TaggedLine]:
+            for pieces in outputs:
+                for name, piece in pieces:
+                    if name == "instances":
+                        yield piece
+                    elif name == "counts":
+                        for stage, counts in piece.items():
+                            for key, n in counts.items():
+                                stages[stage][key] += n
+                    else:
+                        files[name].write(piece)
+
+        stages["emit"]["records"] = emit_instances(
+            instance_lines(), (1, cfg.counterfactual.copies), files["instances"],
+            tally=stages["emit"],
         )
 
     manifest = {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
-        "stages": {
-            "parse": {"documents": len(docs), "errors": len(parse_errors)},
-            "graph": {"edges": graph_rows},
-            "extract": {"instances": n_positives},
-            "negatives": neg_counts,
-            "counterfactual": cf_counts,
-            "emit": emit_counts,
-        },
+        "stages": {"parse": {"documents": len(docs), "errors": len(parse_errors)}, **stages},
         # File names are relative to the manifest's directory, keeping the
         # manifest byte-identical across runs into different locations.
         "outputs": {name: fname for name, fname in OUTPUT_FILES.items() if name != "manifest"},

@@ -16,6 +16,7 @@ from pathcl.emitter import (
     instance_to_record,
     read_instances,
     stats,
+    tagged_line,
 )
 from pathcl.graph import build_entity_graph
 from pathcl.jsonl import RecordError
@@ -79,7 +80,7 @@ def test_round_trip_fuzzed():
     rng = random.Random(31)
     originals = [random_instance(rng, counterfactual=rng.random() < 0.5) for _ in range(100)]
     buf = io.StringIO()
-    emit_instances(originals, (1, 1), buf)
+    emit_instances(map(tagged_line, originals), (1, 1), buf)
     buf.seek(0)
     parsed = list(read_instances(buf))
     assert sorted(map(repr, parsed)) == sorted(map(repr, originals))
@@ -126,7 +127,7 @@ def test_ratio_interleave_counts():
     originals = [random_instance(rng) for _ in range(10)]
     copies = [random_instance(rng, counterfactual=True) for _ in range(20)]
     buf = io.StringIO()
-    n = emit_instances(originals + copies, (1, 2), buf)
+    n = emit_instances(map(tagged_line, originals + copies), (1, 2), buf)
     assert n == 30
     buf.seek(0)
     recs = [json.loads(line) for line in buf]
@@ -142,7 +143,7 @@ def test_ratio_one_to_zero_drops_counterfactuals():
         random_instance(rng, counterfactual=True) for _ in range(4)
     ]
     buf = io.StringIO()
-    assert emit_instances(mixed, (1, 0), buf) == 4
+    assert emit_instances(map(tagged_line, mixed), (1, 0), buf) == 4
     buf.seek(0)
     assert all(not json.loads(line)["meta"]["counterfactual"] for line in buf)
 
@@ -168,7 +169,7 @@ def test_streaming_interleave_matches_batch_oracle(ratio, runs, seed):
         random_instance(rng, counterfactual=flag) for flag, length in runs for _ in range(length)
     ]
     streamed, batched = io.StringIO(), io.StringIO()
-    n = emit_instances(iter(instances), ratio, streamed)
+    n = emit_instances(map(tagged_line, instances), ratio, streamed)
     assert n == batch_emit_instances(instances, ratio, batched)
     assert streamed.getvalue() == batched.getvalue()
 
@@ -185,7 +186,7 @@ def test_emit_writes_full_rounds_before_input_ends():
         assert buf.getvalue().count("\n") == 3  # the full round went out at once
         yield random_instance(rng)
 
-    assert emit_instances(arriving(), (1, 2), buf) == 4
+    assert emit_instances(map(tagged_line, arriving()), (1, 2), buf) == 4
 
 
 def test_emit_deterministic_bytes():
@@ -194,8 +195,8 @@ def test_emit_deterministic_bytes():
         return [random_instance(rng, counterfactual=rng.random() < 0.4) for _ in range(50)]
 
     buf_a, buf_b = io.StringIO(), io.StringIO()
-    emit_instances(build(), (1, 1), buf_a)
-    emit_instances(build(), (1, 1), buf_b)
+    emit_instances(map(tagged_line, build()), (1, 1), buf_a)
+    emit_instances(map(tagged_line, build()), (1, 1), buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
 
 
@@ -205,7 +206,7 @@ def test_stats_counts():
     cf_bundle = apply_counterfactual(bundle, rmap)
     cf_instances = bundle_to_instances(cf_bundle, 7)
     buf = io.StringIO()
-    emit_instances(instances + cf_instances + cf_instances, (1, 2), buf)
+    emit_instances(map(tagged_line, instances + cf_instances + cf_instances), (1, 2), buf)
     buf.seek(0)
     got = stats(buf)
     assert got.total == 6

@@ -1,6 +1,9 @@
+import concurrent.futures
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import random
 import tracemalloc
 
@@ -9,6 +12,7 @@ import pytest
 from pathcl import pipeline as pl
 from pathcl.corpus import write_corpus
 from pathcl.emitter import read_instances
+from pathcl.jsonl import RecordError
 from pathcl.metapath import ExtractorConfig
 from pathcl.synth import make_corpus
 from pathcl.trainer import TrainConfig
@@ -62,6 +66,16 @@ def test_config_values_typed_when_built_in_python():
          "seed: expected int, got float"),
         (lambda: pl.PipelineConfig(input="a", output_dir="b", seed=True),
          "seed: expected int, got bool"),
+        (lambda: pl.PipelineConfig(input="a", output_dir="b", seed=1, jobs=0),
+         "jobs: expected int >= 1, got 0"),
+        (lambda: pl.PipelineConfig(input="a", output_dir="b", seed=1, jobs=-1),
+         "jobs: expected int >= 1, got -1"),
+        (lambda: pl.PipelineConfig(input="a", output_dir="b", seed=1, jobs="2"),
+         "jobs: expected int, got string"),
+        (lambda: pl.PipelineConfig(input="a", output_dir="b", seed=1, jobs=2.0),
+         "jobs: expected int, got float"),
+        (lambda: pl.PipelineConfig(input="a", output_dir="b", seed=1, jobs=True),
+         "jobs: expected int, got bool"),
         (lambda: TrainConfig(batch_size=0), "train.batch_size: expected int >= 1, got 0"),
     ):
         with pytest.raises(ValueError) as exc:
@@ -262,11 +276,12 @@ DONOR_PATH_DIGESTS = {
 }
 
 
-def test_ready_swap_and_pool_donors_byte_stable(tmp_path):
-    # Micro documents share entity ids, so swapped targets and donors from
-    # other documents' sentences occur; the template corpora of the benchmark
-    # give every document its own ids and never reach these paths. Swaps need
-    # the host and the pool to run dry, hence K=8 from a 5-sentence pool.
+def sha256s(out, fnames):
+    return tuple(hashlib.sha256((out / fname).read_bytes()).hexdigest() for fname in fnames)
+
+
+def donor_path_runs(tmp_path, jobs=1):
+    """Run the settings of DONOR_PATH_DIGESTS; returns each run's output directory."""
     rng = random.Random(555)
     corpus = tmp_path / "fuzz.jsonl"
     with open(corpus, "w", encoding="utf-8") as fp:
@@ -275,22 +290,30 @@ def test_ready_swap_and_pool_donors_byte_stable(tmp_path):
         "default": pl.NegativesConfig(),
         "k8-pool5": pl.NegativesConfig(num_negatives=8, pool_size=5),
     }
-    tags = []
+    outs = {}
     for name, negatives in runs.items():
-        out = tmp_path / name
+        outs[name] = tmp_path / name
         pl.run_pipeline(
             pl.PipelineConfig(
                 input=str(corpus),
-                output_dir=str(out),
+                output_dir=str(outs[name]),
                 seed=1,
+                jobs=jobs,
                 extractor=ExtractorConfig(mode="all"),
                 negatives=negatives,
             )
         )
-        digests = tuple(
-            hashlib.sha256((out / fname).read_bytes()).hexdigest()
-            for fname in ("bundles.jsonl", "instances.jsonl")
-        )
+    return outs
+
+
+def test_ready_swap_and_pool_donors_byte_stable(tmp_path):
+    # Micro documents share entity ids, so swapped targets and donors from
+    # other documents' sentences occur; the template corpora of the benchmark
+    # give every document its own ids and never reach these paths. Swaps need
+    # the host and the pool to run dry, hence K=8 from a 5-sentence pool.
+    tags = []
+    for name, out in donor_path_runs(tmp_path).items():
+        digests = sha256s(out, ("bundles.jsonl", "instances.jsonl"))
         assert digests == DONOR_PATH_DIGESTS[name], name
         with open(out / "instances.jsonl", encoding="utf-8") as fp:
             for inst in read_instances(fp):
@@ -320,7 +343,8 @@ UNBENCHED_SETTINGS_DIGESTS = {
 }
 
 
-def test_unbenched_emit_and_counterfactual_settings_byte_stable(tmp_path):
+def unbenched_runs(tmp_path, jobs=1):
+    """Run the settings of UNBENCHED_SETTINGS_DIGESTS; returns (output directory, manifest)."""
     corpora = {
         "template": make_corpus(12, seed=11, blocks=2, fillers=8),
         "micro": [random_micro_doc(random.Random(31 + i), f"m{i}") for i in range(40)],
@@ -336,6 +360,7 @@ def test_unbenched_emit_and_counterfactual_settings_byte_stable(tmp_path):
         ),
         "k8": ("micro", dict(negatives=pl.NegativesConfig(num_negatives=8, pool_size=10))),
     }
+    outs = {}
     for name, (corpus_name, settings) in runs.items():
         corpus = tmp_path / f"{corpus_name}.jsonl"
         with open(corpus, "w", encoding="utf-8") as fp:
@@ -346,14 +371,18 @@ def test_unbenched_emit_and_counterfactual_settings_byte_stable(tmp_path):
                 input=str(corpus),
                 output_dir=str(out),
                 seed=3,
+                jobs=jobs,
                 extractor=ExtractorConfig(mode="all"),
                 **settings,
             )
         )
-        digests = tuple(
-            hashlib.sha256((out / fname).read_bytes()).hexdigest()
-            for fname in ("bundles_counterfactual.jsonl", "instances.jsonl")
-        )
+        outs[name] = out, manifest
+    return outs
+
+
+def test_unbenched_emit_and_counterfactual_settings_byte_stable(tmp_path):
+    for name, (out, manifest) in unbenched_runs(tmp_path).items():
+        digests = sha256s(out, ("bundles_counterfactual.jsonl", "instances.jsonl"))
         assert digests == UNBENCHED_SETTINGS_DIGESTS[name], name
         emitted = manifest["stages"]["emit"]
         if name == "window":
@@ -369,3 +398,99 @@ def test_unbenched_emit_and_counterfactual_settings_byte_stable(tmp_path):
         assert any(
             tag.split(":")[0] != doc for doc, tag in tags
         ), "no relation-edited donor from another document"
+
+
+def cpus(monkeypatch, n):
+    """Let `worker_count` see `n` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_outputs_do_not_depend_on_jobs(tmp_path, monkeypatch):
+    # The runs of the two pinned-digest tests above: swaps, foreign donors,
+    # skipped orientations, two copies and same-batch-documents.
+    cpus(monkeypatch, 3)
+    assert pl.worker_count(3, 12) == 3
+    files = {}
+    for jobs in (1, 2, 3):
+        root = tmp_path / f"jobs{jobs}"
+        root.mkdir()
+        outs = donor_path_runs(root, jobs)
+        outs.update((name, out) for name, (out, _) in unbenched_runs(root, jobs).items())
+        files[jobs] = {
+            (name, fname): (out / fname).read_bytes()
+            for name, out in outs.items()
+            for fname in pl.OUTPUT_FILES.values()
+        }
+    assert files[2] == files[1]
+    assert files[3] == files[1]
+    jobs2 = tmp_path / "jobs2"
+    for name, digests in DONOR_PATH_DIGESTS.items():
+        assert sha256s(jobs2 / name, ("bundles.jsonl", "instances.jsonl")) == digests, name
+    for name, digests in UNBENCHED_SETTINGS_DIGESTS.items():
+        got = sha256s(jobs2 / name, ("bundles_counterfactual.jsonl", "instances.jsonl"))
+        assert got == digests, name
+
+
+def test_failing_document_stops_workers_and_leaves_no_output(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    docs = make_corpus(40, seed=4)
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(docs, fp)
+    real = pl._negative_worker
+
+    def failing(doc, *args):
+        if doc.id == docs[2].id:
+            raise RecordError(7, f"no donors for {doc.id}", "doc")
+        return real(doc, *args)
+
+    monkeypatch.setattr(pl, "_negative_worker", failing)
+    cpus(monkeypatch, 2)
+    raised = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"out{jobs}"
+        with pytest.raises(Exception) as exc:
+            pl.run_pipeline(pl.PipelineConfig(input=str(corpus), output_dir=str(out), seed=1, jobs=jobs))
+        raised[jobs] = (type(exc.value), str(exc.value), exc.value.line, exc.value.field)
+        assert list(out.iterdir()) == [], jobs
+        assert multiprocessing.active_children() == [], jobs
+    assert raised[1] == (RecordError, f"line 7: no donors for {docs[2].id}", 7, "doc")
+    assert raised[2] == raised[1]
+
+
+def test_one_worker_never_forks(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(5, seed=4), fp)
+    lone = tmp_path / "lone.jsonl"
+    with open(lone, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(1, seed=4), fp)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    cpus(monkeypatch, 4)
+    # One job asked for, or one document to run: no pool either way.
+    for path, jobs in ((corpus, 1), (lone, 4)):
+        manifest = pl.run_pipeline(
+            pl.PipelineConfig(input=str(path), output_dir=str(tmp_path / f"out{jobs}"), seed=2, jobs=jobs)
+        )
+        assert manifest["stages"]["emit"]["records"] > 0
+
+
+def test_worker_count_bounded_by_cpus_and_documents(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    usable = len(os.sched_getaffinity(0))
+    assert pl.worker_count(10_000, 10_000) == usable
+    assert pl.worker_count(10_000, 1) == 1
+    assert pl.worker_count(10_000, 0) == 1
+    assert pl.worker_count(1, 10_000) == 1
+    cpus(monkeypatch, 3)
+    assert pl.worker_count(10_000, 10_000) == 3
+    assert pl.worker_count(2, 10_000) == 2
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert pl.worker_count(10_000, 10_000) == 1

@@ -8,6 +8,7 @@ succeed or raise RecordError naming line 2.
 
 import copy
 import json
+import pickle
 import re
 
 import pytest
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 
 from pathcl.bundle import read_bundles
 from pathcl.cli import main
-from pathcl.corpus import parse_corpus
+from pathcl.corpus import parse_corpus, write_corpus
 from pathcl.emitter import read_instances
 from pathcl.jsonl import RecordError
 from pathcl.pipeline import read_positives
+from pathcl.synth import make_corpus
 from pathcl.trainer import build_vocab, init_params, save_params
 
 from test_cli import film_cast_corpus
@@ -42,6 +44,18 @@ def film_cast_run(tmp_path_factory):
                "--seed", "3"])
     assert rc == 0
     return root
+
+
+def set_field(record, key, value):
+    """Set `record[key]`; a new context of the same length keeps each variant
+    on the sentence at its position, since a variant must replace one of the
+    context sentences."""
+    old = record[key]
+    if key == "context_sentences" and isinstance(value, list) and len(value) == len(old):
+        moved = dict(zip(old, value))
+        for variant in record["context_variants"]:
+            variant["replaced_sentence"] = moved[variant["replaced_sentence"]]
+    record[key] = value
 
 
 def json_paths(obj, prefix=()):
@@ -139,7 +153,7 @@ def test_counterfactual_checks_bundles_without_copies(
     # The default ratio makes copies and runs these checks (see the unknown
     # document test above and the mistyped test below); a ratio of 0 must too.
     record = json.loads((film_cast_run / "bundles.jsonl").read_text(encoding="utf-8"))
-    record[key] = value
+    set_field(record, key, value)
     bundles = tmp_path / "bundles.jsonl"
     bundles.write_text(json.dumps(record) + "\n", encoding="utf-8")
     rc = main(["counterfactual", "--corpus", str(film_cast_run / "corpus.jsonl"),
@@ -182,13 +196,43 @@ def test_bundle_mistyped_or_out_of_range_exit_1(
     film_cast_run, tmp_path, capsys, key, value, message
 ):
     record = json.loads((film_cast_run / "bundles.jsonl").read_text(encoding="utf-8"))
-    record[key] = value
+    set_field(record, key, value)
     bundles = tmp_path / "bundles.jsonl"
     bundles.write_text(json.dumps(record) + "\n", encoding="utf-8")
     rc = main(["counterfactual", "--corpus", str(film_cast_run / "corpus.jsonl"),
                "--input", str(bundles), "--output", str(tmp_path / "out.jsonl"), "--seed", "3"])
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+def test_variant_outside_context_exit_1(tmp_path, capsys):
+    # A context variant that replaces no context sentence leaves the gold
+    # context as it is: emitted, two of the four candidates would be the gold.
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(4, seed=2), fp)
+    assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path), "--seed", "1"]) == 0
+    lines = (tmp_path / "bundles.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    assert record["context_sentences"] == [0, 16]
+    assert record["context_variants"][0]["replaced_sentence"] == 16
+    record["context_variants"][0]["replaced_sentence"] = 5  # in the document, not the context
+    bundles = tmp_path / "edited.jsonl"
+    bundles.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    message = ("error: line 1: context_variants[0].replaced_sentence: "
+               "expected one of context_sentences [0, 16], got 5\n")
+    for args in (["emit", "--cf-ratio", "0"], ["counterfactual", "--corpus", str(corpus)]):
+        output = tmp_path / "out.jsonl"
+        assert main([*args, "--input", str(bundles), "--output", str(output), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == message, args[0]
+        assert not output.exists()
+
+
+def test_record_error_survives_pickle():
+    # An error raised in a pool worker reaches the caller by pickle.
+    err = pickle.loads(pickle.dumps(RecordError(3, "bad", "f")))
+    assert type(err) is RecordError
+    assert (str(err), err.line, err.field, err.message) == ("line 3: bad", 3, "f", "bad")
 
 
 @pytest.mark.parametrize(
