@@ -124,6 +124,7 @@ def _load_documents_lenient(path: str):
 # -- subcommands --
 
 
+@pl.collector_paused()
 def cmd_validate(args) -> int:
     errors: list[RecordError] = []
     docs = pl.load_documents(args.input, errors)
@@ -133,6 +134,7 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION if errors else EXIT_OK
 
 
+@pl.collector_paused()
 def cmd_build_graph(args) -> int:
     docs = _load_documents_lenient(args.input)
     with pl.open_output(args.output) as fp:
@@ -141,6 +143,7 @@ def cmd_build_graph(args) -> int:
     return EXIT_OK
 
 
+@pl.collector_paused()
 def cmd_extract(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _section(ExtractorConfig, file_cfg, "extractor", args)
@@ -163,6 +166,7 @@ def _positives_by_doc(docs, path):
     return per_doc
 
 
+@pl.collector_paused()
 def cmd_negatives(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg, required=False)
@@ -176,6 +180,7 @@ def cmd_negatives(args) -> int:
     return EXIT_OK
 
 
+@pl.collector_paused()
 def cmd_counterfactual(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg, required=False)

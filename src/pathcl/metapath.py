@@ -121,6 +121,51 @@ def _hop_options(
     return options
 
 
+def _walk(
+    graph: EntityGraph,
+    goal: str,
+    max_hops: int,
+    path: list[str],
+    hops: list[PathHop],
+    consumed: list[int],
+    visited: set[str],
+    usable: frozenset[int],
+) -> bool:
+    """Extend `path` from its last entity to `goal`, backtracking on failure.
+
+    On success `path`, `hops` and `consumed` hold the found path; on
+    failure they are as they were.
+    """
+    u = path[-1]
+    if u == goal:
+        return bool(consumed)
+    if len(path) >= max_hops:
+        return False
+    candidates = (
+        (v, hop)
+        for v in graph.adjacency[u]
+        if v not in visited
+        for hop in _hop_options(graph, u, v, usable)
+    )
+    for v, hop in candidates:
+        visited.add(v)
+        path.append(v)
+        hops.append(hop)
+        if hop.via_sentence is not None:
+            consumed.append(hop.via_sentence)
+            remaining = usable - {hop.via_sentence}
+        else:
+            remaining = usable
+        if _walk(graph, goal, max_hops, path, hops, consumed, visited, remaining):
+            return True
+        visited.discard(v)
+        path.pop()
+        hops.pop()
+        if hop.via_sentence is not None:
+            consumed.pop()
+    return False
+
+
 def dfs_metapath(
     graph: EntityGraph,
     doc: Document,
@@ -135,48 +180,22 @@ def dfs_metapath(
     `available`; the consumed set is returned as the context. Entities
     never repeat on a path and at most cfg.max_hops entities are visited.
     Returns None when no path consuming at least one sentence exists.
+
+    The search creates no reference cycle: `_walk` recurses at module
+    level, not as a closure that refers to itself, so a document's graph
+    and the search state are freed by reference counting as soon as the
+    search returns. `pipeline.run_pipeline` runs with the cyclic collector
+    paused and relies on this.
     """
     if start == goal:
         raise ValueError("start and goal must differ")
     if start not in graph.nodes or goal not in graph.nodes:
         return None
 
-    adjacency = graph.adjacency
     path = [start]
     hops: list[PathHop] = []
     consumed: list[int] = []
-    visited = {start}
-
-    def walk(u: str, usable: frozenset[int]) -> bool:
-        if u == goal:
-            return bool(consumed)
-        if len(path) >= cfg.max_hops:
-            return False
-        candidates = (
-            (v, hop)
-            for v in adjacency[u]
-            if v not in visited
-            for hop in _hop_options(graph, u, v, usable)
-        )
-        for v, hop in candidates:
-            visited.add(v)
-            path.append(v)
-            hops.append(hop)
-            if hop.via_sentence is not None:
-                consumed.append(hop.via_sentence)
-                remaining = usable - {hop.via_sentence}
-            else:
-                remaining = usable
-            if walk(v, remaining):
-                return True
-            visited.discard(v)
-            path.pop()
-            hops.pop()
-            if hop.via_sentence is not None:
-                consumed.pop()
-        return False
-
-    if not walk(start, available):
+    if not _walk(graph, goal, cfg.max_hops, path, hops, consumed, {start}, available):
         return None
     meta = MetaPath(entities=tuple(path), hops=tuple(hops))
     return meta, frozenset(consumed)

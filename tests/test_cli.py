@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 
@@ -276,6 +277,38 @@ def test_run_deterministic_and_equals_composition(tmp_path):
                  "--cf-ratio", "1:1"]) == 0
     for name in names:
         assert file_hash(s / name) == file_hash(tmp_path / "r1" / name), name
+
+
+def test_corpus_commands_parse_with_collector_paused(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(6, seed=4), fp)
+    seen = []
+    real = pl.load_documents
+
+    def load(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(pl, "load_documents", load)
+    c, out = str(corpus), tmp_path
+    commands = [
+        (["validate", "--input", c], 0),
+        (["build-graph", "--input", c, "--output", str(out / "graph.tsv")], 0),
+        (["extract", "--input", c, "--output", str(out / "positives.jsonl")], 0),
+        (["negatives", "--corpus", c, "--input", str(out / "positives.jsonl"),
+          "--output", str(out / "bundles.jsonl")], 0),
+        (["counterfactual", "--corpus", c, "--input", str(out / "bundles.jsonl"),
+          "--output", str(out / "cf.jsonl")], 0),
+        (["negatives", "--corpus", c, "--input", str(out / "missing.jsonl"),
+          "--output", str(out / "none.jsonl")], 1),
+        (["run", "--input", c, "--output-dir", str(out / "run"), "--seed", "1"], 0),
+    ]
+    assert gc.isenabled()
+    for argv, code in commands:
+        assert main(argv) == code, argv
+        assert gc.isenabled(), argv
+    assert seen == [False] * len(commands)
 
 
 def test_emit_counts_the_instances_it_writes(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from pathcl.metapath import (
     extract_positive_instances,
     validate_instance,
 )
+from pathcl.synth import make_corpus
 
 from corpora import build_document, film_cast_document, random_micro_doc
 from oracles import oracle_document_solvable, oracle_pair_solvable, ordered_pair_positives
@@ -165,6 +167,25 @@ def test_extract_all_mode_and_determinism():
         for inst in first:
             assert validate_instance(inst, doc, graph) == []
             assert 1 <= len(inst.context) <= len(inst.path.hops)
+
+
+def test_search_leaves_no_reference_cycle():
+    # `run_pipeline` pauses the cyclic collector, so a cycle left by each
+    # search would keep every document's graph alive to the end of a run.
+    docs = make_corpus(40, seed=5, blocks=2, fillers=8)
+    cfg = ExtractorConfig(mode="all")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        found = 0
+        for doc in docs:
+            found += len(extract_positive_instances(doc, build_entity_graph(doc), cfg))
+        assert found > 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 micro_docs = st.builds(lambda seed: random_micro_doc(random.Random(seed)), st.integers(0, 2**32))

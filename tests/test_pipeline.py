@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import hashlib
 import io
 import json
@@ -455,6 +456,69 @@ def test_failing_document_stops_workers_and_leaves_no_output(tmp_path, monkeypat
         assert multiprocessing.active_children() == [], jobs
     assert raised[1] == (RecordError, f"line 7: no donors for {docs[2].id}", 7, "doc")
     assert raised[2] == raised[1]
+
+
+def test_run_leaves_no_per_document_cycles(tmp_path):
+    # The run pauses the cyclic collector, so what it leaves for
+    # `gc.collect()` must not grow with the corpus.
+    left = {}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for n in (4, 40):
+            corpus = tmp_path / f"corpus{n}.jsonl"
+            with open(corpus, "w", encoding="utf-8") as fp:
+                write_corpus(make_corpus(n, seed=5, blocks=2, fillers=8), fp)
+            cfg = pl.PipelineConfig(
+                input=str(corpus),
+                output_dir=str(tmp_path / f"out{n}"),
+                seed=1,
+                extractor=ExtractorConfig(mode="all"),
+                counterfactual=pl.CounterfactualConfig(copies=2),
+            )
+            gc.collect()
+            pl.run_pipeline(cfg)
+            left[n] = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert left[4] == left[40]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_collector_and_restores_it(tmp_path, monkeypatch, enabled):
+    corpus = tmp_path / "corpus.jsonl"
+    docs = make_corpus(6, seed=4)
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(docs, fp)
+    real = pl._negative_worker
+
+    def failing(doc, *args):
+        # Raised in a forked worker at jobs=2: the message carries its state.
+        if doc.id == docs[2].id:
+            raise RecordError(7, f"collector enabled: {gc.isenabled()}", "doc")
+        return real(doc, *args)
+
+    cpus(monkeypatch, 2)
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for jobs in (1, 2):
+            cfg = pl.PipelineConfig(
+                input=str(corpus), output_dir=str(tmp_path / f"ok{jobs}"), seed=1, jobs=jobs
+            )
+            pl.run_pipeline(cfg)
+            assert gc.isenabled() is enabled, jobs
+        monkeypatch.setattr(pl, "_negative_worker", failing)
+        for jobs in (1, 2):
+            cfg = pl.PipelineConfig(
+                input=str(corpus), output_dir=str(tmp_path / f"bad{jobs}"), seed=1, jobs=jobs
+            )
+            with pytest.raises(RecordError, match="collector enabled: False"):
+                pl.run_pipeline(cfg)
+            assert gc.isenabled() is enabled, jobs
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 def test_one_worker_never_forks(tmp_path, monkeypatch):
