@@ -46,9 +46,7 @@ class InstanceBundle:
 
 
 def annotated_sentence(doc: Document, k: int) -> AnnotatedText:
-    return AnnotatedText(
-        text=doc.sentences[k].text, mentions=tuple(doc.mentions_in_sentence(k))
-    )
+    return AnnotatedText(text=doc.sentences[k].text, mentions=doc.mentions_in_sentence(k))
 
 
 def assemble_bundle(

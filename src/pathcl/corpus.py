@@ -16,6 +16,7 @@ metadata. Documents are immutable after parsing.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator
@@ -23,7 +24,7 @@ from typing import IO, Iterable, Iterator
 from .jsonl import RecordError, read_records, require, write_records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     """One occurrence of an entity: sentence ordinal plus half-open char span."""
 
@@ -32,20 +33,20 @@ class Mention:
     end: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     index: int
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     id: str
     surface: str
     mentions: tuple[Mention, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationTriple:
     head: str
     tail: str
@@ -54,6 +55,15 @@ class RelationTriple:
 
 @dataclass(frozen=True)
 class Document:
+    """One parsed document.
+
+    The three indexes below are computed on first use and cached in the
+    instance's `__dict__`, so they live as long as the object does. Work
+    that should not keep them for the whole run uses a shallow copy,
+    `dataclasses.replace(doc)`: it shares the parsed records but none of
+    the caches, and its indexes are freed with it.
+    """
+
     id: str
     sentences: tuple[Sentence, ...]
     entities: tuple[Entity, ...]
@@ -83,9 +93,9 @@ class Document:
             for k, spans in by_sentence.items()
         }
 
-    def mentions_in_sentence(self, k: int) -> list[tuple[str, int, int]]:
+    def mentions_in_sentence(self, k: int) -> tuple[tuple[str, int, int], ...]:
         """All mention spans in sentence k as (entity id, start, end), sorted by start."""
-        return list(self._sentence_mentions.get(k, ()))
+        return self._sentence_mentions.get(k, ())
 
 
 def sentence_entities(doc: Document, k: int) -> frozenset[str]:
@@ -185,7 +195,7 @@ def parse_record(obj: dict, line: int = 0) -> Document:
         entities.append(
             Entity(
                 id=require(e, "id", str, line, at),
-                surface=require(e, "name", str, line, at),
+                surface=sys.intern(require(e, "name", str, line, at)),
                 mentions=tuple(mentions),
             )
         )
@@ -196,7 +206,7 @@ def parse_record(obj: dict, line: int = 0) -> Document:
             RelationTriple(
                 head=require(r, "head", str, line, at),
                 tail=require(r, "tail", str, line, at),
-                relation=require(r, "type", str, line, at),
+                relation=sys.intern(require(r, "type", str, line, at)),
             )
         )
 

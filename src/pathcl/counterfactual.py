@@ -24,7 +24,7 @@ from .negatives import ContextVariant, SynthSentence
 from .spans import rewrite_mentions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlienEntity:
     id: str
     surface: str

@@ -18,7 +18,7 @@ fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -66,13 +66,21 @@ def donor_from_document(doc: Document, k: int) -> DonorSentence:
         doc_id=doc.id,
         sentence=k,
         text=doc.sentences[k].text,
-        mentions=tuple(doc.mentions_in_sentence(k)),
+        mentions=doc.mentions_in_sentence(k),
     )
 
 
 def _donor_sentences(doc: Document) -> list[int]:
-    """Indices of the sentences usable as donors: those naming >=2 distinct entities."""
-    return [k for k, ids in enumerate(doc.sentence_entity_sets) if len(ids) >= 2]
+    """Indices of the sentences usable as donors: those naming >=2 distinct entities.
+
+    Counted straight from the mentions (entity ids are unique within a
+    document), so that nothing is cached on `doc`.
+    """
+    named = [0] * len(doc.sentences)
+    for entity in doc.entities:
+        for k in {m.sent for m in entity.mentions}:
+            named[k] += 1
+    return [k for k, n in enumerate(named) if n >= 2]
 
 
 def build_donor_pool(
@@ -81,12 +89,14 @@ def build_donor_pool(
     """Cross-document donor pool: every document's donor sentences.
 
     When more are eligible than pool_size, a seeded sample is taken; corpus
-    order is preserved so pool content is independent of scheduling.
+    order is preserved so pool content is independent of scheduling. Each
+    donor is read from a shallow copy of its document, so the documents,
+    which stay resident for the whole run, cache no index.
     """
     refs = [(d, k) for d, doc in enumerate(docs) for k in _donor_sentences(doc)]
     if pool_size >= 0 and len(refs) > pool_size:
         refs = sorted(rng.sample(refs, pool_size))
-    return [donor_from_document(docs[d], k) for d, k in refs]
+    return [donor_from_document(replace(docs[d]), k) for d, k in refs]
 
 
 def relation_replace(

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import json
+import pickle
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from pathcl.corpus import (
     validate_document,
     write_corpus,
 )
+from pathcl.counterfactual import build_entity_pool
 from pathcl.jsonl import RecordError
 
 from corpora import film_cast_document, random_micro_doc
@@ -183,3 +186,27 @@ def test_parsed_documents_validate():
         assert validate_document(round_tripped) == []
         for k in range(len(doc.sentences)):
             assert sentence_entities(doc, k) <= set(doc.entity_index)
+
+
+def test_resident_records_are_slotted_frozen_and_interned():
+    # The parsed records and the alien pool stay in memory for a whole run,
+    # so none carries a per-instance `__dict__`, and repeated names are shared.
+    doc = parse_record(document_to_record(film_cast_document()))
+    records = [
+        doc.sentences[0],
+        doc.entities[0],
+        doc.entities[0].mentions[0],
+        doc.relations[0],
+        build_entity_pool([doc])[0],
+    ]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        field = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
+    twin = parse_record(json.loads(json.dumps(document_to_record(doc))))
+    assert twin == doc
+    assert pickle.loads(pickle.dumps(doc)) == doc
+    # Surfaces and relation labels are interned: one string per distinct name.
+    assert twin.entities[0].surface is doc.entities[0].surface
+    assert twin.relations[0].relation is doc.relations[0].relation

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import gc
 import hashlib
 import io
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 from pathcl import pipeline as pl
-from pathcl.corpus import write_corpus
+from pathcl.corpus import Document, write_corpus
 from pathcl.emitter import read_instances
 from pathcl.jsonl import RecordError
 from pathcl.metapath import ExtractorConfig
@@ -483,6 +484,41 @@ def test_run_leaves_no_per_document_cycles(tmp_path):
         if enabled:
             gc.enable()
     assert left[4] == left[40]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_caches_no_index_on_the_parsed_documents(tmp_path, monkeypatch, jobs):
+    # The parsed documents stay resident for the whole run; each chain
+    # caches its document's indexes on a copy that is freed with it, and
+    # the donor pool is read without caching any.
+    kept = []
+    real = pl.load_documents
+
+    def keeping(*args):
+        docs = real(*args)
+        kept.extend(docs)
+        return docs
+
+    monkeypatch.setattr(pl, "load_documents", keeping)
+    cpus(monkeypatch, 2)
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(40, seed=5, blocks=2, fillers=8), fp)
+    cfg = pl.PipelineConfig(
+        input=str(corpus),
+        output_dir=str(tmp_path / "out"),
+        seed=1,
+        jobs=jobs,
+        extractor=ExtractorConfig(mode="all"),
+        counterfactual=pl.CounterfactualConfig(copies=2),
+    )
+    pl.run_pipeline(cfg)
+    # A frozen dataclass keeps its fields in `__dict__`; a cached index
+    # would add a key beside them.
+    fields = {f.name for f in dataclasses.fields(Document)}
+    assert len(kept) == 40
+    for doc in kept:
+        assert vars(doc).keys() == fields, doc.id
 
 
 @pytest.mark.parametrize("enabled", [True, False])
