@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from .corpus import Document
+from .corpus import Document, mentions_in_sentence
 from .jsonl import RecordError, read_records, require, require_list, require_map, write_records
 from .metapath import MetaPath, PositiveInstance, path_from_record, path_to_record
 from .negatives import ContextVariant, SynthSentence
@@ -46,7 +46,7 @@ class InstanceBundle:
 
 
 def annotated_sentence(doc: Document, k: int) -> AnnotatedText:
-    return AnnotatedText(text=doc.sentences[k].text, mentions=doc.mentions_in_sentence(k))
+    return AnnotatedText(text=doc.sentences[k].text, mentions=mentions_in_sentence(doc, k))
 
 
 def assemble_bundle(

@@ -311,12 +311,6 @@ def _add_counterfactual_flags(p: argparse.ArgumentParser):
         help="original:counterfactual mix ('0' disables)",
     )
     p.add_argument("--include-prob", type=float, default=None, help="replacement probability for non-target path entities")
-    p.add_argument(
-        "--pool-strategy",
-        choices=["uniform", "same-batch-documents"],
-        default=None,
-    )
-    p.add_argument("--window", type=int, default=None, help="document window for same-batch-documents")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):

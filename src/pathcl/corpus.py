@@ -11,14 +11,14 @@ Input corpora are UTF-8 files with one JSON object per line:
 Mention spans are half-open character ranges into the sentence text.
 Entity ids are opaque strings; the same id appearing in two documents
 denotes the same entity. Relation type labels are carried as opaque
-metadata. Documents are immutable after parsing.
+metadata. Document ids are unique within a corpus. Documents are
+immutable after parsing.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 from .jsonl import RecordError, read_records, require, write_records
@@ -53,15 +53,12 @@ class RelationTriple:
     relation: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
-    """One parsed document.
+    """One parsed document: its records and nothing else.
 
-    The three indexes below are computed on first use and cached in the
-    instance's `__dict__`, so they live as long as the object does. Work
-    that should not keep them for the whole run uses a shallow copy,
-    `dataclasses.replace(doc)`: it shares the parsed records but none of
-    the caches, and its indexes are freed with it.
+    No index is cached on it: a lookup by entity or by sentence is computed
+    where it is used, from `entities`, of which a document has about ten.
     """
 
     id: str
@@ -69,40 +66,18 @@ class Document:
     entities: tuple[Entity, ...]
     relations: tuple[RelationTriple, ...]
 
-    @cached_property
-    def entity_index(self) -> dict[str, Entity]:
-        return {e.id: e for e in self.entities}
-
-    @cached_property
-    def sentence_entity_sets(self) -> tuple[frozenset[str], ...]:
-        sets: list[set[str]] = [set() for _ in self.sentences]
-        for entity in self.entities:
-            for m in entity.mentions:
-                if 0 <= m.sent < len(sets):
-                    sets[m.sent].add(entity.id)
-        return tuple(frozenset(s) for s in sets)
-
-    @cached_property
-    def _sentence_mentions(self) -> dict[int, tuple[tuple[str, int, int], ...]]:
-        by_sentence: dict[int, list[tuple[str, int, int]]] = {}
-        for e in self.entities:
-            for m in e.mentions:
-                by_sentence.setdefault(m.sent, []).append((e.id, m.start, m.end))
-        return {
-            k: tuple(sorted(spans, key=lambda t: (t[1], t[2])))
-            for k, spans in by_sentence.items()
-        }
-
-    def mentions_in_sentence(self, k: int) -> tuple[tuple[str, int, int], ...]:
-        """All mention spans in sentence k as (entity id, start, end), sorted by start."""
-        return self._sentence_mentions.get(k, ())
-
 
 def sentence_entities(doc: Document, k: int) -> frozenset[str]:
     """Ids of entities with at least one mention in sentence k."""
     if not 0 <= k < len(doc.sentences):
         raise IndexError(f"sentence index {k} out of range for document {doc.id!r}")
-    return doc.sentence_entity_sets[k]
+    return frozenset(e.id for e in doc.entities if any(m.sent == k for m in e.mentions))
+
+
+def mentions_in_sentence(doc: Document, k: int) -> tuple[tuple[str, int, int], ...]:
+    """All mention spans in sentence k as (entity id, start, end), sorted by start."""
+    spans = [(e.id, m.start, m.end) for e in doc.entities for m in e.mentions if m.sent == k]
+    return tuple(sorted(spans, key=lambda t: (t[1], t[2])))
 
 
 def validate_document(doc: Document) -> list[str]:
@@ -226,8 +201,22 @@ def parse_record(obj: dict, line: int = 0) -> Document:
 def parse_corpus(
     lines: Iterable[str], errors: list[RecordError] | None = None
 ) -> Iterator[Document]:
-    """Lazily parse a corpus stream; `errors` as in `read_records`."""
-    yield from read_records(lines, parse_record, errors)
+    """Lazily parse a corpus stream; `errors` as in `read_records`.
+
+    A document whose id an earlier document of the stream already has is
+    a bad record: later stages find a document by its id.
+    """
+    first_line: dict[str, int] = {}
+
+    def parse(obj, line: int) -> Document:
+        doc = parse_record(obj, line)
+        first = first_line.setdefault(doc.id, line)
+        if first != line:
+            message = f"id: duplicate document id {doc.id!r}, first on line {first}"
+            raise RecordError(line, message, "id")
+        return doc
+
+    yield from read_records(lines, parse, errors)
 
 
 def document_to_record(doc: Document) -> dict:

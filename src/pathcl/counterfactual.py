@@ -74,7 +74,7 @@ def select_replacements(
     the host document. Raises ValueError when the filtered pool cannot
     cover the keyed entities.
     """
-    host_ids = set(doc.entity_index)
+    host_ids = {e.id for e in doc.entities}
     keys = list(inst.pair)
     for eid in inst.path.entities:
         if eid in inst.pair:

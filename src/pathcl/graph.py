@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import IO
 
-from .corpus import Document, sentence_entities
+from .corpus import Document
 
 
 def pair_key(a: str, b: str) -> tuple[str, str]:
@@ -48,9 +48,14 @@ def build_entity_graph(doc: Document) -> EntityGraph:
 
     Deterministic: equal documents produce equal graphs.
     """
+    named: list[set[str]] = [set() for _ in doc.sentences]
+    for entity in doc.entities:
+        for m in entity.mentions:
+            if 0 <= m.sent < len(named):
+                named[m.sent].add(entity.id)
     sentences: dict[tuple[str, str], set[int]] = {}
-    for k in range(len(doc.sentences)):
-        ids = sorted(sentence_entities(doc, k))
+    for k, in_sentence in enumerate(named):
+        ids = sorted(in_sentence)
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
                 sentences.setdefault(pair_key(a, b), set()).add(k)

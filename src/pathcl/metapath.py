@@ -99,15 +99,12 @@ class PositiveInstance:
 
 def collect_answer_candidates(doc: Document, pair: tuple[str, str]) -> frozenset[int]:
     """Sentences mentioning both entities of the pair."""
+    mentioned = {e.id: {m.sent for m in e.mentions} for e in doc.entities if e.id in pair}
     for eid in pair:
-        if eid not in doc.entity_index:
+        if eid not in mentioned:
             raise KeyError(f"entity {eid!r} not in document {doc.id!r}")
     a, b = pair
-    return frozenset(
-        k
-        for k in range(len(doc.sentences))
-        if a in doc.sentence_entity_sets[k] and b in doc.sentence_entity_sets[k]
-    )
+    return frozenset(mentioned[a] & mentioned[b])
 
 
 def _hop_options(
@@ -168,7 +165,6 @@ def _walk(
 
 def dfs_metapath(
     graph: EntityGraph,
-    doc: Document,
     available: frozenset[int],
     start: str,
     goal: str,
@@ -223,7 +219,7 @@ def extract_positive_instances(
     out: list[PositiveInstance] = []
     for a, b in sorted(graph.sentences):
         answers = graph.intra_sentences(a, b)
-        found = dfs_metapath(graph, doc, all_sentences - answers, a, b, cfg)
+        found = dfs_metapath(graph, all_sentences - answers, a, b, cfg)
         if found is None:
             continue
         meta, context = found

@@ -18,11 +18,11 @@ fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .corpus import Document
+from .corpus import Document, mentions_in_sentence
 from .metapath import PositiveInstance, collect_answer_candidates
 from .spans import MentionSpan, rewrite_mentions
 
@@ -66,15 +66,15 @@ def donor_from_document(doc: Document, k: int) -> DonorSentence:
         doc_id=doc.id,
         sentence=k,
         text=doc.sentences[k].text,
-        mentions=doc.mentions_in_sentence(k),
+        mentions=mentions_in_sentence(doc, k),
     )
 
 
 def _donor_sentences(doc: Document) -> list[int]:
     """Indices of the sentences usable as donors: those naming >=2 distinct entities.
 
-    Counted straight from the mentions (entity ids are unique within a
-    document), so that nothing is cached on `doc`.
+    Counted straight from the mentions: entity ids are unique within a
+    document.
     """
     named = [0] * len(doc.sentences)
     for entity in doc.entities:
@@ -90,13 +90,12 @@ def build_donor_pool(
 
     When more are eligible than pool_size, a seeded sample is taken; corpus
     order is preserved so pool content is independent of scheduling. Each
-    donor is read from a shallow copy of its document, so the documents,
-    which stay resident for the whole run, cache no index.
+    sampled donor reads only its own sentence's mentions.
     """
     refs = [(d, k) for d, doc in enumerate(docs) for k in _donor_sentences(doc)]
     if pool_size >= 0 and len(refs) > pool_size:
         refs = sorted(rng.sample(refs, pool_size))
-    return [donor_from_document(replace(docs[d]), k) for d, k in refs]
+    return [donor_from_document(docs[d], k) for d, k in refs]
 
 
 def relation_replace(
@@ -191,9 +190,13 @@ class DonorSource:
             yield donor, (t_j, t_i)  # exchange the target mentions
 
 
-def _target_with_surfaces(doc: Document, pair: tuple[str, str]):
+def _surfaces(doc: Document) -> dict[str, str]:
+    return {e.id: e.surface for e in doc.entities}
+
+
+def _target_with_surfaces(surfaces: dict[str, str], pair: tuple[str, str]):
     a, b = pair
-    return ((a, doc.entity_index[a].surface), (b, doc.entity_index[b].surface))
+    return ((a, surfaces[a]), (b, surfaces[b]))
 
 
 def make_negative_options(
@@ -208,7 +211,7 @@ def make_negative_options(
     doc = source.doc
     answers = collect_answer_candidates(doc, inst.pair)
     forbidden = {doc.sentences[a].text for a in answers}
-    target = _target_with_surfaces(doc, inst.pair)
+    target = _target_with_surfaces(_surfaces(doc), inst.pair)
     taken: list[SynthSentence] = []
     seen_texts: set[str] = set()
     if k > 0:
@@ -234,14 +237,22 @@ def make_negative_contexts(
     """
     doc = source.doc
     answers = collect_answer_candidates(doc, inst.pair)
+    surfaces = _surfaces(doc)
     path_entities = inst.path_entities
+    # The meta-path entities each context sentence mentions.
+    on_path: dict[int, set[str]] = {s_i: set() for s_i in inst.context}
+    for e in doc.entities:
+        if e.id in path_entities:
+            for m in e.mentions:
+                if m.sent in on_path:
+                    on_path[m.sent].add(e.id)
 
     # Per context sentence: a lazily advanced stream of replacement tries.
     streams: list[tuple[int, Iterator[SynthSentence]]] = []
     order = list(inst.context)
     rng.shuffle(order)
     for s_i in order:
-        in_sentence = sorted(doc.sentence_entity_sets[s_i] & path_entities)
+        in_sentence = sorted(on_path[s_i])
         pairs = [(p, q) for p in in_sentence for q in in_sentence if p != q]
         rng.shuffle(pairs)
         if not pairs:
@@ -249,7 +260,7 @@ def make_negative_contexts(
 
         def tries(s_i=s_i, pairs=pairs) -> Iterator[SynthSentence]:
             for p, q in pairs:
-                target = _target_with_surfaces(doc, (p, q))
+                target = _target_with_surfaces(surfaces, (p, q))
                 for donor, dpair in source.candidates((p, q), answers, rng):
                     yield relation_replace(donor, dpair, target)
 

@@ -20,6 +20,8 @@ which inherit the documents and pools; only a document's index goes to a
 worker and only strings and counts come back. The parent writes the lines
 in input order, one document at a time. Every output file is written under
 a temporary name and moved into place only when its stage succeeds.
+Nothing is cached on a document, so the parsed corpus and the two pools
+are all that stays resident for the whole run.
 
 `run_pipeline` and the CLI commands that parse a whole corpus run inside
 `collector_paused`: the per-document work creates no reference cycle, so
@@ -34,13 +36,13 @@ import io
 import json
 import os
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .bundle import InstanceBundle, assemble_bundle, bundle_to_record, read_bundles
 from .corpus import Document, parse_corpus
-from .counterfactual import AlienEntity, apply_counterfactual, build_entity_pool, select_replacements
+from .counterfactual import apply_counterfactual, build_entity_pool, select_replacements
 from .emitter import TaggedLine, bundle_to_instances, emit_instances, tagged_line
 from .graph import EntityGraph, build_entity_graph, write_edge_list
 from .jsonl import (
@@ -85,8 +87,6 @@ class NegativesConfig:
 class CounterfactualConfig:
     copies: int = bounded(1, low=0)  # counterfactual copies per original (the N of a 1:N mix)
     include_prob: float = bounded(0.5, low=0.0, high=1.0)
-    pool_strategy: str = bounded("uniform", choices=("uniform", "same-batch-documents"))
-    window: int = bounded(64, low=1)  # document window for same-batch-documents
 
     def __post_init__(self):
         check_config(self, "counterfactual")
@@ -317,25 +317,11 @@ def stage_negatives(
 
 
 class _Augmenter:
-    """Counterfactual copies of bundles, drawn from an alien pool built once for `docs`."""
+    """Counterfactual copies of bundles, drawn from one alien pool built once for `docs`."""
 
     def __init__(self, docs: Sequence[Document], cfg: CounterfactualConfig):
         self.cfg = cfg
-        self.position = {doc.id: i for i, doc in enumerate(docs)}
         self.pool = build_entity_pool(docs) if cfg.copies else []
-        self.per_doc: list[list[AlienEntity]] | None = None
-        if cfg.pool_strategy == "same-batch-documents":
-            self.per_doc = [[] for _ in docs]
-            for alien in self.pool:
-                self.per_doc[self.position[alien.source_doc]].append(alien)
-
-    def _candidates(self, doc_id: str) -> Sequence[AlienEntity]:
-        if self.per_doc is None:
-            return self.pool
-        center = self.position[doc_id]
-        lo = max(0, center - self.cfg.window // 2)
-        hi = min(len(self.per_doc), center + self.cfg.window // 2 + 1)
-        return [a for chunk in self.per_doc[lo:hi] for a in chunk]
 
     def __call__(
         self, bundle: InstanceBundle, doc: Document, seed: int, counts: dict[str, int]
@@ -347,12 +333,11 @@ class _Augmenter:
         yield bundle
         if not self.cfg.copies:
             return
-        candidates = self._candidates(bundle.doc_id)
         for copy in range(1, self.cfg.copies + 1):
             rng = derive_rng(seed, "counterfactual", *bundle.key(), copy)
             try:
                 rmap = select_replacements(
-                    bundle, doc, candidates, rng, include_prob=self.cfg.include_prob
+                    bundle, doc, self.pool, rng, include_prob=self.cfg.include_prob
                 )
             except ValueError:
                 counts["skipped_small_pool"] += 1
@@ -426,16 +411,9 @@ class _DocumentChain:
     """Graph, extraction, negatives, copies and instances of one document at a time.
 
     Both sampling pools are built here, once per run and before any worker
-    forks, so forked workers inherit them with the documents.
-
-    Each call works on a shallow copy of its document,
-    `dataclasses.replace(doc)`: the copy shares the parsed records, and
-    the indexes that the chain caches on it (`Document.entity_index` and
-    the per-sentence entities and mentions) are freed with it when the
-    document's lines are written. Cached on the shared document instead,
-    they would stay resident to the end of the run and add about two
-    thirds to what each parsed document costs. The copy holds no
-    reference cycle, so it is freed with the collector paused too.
+    forks, so forked workers inherit them with the documents. A call reads
+    its document and caches nothing on it: what the chain builds for the
+    document is freed when its lines are written.
     """
 
     def __init__(self, docs: Sequence[Document], cfg: PipelineConfig):
@@ -448,7 +426,7 @@ class _DocumentChain:
 
     def __call__(self, index: int) -> Iterator[Piece]:
         """Lazily, the document's output pieces, one bundle's at a time."""
-        doc, cfg, seed = replace(self.docs[index]), self.cfg, self.cfg.seed
+        doc, cfg, seed = self.docs[index], self.cfg, self.cfg.seed
         counts = {stage: _zeroed(stage) for stage in STAGE_COUNTS}
         graph = build_entity_graph(doc)
         rows = _graph_rows(doc, graph)

@@ -23,7 +23,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from pathcl.corpus import Document
+from pathcl.corpus import Document, sentence_entities
 from pathcl.emitter import ContrastiveInstance, instance_to_record
 from pathcl.graph import EntityGraph, pair_key
 from pathcl.jsonl import write_records
@@ -114,7 +114,7 @@ def oracle_document_solvable(doc: Document, graph: EntityGraph, max_entities: in
                 continue
             answers = frozenset(
                 k for k in all_sentences
-                if a in doc.sentence_entity_sets[k] and b in doc.sentence_entity_sets[k]
+                if a in sentence_entities(doc, k) and b in sentence_entities(doc, k)
             )
             if not answers:
                 continue
@@ -177,7 +177,7 @@ def ordered_pair_positives(
     out: list[PositiveInstance] = []
     for a, b in sorted(p for a, b in graph.sentences for p in ((a, b), (b, a))):
         answers = graph.intra_sentences(a, b)
-        found = dfs_metapath(graph, doc, all_sentences - answers, a, b, cfg)
+        found = dfs_metapath(graph, all_sentences - answers, a, b, cfg)
         if found is None:
             continue
         meta, context = found

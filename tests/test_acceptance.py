@@ -102,7 +102,8 @@ def test_criterion_2_worked_example(tmp_path):
     assert len(instances) == 1
     inst = instances[0]
     doc = film_cast_document()
-    surfaces = tuple(doc.entity_index[e].surface for e in inst.pair)
+    entity = {e.id: e for e in doc.entities}
+    surfaces = tuple(entity[e].surface for e in inst.pair)
     assert surfaces == ("Dave McKean", "Stephanie Leonidas")
     assert set(inst.context) == {1, 5}
     assert inst.answers == {3}

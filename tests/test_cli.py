@@ -52,10 +52,11 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:  # a deleted option
-        main(["run", "--input", "c", "--output-dir", str(tmp_path / "o"), "--seed", "1",
-              "--greedy"])
-    assert exc.value.code == 2
+    for deleted in (["--greedy"], ["--pool-strategy", "uniform"], ["--window", "64"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", "c", "--output-dir", str(tmp_path / "o"), "--seed", "1",
+                  *deleted])
+        assert exc.value.code == 2, deleted
     assert list(tmp_path.iterdir()) == []
 
 
@@ -279,6 +280,42 @@ def test_run_deterministic_and_equals_composition(tmp_path):
         assert file_hash(s / name) == file_hash(tmp_path / "r1" / name), name
 
 
+def test_repeated_document_id_is_a_bad_record(tmp_path, capsys):
+    # Later stages find a document by its id. Were a repeated id accepted,
+    # the stage commands would read the positives of both documents against
+    # the last one, and the composition would no longer equal the run.
+    records = [document_to_record(doc) for doc in make_corpus(6, seed=3, blocks=2, fillers=8)]
+    records[4]["id"] = records[2]["id"]
+    corpus = tmp_path / "corpus.jsonl"
+    write_lines(corpus, [json.dumps(record) for record in records])
+    assert main(["validate", "--input", str(corpus)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"line 5: id: duplicate document id {records[2]['id']!r}, first on line 3\n"
+    )
+    assert captured.out == "5 documents ok, 1 problems\n"
+
+    args = ["--seed", "1", "--mode", "all"]
+    assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path / "r"), *args]) == 0
+    manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+    assert manifest["stages"]["parse"] == {"documents": 5, "errors": 1}
+    s = tmp_path / "stages"
+    s.mkdir()
+    c = str(corpus)
+    assert main(["build-graph", "--input", c, "--output", str(s / "graph.tsv")]) == 0
+    assert main(["extract", "--input", c, "--output", str(s / "positives.jsonl"),
+                 "--mode", "all"]) == 0
+    assert main(["negatives", "--corpus", c, "--input", str(s / "positives.jsonl"),
+                 "--output", str(s / "bundles.jsonl"), "--seed", "1"]) == 0
+    assert main(["counterfactual", "--corpus", c, "--input", str(s / "bundles.jsonl"),
+                 "--output", str(s / "bundles_counterfactual.jsonl"), "--seed", "1"]) == 0
+    assert main(["emit", "--input", str(s / "bundles_counterfactual.jsonl"),
+                 "--output", str(s / "instances.jsonl"), "--seed", "1"]) == 0
+    for name in ("graph.tsv", "positives.jsonl", "bundles.jsonl",
+                 "bundles_counterfactual.jsonl", "instances.jsonl"):
+        assert file_hash(s / name) == file_hash(tmp_path / "r" / name), name
+
+
 def test_corpus_commands_parse_with_collector_paused(tmp_path, monkeypatch):
     corpus = tmp_path / "corpus.jsonl"
     with open(corpus, "w", encoding="utf-8") as fp:
@@ -458,7 +495,8 @@ BAD_CONFIG_VALUES = [
     ("run", {"seed": 3.7}, [], "seed"),
     ("run", {"negatives": {"pool_size": "no"}}, [], "negatives.pool_size"),
     ("run", {}, ["--num-negatives", "-1"], "negatives.num_negatives"),
-    ("run", {}, ["--window", "0"], "counterfactual.window"),
+    ("run", {"counterfactual": {"window": 64}}, [],
+     "counterfactual.window: unknown config key"),
     ("run", {}, ["--include-prob", "5"], "counterfactual.include_prob"),
     ("emit", {}, ["--include-prob", "-0.5"], "counterfactual.include_prob"),
     ("run", {"negative": {"num_negatives": 0}}, [], "negative"),

@@ -185,7 +185,7 @@ def test_parsed_documents_validate():
         round_tripped = parse_record(document_to_record(doc))
         assert validate_document(round_tripped) == []
         for k in range(len(doc.sentences)):
-            assert sentence_entities(doc, k) <= set(doc.entity_index)
+            assert sentence_entities(doc, k) <= {e.id for e in doc.entities}
 
 
 def test_resident_records_are_slotted_frozen_and_interned():

@@ -44,7 +44,7 @@ def test_select_always_keys_target_pair():
         assert keys[0] == "e1" and keys[1] == "e2"
         values = [alien for _, (alien, _) in rmap.entries]
         assert len(set(values)) == len(values)  # injective
-        assert all(v not in doc.entity_index for v in values)
+        assert all(v not in {e.id for e in doc.entities} for v in values)
 
 
 def test_select_inclusion_probability_bounds():
@@ -81,7 +81,8 @@ def test_apply_rewrites_every_text_consistently():
     assert dict(out.replacements) == {orig: alien for orig, (alien, _) in rmap.entries}
 
     mapping = rmap.mapping()
-    originals = {orig: doc.entity_index[orig].surface for orig in mapping}
+    entity = {e.id: e for e in doc.entities}
+    originals = {orig: entity[orig].surface for orig in mapping}
     for text in all_bundle_texts(out):
         # brute-force consistency scan: no residual original surfaces
         for orig, surface in originals.items():

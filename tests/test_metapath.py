@@ -47,7 +47,7 @@ def test_dfs_worked_example():
     doc = film_cast_document()
     graph = build_entity_graph(doc)
     available = frozenset(range(6)) - {3}
-    found = dfs_metapath(graph, doc, available, "e1", "e2", ExtractorConfig())
+    found = dfs_metapath(graph, available, "e1", "e2", ExtractorConfig())
     assert found is not None
     path, context = found
     assert path.entities == ("e1", "e3", "e2")
@@ -62,7 +62,7 @@ def test_dfs_blocked_when_support_excluded():
         {"a": "A", "b": "B"},
     )
     graph = build_entity_graph(doc)
-    found = dfs_metapath(graph, doc, frozenset(), "a", "b", ExtractorConfig())
+    found = dfs_metapath(graph, frozenset(), "a", "b", ExtractorConfig())
     assert found is None
 
 
@@ -75,7 +75,7 @@ def test_dfs_kg_only_path_rejected_without_context():
     )
     graph = build_entity_graph(doc)
     cfg = ExtractorConfig()
-    assert dfs_metapath(graph, doc, frozenset({0, 1}), "a", "b", cfg) is None
+    assert dfs_metapath(graph, frozenset({0, 1}), "a", "b", cfg) is None
 
 
 def test_dfs_consumes_distinct_sentences():
@@ -86,7 +86,7 @@ def test_dfs_consumes_distinct_sentences():
         {"a": "A", "b": "B", "c": "C"},
     )
     graph = build_entity_graph(doc)
-    found = dfs_metapath(graph, doc, frozenset({0}), "a", "c", ExtractorConfig())
+    found = dfs_metapath(graph, frozenset({0}), "a", "c", ExtractorConfig())
     assert found is not None
     path, context = found
     assert path.entities == ("a", "c")  # direct hop, not through b
@@ -107,7 +107,7 @@ def test_dfs_matches_oracle_on_random_graphs():
                     continue
                 answers = collect_answer_candidates(doc, (a, b))
                 available = all_sentences - answers
-                got = dfs_metapath(graph, doc, available, a, b, cfg)
+                got = dfs_metapath(graph, available, a, b, cfg)
                 expected = oracle_pair_solvable(graph, doc, a, b, available, cfg.max_hops)
                 assert (got is not None) == expected, (doc.id, a, b)
 
@@ -246,8 +246,8 @@ def test_max_hops_bound():
     )
     graph = build_entity_graph(doc)
     available = frozenset({0, 1, 2})
-    assert dfs_metapath(graph, doc, available, "a", "d", ExtractorConfig(max_hops=4)) is not None
-    assert dfs_metapath(graph, doc, available, "a", "d", ExtractorConfig(max_hops=3)) is None
+    assert dfs_metapath(graph, available, "a", "d", ExtractorConfig(max_hops=4)) is not None
+    assert dfs_metapath(graph, available, "a", "d", ExtractorConfig(max_hops=3)) is None
 
 
 def test_validate_instance_flags_violations():
