@@ -172,9 +172,13 @@ def read_records(
         yield record
 
 
+# `json.dumps` with any non-default argument builds a new encoder per call.
+_encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+
+
 def record_line(record: object) -> str:
     """One record as a compact JSON line, newline included."""
-    return json.dumps(record, ensure_ascii=False) + "\n"
+    return _encode(record) + "\n"
 
 
 def write_records(items: Iterable[T], to_record: Callable[[T], object], fp: IO[str]) -> int:

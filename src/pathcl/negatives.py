@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .corpus import Document, mentions_in_sentence
+from .corpus import Document, mentions_by_sentence, mentions_in_sentence
 from .metapath import PositiveInstance, collect_answer_candidates
 from .spans import MentionSpan, rewrite_mentions
 
@@ -160,7 +160,11 @@ class DonorSource:
 
     @cached_property
     def host(self) -> list[DonorSentence]:
-        return [donor_from_document(self.doc, k) for k in _donor_sentences(self.doc)]
+        doc = self.doc
+        spans = mentions_by_sentence(doc)
+        return [
+            DonorSentence(doc.id, k, doc.sentences[k].text, spans[k]) for k in _donor_sentences(doc)
+        ]
 
     def candidates(
         self, target_pair: tuple[str, str], excluded: frozenset[int], rng: random.Random

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,12 +60,26 @@ def build_vocab(texts: Iterable[str]) -> dict[str, int]:
 
 @dataclass
 class ScorerParams:
+    """The scorer's vocabulary and its five arrays.
+
+    The arrays are views of one flat float64 buffer, `flat`, laid out in
+    ARRAY_FIELDS order: construction copies the given arrays into it, so an
+    SGD step updates every parameter with one in-place array operation.
+    """
+
     vocab: dict[str, int]
     embeddings: np.ndarray  # (V, d)
     w1: np.ndarray  # (d, h)
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (h,)
     b2: np.ndarray  # (1,)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = self.arrays()
+        self.flat = pack(arrays).astype(np.float64, copy=False)
+        for name, view in _views(self.flat, arrays).items():
+            setattr(self, name, view)
 
     @property
     def dim(self) -> int:
@@ -93,14 +107,11 @@ class ScorerParams:
 
 def init_params(vocab: dict[str, int], dim: int, hidden: int, seed: int) -> ScorerParams:
     rng = np.random.default_rng(seed)
-    return ScorerParams(
-        vocab=dict(vocab),
-        embeddings=rng.normal(0.0, 0.1, (len(vocab), dim)),
-        w1=rng.normal(0.0, 1.0 / math.sqrt(dim), (dim, hidden)),
-        b1=np.zeros(hidden),
-        w2=rng.normal(0.0, 1.0 / math.sqrt(hidden), hidden),
-        b2=np.zeros(1),
-    )
+    params = zero_params(vocab, dim, hidden)
+    params.embeddings[:] = rng.normal(0.0, 0.1, (len(vocab), dim))
+    params.w1[:] = rng.normal(0.0, 1.0 / math.sqrt(dim), (dim, hidden))
+    params.w2[:] = rng.normal(0.0, 1.0 / math.sqrt(hidden), hidden)
+    return params
 
 
 def zero_params(vocab: dict[str, int], dim: int, hidden: int) -> ScorerParams:
@@ -114,8 +125,20 @@ def zero_params(vocab: dict[str, int], dim: int, hidden: int) -> ScorerParams:
     )
 
 
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """`flat` cut into consecutive views shaped like `like`, in ARRAY_FIELDS order."""
+    out = {}
+    cursor = 0
+    for name in ARRAY_FIELDS:
+        size = like[name].size
+        out[name] = flat[cursor : cursor + size].reshape(like[name].shape)
+        cursor += size
+    return out
+
+
 def zero_grads(params: ScorerParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    """Zero gradients shaped like `params`, as views of one buffer like `params.flat`."""
+    return _views(np.zeros_like(params.flat), params.arrays())
 
 
 def pack(arrays: dict[str, np.ndarray]) -> np.ndarray:
@@ -123,12 +146,7 @@ def pack(arrays: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def unpack_params(template: ScorerParams, vec: np.ndarray) -> ScorerParams:
-    out = {}
-    cursor = 0
-    for name, arr in template.arrays().items():
-        out[name] = vec[cursor : cursor + arr.size].reshape(arr.shape).copy()
-        cursor += arr.size
-    return ScorerParams(vocab=template.vocab, **out)
+    return ScorerParams(vocab=template.vocab, **_views(vec, template.arrays()))
 
 
 def token_ids(params: ScorerParams, text: str) -> list[int]:
@@ -236,12 +254,11 @@ class _Masked(NamedTuple):
     counts: np.ndarray  # masked ids per text
 
 
-def _mask(
-    texts: Sequence[np.ndarray], mask_rate: float, rngs: Iterable[random.Random]
-) -> _Masked | None:
-    """Mask ceil(mask_rate * n) positions of each text, drawn by its rng.
+def _mask(texts: Sequence[np.ndarray], mask_rate: float, rng: random.Random) -> _Masked | None:
+    """Mask min(n, ceil(mask_rate * n)) distinct positions of each text.
 
-    None when the rate masks nothing.
+    Every text's positions are drawn from the one `rng`, text by text in
+    order. None when the rate masks nothing.
     """
     if not 0.0 <= mask_rate <= 1.0:
         raise ValueError("mask_rate must lie in [0, 1]")
@@ -253,7 +270,7 @@ def _mask(
     positions: list[int] = []
     counts = []
     offset = 0
-    for n, rng in zip(sizes, rngs):
+    for n in sizes:
         m = min(n, math.ceil(mask_rate * n))
         positions.extend(offset + k for k in rng.sample(range(n), m))
         counts.append(m)
@@ -346,7 +363,7 @@ def ccl_loss(params: ScorerParams, inst: ContrastiveInstance) -> float:
 
 def mlm_loss(params: ScorerParams, text: str, mask_rate: float, rng: random.Random) -> float:
     """Mean cross-entropy of masked tokens under the embedding-tied softmax."""
-    masked = _mask([np.array(token_ids(params, text), dtype=np.intp)], mask_rate, [rng])
+    masked = _mask([np.array(token_ids(params, text), dtype=np.intp)], mask_rate, rng)
     if masked is None:
         return 0.0
     _, mlm = _batch(params, [], np.zeros(0), masked, 1.0, None)
@@ -393,11 +410,12 @@ def _total(
     """Sum of the orientation means plus the weighted masked-token mean.
 
     Each orientation term is the mean over the instances of that
-    orientation and is skipped when none are present. Mask patterns are
-    derived from (seed, instance position), so repeated evaluation on the
-    same batch is exact, which the gradient checks rely on. Also returns
-    every instance's contrastive loss and masked-token loss (the latter
-    empty when the masked-token term is off).
+    orientation and is skipped when none are present. Every mask pattern
+    is drawn, in batch order, from one generator derived from `seed`, so
+    repeated evaluation of the same batch at the same seed is exact, which
+    the gradient checks rely on. Also returns every instance's contrastive
+    loss and masked-token loss (the latter empty when the masked-token term
+    is off).
     """
     if not batch:
         raise ValueError("empty batch")
@@ -407,8 +425,7 @@ def _total(
     cl_weights = np.where(option, 1.0 / max(n_option, 1), 1.0 / max(n_context, 1))
     masked = None
     if mlm_weight != 0.0:
-        rngs = (derive_rng(seed, "mlm", i) for i in range(len(batch)))
-        masked = _mask([e.query for e in batch], mask_rate, rngs)
+        masked = _mask([e.query for e in batch], mask_rate, derive_rng(seed, "mlm"))
     cl, mlm = _batch(params, batch, cl_weights, masked, mlm_weight / len(batch), grads)
     total = 0.0
     for losses in (cl[option], cl[~option]):
@@ -568,6 +585,8 @@ def train(
         texts.extend(inst.candidates)
     vocab = build_vocab(texts)
     params = init_params(vocab, cfg.dim, cfg.hidden, cfg.seed)
+    gflat = np.zeros_like(params.flat)
+    grads = _views(gflat, params.arrays())
 
     # Tokenization is vocabulary-dependent but parameter-independent, so
     # instances are encoded once for the whole run.
@@ -583,7 +602,7 @@ def train(
         steps = 0
         for start in range(0, n, cfg.batch_size):
             chosen = order[start : start + cfg.batch_size]
-            grads = zero_grads(params)
+            gflat.fill(0.0)
             loss, cl, mlm = _total(
                 params,
                 [encoded[i] for i in chosen],
@@ -592,14 +611,13 @@ def train(
                 mask_rate=cfg.mask_rate,
                 seed=derive_seed(cfg.seed, "mlm", epoch, start),
             )
-            for name, arr in params.arrays().items():
-                arr -= cfg.learning_rate * grads[name]
+            params.flat -= cfg.learning_rate * gflat
             picked = option[chosen]
             sums["loss"] += loss * len(chosen)
             sums["ocl"] += float(cl[picked].sum())
             sums["ccl"] += float(cl[~picked].sum())
             sums["mlm"] += float(mlm.sum())
-            sums["grad_norm"] += math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+            sums["grad_norm"] += math.sqrt(float(gflat @ gflat))
             steps += 1
         hits = sum(_hits(params, chunk) for chunk in _chunks(encoded, EVAL_CHUNK))
         metrics.append(

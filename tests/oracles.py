@@ -294,7 +294,7 @@ def oracle_loss_and_grads(params, batch, *, mlm_weight: float, mask_rate: float,
             total += _instance_cl(params, inst, grads, 1.0 / len(subset)) / len(subset)
     if mlm_weight != 0.0:
         weight = mlm_weight / len(batch)
-        for i, inst in enumerate(batch):
-            rng = derive_rng(seed, "mlm", i)
+        rng = derive_rng(seed, "mlm")
+        for inst in batch:
             total += weight * _instance_mlm(params, inst.query, mask_rate, rng, grads, weight)
     return total, grads

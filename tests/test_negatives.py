@@ -7,14 +7,17 @@ from pathcl.metapath import ExtractorConfig, collect_answer_candidates, extract_
 from pathcl.negatives import (
     DonorSentence,
     DonorSource,
+    _donor_sentences,
     build_donor_pool,
+    donor_from_document,
     make_negative_contexts,
     make_negative_options,
     relation_replace,
 )
 from pathcl.spans import OverlappingSpans
+from pathcl.synth import make_corpus
 
-from corpora import build_document, film_cast_document
+from corpora import build_document, film_cast_document, random_micro_doc
 from oracles import diff_outside_spans, surface_occurrences
 
 
@@ -296,3 +299,12 @@ def test_donor_pool_deterministic_and_capped():
     assert pool_a == pool_b
     assert len(pool_a) == 2
     assert [p.sentence for p in pool_a] == sorted(p.sentence for p in pool_a)
+
+
+def test_host_donors_equal_per_sentence_donors():
+    rng = random.Random(17)
+    docs = [film_cast_document(), *make_corpus(12, seed=3)]
+    docs += [random_micro_doc(rng, f"m{i}") for i in range(30)]
+    for doc in docs:
+        want = [donor_from_document(doc, k) for k in _donor_sentences(doc)]
+        assert DonorSource(doc).host == want, doc.id

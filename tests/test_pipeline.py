@@ -372,7 +372,7 @@ def cpus(monkeypatch, n):
 
 def test_outputs_do_not_depend_on_jobs(tmp_path, monkeypatch):
     # The runs of the two pinned-digest tests above: swaps, foreign donors,
-    # skipped orientations, two copies and same-batch-documents.
+    # skipped orientations and two copies.
     cpus(monkeypatch, 3)
     assert pl.worker_count(3, 12) == 3
     files = {}

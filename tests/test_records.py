@@ -19,7 +19,7 @@ from pathcl.bundle import read_bundles
 from pathcl.cli import main
 from pathcl.corpus import parse_corpus, write_corpus
 from pathcl.emitter import read_instances
-from pathcl.jsonl import RecordError
+from pathcl.jsonl import RecordError, record_line
 from pathcl.pipeline import read_positives
 from pathcl.synth import make_corpus
 from pathcl.trainer import build_vocab, init_params, save_params
@@ -226,6 +226,17 @@ def test_variant_outside_context_exit_1(tmp_path, capsys):
         assert main([*args, "--input", str(bundles), "--output", str(output), "--seed", "1"]) == 1
         assert capsys.readouterr().err == message, args[0]
         assert not output.exists()
+
+
+def test_record_line_equals_json_dumps():
+    records = [
+        {"text": "Zoë Müller met 北京 — “Ångström” at café №5", "ids": ["é", 1, 2.5, None, True]},
+        {"nested": {"k": ["\u00a0", "\n\t\"", "😀"], "empty": {}}, "list": []},
+        "bare ünïcode",
+        [1, -0.0, 1e300, {"a": False}],
+    ]
+    for record in records:
+        assert record_line(record) == json.dumps(record, ensure_ascii=False) + "\n"
 
 
 def test_record_error_survives_pickle():

@@ -224,12 +224,46 @@ def test_total_loss_recomposition():
     expected += sum(ccl_loss(params, b) for b in contexts) / len(contexts)
     from pathcl.seeding import derive_rng
 
-    mlm_terms = [
-        mlm_loss(params, inst.query, 0.3, derive_rng(seed, "mlm", i))
-        for i, inst in enumerate(batch)
-    ]
+    rng = derive_rng(seed, "mlm")  # one generator, drawn text by text in batch order
+    mlm_terms = [mlm_loss(params, inst.query, 0.3, rng) for inst in batch]
     expected += w * sum(mlm_terms) / len(batch)
     assert total == pytest.approx(expected, abs=1e-12)
+
+
+def test_one_mask_generator_per_batch(monkeypatch):
+    from pathcl import trainer
+
+    words = "a b c d e f g h i j k l".split()
+    vocab = build_vocab([" ".join(words)])
+    params = init_params(vocab, 6, 4, seed=3)
+    batch = [
+        make_instance("option" if n % 2 else "context", " ".join(words[:n]), ["a b", "c d"], 0)
+        for n in (1, 2, 3, 5, 7, 12)
+    ]
+    calls, draws = [], []
+    real_rng, real_mask = trainer.derive_rng, trainer._mask
+
+    def counting_rng(*key):
+        calls.append(key)
+        return real_rng(*key)
+
+    def recording_mask(texts, mask_rate, rng):
+        draws.append((texts, real_mask(texts, mask_rate, rng)))
+        return draws[-1][1]
+
+    monkeypatch.setattr(trainer, "derive_rng", counting_rng)
+    monkeypatch.setattr(trainer, "_mask", recording_mask)
+    total_loss_and_grads(params, batch, mask_rate=0.3, seed=5)
+    assert calls == [(5, "mlm")]
+    (texts, masked), = draws
+    sizes = [ids.size for ids in texts]
+    assert masked.counts.tolist() == [min(n, math.ceil(0.3 * n)) for n in sizes]
+    # Masked and kept ids of each text are a split of its ids, so no
+    # position is masked twice.
+    kept = np.split(masked.kept, np.cumsum(masked.kept_lengths)[:-1])
+    targets = np.split(masked.targets, np.cumsum(masked.counts)[:-1])
+    for ids, keep, target in zip(texts, kept, targets):
+        assert sorted(np.concatenate([keep, target]).tolist()) == sorted(ids.tolist())
 
 
 def test_mcqa_uniform_and_errors():
@@ -380,7 +414,7 @@ def test_train_zero_learning_rate_keeps_params():
     assert len(metrics) == 2
 
 
-def test_train_same_seed_same_metrics():
+def test_train_same_seed_same_metrics(tmp_path):
     rng = random.Random(9)
     words = "lake river delta ocean pond creek".split()
     insts = [
@@ -393,9 +427,20 @@ def test_train_same_seed_same_metrics():
         for _ in range(12)
     ]
     cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=4, seed=8, dim=6, hidden=4)
-    _, m1 = train(insts, cfg)
-    _, m2 = train(insts, cfg)
+    p1, m1 = train(insts, cfg)
+    first = {name: arr.copy() for name, arr in p1.arrays().items()}
+    p2, m2 = train(insts, cfg)
     assert m1 == m2
+    for name, arr in p2.arrays().items():
+        assert np.array_equal(arr, first[name]), name
+        arr += 1.0  # the two runs share no buffer
+    for name, arr in p1.arrays().items():
+        assert np.array_equal(arr, first[name]), name
+    path = tmp_path / "scorer.txt"
+    save_params(p1, path)
+    loaded = load_params(path)
+    for name, arr in first.items():
+        assert np.array_equal(loaded.arrays()[name], arr), name
     with pytest.raises(ValueError):
         train([], cfg)
 
