@@ -46,7 +46,7 @@ class InstanceBundle:
 
 
 def annotated_sentence(doc: Document, k: int) -> AnnotatedText:
-    return AnnotatedText(text=doc.sentences[k].text, mentions=mentions_in_sentence(doc, k))
+    return AnnotatedText(text=doc.sentences[k], mentions=mentions_in_sentence(doc, k))
 
 
 def assemble_bundle(

@@ -159,9 +159,7 @@ def _positives_by_doc(docs, path):
     index = {doc.id: i for i, doc in enumerate(docs)}
     per_doc = [[] for _ in docs]
     with open(path, "r", encoding="utf-8") as fp:
-        for inst in pl.read_positives(fp):
-            if inst.doc_id not in index:
-                raise ValueError(f"instance references unknown document {inst.doc_id!r}")
+        for inst in pl.read_corpus_positives(docs, fp):
             per_doc[index[inst.doc_id]].append(inst)
     return per_doc
 
@@ -187,7 +185,8 @@ def cmd_counterfactual(args) -> int:
     cfg = _section(pl.CounterfactualConfig, file_cfg, "counterfactual", args)
     docs = _load_documents_lenient(args.corpus)
     with open(args.input, "r", encoding="utf-8") as src, pl.open_output(args.output) as fp:
-        out, counts = pl.stage_counterfactual(docs, read_bundles(src), cfg, seed)
+        bundles = pl.read_corpus_bundles(docs, src)
+        out, counts = pl.stage_counterfactual(docs, bundles, cfg, seed)
         write_bundles(out, fp)
     print(json.dumps(counts))
     return EXIT_OK
@@ -253,7 +252,7 @@ def cmd_eval(args) -> int:
 
 def cmd_stats(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fp:
-        print(json.dumps(stats(fp).to_dict(), indent=2))
+        print(json.dumps(stats(fp), indent=2))
     return EXIT_OK
 
 

@@ -12,7 +12,8 @@ Mention spans are half-open character ranges into the sentence text.
 Entity ids are opaque strings; the same id appearing in two documents
 denotes the same entity. Relation type labels are carried as opaque
 metadata. Document ids are unique within a corpus. Documents are
-immutable after parsing.
+immutable after parsing; a parsed sentence is its text, and its ordinal
+is its position in `Document.sentences`.
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ class Mention:
     sent: int
     start: int
     end: int
-
-
-@dataclass(frozen=True, slots=True)
-class Sentence:
-    index: int
-    text: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +57,7 @@ class Document:
     """
 
     id: str
-    sentences: tuple[Sentence, ...]
+    sentences: tuple[str, ...]  # the texts, in order: a sentence's ordinal is its index
     entities: tuple[Entity, ...]
     relations: tuple[RelationTriple, ...]
 
@@ -107,10 +102,6 @@ def _problems(doc: Document) -> list[tuple[str, str]]:
     problems: list[tuple[str, str]] = []
     n_sent = len(doc.sentences)
 
-    for i, sent in enumerate(doc.sentences):
-        if sent.index != i:
-            problems.append((f"sentences[{i}].index", f"is {sent.index}, expected {i}"))
-
     seen_ids: set[str] = set()
     for i, entity in enumerate(doc.entities):
         if entity.id in seen_ids:
@@ -127,7 +118,7 @@ def _problems(doc: Document) -> list[tuple[str, str]]:
                     (where, f"entity {entity.id!r} mention sentence {m.sent} out of range")
                 )
                 continue
-            length = len(doc.sentences[m.sent].text)
+            length = len(doc.sentences[m.sent])
             if m.start < 0 or m.end > length or m.start >= m.end:
                 problems.append((
                     where,
@@ -139,7 +130,7 @@ def _problems(doc: Document) -> list[tuple[str, str]]:
     by_sentence: dict[int, list[tuple[int, int, str]]] = {}
     for entity in doc.entities:
         for m in entity.mentions:
-            if 0 <= m.sent < n_sent and 0 <= m.start < m.end <= len(doc.sentences[m.sent].text):
+            if 0 <= m.sent < n_sent and 0 <= m.start < m.end <= len(doc.sentences[m.sent]):
                 by_sentence.setdefault(m.sent, []).append((m.start, m.end, entity.id))
     for k, spans in sorted(by_sentence.items()):
         spans.sort()
@@ -163,10 +154,10 @@ def _problems(doc: Document) -> list[tuple[str, str]]:
 def parse_record(obj: dict, line: int = 0) -> Document:
     """Build a Document from one decoded record, enforcing all invariants."""
     doc_id = require(obj, "id", str, line)
-    sentences = [
-        Sentence(index=i, text=require(s, "text", str, line, f"sentences[{i}]"))
+    sentences = tuple(
+        require(s, "text", str, line, f"sentences[{i}]")
         for i, s in enumerate(require(obj, "sentences", list, line))
-    ]
+    )
     entities = []
     for i, e in enumerate(require(obj, "entities", list, line)):
         at = f"entities[{i}]"
@@ -200,7 +191,7 @@ def parse_record(obj: dict, line: int = 0) -> Document:
 
     doc = Document(
         id=doc_id,
-        sentences=tuple(sentences),
+        sentences=sentences,
         entities=tuple(entities),
         relations=tuple(relations),
     )
@@ -236,7 +227,7 @@ def document_to_record(doc: Document) -> dict:
     """Serialize back to the input schema; inverse of parse_record."""
     return {
         "id": doc.id,
-        "sentences": [{"text": s.text} for s in doc.sentences],
+        "sentences": [{"text": text} for text in doc.sentences],
         "entities": [
             {
                 "id": e.id,

@@ -8,63 +8,48 @@ and every negative that mentions them. The rewritten positive no longer
 matches world knowledge; only the relational structure distinguishes it.
 
 The two target entities are always replaced; other path entities join
-independently with a configurable probability.
+independently with a configurable probability. The alien pool is the
+corpus's own entities, each id once, and a replacement map is a plain
+dict from original id to (alien id, alien surface).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .bundle import AnnotatedText, InstanceBundle
-from .corpus import Document
+from .corpus import Document, Entity
 from .metapath import PositiveInstance
 from .negatives import ContextVariant, SynthSentence
 from .spans import rewrite_mentions
 
 
-@dataclass(frozen=True, slots=True)
-class AlienEntity:
-    id: str
-    surface: str
-    source_doc: str
+# An injective map from original path entities to (alien id, alien surface).
+Replacements = dict[str, tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class ReplacementMap:
-    """Injective map from original path entities to alien replacements."""
-
-    entries: tuple[tuple[str, tuple[str, str]], ...]  # orig -> (alien id, surface)
-
-    def mapping(self) -> dict[str, tuple[str, str]]:
-        return dict(self.entries)
-
-    def id_map(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted((orig, alien) for orig, (alien, _) in self.entries))
-
-
-def build_entity_pool(docs: Sequence[Document]) -> list[AlienEntity]:
-    """Every entity in the corpus, in document order, first surface wins."""
+def build_entity_pool(docs: Sequence[Document]) -> list[Entity]:
+    """Each entity id of the corpus once, in document order: the documents' own objects."""
     seen: set[str] = set()
-    pool: list[AlienEntity] = []
+    pool: list[Entity] = []
     for doc in docs:
         for entity in doc.entities:
-            if entity.id in seen:
-                continue
-            seen.add(entity.id)
-            pool.append(AlienEntity(id=entity.id, surface=entity.surface, source_doc=doc.id))
+            if entity.id not in seen:
+                seen.add(entity.id)
+                pool.append(entity)
     return pool
 
 
 def select_replacements(
     inst: PositiveInstance | InstanceBundle,
     doc: Document,
-    pool: Sequence[AlienEntity],
+    pool: Sequence[Entity],
     rng: random.Random,
     *,
     include_prob: float = 0.5,
-) -> ReplacementMap:
+) -> Replacements:
     """Choose which path entities of `inst` to replace and what replaces each.
 
     Only `inst.pair` and `inst.path.entities` are read, so a positive and
@@ -74,7 +59,6 @@ def select_replacements(
     the host document. Raises ValueError when the filtered pool cannot
     cover the keyed entities.
     """
-    host_ids = {e.id for e in doc.entities}
     keys = list(inst.pair)
     for eid in inst.path.entities:
         if eid in inst.pair:
@@ -82,24 +66,21 @@ def select_replacements(
         if rng.random() < include_prob:
             keys.append(eid)
 
-    def usable(alien: AlienEntity) -> bool:
-        return alien.id not in host_ids and alien.source_doc != doc.id
-
     # Rejection sampling first: uniform without replacement and O(keys) for
     # large pools. Exhaustive filtering only to prove a pool truly too small.
-    chosen: list[AlienEntity] = []
-    taken_ids: set[str] = set()
+    chosen: list[Entity] = []
+    excluded = {e.id for e in doc.entities}  # the host's entities, then those taken
     attempts = 0
     limit = 30 * len(keys) + 20
     while len(chosen) < len(keys) and attempts < limit and pool:
         attempts += 1
         alien = pool[rng.randrange(len(pool))]
-        if alien.id in taken_ids or not usable(alien):
+        if alien.id in excluded:
             continue
-        taken_ids.add(alien.id)
+        excluded.add(alien.id)
         chosen.append(alien)
     if len(chosen) < len(keys):
-        candidates = [a for a in pool if usable(a) and a.id not in taken_ids]
+        candidates = [a for a in pool if a.id not in excluded]
         short = len(keys) - len(chosen)
         if len(candidates) < short:
             raise ValueError(
@@ -107,17 +88,15 @@ def select_replacements(
                 f"have {len(chosen) + len(candidates)} usable entities"
             )
         chosen.extend(rng.sample(candidates, short))
-    return ReplacementMap(
-        entries=tuple((orig, (alien.id, alien.surface)) for orig, alien in zip(keys, chosen))
-    )
+    return {orig: (alien.id, alien.surface) for orig, alien in zip(keys, chosen)}
 
 
-def _rewrite_text(at: AnnotatedText, mapping: dict[str, tuple[str, str]]) -> AnnotatedText:
+def _rewrite_text(at: AnnotatedText, mapping: Replacements) -> AnnotatedText:
     text, mentions = rewrite_mentions(at.text, list(at.mentions), mapping)
     return AnnotatedText(text=text, mentions=tuple(mentions))
 
 
-def _rewrite_synth(s: SynthSentence, mapping: dict[str, tuple[str, str]]) -> SynthSentence:
+def _rewrite_synth(s: SynthSentence, mapping: Replacements) -> SynthSentence:
     text, mentions = rewrite_mentions(s.text, list(s.mentions), mapping)
     return SynthSentence(
         text=text,
@@ -130,21 +109,20 @@ def _rewrite_synth(s: SynthSentence, mapping: dict[str, tuple[str, str]]) -> Syn
 
 
 def apply_counterfactual(
-    bundle: InstanceBundle, rmap: ReplacementMap | None, variant: int = 1
+    bundle: InstanceBundle, mapping: Replacements, variant: int = 1
 ) -> InstanceBundle:
     """Rewrite every keyed entity's mentions in every text of the bundle.
 
     Texts change only inside mention spans; spans are recomputed. With an
     empty map the bundle is returned unchanged and stays unflagged.
     """
-    if rmap is None or not rmap.entries:
+    if not mapping:
         return bundle
-    mapping = rmap.mapping()
     return replace(
         bundle,
         counterfactual=True,
         variant=variant,
-        replacements=rmap.id_map(),
+        replacements=tuple(sorted((orig, alien) for orig, (alien, _) in mapping.items())),
         context=tuple(_rewrite_text(t, mapping) for t in bundle.context),
         answer=_rewrite_text(bundle.answer, mapping),
         options=tuple(_rewrite_synth(s, mapping) for s in bundle.options),

@@ -20,7 +20,7 @@ joined query/candidate strings erase.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .bundle import InstanceBundle
@@ -150,29 +150,29 @@ def tagged_line(inst: ContrastiveInstance) -> TaggedLine:
 
 def emit_instances(
     lines: Iterable[TaggedLine],
-    ratio: tuple[int, int],
+    copies: int,
     fp: IO[str],
     tally: dict | None = None,
 ) -> int:
-    """Write instance lines interleaved at the original:counterfactual ratio.
+    """Write instance lines interleaved one original to `copies` counterfactual ones.
 
-    The pattern repeats `ratio[0]` originals then `ratio[1]` counterfactual
+    The pattern repeats one original then `copies` counterfactual
     instances until both queues drain, so a streaming reader sees a
-    stationary mixture. A zero component drops that queue entirely.
-    Lines are consumed lazily: a full round is written as soon as both
-    queues hold it, and what is left at the end drains round by round, so
-    the bytes do not depend on how far one queue runs ahead of the other.
-    With `tally` given, each written line adds one to its orientation's
-    entry and, if counterfactual, to the "counterfactual" entry.
+    stationary mixture. With `copies` 0 the counterfactual lines are
+    dropped. Lines are consumed lazily: a full round is written as soon as
+    both queues hold it, and what is left at the end drains round by
+    round, so the bytes do not depend on how far one queue runs ahead of
+    the other. With `tally` given, each written line adds one to its
+    orientation's entry and, if counterfactual, to the "counterfactual"
+    entry.
     """
-    orig_n, cf_n = ratio
-    if orig_n < 0 or cf_n < 0:
-        raise ValueError("ratio components must be >= 0")
+    if copies < 0:
+        raise ValueError(f"copies must be >= 0, got {copies}")
     originals: deque[TaggedLine] = deque()
     counterfactuals: deque[TaggedLine] = deque()
 
     def one_round() -> Iterator[str]:
-        for queue, n in ((originals, orig_n), (counterfactuals, cf_n)):
+        for queue, n in ((originals, 1), (counterfactuals, copies)):
             for _ in range(min(n, len(queue))):
                 orientation, counterfactual, line = queue.popleft()
                 if tally is not None:
@@ -182,14 +182,11 @@ def emit_instances(
 
     def interleaved() -> Iterator[str]:
         for tagged in lines:
-            if tagged[1]:
-                if cf_n:
-                    counterfactuals.append(tagged)
-            elif orig_n:
+            if not tagged[1]:
                 originals.append(tagged)
-            while (originals or counterfactuals) and (
-                len(originals) >= orig_n and len(counterfactuals) >= cf_n
-            ):
+            elif copies:
+                counterfactuals.append(tagged)
+            while originals and len(counterfactuals) >= copies:
                 yield from one_round()
         while originals or counterfactuals:
             yield from one_round()
@@ -232,48 +229,27 @@ def read_instances(lines: Iterable[str]) -> Iterator[ContrastiveInstance]:
     yield from read_records(lines, instance_from_record)
 
 
-@dataclass
-class DatasetStats:
-    total: int = 0
-    by_orientation: dict = field(default_factory=dict)
-    counterfactual: int = 0
-    mean_path_length: float = 0.0
-    mean_context_size: float = 0.0
-    mean_candidates: float = 0.0
-    gold_histogram: dict = field(default_factory=dict)
-
-    @property
-    def counterfactual_share(self) -> float:
-        return self.counterfactual / self.total if self.total else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "by_orientation": dict(sorted(self.by_orientation.items())),
-            "counterfactual": self.counterfactual,
-            "counterfactual_share": self.counterfactual_share,
-            "mean_path_length": self.mean_path_length,
-            "mean_context_size": self.mean_context_size,
-            "mean_candidates": self.mean_candidates,
-            "gold_histogram": {str(k): v for k, v in sorted(self.gold_histogram.items())},
-        }
-
-
-def stats(lines: Iterable[str]) -> DatasetStats:
-    out = DatasetStats()
-    path_total = 0
-    context_total = 0
-    candidate_total = 0
+def stats(lines: Iterable[str]) -> dict:
+    """Counts and means of an instance file, as `pathcl stats` prints them."""
+    total = counterfactual = path_total = context_total = candidate_total = 0
+    by_orientation: dict[str, int] = {}
+    gold_histogram: dict[int, int] = {}
     for inst in read_instances(lines):
-        out.total += 1
-        out.by_orientation[inst.orientation] = out.by_orientation.get(inst.orientation, 0) + 1
-        out.counterfactual += inst.meta.counterfactual
-        out.gold_histogram[inst.gold] = out.gold_histogram.get(inst.gold, 0) + 1
+        total += 1
+        by_orientation[inst.orientation] = by_orientation.get(inst.orientation, 0) + 1
+        counterfactual += inst.meta.counterfactual
+        gold_histogram[inst.gold] = gold_histogram.get(inst.gold, 0) + 1
         path_total += len(inst.meta.path)
         context_total += len(inst.meta.context_texts)
         candidate_total += len(inst.candidates)
-    if out.total:
-        out.mean_path_length = path_total / out.total
-        out.mean_context_size = context_total / out.total
-        out.mean_candidates = candidate_total / out.total
-    return out
+    n = total or 1  # every mean of an empty file is 0.0
+    return {
+        "total": total,
+        "by_orientation": dict(sorted(by_orientation.items())),
+        "counterfactual": counterfactual,
+        "counterfactual_share": counterfactual / n,
+        "mean_path_length": path_total / n,
+        "mean_context_size": context_total / n,
+        "mean_candidates": candidate_total / n,
+        "gold_histogram": {str(k): v for k, v in sorted(gold_histogram.items())},
+    }

@@ -22,7 +22,6 @@ def pair_key(a: str, b: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class EntityGraph:
-    doc_id: str
     nodes: frozenset[str]
     sentences: dict[tuple[str, str], frozenset[int]]
     labels: dict[tuple[str, str], tuple[str, ...]]
@@ -66,7 +65,6 @@ def build_entity_graph(doc: Document) -> EntityGraph:
             labels.setdefault(pair_key(rel.head, rel.tail), set()).add(rel.relation)
 
     return EntityGraph(
-        doc_id=doc.id,
         nodes=frozenset(e.id for e in doc.entities),
         sentences={key: frozenset(ks) for key, ks in sentences.items()},
         labels={key: tuple(sorted(ls)) for key, ls in labels.items()},

@@ -65,7 +65,7 @@ def donor_from_document(doc: Document, k: int) -> DonorSentence:
     return DonorSentence(
         doc_id=doc.id,
         sentence=k,
-        text=doc.sentences[k].text,
+        text=doc.sentences[k],
         mentions=mentions_in_sentence(doc, k),
     )
 
@@ -163,7 +163,7 @@ class DonorSource:
         doc = self.doc
         spans = mentions_by_sentence(doc)
         return [
-            DonorSentence(doc.id, k, doc.sentences[k].text, spans[k]) for k in _donor_sentences(doc)
+            DonorSentence(doc.id, k, doc.sentences[k], spans[k]) for k in _donor_sentences(doc)
         ]
 
     def candidates(
@@ -214,7 +214,7 @@ def make_negative_options(
     """
     doc = source.doc
     answers = collect_answer_candidates(doc, inst.pair)
-    forbidden = {doc.sentences[a].text for a in answers}
+    forbidden = {doc.sentences[a] for a in answers}
     target = _target_with_surfaces(_surfaces(doc), inst.pair)
     taken: list[SynthSentence] = []
     seen_texts: set[str] = set()
@@ -278,7 +278,7 @@ def make_negative_contexts(
             if len(taken) >= k:
                 live.append((s_i, stream))
                 continue
-            original = doc.sentences[s_i].text
+            original = doc.sentences[s_i]
             for synth in stream:
                 key = (s_i, synth.text)
                 if synth.text == original or key in seen:

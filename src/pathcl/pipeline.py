@@ -40,7 +40,13 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .bundle import InstanceBundle, assemble_bundle, bundle_to_record, read_bundles
+from .bundle import (
+    InstanceBundle,
+    assemble_bundle,
+    bundle_from_record,
+    bundle_to_record,
+    read_bundles,
+)
 from .corpus import Document, parse_corpus
 from .counterfactual import apply_counterfactual, build_entity_pool, select_replacements
 from .emitter import TaggedLine, bundle_to_instances, emit_instances, tagged_line
@@ -58,7 +64,6 @@ from .jsonl import (
 )
 from .metapath import (
     ExtractorConfig,
-    PathHop,
     PositiveInstance,
     extract_positive_instances,
     path_from_record,
@@ -157,6 +162,58 @@ def read_positives(lines: Iterable[str]) -> Iterator[PositiveInstance]:
     yield from read_records(lines, positive_from_record)
 
 
+def _corpus_records(docs: Sequence[Document], lines: Iterable[str], from_record, what: str, named):
+    """The records of `lines`, each checked against its document in `docs` as it is read.
+
+    A record of a document not in `docs`, or naming a sentence outside its
+    document, is a bad record of its line. `named(record)` lists the
+    (field path, sentence index) pairs a record names besides its path's.
+    """
+    by_id = {doc.id: doc for doc in docs}
+
+    def checked(obj, line: int):
+        record = from_record(obj, line)
+        doc = by_id.get(record.doc_id)
+        if doc is None:
+            message = f"doc: {what} references unknown document {record.doc_id!r}"
+            raise RecordError(line, message, "doc")
+        hops = enumerate(record.path.hops)
+        named_hops = [(f"path.hops[{i}].sentence", h.via_sentence) for i, h in hops]
+        n = len(doc.sentences)
+        for at, k in named(record) + named_hops:
+            if k is not None and not 0 <= k < n:
+                message = (
+                    f"{at}: {what} in document {doc.id!r} names sentence {k}, "
+                    f"outside its {n} sentences"
+                )
+                raise RecordError(line, message, at)
+        return record
+
+    return read_records(lines, checked)
+
+
+def read_corpus_positives(
+    docs: Sequence[Document], lines: Iterable[str]
+) -> Iterator[PositiveInstance]:
+    """`read_positives`, checking each positive's document and sentences against `docs`."""
+
+    def named(p: PositiveInstance) -> list[tuple[str, int]]:
+        context = [(f"context[{i}]", k) for i, k in enumerate(p.context)]
+        return context + [("answers", k) for k in sorted(p.answers)]
+
+    return _corpus_records(docs, lines, positive_from_record, "positive", named)
+
+
+def read_corpus_bundles(docs: Sequence[Document], lines: Iterable[str]) -> Iterator[InstanceBundle]:
+    """`read_bundles`, checking each bundle's document and sentences against `docs`."""
+
+    def named(b: InstanceBundle) -> list[tuple[str, int]]:
+        context = [(f"context_sentences[{i}]", k) for i, k in enumerate(b.context_sentences)]
+        return context + [("answer_sentence", b.answer_sentence)]
+
+    return _corpus_records(docs, lines, bundle_from_record, "bundle", named)
+
+
 # -- stages --
 
 # The manifest counts of the stages that run per document.
@@ -219,7 +276,9 @@ def load_documents(path, errors: list[RecordError] | None = None) -> list[Docume
 def _graph_rows(doc: Document, graph: EntityGraph) -> list[str]:
     buf = io.StringIO()
     write_edge_list(graph, buf)
-    return [f"{doc.id}\t{line}\n" for line in buf.getvalue().splitlines()]
+    # Split at "\n" only: `str.splitlines` also splits at characters such
+    # as "\x1c" or "\u2028", which an id or a label may hold.
+    return [f"{doc.id}\t{line}\n" for line in buf.getvalue().split("\n")[:-1]]
 
 
 def stage_graph_export(docs: Sequence[Document], fp: IO[str]) -> int:
@@ -245,19 +304,6 @@ def stage_extract(docs: Sequence[Document], cfg: ExtractorConfig) -> list[list[P
     return [_extract_worker(doc, cfg) for doc in docs]
 
 
-def _check_sentences(
-    doc: Document, indices: Iterable[int], hops: Iterable[PathHop], what: str
-) -> None:
-    """Raise ValueError unless every sentence index (hops' included) lies in `doc`."""
-    hop_sentences = [h.via_sentence for h in hops if h.via_sentence is not None]
-    outside = [k for k in (*indices, *hop_sentences) if not 0 <= k < len(doc.sentences)]
-    if outside:
-        raise ValueError(
-            f"{what} in document {doc.id!r} names sentence {outside[0]}, "
-            f"outside its {len(doc.sentences)} sentences"
-        )
-
-
 def _negative_worker(
     doc: Document,
     instances: Sequence[PositiveInstance],
@@ -268,7 +314,6 @@ def _negative_worker(
     source = DonorSource(doc, pool)
     bundles = []
     for inst in instances:
-        _check_sentences(doc, (*inst.context, *inst.answers), inst.path.hops, "positive")
         rng = derive_rng(seed, "negatives", inst.doc_id, *inst.pair, inst.answer)
         options = make_negative_options(inst, source, cfg.num_negatives, rng)
         contexts = make_negative_contexts(inst, source, cfg.num_negatives, rng)
@@ -326,9 +371,7 @@ class _Augmenter:
     def __call__(
         self, bundle: InstanceBundle, doc: Document, seed: int, counts: dict[str, int]
     ) -> Iterator[InstanceBundle]:
-        """`bundle`, checked against `doc`, then its copies; counts into `counts`."""
-        indices = (*bundle.context_sentences, bundle.answer_sentence)
-        _check_sentences(doc, indices, bundle.path.hops, "bundle")
+        """`bundle`, then its copies; counts into `counts`."""
         counts["originals"] += 1
         yield bundle
         if not self.cfg.copies:
@@ -354,9 +397,10 @@ def stage_counterfactual(
 ) -> tuple[Iterator[InstanceBundle], dict]:
     """Lazily, each original followed by its cfg.copies augmented copies.
 
-    Every original is checked against its document, also when no copies
-    are made. The alien-entity pool is built before this returns, and only
-    when copies are made; the counters fill in as the iterator is drained.
+    Every bundle must be of a document in `docs`; `read_corpus_bundles`
+    checks that of a bundles file. The alien-entity pool is built before
+    this returns, and only when copies are made; the counters fill in as
+    the iterator is drained.
     """
     counters = _zeroed("counterfactual")
     by_doc = {doc.id: doc for doc in docs}
@@ -364,10 +408,7 @@ def stage_counterfactual(
 
     def augmented() -> Iterator[InstanceBundle]:
         for bundle in bundles:
-            doc = by_doc.get(bundle.doc_id)
-            if doc is None:
-                raise ValueError(f"bundle references unknown document {bundle.doc_id!r}")
-            yield from augment(bundle, doc, seed, counters)
+            yield from augment(bundle, by_doc[bundle.doc_id], seed, counters)
 
     return augmented(), counters
 
@@ -395,7 +436,7 @@ def stage_emit(
     """
     counters = _zeroed("emit")
     lines = (line for bundle in bundles for line in _instance_lines(bundle, seed, counters))
-    counters["records"] = emit_instances(lines, (1, copies), fp, tally=counters)
+    counters["records"] = emit_instances(lines, copies, fp, tally=counters)
     return counters
 
 
@@ -582,7 +623,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                         files[name].write(piece)
 
         stages["emit"]["records"] = emit_instances(
-            instance_lines(), (1, cfg.counterfactual.copies), files["instances"],
+            instance_lines(), cfg.counterfactual.copies, files["instances"],
             tally=stages["emit"],
         )
 

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import Document, Entity, Mention, RelationTriple, Sentence
+from .corpus import Document, Entity, Mention, RelationTriple
 
 Part = str | int  # literal text or role index
 
@@ -152,7 +152,7 @@ def make_document(
         sentence_rows.append(((rng.choice(_FILLERS),), {}))
     rng.shuffle(sentence_rows)
 
-    sentences: list[Sentence] = []
+    sentences: list[str] = []
     mentions: dict[str, list[Mention]] = {eid: [] for eid in entities}
     for k, (parts, ids) in enumerate(sentence_rows):
         text = ""
@@ -164,7 +164,7 @@ def make_document(
                 surface = entities[eid]
                 mentions[eid].append(Mention(sent=k, start=len(text), end=len(text) + len(surface)))
                 text += surface
-        sentences.append(Sentence(index=k, text=text))
+        sentences.append(text)
 
     return Document(
         id=doc_id,

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import random
 
-from pathcl.corpus import Document, Entity, Mention, RelationTriple, Sentence
+from pathcl.corpus import Document, Entity, Mention, RelationTriple
 
 Part = str | tuple[str, str]  # literal text, or (entity id, surface)
 
 
-def compose_sentence(index: int, parts: list[Part]) -> tuple[Sentence, list[tuple[str, int, int]]]:
+def compose_sentence(parts: list[Part]) -> tuple[str, list[tuple[str, int, int]]]:
     """Build a sentence from literal and (entity, surface) parts with exact spans."""
     text = ""
     mentions: list[tuple[str, int, int]] = []
@@ -20,7 +20,7 @@ def compose_sentence(index: int, parts: list[Part]) -> tuple[Sentence, list[tupl
             eid, surface = part
             mentions.append((eid, len(text), len(text) + len(surface)))
             text += surface
-    return Sentence(index=index, text=text), mentions
+    return text, mentions
 
 
 def build_document(
@@ -29,10 +29,10 @@ def build_document(
     surfaces: dict[str, str],
     relations: list[tuple[str, str, str]] = (),
 ) -> Document:
-    sentences: list[Sentence] = []
+    sentences: list[str] = []
     mention_map: dict[str, list[Mention]] = {eid: [] for eid in surfaces}
     for k, parts in enumerate(sentence_parts):
-        sent, mentions = compose_sentence(k, parts)
+        sent, mentions = compose_sentence(parts)
         sentences.append(sent)
         for eid, start, end in mentions:
             mention_map[eid].append(Mention(sent=k, start=start, end=end))

@@ -194,25 +194,22 @@ def ordered_pair_positives(
 
 
 def batch_emit_instances(
-    instances: Iterable[ContrastiveInstance], ratio: tuple[int, int], fp: IO[str]
+    instances: Iterable[ContrastiveInstance], copies: int, fp: IO[str]
 ) -> int:
-    """Queue every instance, then write `ratio[0]` originals and `ratio[1]`
+    """Queue every instance, then write one original and `copies`
     counterfactual instances per round until both queues drain."""
-    orig_n, cf_n = ratio
-    if orig_n < 0 or cf_n < 0:
-        raise ValueError("ratio components must be >= 0")
+    if copies < 0:
+        raise ValueError("copies must be >= 0")
     originals: deque[ContrastiveInstance] = deque()
     counterfactuals: deque[ContrastiveInstance] = deque()
     for inst in instances:
         (counterfactuals if inst.meta.counterfactual else originals).append(inst)
-    if orig_n == 0:
-        originals.clear()
-    if cf_n == 0:
+    if copies == 0:
         counterfactuals.clear()
 
     def interleaved() -> Iterator[ContrastiveInstance]:
         while originals or counterfactuals:
-            for queue, n in ((originals, orig_n), (counterfactuals, cf_n)):
+            for queue, n in ((originals, 1), (counterfactuals, copies)):
                 for _ in range(min(n, len(queue))):
                     yield queue.popleft()
 

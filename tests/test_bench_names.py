@@ -1,11 +1,13 @@
 """The pathcl names the benchmark harness wraps or calls must exist.
 
-`bench/worker.py` looks its layer functions up by name only when a sample
-runs, so a renamed or deleted function would fail every benchmark sample
-and nothing earlier. This checks existence only: installing the tracer
-would rewrite module globals for the rest of the session.
+`bench/worker.py` looks its layer functions up by name, and imports the
+rest of what it uses inside its functions, only when a sample runs, so a
+renamed or deleted name would fail every benchmark sample and nothing
+earlier. This checks existence only: installing the tracer would rewrite
+module globals for the rest of the session.
 """
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -32,3 +34,55 @@ def test_bench_worker_names_resolve(monkeypatch):
     assert set(pl.OUTPUT_FILES) >= {"bundles_counterfactual", "instances", "manifest"}
     cfg = pl.PipelineConfig(input="corpus.jsonl", output_dir="out", seed=0, jobs=1)
     assert cfg.jobs == 1
+
+
+def _pathcl_names(tree: ast.AST) -> list[tuple[str, str]]:
+    """(module, name) for each pathcl name `tree` imports or reads off an imported module."""
+    modules: dict[str, str] = {}  # local name -> pathcl module
+    wanted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "pathcl":
+            for alias in node.names:
+                try:  # a submodule: its attributes are checked where they are read
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:
+                    wanted.append((node.module, alias.name))
+                else:
+                    module = f"{node.module}.{alias.name}"
+                    assert modules.setdefault(alias.asname or alias.name, module) == module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "pathcl":
+                    modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            wanted.append((modules[node.value.id], node.attr))
+    return wanted
+
+
+def test_bench_worker_imports_resolve():
+    # Every `from pathcl... import X` in the worker and every attribute it
+    # reads off an imported pathcl module (`pl.run_pipeline`, ...) must exist.
+    tree = ast.parse((BENCH / "worker.py").read_text(encoding="utf-8"))
+    wanted = _pathcl_names(tree)
+    names = {f"{module}.{attr}" for module, attr in wanted}
+    assert {
+        "pathcl.corpus.write_corpus",
+        "pathcl.synth.split_corpus",
+        "pathcl.metapath.validate_instance",
+        "pathcl.pipeline.read_positives",
+        "pathcl.pipeline.CounterfactualConfig",
+        "pathcl.trainer.TrainConfig",
+        "pathcl.trainer.evaluate",
+        "pathcl.trainer.train",
+    } <= names
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in wanted
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []

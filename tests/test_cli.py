@@ -159,6 +159,7 @@ def test_negatives_bad_positives_line_numbered(tmp_path, capsys):
          "error: line 3: path.hops[0].sentence: expected int, got string"),
         ("hops", {"sentence": 999, "kg": None}, "names sentence 999, outside its"),
         ("entities", "syn", "error: line 3: path.entities: expected array, got string"),
+        ("doc", "nope", "error: line 3: doc: positive references unknown document 'nope'"),
     ],
 )
 def test_negatives_bad_positive_values_exit_1(tmp_path, capsys, key, value, message):
@@ -184,7 +185,11 @@ def test_negatives_bad_positive_values_exit_1(tmp_path, capsys, key, value, mess
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     if "outside" in message:
-        assert f"document {record['doc']!r}" in err
+        field = {"context": "context[0]", "hops": "path.hops[0].sentence"}[key]
+        assert err == (
+            f"error: line 3: {field}: positive in document {record['doc']!r} "
+            "names sentence 999, outside its 18 sentences\n"
+        )
 
 
 def test_grad_check_passes(capsys):

@@ -11,7 +11,6 @@ from pathcl.corpus import (
     Entity,
     Mention,
     RelationTriple,
-    Sentence,
     document_to_record,
     parse_corpus,
     parse_record,
@@ -45,7 +44,7 @@ def test_parse_minimal_record():
     doc = docs[0]
     assert len(doc.entities) == 2
     assert len(doc.sentences) == 1
-    assert doc.sentences[0].text == "A met B."
+    assert doc.sentences[0] == "A met B."
 
 
 def test_parse_empty_stream():
@@ -120,7 +119,7 @@ def test_validate_duplicate_entity_id():
 
 
 def test_validate_overlapping_mentions():
-    sent = Sentence(0, "Alpha Beta")
+    sent = "Alpha Beta"
     bad = Document(
         id="d",
         sentences=(sent,),
@@ -137,7 +136,7 @@ def test_validate_overlapping_mentions():
 def test_validate_self_relation():
     doc = Document(
         id="d",
-        sentences=(Sentence(0, "A"),),
+        sentences=("A",),
         entities=(Entity("a", "A", (Mention(0, 0, 1),)),),
         relations=(RelationTriple("a", "a", "loop"),),
     )
@@ -156,7 +155,7 @@ def test_sentence_entities():
 def test_sentence_entities_deduplicates():
     doc = Document(
         id="d",
-        sentences=(Sentence(0, "A and A met B."),),
+        sentences=("A and A met B.",),
         entities=(
             Entity("a", "A", (Mention(0, 0, 1), Mention(0, 6, 7))),
             Entity("b", "B", (Mention(0, 12, 13),)),
@@ -192,13 +191,11 @@ def test_resident_records_are_slotted_frozen_and_interned():
     # The parsed records and the alien pool stay in memory for a whole run,
     # so none carries a per-instance `__dict__`, and repeated names are shared.
     doc = parse_record(document_to_record(film_cast_document()))
-    records = [
-        doc.sentences[0],
-        doc.entities[0],
-        doc.entities[0].mentions[0],
-        doc.relations[0],
-        build_entity_pool([doc])[0],
-    ]
+    # A sentence is its text, and the alien pool holds the document's own entities.
+    assert all(type(text) is str for text in doc.sentences)
+    pool = build_entity_pool([doc])
+    assert all(alien is entity for alien, entity in zip(pool, doc.entities, strict=True))
+    records = [doc.entities[0], doc.entities[0].mentions[0], doc.relations[0]]
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
         field = dataclasses.fields(record)[0].name

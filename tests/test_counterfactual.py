@@ -3,13 +3,8 @@ import random
 import pytest
 
 from pathcl.bundle import assemble_bundle
-from pathcl.counterfactual import (
-    AlienEntity,
-    ReplacementMap,
-    apply_counterfactual,
-    build_entity_pool,
-    select_replacements,
-)
+from pathcl.corpus import Entity
+from pathcl.counterfactual import apply_counterfactual, build_entity_pool, select_replacements
 from pathcl.graph import build_entity_graph
 from pathcl.metapath import ExtractorConfig, extract_positive_instances
 from pathcl.negatives import DonorSource, make_negative_contexts, make_negative_options
@@ -18,11 +13,11 @@ from corpora import build_document, film_cast_document
 from oracles import diff_outside_spans, surface_occurrences
 
 ALIENS = [
-    AlienEntity("q1", "Nadia Petrov", "other1"),
-    AlienEntity("q2", "Lumen Pictures", "other1"),
-    AlienEntity("q3", "Oskar Finch", "other2"),
-    AlienEntity("q4", "Tessa Wilde", "other2"),
-    AlienEntity("q5", "Harbor Lane Press", "other3"),
+    Entity("q1", "Nadia Petrov", ()),
+    Entity("q2", "Lumen Pictures", ()),
+    Entity("q3", "Oskar Finch", ()),
+    Entity("q4", "Tessa Wilde", ()),
+    Entity("q5", "Harbor Lane Press", ()),
 ]
 
 
@@ -40,9 +35,9 @@ def test_select_always_keys_target_pair():
     doc, inst, _ = film_cast_bundle()
     for seed in range(20):
         rmap = select_replacements(inst, doc, ALIENS, random.Random(seed))
-        keys = [orig for orig, _ in rmap.entries]
+        keys = list(rmap)
         assert keys[0] == "e1" and keys[1] == "e2"
-        values = [alien for _, (alien, _) in rmap.entries]
+        values = [alien for alien, _ in rmap.values()]
         assert len(set(values)) == len(values)  # injective
         assert all(v not in {e.id for e in doc.entities} for v in values)
 
@@ -50,16 +45,16 @@ def test_select_always_keys_target_pair():
 def test_select_inclusion_probability_bounds():
     doc, inst, _ = film_cast_bundle()
     never = select_replacements(inst, doc, ALIENS, random.Random(1), include_prob=0.0)
-    assert [orig for orig, _ in never.entries] == ["e1", "e2"]
+    assert list(never) == ["e1", "e2"]
     always = select_replacements(inst, doc, ALIENS, random.Random(1), include_prob=1.0)
-    assert {orig for orig, _ in always.entries} == set(inst.path.entities)
+    assert set(always) == set(inst.path.entities)
 
 
 def test_select_pool_too_small():
     doc, inst, _ = film_cast_bundle()
     with pytest.raises(ValueError, match="pool too small"):
         select_replacements(inst, doc, ALIENS[:1], random.Random(0))
-    host_like = [AlienEntity("e1", "Dave McKean", "elsewhere")] + ALIENS[:1]
+    host_like = [Entity("e1", "Dave McKean", ())] + ALIENS[:1]
     with pytest.raises(ValueError, match="pool too small"):
         # the host-document entity does not count toward the pool
         select_replacements(inst, doc, host_like, random.Random(0))
@@ -78,34 +73,31 @@ def test_apply_rewrites_every_text_consistently():
     out = apply_counterfactual(bundle, rmap)
     assert out.counterfactual
     assert out.variant == 1
-    assert dict(out.replacements) == {orig: alien for orig, (alien, _) in rmap.entries}
+    assert dict(out.replacements) == {orig: alien for orig, (alien, _) in rmap.items()}
 
-    mapping = rmap.mapping()
     entity = {e.id: e for e in doc.entities}
-    originals = {orig: entity[orig].surface for orig in mapping}
+    originals = {orig: entity[orig].surface for orig in rmap}
     for text in all_bundle_texts(out):
         # brute-force consistency scan: no residual original surfaces
         for orig, surface in originals.items():
             assert surface_occurrences(text, surface) == 0, (text, surface)
     # every former mention now carries the replacement surface
     for old_t, new_t in zip(all_bundle_texts(bundle), all_bundle_texts(out)):
-        for orig, (alien, alien_surface) in mapping.items():
+        for orig, (alien, alien_surface) in rmap.items():
             if surface_occurrences(old_t, originals[orig]):
                 assert surface_occurrences(new_t, alien_surface) >= 1
 
 
 def test_apply_identity_on_empty_map():
     _, _, bundle = film_cast_bundle()
-    assert apply_counterfactual(bundle, None) == bundle
-    empty = ReplacementMap(entries=())
-    assert apply_counterfactual(bundle, empty) == bundle
+    assert apply_counterfactual(bundle, {}) == bundle
     assert not bundle.counterfactual
 
 
 def test_apply_leaves_unmentioned_negative_unchanged():
     doc, inst, bundle = film_cast_bundle()
     # key only the producer entity e4, absent from most texts
-    rmap = ReplacementMap(entries=(("e4", ("q5", "Harbor Lane Press")),))
+    rmap = {"e4": ("q5", "Harbor Lane Press")}
     out = apply_counterfactual(bundle, rmap)
     for old_t, new_t in zip(all_bundle_texts(bundle), all_bundle_texts(out)):
         if surface_occurrences(old_t, "Jim Henson Company") == 0:
@@ -130,4 +122,4 @@ def test_entity_pool_from_corpus():
     )
     pool = build_entity_pool([doc_a, doc_b])
     assert [a.id for a in pool] == ["e1", "e2", "e3", "e4", "x", "y"]
-    assert pool[-1].source_doc == "z"
+    assert pool[-1] is doc_b.entities[-1]

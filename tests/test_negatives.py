@@ -189,7 +189,7 @@ def test_negative_options_worked_example():
     rng = random.Random(42)
     negs = make_negative_options(inst, DonorSource(doc), 3, rng)
     assert len(negs) == 3
-    answer_text = doc.sentences[3].text
+    answer_text = doc.sentences[3]
     seen = set()
     for synth in negs:
         assert synth.text != answer_text
@@ -237,7 +237,7 @@ def test_negative_contexts_worked_example():
     assert len(negs) == 3
     for variant in negs:
         assert variant.replaced_sentence in inst.context
-        original = doc.sentences[variant.replaced_sentence].text
+        original = doc.sentences[variant.replaced_sentence]
         assert variant.replacement.text != original
         # the rewritten pair lies on the meta-path
         targets = {b for _, b in variant.replacement.replaced}

@@ -13,6 +13,7 @@ import pytest
 from pathcl import pipeline as pl
 from pathcl.corpus import write_corpus
 from pathcl.emitter import read_instances
+from pathcl.graph import build_entity_graph, write_edge_list
 from pathcl.jsonl import RecordError
 from pathcl.metapath import ExtractorConfig
 from pathcl.synth import make_corpus
@@ -198,6 +199,32 @@ def test_manifest_counts_consistent(tmp_path):
         assert len(fp.read().splitlines()) == emitted["records"]
     blob = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert blob["config_hash"] == cfg.hash()
+
+
+@pytest.mark.parametrize("mark", ["\x1c", "\x85", "\u2028"])
+def test_graph_rows_split_only_at_newlines(tmp_path, mark):
+    # `str.splitlines` also breaks at these characters; a label may hold them.
+    label = f"knows{mark}well"
+    doc = build_document(
+        "d1",
+        [[("a", "A"), " met ", ("b", "B"), "."], [("b", "B"), " met ", ("c", "C"), "."],
+         [("a", "A"), " saw ", ("c", "C"), "."]],
+        {"a": "A", "b": "B", "c": "C"},
+        relations=[("a", "b", label)],
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus([doc], fp)
+    edges = write_edge_list(build_entity_graph(doc), io.StringIO())
+    manifest = pl.run_pipeline(
+        pl.PipelineConfig(input=str(corpus), output_dir=str(tmp_path / "out"), seed=0)
+    )
+    exported = io.StringIO()
+    assert pl.stage_graph_export([doc], exported) == edges == 4
+    for text in ((tmp_path / "out" / "graph.tsv").read_bytes().decode(), exported.getvalue()):
+        rows = text.split("\n")[:-1]
+        assert len(rows) == edges == manifest["stages"]["graph"]["edges"]
+        assert f"d1\ta|b\tkg\t{label}" in rows
 
 
 def test_run_pipeline_streams_bundles(tmp_path):

@@ -137,21 +137,23 @@ def test_counterfactual_unknown_document_exit_1(film_cast_run, tmp_path, capsys)
     rc = main(["counterfactual", "--corpus", str(film_cast_run / "corpus.jsonl"),
                "--input", str(bundles), "--output", str(tmp_path / "out.jsonl"), "--seed", "3"])
     assert rc == 1
-    assert capsys.readouterr().err == "error: bundle references unknown document 'nope'\n"
+    assert capsys.readouterr().err == "error: line 1: doc: bundle references unknown document 'nope'\n"
 
 
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("doc", "nope", "error: bundle references unknown document 'nope'"),
-        ("context_sentences", [1, 999], "names sentence 999, outside its"),
+        ("doc", "nope", "error: line 1: doc: bundle references unknown document 'nope'\n"),
+        ("context_sentences", [1, 999],
+         "error: line 1: context_sentences[1]: bundle in document 'filmcast' names sentence 999, "
+         "outside its 6 sentences\n"),
     ],
 )
 def test_counterfactual_checks_bundles_without_copies(
     film_cast_run, tmp_path, capsys, key, value, message
 ):
-    # The default ratio makes copies and runs these checks (see the unknown
-    # document test above and the mistyped test below); a ratio of 0 must too.
+    # The bundles file is checked against the corpus as it is read, so a
+    # ratio of 0, which makes no copies, runs these checks too.
     record = json.loads((film_cast_run / "bundles.jsonl").read_text(encoding="utf-8"))
     set_field(record, key, value)
     bundles = tmp_path / "bundles.jsonl"
@@ -160,7 +162,7 @@ def test_counterfactual_checks_bundles_without_copies(
                "--input", str(bundles), "--output", str(tmp_path / "out.jsonl"), "--seed", "3",
                "--cf-ratio", "0"])
     assert rc == 1
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "out.jsonl").exists()
 
 
