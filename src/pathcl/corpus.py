@@ -11,13 +11,16 @@ Input corpora are UTF-8 files with one JSON object per line:
 Mention spans are half-open character ranges into the sentence text.
 Entity ids are opaque strings; the same id appearing in two documents
 denotes the same entity. Relation type labels are carried as opaque
-metadata. Document ids are unique within a corpus. Documents are
-immutable after parsing; a parsed sentence is its text, and its ordinal
-is its position in `Document.sentences`.
+metadata. Document ids are unique within a corpus. Document ids, entity
+ids and relation types hold no tab, "\\n" or "\\r", and entity ids no "|":
+`graph.tsv` writes them unescaped. Documents are immutable after parsing;
+a parsed sentence is its text, and its ordinal is its position in
+`Document.sentences`.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
@@ -97,16 +100,33 @@ def validate_document(doc: Document) -> list[str]:
     return [f"{where}: {problem}" for where, problem in _problems(doc)]
 
 
+# `graph.tsv` writes ids and labels unescaped: a tab separates its fields,
+# a line break its rows, and "|" the two entity ids of a pair.
+_ROW_SEPARATOR = re.compile("[\t\n\r]")
+_ENTITY_ID_SEPARATOR = re.compile("[|\t\n\r]")
+
+
+def _separator_problem(what: str, text: str, separator: re.Pattern) -> str | None:
+    held = separator.search(text)
+    if held is None:
+        return None
+    return f"{what} {text!r} holds {held[0]!r}, a graph.tsv separator"
+
+
 def _problems(doc: Document) -> list[tuple[str, str]]:
     """Each violated invariant as (field path, description)."""
     problems: list[tuple[str, str]] = []
     n_sent = len(doc.sentences)
 
+    if problem := _separator_problem("document id", doc.id, _ROW_SEPARATOR):
+        problems.append(("id", problem))
     seen_ids: set[str] = set()
     for i, entity in enumerate(doc.entities):
         if entity.id in seen_ids:
             problems.append((f"entities[{i}].id", f"duplicate entity id {entity.id!r}"))
         seen_ids.add(entity.id)
+        if problem := _separator_problem("entity id", entity.id, _ENTITY_ID_SEPARATOR):
+            problems.append((f"entities[{i}].id", problem))
         if not entity.surface:
             problems.append((f"entities[{i}].name", f"entity {entity.id!r} has empty surface"))
         if not entity.mentions:
@@ -142,6 +162,8 @@ def _problems(doc: Document) -> list[tuple[str, str]]:
                 ))
 
     for i, rel in enumerate(doc.relations):
+        if problem := _separator_problem("relation type", rel.relation, _ROW_SEPARATOR):
+            problems.append((f"relations[{i}].type", problem))
         if rel.head == rel.tail:
             problems.append((f"relations[{i}]", f"self-relation on entity {rel.head!r}"))
         for role, eid in (("head", rel.head), ("tail", rel.tail)):

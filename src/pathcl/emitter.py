@@ -14,7 +14,8 @@ position carries no signal. Output is line-delimited JSON:
      "context_texts": [str]}}
 
 meta.context_texts preserves the context's sentence boundaries, which the
-joined query/candidate strings erase.
+joined query/candidate strings erase. A query holds at least one
+whitespace-separated token: the trainer's masked-token objective masks it.
 """
 
 from __future__ import annotations
@@ -201,6 +202,8 @@ def emit_instances(
 def instance_from_record(obj, line: int = 0) -> ContrastiveInstance:
     orientation = require(obj, "orientation", str, line)
     query = require(obj, "query", str, line)
+    if not query.split():
+        raise RecordError(line, f"query: expected at least one token, got {query!r}", "query")
     candidates = require_list(obj, "candidates", str, line)
     gold = require(obj, "gold", int, line)
     meta = require(obj, "meta", dict, line)

@@ -28,13 +28,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .emitter import ContrastiveInstance
 from .jsonl import bounded, check_config
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_rng
 
 UNK_TOKEN = "[unk]"
 SEP_TOKEN = "[sep]"
@@ -204,7 +204,12 @@ def _pool(params: ScorerParams, flat: np.ndarray, lengths: np.ndarray):
     a zero column, that is a zero mean.
     """
     n = lengths.size
-    ids, inverse = np.unique(flat, return_inverse=True)
+    # The sorted distinct ids and each id's rank among them, read off a
+    # presence mask over the vocabulary instead of a sort.
+    present = np.zeros(params.embeddings.shape[0], dtype=bool)
+    present[flat] = True
+    ids = np.flatnonzero(present)
+    inverse = (np.cumsum(present) - 1)[flat]
     share = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
     column = np.repeat(np.arange(n), lengths)
     pool = np.bincount(inverse * n + column, weights=share, minlength=ids.size * n)
@@ -379,7 +384,7 @@ def total_loss(
     seed: int = 0,
 ) -> float:
     encoded = [_encode_instance(params, inst) for inst in batch]
-    return _total(params, encoded, None, mlm_weight=mlm_weight, mask_rate=mask_rate, seed=seed)[0]
+    return _total(params, encoded, None, mlm_weight=mlm_weight, mask_rate=mask_rate, seed=seed)
 
 
 def total_loss_and_grads(
@@ -392,9 +397,7 @@ def total_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     grads = zero_grads(params)
     encoded = [_encode_instance(params, inst) for inst in batch]
-    loss, _, _ = _total(
-        params, encoded, grads, mlm_weight=mlm_weight, mask_rate=mask_rate, seed=seed
-    )
+    loss = _total(params, encoded, grads, mlm_weight=mlm_weight, mask_rate=mask_rate, seed=seed)
     return loss, grads
 
 
@@ -406,34 +409,82 @@ def _total(
     mlm_weight: float,
     mask_rate: float,
     seed: int,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Sum of the orientation means plus the weighted masked-token mean.
+) -> float:
+    """Combined loss of one batch (see `_compose`).
 
-    Each orientation term is the mean over the instances of that
-    orientation and is skipped when none are present. Every mask pattern
-    is drawn, in batch order, from one generator derived from `seed`, so
-    repeated evaluation of the same batch at the same seed is exact, which
-    the gradient checks rely on. Also returns every instance's contrastive
-    loss and masked-token loss (the latter empty when the masked-token term
-    is off).
+    Every mask pattern is drawn, in batch order, from one generator derived
+    from `seed`, so repeated evaluation of the same batch at the same seed
+    is exact, which the gradient checks rely on.
     """
     if not batch:
         raise ValueError("empty batch")
     option = np.array([e.orientation == "option" for e in batch])
-    n_option = int(option.sum())
-    n_context = len(batch) - n_option
-    cl_weights = np.where(option, 1.0 / max(n_option, 1), 1.0 / max(n_context, 1))
+    sizes = np.array([len(batch)])
+    group, counts = _groups(option, sizes)
     masked = None
     if mlm_weight != 0.0:
         masked = _mask([e.query for e in batch], mask_rate, derive_rng(seed, "mlm"))
-    cl, mlm = _batch(params, batch, cl_weights, masked, mlm_weight / len(batch), grads)
-    total = 0.0
-    for losses in (cl[option], cl[~option]):
-        if losses.size:
-            total += float(losses.mean())
-    if masked is not None:
-        total += mlm_weight * float(mlm.mean())
-    return total, cl, mlm
+    cl, mlm = _batch(params, batch, 1.0 / counts[group], masked, mlm_weight / len(batch), grads)
+    return float(_compose(cl, mlm, group, counts, sizes, mlm_weight)[0])
+
+
+def _groups(option: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each instance's orientation group and the size of every group.
+
+    Batches are runs of `sizes` consecutive instances; the option instances
+    of batch b form group 2b and its context instances group 2b + 1. An
+    instance's contrastive weight is one over its group's size.
+    """
+    group = 2 * np.repeat(np.arange(sizes.size), sizes) + ~option
+    return group, np.bincount(group, minlength=2 * sizes.size)
+
+
+def _run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum of each run of `sizes` consecutive values; 0 for an empty run.
+
+    Each run is summed after a leading zero, as `ndarray.sum` sums, so a
+    run's sum equals its `.sum()` bit for bit.
+    """
+    starts = np.cumsum(sizes) - sizes
+    return np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(sizes.size))
+
+
+def _compose(
+    cl: np.ndarray,
+    mlm: np.ndarray,
+    group: np.ndarray,
+    counts: np.ndarray,
+    sizes: np.ndarray,
+    mlm_weight: float,
+) -> np.ndarray:
+    """Combined loss of each batch, from its instances' losses.
+
+    A batch's loss is the sum of its orientation means plus the weighted
+    mean of its masked-token losses. Each orientation term is the mean over
+    the batch's instances of that orientation and is skipped when none are
+    present; the masked-token term is skipped when `mlm` is empty (the term
+    is off).
+    """
+    means = _run_sums(cl[np.argsort(group, kind="stable")], counts) / np.maximum(counts, 1)
+    total = means[0::2] + means[1::2]
+    if mlm.size:
+        total += mlm_weight * (_run_sums(mlm, sizes) / sizes)
+    return total
+
+
+def _split_mask(masked: _Masked, sizes: np.ndarray) -> Iterator[_Masked]:
+    """`masked` cut into the draws of runs of `sizes` consecutive texts, run by run."""
+    text_at = np.concatenate(([0], np.cumsum(sizes)))
+    kept_at = np.concatenate(([0], np.cumsum(masked.kept_lengths)))[text_at]
+    target_at = np.concatenate(([0], np.cumsum(masked.counts)))[text_at]
+    for b in range(sizes.size):
+        texts = slice(text_at[b], text_at[b + 1])
+        yield _Masked(
+            masked.kept[kept_at[b] : kept_at[b + 1]],
+            masked.kept_lengths[texts],
+            masked.targets[target_at[b] : target_at[b + 1]],
+            masked.counts[texts],
+        )
 
 
 @dataclass(frozen=True)
@@ -452,7 +503,7 @@ def mcqa_loss(params: ScorerParams, ex: MCQAExample) -> float:
     """Multiple-choice loss: softmax over score(passage + question, option)."""
     query = f"{ex.passage} {SEP_TOKEN} {ex.question}"
     encoded = _encode(params, "option", query, ex.options, ex.gold)
-    return _total(params, [encoded], None, mlm_weight=0.0, mask_rate=0.0, seed=0)[0]
+    return _total(params, [encoded], None, mlm_weight=0.0, mask_rate=0.0, seed=0)
 
 
 # -- gradient verification --
@@ -572,6 +623,13 @@ def train(
 ) -> tuple[ScorerParams, list[dict]]:
     """Plain SGD over the combined loss; returns params and per-epoch metrics.
 
+    Each epoch shuffles the instances and steps through them in batches of
+    `cfg.batch_size`. The epoch's masks are drawn before its first step, in
+    the shuffled order, from one generator derived from (`cfg.seed`,
+    "mlm", epoch); each step takes its batch's slice of that draw. Steps
+    record each instance's losses; the batches' combined losses
+    (`_compose`) are composed from them after the epoch's last step.
+
     Each metrics row holds the epoch's mean loss, the train-set accuracy
     after the epoch, the epoch means of the three objective terms over the
     instances they cover (`ocl`, `ccl`, `mlm`; None when a term is absent)
@@ -594,41 +652,51 @@ def train(
     option = np.array([e.orientation == "option" for e in encoded])
     n = len(encoded)
     n_option = int(option.sum())
+    starts = range(0, n, cfg.batch_size)
+    sizes = np.diff([*starts, n])
     metrics: list[dict] = []
     for epoch in range(cfg.epochs):
         order = list(range(n))
         derive_rng(cfg.seed, "order", epoch).shuffle(order)
-        sums = dict.fromkeys(("loss", "ocl", "ccl", "mlm", "grad_norm"), 0.0)
-        steps = 0
-        for start in range(0, n, cfg.batch_size):
-            chosen = order[start : start + cfg.batch_size]
+        # Everything that does not read the parameters is settled for the
+        # whole epoch before its first step: orientation weights and masks.
+        picked = option[order]
+        group, counts = _groups(picked, sizes)
+        weights = 1.0 / counts[group]
+        masked = None
+        if cfg.mlm_weight != 0.0:
+            masked = _mask(
+                [encoded[i].query for i in order], cfg.mask_rate, derive_rng(cfg.seed, "mlm", epoch)
+            )
+        masks = [None] * sizes.size if masked is None else _split_mask(masked, sizes)
+        # Each instance's contrastive and masked-token loss, in epoch order.
+        cl = np.empty(n)
+        mlm = np.empty(0 if masked is None else n)
+        grad_norm = 0.0
+        for start, size, batch_masks in zip(starts, sizes, masks):
+            stop = start + size
             gflat.fill(0.0)
-            loss, cl, mlm = _total(
+            cl[start:stop], mlm[start:stop] = _batch(
                 params,
-                [encoded[i] for i in chosen],
+                [encoded[i] for i in order[start:stop]],
+                weights[start:stop],
+                batch_masks,
+                cfg.mlm_weight / size,
                 grads,
-                mlm_weight=cfg.mlm_weight,
-                mask_rate=cfg.mask_rate,
-                seed=derive_seed(cfg.seed, "mlm", epoch, start),
             )
             params.flat -= cfg.learning_rate * gflat
-            picked = option[chosen]
-            sums["loss"] += loss * len(chosen)
-            sums["ocl"] += float(cl[picked].sum())
-            sums["ccl"] += float(cl[~picked].sum())
-            sums["mlm"] += float(mlm.sum())
-            sums["grad_norm"] += math.sqrt(float(gflat @ gflat))
-            steps += 1
+            grad_norm += math.sqrt(float(gflat @ gflat))
+        losses = _compose(cl, mlm, group, counts, sizes, cfg.mlm_weight)
         hits = sum(_hits(params, chunk) for chunk in _chunks(encoded, EVAL_CHUNK))
         metrics.append(
             {
                 "epoch": epoch,
-                "loss": sums["loss"] / n,
+                "loss": float(losses @ sizes) / n,
                 "accuracy": hits / n,
-                "ocl": sums["ocl"] / n_option if n_option else None,
-                "ccl": sums["ccl"] / (n - n_option) if n_option < n else None,
-                "mlm": sums["mlm"] / n if cfg.mlm_weight != 0.0 else None,
-                "grad_norm": sums["grad_norm"] / steps,
+                "ocl": float(cl[picked].sum()) / n_option if n_option else None,
+                "ccl": float(cl[~picked].sum()) / (n - n_option) if n_option < n else None,
+                "mlm": float(mlm.sum()) / n if cfg.mlm_weight != 0.0 else None,
+                "grad_norm": grad_norm / sizes.size,
             }
         )
     return params, metrics

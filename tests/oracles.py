@@ -7,10 +7,14 @@ the consistency scanner re-derives entity occurrences from surfaces
 instead of trusting recorded spans; the span diff checks an edit from
 the original text's fixed fragments alone; the trainer oracle scores
 one candidate and masks one text at a time with the scorer's plain
-formulas, where the library batches them; the batch interleaver queues
-every instance before writing any, where the library streams them; the
-ordered-pair extractor runs the library's search on every co-mentioned
-pair in both orders, where the library visits each unordered pair once.
+formulas, where the library batches them, and trains with them step by
+step, drawing each epoch's masks as it goes, where the library draws them
+before the epoch's first step; the pooling reference finds a batch's
+distinct ids by sorting, where the library marks them in a vocabulary
+mask; the batch interleaver queues every instance before writing any,
+where the library streams them; the ordered-pair extractor runs the
+library's search on every co-mentioned pair in both orders, where the
+library visits each unordered pair once.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from pathcl.jsonl import write_records
 from pathcl.metapath import ExtractorConfig, PositiveInstance, dfs_metapath
 from pathcl.seeding import derive_rng
 from pathcl.spans import MentionSpan
-from pathcl.trainer import SEP_TOKEN, token_ids
+from pathcl.trainer import SEP_TOKEN, build_vocab, init_params, token_ids
 
 
 def enumerate_simple_paths(
@@ -281,17 +285,86 @@ def _instance_mlm(params, text: str, mask_rate: float, rng, grads, weight: float
     return loss
 
 
-def oracle_loss_and_grads(params, batch, *, mlm_weight: float, mask_rate: float, seed: int):
-    """`trainer.total_loss_and_grads` with a mean, a head pass and a scatter per candidate."""
+def oracle_batch(params, batch, *, mlm_weight: float, mask_rate: float, rng):
+    """Loss and grads of one batch, plus each instance's contrastive and
+    masked-token loss (the latter empty when the term is off); every text's
+    mask is drawn from `rng`, text by text in batch order."""
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    cl = [0.0] * len(batch)
     total = 0.0
     for orientation in ("option", "context"):
-        subset = [inst for inst in batch if inst.orientation == orientation]
-        for inst in subset:
-            total += _instance_cl(params, inst, grads, 1.0 / len(subset)) / len(subset)
+        subset = [k for k, inst in enumerate(batch) if inst.orientation == orientation]
+        for k in subset:
+            cl[k] = _instance_cl(params, batch[k], grads, 1.0 / len(subset))
+            total += cl[k] / len(subset)
+    mlm = []
     if mlm_weight != 0.0:
         weight = mlm_weight / len(batch)
-        rng = derive_rng(seed, "mlm")
         for inst in batch:
-            total += weight * _instance_mlm(params, inst.query, mask_rate, rng, grads, weight)
+            mlm.append(_instance_mlm(params, inst.query, mask_rate, rng, grads, weight))
+            total += weight * mlm[-1]
+    return total, grads, cl, mlm
+
+
+def oracle_loss_and_grads(params, batch, *, mlm_weight: float, mask_rate: float, seed: int):
+    """`trainer.total_loss_and_grads` with a mean, a head pass and a scatter per candidate."""
+    total, grads, _, _ = oracle_batch(
+        params, batch, mlm_weight=mlm_weight, mask_rate=mask_rate, rng=derive_rng(seed, "mlm")
+    )
     return total, grads
+
+
+def unique_pool(params, flat: np.ndarray, lengths: np.ndarray):
+    """`trainer._pool` by sorting: np.unique's ids, and the pooling matrix
+    filled one occurrence at a time."""
+    ids, inverse = np.unique(flat, return_inverse=True)
+    pool = np.zeros((ids.size, lengths.size))
+    for u, s in zip(inverse, np.repeat(np.arange(lengths.size), lengths)):
+        pool[u, s] += 1.0 / lengths[s]
+    return ids, pool, pool.T @ params.embeddings[ids]
+
+
+def oracle_train(instances, cfg):
+    """`trainer.train` as a plain SGD loop over `oracle_batch`: each epoch
+    shuffles, draws its masks from one generator across its batches, and
+    steps batch by batch."""
+    texts = [text for inst in instances for text in (inst.query, *inst.candidates)]
+    params = init_params(build_vocab(texts), cfg.dim, cfg.hidden, cfg.seed)
+    n = len(instances)
+    metrics = []
+    for epoch in range(cfg.epochs):
+        order = list(range(n))
+        derive_rng(cfg.seed, "order", epoch).shuffle(order)
+        rng = derive_rng(cfg.seed, "mlm", epoch)
+        loss = grad_norm = 0.0
+        cl = {"option": [], "context": []}
+        mlm = []
+        steps = range(0, n, cfg.batch_size)
+        for start in steps:
+            batch = [instances[i] for i in order[start : start + cfg.batch_size]]
+            total, grads, batch_cl, batch_mlm = oracle_batch(
+                params, batch, mlm_weight=cfg.mlm_weight, mask_rate=cfg.mask_rate, rng=rng
+            )
+            for name, grad in grads.items():
+                getattr(params, name)[...] -= cfg.learning_rate * grad
+            loss += total * len(batch)
+            grad_norm += math.sqrt(sum(float((grad * grad).sum()) for grad in grads.values()))
+            for inst, value in zip(batch, batch_cl):
+                cl[inst.orientation].append(value)
+            mlm.extend(batch_mlm)
+        hits = sum(
+            int(np.argmax([score_pair(params, inst.query, c) for c in inst.candidates])) == inst.gold
+            for inst in instances
+        )
+        metrics.append(
+            {
+                "epoch": epoch,
+                "loss": loss / n,
+                "accuracy": hits / n,
+                "ocl": sum(cl["option"]) / len(cl["option"]) if cl["option"] else None,
+                "ccl": sum(cl["context"]) / len(cl["context"]) if cl["context"] else None,
+                "mlm": sum(mlm) / n if cfg.mlm_weight != 0.0 else None,
+                "grad_norm": grad_norm / len(steps),
+            }
+        )
+    return params, metrics

@@ -3,12 +3,16 @@
 `bench/worker.py` looks its layer functions up by name, and imports the
 rest of what it uses inside its functions, only when a sample runs, so a
 renamed or deleted name would fail every benchmark sample and nothing
-earlier. This checks existence only: installing the tracer would rewrite
-module globals for the rest of the session.
+earlier. The name checks test existence only: installing the tracer would
+rewrite module globals for the rest of the session. How the traced trainer
+path calls those names is checked by running its smoke sample.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from pathcl import pipeline as pl
@@ -86,3 +90,16 @@ def test_bench_worker_imports_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_bench_traced_train_smoke_sample_is_correct():
+    # The traced trainer sample calls `total_loss_and_grads` with keyword
+    # options and `evaluate` on the training set; a changed signature fails
+    # it, and a failed operation marks the run incorrect.
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "train", "--smoke", "--trace", "1"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, result

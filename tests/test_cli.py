@@ -321,6 +321,48 @@ def test_repeated_document_id_is_a_bad_record(tmp_path, capsys):
         assert file_hash(s / name) == file_hash(tmp_path / "r" / name), name
 
 
+SEPARATOR_FIELDS = [
+    *(("id", "document id", mark) for mark in "\t\n\r"),
+    *(("entities[0].id", "entity id", mark) for mark in "|\t\n\r"),
+    *(("relations[0].type", "relation type", mark) for mark in "\t\n\r"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, what, mark",
+    SEPARATOR_FIELDS,
+    ids=[f"{field}-{mark!r}" for field, _, mark in SEPARATOR_FIELDS],
+)
+def test_graph_tsv_separator_in_id_or_label_is_a_bad_record(tmp_path, capsys, field, what, mark):
+    # `graph.tsv` writes ids and labels unescaped: a tab would add a field,
+    # a line break a row, and "|" inside an entity id would make a pair id
+    # ambiguous.
+    records = [document_to_record(doc) for doc in make_corpus(3, seed=3, blocks=2, fillers=8)]
+    record = records[1]
+    if field == "id":
+        record["id"] = value = f"{record['id']}{mark}x"
+    elif field == "entities[0].id":
+        old = record["entities"][0]["id"]
+        record["entities"][0]["id"] = value = f"{old}{mark}x"
+        for relation in record["relations"]:
+            for role in ("head", "tail"):
+                if relation[role] == old:
+                    relation[role] = value
+    else:
+        record["relations"][0]["type"] = value = f"knows{mark}well"
+    corpus = tmp_path / "corpus.jsonl"
+    write_lines(corpus, [json.dumps(record) for record in records])
+    assert main(["validate", "--input", str(corpus)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"line 2: {field}: {what} {value!r} holds {mark!r}, a graph.tsv separator\n"
+    assert captured.out == "2 documents ok, 1 problems\n"
+    assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path / "r"), "--seed", "1"]) == 0
+    manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+    assert manifest["stages"]["parse"] == {"documents": 2, "errors": 1}
+    rows = (tmp_path / "r" / "graph.tsv").read_text(encoding="utf-8").split("\n")[:-1]
+    assert rows and all(len(row.split("\t")) == 4 for row in rows)
+
+
 def test_corpus_commands_parse_with_collector_paused(tmp_path, monkeypatch):
     corpus = tmp_path / "corpus.jsonl"
     with open(corpus, "w", encoding="utf-8") as fp:

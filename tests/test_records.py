@@ -129,6 +129,26 @@ def test_eval_truncated_params_exit_1_naming_line(film_cast_run, tmp_path, capsy
         assert err.startswith("error: line "), (cut, err)
 
 
+@pytest.mark.parametrize("query", ["   ", "", "\t\n"])
+def test_instance_with_blank_query_exit_1(film_cast_run, tmp_path, capsys, query):
+    # The trainer's masked-token objective masks the query's tokens, so a
+    # query without one is a bad record, not a failure halfway into training.
+    lines = (film_cast_run / "instances.jsonl").read_text(encoding="utf-8").splitlines()[:3]
+    record = json.loads(lines[1])
+    record["query"] = query
+    lines[1] = json.dumps(record)
+    instances = tmp_path / "instances.jsonl"
+    instances.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    message = f"line 2: query: expected at least one token, got {query!r}"
+    with pytest.raises(RecordError, match=re.escape(message)):
+        list(read_instances(lines))
+    params = tmp_path / "scorer.txt"
+    for args in (["train", "--params-out", str(params), "--epochs", "1"], ["stats"]):
+        assert main([*args, "--input", str(instances)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n", args[0]
+    assert not params.exists()
+
+
 def test_counterfactual_unknown_document_exit_1(film_cast_run, tmp_path, capsys):
     record = json.loads((film_cast_run / "bundles.jsonl").read_text(encoding="utf-8"))
     record["doc"] = "nope"

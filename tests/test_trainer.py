@@ -8,6 +8,7 @@ from pathcl.emitter import ContrastiveInstance, InstanceMeta
 from pathcl.trainer import (
     MCQAExample,
     TrainConfig,
+    _pool,
     build_vocab,
     cl_loss,
     ccl_loss,
@@ -28,7 +29,7 @@ from pathcl.trainer import (
     zero_params,
 )
 
-from oracles import oracle_loss_and_grads, score_pair, softmax_grad
+from oracles import oracle_loss_and_grads, oracle_train, score_pair, softmax_grad, unique_pool
 
 LN4 = math.log(4.0)
 
@@ -355,6 +356,58 @@ def test_batched_path_matches_per_candidate_oracle():
         for name, want in want_grads.items():
             np.testing.assert_allclose(grads[name], want, rtol=0.0, atol=1e-12, err_msg=name)
         assert np.any(grads["embeddings"] != 0.0)
+
+
+def test_pool_equals_sorting_reference():
+    rng = np.random.default_rng(8)
+    vocab = build_vocab([" ".join(f"w{k}" for k in range(30))])
+    params = init_params(vocab, 5, 3, seed=2)
+    size = len(vocab)
+    layouts = [
+        # a repeated id in one segment, and the first and last vocabulary ids
+        ([0, 7, 7, 7, size - 1], [3, 2]),
+        # an empty segment, as a text masked whole leaves, between two others
+        ([size - 1, 0, 4, 4], [2, 0, 2]),
+        ([], [0]),
+    ]
+    for _ in range(50):
+        lengths = rng.integers(0, 9, size=rng.integers(1, 12))
+        layouts.append((rng.integers(0, size, size=lengths.sum()), lengths))
+    for flat, lengths in layouts:
+        flat, lengths = np.asarray(flat, dtype=np.intp), np.asarray(lengths, dtype=np.intp)
+        for got, want in zip(_pool(params, flat, lengths), unique_pool(params, flat, lengths)):
+            assert np.array_equal(got, want)
+
+
+def test_train_equals_step_by_step_oracle():
+    rng = random.Random(31)
+    words = "amber birch cedar dune ember fjord gale heath isle juniper".split()
+    # 11 instances in batches of 4: the last batch holds 3.
+    insts = [make_instance("context", "solo", ["amber birch", "cedar"], 1)]
+    for k in range(10):
+        cands = rng.sample([" ".join(rng.sample(words, 2)) for _ in range(6)], 2 + k % 3)
+        query = " ".join(rng.sample(words, 1 + k % 4))
+        insts.append(make_instance(("option", "context")[k % 3 == 0], query, cands, k % 2))
+    for mlm_weight in (1.0, 0.0):
+        cfg = TrainConfig(
+            learning_rate=0.5, epochs=2, batch_size=4, seed=6, dim=6, hidden=5,
+            mlm_weight=mlm_weight, mask_rate=0.3,
+        )
+        params, metrics = train(insts, cfg)
+        want_params, want_metrics = oracle_train(insts, cfg)
+        for name, want in want_params.arrays().items():
+            np.testing.assert_allclose(
+                params.arrays()[name], want, rtol=0.0, atol=1e-12, err_msg=name
+            )
+        assert len(metrics) == len(want_metrics) == 2
+        for row, want in zip(metrics, want_metrics):
+            assert set(row) == set(want)
+            for key, value in want.items():
+                if value is None or key in ("epoch", "accuracy"):
+                    assert row[key] == value, key
+                else:
+                    assert row[key] == pytest.approx(value, rel=0.0, abs=1e-12), key
+        assert (metrics[0]["mlm"] is None) == (mlm_weight == 0.0)
 
 
 def test_evaluate_mixed_candidate_counts_and_ties():
