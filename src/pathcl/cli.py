@@ -224,21 +224,22 @@ def cmd_grad_check(args) -> int:
     docs = make_corpus(3, seed=seed, blocks=1, fillers=2)
     per_doc = pl.stage_extract(docs, ExtractorConfig(mode="all"))
     bundles, _ = pl.stage_negatives(docs, per_doc, pl.NegativesConfig(), seed)
-    instances = [i for b in bundles for i in bundle_to_instances(b, seed)][: args.batch]
+    instances = [i for b in bundles for i in bundle_to_instances(b, seed)][:4]
     if not instances:
         print("no instances for the check", file=sys.stderr)
         return EXIT_RUNTIME
     texts = [i.query for i in instances] + [c for i in instances for c in i.candidates]
-    params = init_params(build_vocab(texts), args.dim, args.hidden, seed)
+    params = init_params(build_vocab(texts), dim=8, hidden=6, seed=seed)
 
     def producer(p):
         return total_loss_and_grads(
             p, instances, mlm_weight=1.0, mask_rate=0.15, seed=seed
         )
 
-    err = grad_check(producer, params, h=args.step, n_coords=args.coords, seed=seed)
-    print(f"max relative error: {err:.3e} (threshold {args.threshold:.1e})")
-    return EXIT_OK if err < args.threshold else EXIT_RUNTIME
+    err = grad_check(producer, params, h=1e-5, n_coords=200, seed=seed)
+    threshold = 1e-4
+    print(f"max relative error: {err:.3e} (threshold {threshold:.1e})")
+    return EXIT_OK if err < threshold else EXIT_RUNTIME
 
 
 def cmd_eval(args) -> int:
@@ -378,12 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="verify analytic gradients numerically")
     _add_common(p, config=False)
-    p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--coords", type=int, default=200)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--hidden", type=int, default=6)
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("eval", help="accuracy of saved params on an instance file")

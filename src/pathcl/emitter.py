@@ -205,6 +205,9 @@ def instance_from_record(obj, line: int = 0) -> ContrastiveInstance:
     if not query.split():
         raise RecordError(line, f"query: expected at least one token, got {query!r}", "query")
     candidates = require_list(obj, "candidates", str, line)
+    if len(candidates) < 2:
+        message = f"candidates: expected at least 2 entries, got {len(candidates)}"
+        raise RecordError(line, message, "candidates")
     gold = require(obj, "gold", int, line)
     meta = require(obj, "meta", dict, line)
     info = InstanceMeta(

@@ -93,7 +93,7 @@ def build_donor_pool(
     sampled donor reads only its own sentence's mentions.
     """
     refs = [(d, k) for d, doc in enumerate(docs) for k in _donor_sentences(doc)]
-    if pool_size >= 0 and len(refs) > pool_size:
+    if len(refs) > pool_size:
         refs = sorted(rng.sample(refs, pool_size))
     return [donor_from_document(docs[d], k) for d, k in refs]
 

@@ -82,7 +82,7 @@ from .seeding import derive_rng
 @dataclass
 class NegativesConfig:
     num_negatives: int = bounded(3, low=0)
-    pool_size: int = 1000
+    pool_size: int = bounded(1000, low=0)
 
     def __post_init__(self):
         check_config(self, "negatives")

@@ -213,7 +213,8 @@ def _pool(params: ScorerParams, flat: np.ndarray, lengths: np.ndarray):
     share = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
     column = np.repeat(np.arange(n), lengths)
     pool = np.bincount(inverse * n + column, weights=share, minlength=ids.size * n)
-    pool = pool.reshape(ids.size, n)
+    # bincount of an empty input is int64, whatever its weights
+    pool = pool.astype(np.float64, copy=False).reshape(ids.size, n)
     return ids, pool, pool.T @ params.embeddings[ids]
 
 
@@ -410,66 +411,39 @@ def _total(
     mask_rate: float,
     seed: int,
 ) -> float:
-    """Combined loss of one batch (see `_compose`).
+    """Combined loss of one batch: the sum of its orientation means plus the
+    weighted mean of its masked-token losses.
 
-    Every mask pattern is drawn, in batch order, from one generator derived
-    from `seed`, so repeated evaluation of the same batch at the same seed
-    is exact, which the gradient checks rely on.
+    An orientation term is skipped when the batch holds none of its
+    instances, the masked-token term when `mlm_weight` is 0. Every mask
+    pattern is drawn, in batch order, from one generator derived from
+    `seed`, so repeated evaluation of the same batch at the same seed is
+    exact, which the gradient checks rely on.
     """
     if not batch:
         raise ValueError("empty batch")
     option = np.array([e.orientation == "option" for e in batch])
-    sizes = np.array([len(batch)])
-    group, counts = _groups(option, sizes)
+    weights = _weights(option, np.array([len(batch)]))
     masked = None
     if mlm_weight != 0.0:
         masked = _mask([e.query for e in batch], mask_rate, derive_rng(seed, "mlm"))
-    cl, mlm = _batch(params, batch, 1.0 / counts[group], masked, mlm_weight / len(batch), grads)
-    return float(_compose(cl, mlm, group, counts, sizes, mlm_weight)[0])
+    cl, mlm = _batch(params, batch, weights, masked, mlm_weight / len(batch), grads)
+    loss = float(cl @ weights)
+    if mlm.size:
+        loss += mlm_weight * float(mlm.mean())
+    return loss
 
 
-def _groups(option: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each instance's orientation group and the size of every group.
+def _weights(option: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each instance's contrastive weight: one over the number of instances
+    of its orientation in its batch.
 
-    Batches are runs of `sizes` consecutive instances; the option instances
-    of batch b form group 2b and its context instances group 2b + 1. An
-    instance's contrastive weight is one over its group's size.
+    Batches are runs of `sizes` consecutive instances, so a batch's
+    orientation means sum to `cl @ weights` over its instances.
     """
     group = 2 * np.repeat(np.arange(sizes.size), sizes) + ~option
-    return group, np.bincount(group, minlength=2 * sizes.size)
-
-
-def _run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Sum of each run of `sizes` consecutive values; 0 for an empty run.
-
-    Each run is summed after a leading zero, as `ndarray.sum` sums, so a
-    run's sum equals its `.sum()` bit for bit.
-    """
-    starts = np.cumsum(sizes) - sizes
-    return np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(sizes.size))
-
-
-def _compose(
-    cl: np.ndarray,
-    mlm: np.ndarray,
-    group: np.ndarray,
-    counts: np.ndarray,
-    sizes: np.ndarray,
-    mlm_weight: float,
-) -> np.ndarray:
-    """Combined loss of each batch, from its instances' losses.
-
-    A batch's loss is the sum of its orientation means plus the weighted
-    mean of its masked-token losses. Each orientation term is the mean over
-    the batch's instances of that orientation and is skipped when none are
-    present; the masked-token term is skipped when `mlm` is empty (the term
-    is off).
-    """
-    means = _run_sums(cl[np.argsort(group, kind="stable")], counts) / np.maximum(counts, 1)
-    total = means[0::2] + means[1::2]
-    if mlm.size:
-        total += mlm_weight * (_run_sums(mlm, sizes) / sizes)
-    return total
+    counts = np.bincount(group, minlength=2 * sizes.size)
+    return 1.0 / counts[group]
 
 
 def _split_mask(masked: _Masked, sizes: np.ndarray) -> Iterator[_Masked]:
@@ -627,8 +601,9 @@ def train(
     `cfg.batch_size`. The epoch's masks are drawn before its first step, in
     the shuffled order, from one generator derived from (`cfg.seed`,
     "mlm", epoch); each step takes its batch's slice of that draw. Steps
-    record each instance's losses; the batches' combined losses
-    (`_compose`) are composed from them after the epoch's last step.
+    record each instance's losses, and the epoch's loss, the batches'
+    combined losses weighted by their sizes, is taken from them after its
+    last step.
 
     Each metrics row holds the epoch's mean loss, the train-set accuracy
     after the epoch, the epoch means of the three objective terms over the
@@ -661,8 +636,7 @@ def train(
         # Everything that does not read the parameters is settled for the
         # whole epoch before its first step: orientation weights and masks.
         picked = option[order]
-        group, counts = _groups(picked, sizes)
-        weights = 1.0 / counts[group]
+        weights = _weights(picked, sizes)
         masked = None
         if cfg.mlm_weight != 0.0:
             masked = _mask(
@@ -686,12 +660,12 @@ def train(
             )
             params.flat -= cfg.learning_rate * gflat
             grad_norm += math.sqrt(float(gflat @ gflat))
-        losses = _compose(cl, mlm, group, counts, sizes, cfg.mlm_weight)
+        loss = cl @ (weights * np.repeat(sizes, sizes)) + cfg.mlm_weight * mlm.sum()
         hits = sum(_hits(params, chunk) for chunk in _chunks(encoded, EVAL_CHUNK))
         metrics.append(
             {
                 "epoch": epoch,
-                "loss": float(losses @ sizes) / n,
+                "loss": float(loss) / n,
                 "accuracy": hits / n,
                 "ocl": float(cl[picked].sum()) / n_option if n_option else None,
                 "ccl": float(cl[~picked].sum()) / (n - n_option) if n_option < n else None,
@@ -754,9 +728,19 @@ def load_params(path) -> ScorerParams:
         dim, hidden = map(int, header("dims", 2))
         vocab_size = int(header("vocab", 1)[0])
         vocab: dict[str, int] = {}
+        taken: set[int] = set()
         for _ in range(vocab_size):
             token, index = take().split("\t")
-            vocab[token] = int(index)
+            index = int(index)
+            if not 0 <= index < vocab_size:
+                raise ValueError(f"vocab index {index} outside 0..{vocab_size - 1}")
+            if index in taken:
+                raise ValueError(f"vocab index {index} given twice")
+            taken.add(index)
+            vocab[token] = index
+        for token in (UNK_TOKEN, SEP_TOKEN):
+            if token not in vocab:
+                raise ValueError(f"vocab lacks the reserved token {token!r}")
         arrays: dict[str, np.ndarray] = {}
         while pos < len(lines):
             name, rows, cols = header("array", 3)

@@ -71,7 +71,6 @@ FLAG_SECTIONS = {
 }
 FIXED_DESTS = {"help", "input", "output", "output_dir", "corpus", "config", "seed",
                "params", "params_out", "metrics_out"}
-GRAD_CHECK_SIZES = {"threshold", "coords", "step", "batch", "dim", "hidden"}
 
 
 def test_every_flag_sets_a_config_field_or_fixed_argument():
@@ -83,7 +82,7 @@ def test_every_flag_sets_a_config_field_or_fixed_argument():
     stray = []
     for command, sub in subparsers.choices.items():
         known = {f.name for cls in FLAG_SECTIONS.get(command, ()) for f in dataclasses.fields(cls)}
-        known |= FIXED_DESTS | (GRAD_CHECK_SIZES if command == "grad-check" else set())
+        known |= FIXED_DESTS
         stray += [f"{command} {a.option_strings[0]}" for a in sub._actions if a.dest not in known]
     assert stray == []
 
@@ -552,6 +551,7 @@ BAD_CONFIG_VALUES = [
     ("run", {"extractor": {"backtracking": False}}, [],
      "extractor.backtracking: unknown config key"),
     ("run", {"emitter": {"shuffle_gold": True}}, [], "emitter"),
+    ("run", {}, ["--pool-size", "-1"], "negatives.pool_size: expected int >= 0, got -1"),
 ]
 
 

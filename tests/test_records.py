@@ -129,17 +129,51 @@ def test_eval_truncated_params_exit_1_naming_line(film_cast_run, tmp_path, capsy
         assert err.startswith("error: line "), (cut, err)
 
 
-@pytest.mark.parametrize("query", ["   ", "", "\t\n"])
-def test_instance_with_blank_query_exit_1(film_cast_run, tmp_path, capsys, query):
+@pytest.mark.parametrize(
+    "entry, edited, message",
+    [
+        ("gamma\t4", "gamma\t9", "line 8: vocab index 9 outside 0..4"),
+        ("gamma\t4", "gamma\t3", "line 8: vocab index 3 given twice"),
+        ("[unk]\t0", "delta\t0", "line 8: vocab lacks the reserved token '[unk]'"),
+    ],
+    ids=["index-outside", "index-twice", "no-unk"],
+)
+def test_eval_bad_params_vocab_exit_1_naming_line(
+    film_cast_run, tmp_path, capsys, entry, edited, message
+):
+    # An index outside the embedding rows, or one shared by two tokens, would
+    # pool the wrong row; the reserved tokens are what unknown words map to.
+    params = tmp_path / "scorer.txt"
+    save_params(init_params(build_vocab(["alpha beta gamma"]), 2, 2, seed=0), params)
+    text = params.read_text(encoding="utf-8")
+    assert f"\n{entry}\n" in text
+    params.write_text(text.replace(f"\n{entry}\n", f"\n{edited}\n"), encoding="utf-8")
+    instances = str(film_cast_run / "instances.jsonl")
+    assert main(["eval", "--params", str(params), "--input", instances]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"query": "   "}, "query: expected at least one token, got '   '"),
+        ({"query": ""}, "query: expected at least one token, got ''"),
+        ({"query": "\t\n"}, "query: expected at least one token, got '\\t\\n'"),
+        ({"candidates": ["only"], "gold": 0}, "candidates: expected at least 2 entries, got 1"),
+    ],
+    ids=["   ", "", "\t\n", "one-candidate"],
+)
+def test_instance_with_blank_query_exit_1(film_cast_run, tmp_path, capsys, edit, message):
     # The trainer's masked-token objective masks the query's tokens, so a
-    # query without one is a bad record, not a failure halfway into training.
+    # query without one is a bad record, not a failure halfway into training;
+    # likewise a candidate set without a negative.
     lines = (film_cast_run / "instances.jsonl").read_text(encoding="utf-8").splitlines()[:3]
     record = json.loads(lines[1])
-    record["query"] = query
+    record.update(edit)
     lines[1] = json.dumps(record)
     instances = tmp_path / "instances.jsonl"
     instances.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    message = f"line 2: query: expected at least one token, got {query!r}"
+    message = f"line 2: {message}"
     with pytest.raises(RecordError, match=re.escape(message)):
         list(read_instances(lines))
     params = tmp_path / "scorer.txt"

@@ -368,7 +368,9 @@ def test_pool_equals_sorting_reference():
         ([0, 7, 7, 7, size - 1], [3, 2]),
         # an empty segment, as a text masked whole leaves, between two others
         ([size - 1, 0, 4, 4], [2, 0, 2]),
+        # no ids at all: the pooling matrix is still float
         ([], [0]),
+        ([], [0, 0]),
     ]
     for _ in range(50):
         lengths = rng.integers(0, 9, size=rng.integers(1, 12))
@@ -376,7 +378,7 @@ def test_pool_equals_sorting_reference():
     for flat, lengths in layouts:
         flat, lengths = np.asarray(flat, dtype=np.intp), np.asarray(lengths, dtype=np.intp)
         for got, want in zip(_pool(params, flat, lengths), unique_pool(params, flat, lengths)):
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
 def test_train_equals_step_by_step_oracle():
