@@ -12,6 +12,7 @@ so a value of the wrong type reads the same everywhere:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import field, fields
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
@@ -133,6 +134,8 @@ def check_config(config, section: str) -> None:
         value = typed(getattr(config, f.name), kind, path)
         if kind is float:
             value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: expected finite float, got {value!r}")
             object.__setattr__(config, f.name, value)
         if f.metadata.get("choices") and value not in f.metadata["choices"]:
             choices = ", ".join(map(repr, f.metadata["choices"]))

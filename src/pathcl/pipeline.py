@@ -292,16 +292,14 @@ def stage_graph_export(docs: Sequence[Document], fp: IO[str]) -> int:
 
 # bench/worker.py traces `_extract_worker` and `_negative_worker` by name; keep both.
 def _extract_worker(
-    doc: Document, cfg: ExtractorConfig, graph: EntityGraph | None = None
+    doc: Document, cfg: ExtractorConfig, graph: EntityGraph
 ) -> list[PositiveInstance]:
-    if graph is None:
-        graph = build_entity_graph(doc)
     return extract_positive_instances(doc, graph, cfg)
 
 
 def stage_extract(docs: Sequence[Document], cfg: ExtractorConfig) -> list[list[PositiveInstance]]:
     """Per-document positive instances, in input order."""
-    return [_extract_worker(doc, cfg) for doc in docs]
+    return [_extract_worker(doc, cfg, build_entity_graph(doc)) for doc in docs]
 
 
 def _negative_worker(
@@ -374,8 +372,6 @@ class _Augmenter:
         """`bundle`, then its copies; counts into `counts`."""
         counts["originals"] += 1
         yield bundle
-        if not self.cfg.copies:
-            return
         for copy in range(1, self.cfg.copies + 1):
             rng = derive_rng(seed, "counterfactual", *bundle.key(), copy)
             try:

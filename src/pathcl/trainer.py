@@ -77,7 +77,7 @@ class ScorerParams:
 
     def __post_init__(self):
         arrays = self.arrays()
-        self.flat = pack(arrays).astype(np.float64, copy=False)
+        self.flat = np.concatenate([a.ravel() for a in arrays.values()], dtype=np.float64)
         for name, view in _views(self.flat, arrays).items():
             setattr(self, name, view)
 
@@ -134,19 +134,6 @@ def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarra
         out[name] = flat[cursor : cursor + size].reshape(like[name].shape)
         cursor += size
     return out
-
-
-def zero_grads(params: ScorerParams) -> dict[str, np.ndarray]:
-    """Zero gradients shaped like `params`, as views of one buffer like `params.flat`."""
-    return _views(np.zeros_like(params.flat), params.arrays())
-
-
-def pack(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([arrays[name].ravel() for name in ARRAY_FIELDS])
-
-
-def unpack_params(template: ScorerParams, vec: np.ndarray) -> ScorerParams:
-    return ScorerParams(vocab=template.vocab, **_views(vec, template.arrays()))
 
 
 def token_ids(params: ScorerParams, text: str) -> list[int]:
@@ -396,7 +383,7 @@ def total_loss_and_grads(
     mask_rate: float = 0.15,
     seed: int = 0,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    grads = zero_grads(params)
+    grads = _views(np.zeros_like(params.flat), params.arrays())
     encoded = [_encode_instance(params, inst) for inst in batch]
     loss = _total(params, encoded, grads, mlm_weight=mlm_weight, mask_rate=mask_rate, seed=seed)
     return loss, grads
@@ -496,18 +483,21 @@ def grad_check_flat(
 
     Coordinates where both sides are below 1e-5 in magnitude are compared
     absolutely (a zero gradient measured against finite-difference noise
-    is not a relative-error failure).
+    is not a relative-error failure). `value_fn` sees one working copy of
+    `x0`, bumped at one coordinate at a time; `x0` is never written.
     """
     rng = rng or random.Random(0)
     size = x0.size
     coords = list(range(size)) if size <= n_coords else sorted(rng.sample(range(size), n_coords))
     worst = 0.0
+    x = x0.copy()
     for i in coords:
-        bumped = x0.copy()
-        bumped[i] += h
-        up = value_fn(bumped)
-        bumped[i] -= 2 * h
-        down = value_fn(bumped)
+        saved = x[i]
+        x[i] += h
+        up = value_fn(x)
+        x[i] -= 2 * h
+        down = value_fn(x)
+        x[i] = saved
         numeric = (up - down) / (2 * h)
         a = float(analytic[i])
         denom = max(abs(a), abs(numeric))
@@ -524,16 +514,21 @@ def grad_check(
     n_coords: int = 200,
     seed: int = 0,
 ) -> float:
-    """Check a (loss, grads) producer over sampled parameter coordinates."""
-    x0 = pack(params.arrays())
-    _, grads = producer(params)
-    analytic = pack(grads)
+    """Check a (loss, grads) producer over sampled parameter coordinates.
+
+    The producer runs on one private copy of `params`, whose `flat` takes
+    each bumped vector in place; `params` itself is never written.
+    """
+    work = ScorerParams(vocab=params.vocab, **params.arrays())
+    _, grads = producer(work)
+    analytic = np.concatenate([grads[name].ravel() for name in ARRAY_FIELDS])
 
     def value_fn(vec: np.ndarray) -> float:
-        return producer(unpack_params(params, vec))[0]
+        work.flat[:] = vec
+        return producer(work)[0]
 
     return grad_check_flat(
-        value_fn, x0, analytic, h=h, n_coords=n_coords, rng=random.Random(seed)
+        value_fn, work.flat, analytic, h=h, n_coords=n_coords, rng=random.Random(seed)
     )
 
 
@@ -736,6 +731,8 @@ def load_params(path) -> ScorerParams:
                 raise ValueError(f"vocab index {index} outside 0..{vocab_size - 1}")
             if index in taken:
                 raise ValueError(f"vocab index {index} given twice")
+            if token in vocab:
+                raise ValueError(f"vocab token {token!r} given twice")
             taken.add(index)
             vocab[token] = index
         for token in (UNK_TOKEN, SEP_TOKEN):

@@ -552,6 +552,8 @@ BAD_CONFIG_VALUES = [
      "extractor.backtracking: unknown config key"),
     ("run", {"emitter": {"shuffle_gold": True}}, [], "emitter"),
     ("run", {}, ["--pool-size", "-1"], "negatives.pool_size: expected int >= 0, got -1"),
+    ("run", {}, ["--include-prob", "nan"],
+     "counterfactual.include_prob: expected finite float, got nan"),
 ]
 
 

@@ -66,6 +66,12 @@ def test_config_values_typed_when_built_in_python():
         (lambda: pl.PipelineConfig(input="a", output_dir="b", seed=1, jobs=True),
          "jobs: expected int, got bool"),
         (lambda: TrainConfig(batch_size=0), "train.batch_size: expected int >= 1, got 0"),
+        (lambda: pl.CounterfactualConfig(include_prob=float("nan")),
+         "counterfactual.include_prob: expected finite float, got nan"),
+        (lambda: TrainConfig(mask_rate=float("nan")),
+         "train.mask_rate: expected finite float, got nan"),
+        (lambda: TrainConfig(learning_rate=float("inf")),
+         "train.learning_rate: expected finite float, got inf"),
     ):
         with pytest.raises(ValueError) as exc:
             build()

@@ -135,8 +135,9 @@ def test_eval_truncated_params_exit_1_naming_line(film_cast_run, tmp_path, capsy
         ("gamma\t4", "gamma\t9", "line 8: vocab index 9 outside 0..4"),
         ("gamma\t4", "gamma\t3", "line 8: vocab index 3 given twice"),
         ("[unk]\t0", "delta\t0", "line 8: vocab lacks the reserved token '[unk]'"),
+        ("gamma\t4", "beta\t4", "line 8: vocab token 'beta' given twice"),
     ],
-    ids=["index-outside", "index-twice", "no-unk"],
+    ids=["index-outside", "index-twice", "no-unk", "token-twice"],
 )
 def test_eval_bad_params_vocab_exit_1_naming_line(
     film_cast_run, tmp_path, capsys, entry, edited, message

@@ -20,12 +20,10 @@ from pathcl.trainer import (
     mcqa_loss,
     mlm_loss,
     ocl_loss,
-    pack,
     save_params,
     total_loss,
     total_loss_and_grads,
     train,
-    unpack_params,
     zero_params,
 )
 
@@ -309,6 +307,7 @@ def test_grad_total_loss():
     words = "ember quartz delta onyx maple cedar ridge stone".split()
     vocab = build_vocab([" ".join(words), "spare unused filler"])
     params = init_params(vocab, 5, 4, seed=3)
+    before = params.flat.tobytes()
 
     def rand_inst(orientation):
         q = " ".join(rng.sample(words, 3))
@@ -335,6 +334,7 @@ def test_grad_total_loss():
         assert np.all(grads["embeddings"][row] == 0.0)
     err = grad_check(cl_only, params, h=1e-5, n_coords=250, seed=2)
     assert err < 1e-4
+    assert params.flat.tobytes() == before  # the checks bump a private copy
 
 
 def test_batched_path_matches_per_candidate_oracle():
@@ -465,7 +465,7 @@ def test_train_zero_learning_rate_keeps_params():
     cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=2, seed=5, dim=4, hidden=3)
     params, metrics = train(insts, cfg)
     fresh = init_params(params.vocab, 4, 3, seed=5)
-    assert np.array_equal(pack(params.arrays()), pack(fresh.arrays()))
+    assert np.array_equal(params.flat, fresh.flat)
     assert len(metrics) == 2
 
 
@@ -544,11 +544,3 @@ def test_params_save_load_round_trip(tmp_path):
         assert np.array_equal(arr, loaded.arrays()[name]), name
     with pytest.raises(ValueError):
         load_params(__file__)
-
-
-def test_pack_unpack_round_trip():
-    params = init_params(tiny_vocab("x y z"), 3, 2, seed=1)
-    vec = pack(params.arrays())
-    back = unpack_params(params, vec)
-    for name, arr in params.arrays().items():
-        assert np.array_equal(arr, back.arrays()[name])
