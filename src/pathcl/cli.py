@@ -17,13 +17,14 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pl
 from .bundle import read_bundles, write_bundles
 from .emitter import bundle_to_instances, read_instances, stats
-from .jsonl import RecordError, typed
+from .jsonl import RecordError, open_output, typed
 from .metapath import ExtractorConfig
 from .synth import make_corpus
 from .trainer import (
@@ -137,7 +138,7 @@ def cmd_validate(args) -> int:
 @pl.collector_paused()
 def cmd_build_graph(args) -> int:
     docs = _load_documents_lenient(args.input)
-    with pl.open_output(args.output) as fp:
+    with open_output(args.output) as fp:
         rows = pl.stage_graph_export(docs, fp)
     print(f"{rows} edge rows for {len(docs)} documents -> {args.output}")
     return EXIT_OK
@@ -148,20 +149,10 @@ def cmd_extract(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _section(ExtractorConfig, file_cfg, "extractor", args)
     docs = _load_documents_lenient(args.input)
-    per_doc = pl.stage_extract(docs, cfg)
-    with pl.open_output(args.output) as fp:
-        n = pl.write_positives((i for doc in per_doc for i in doc), fp)
+    with open_output(args.output) as fp:
+        n = pl.write_positives(pl.stage_extract(docs, cfg), fp)
     print(f"{n} positive instances -> {args.output}")
     return EXIT_OK
-
-
-def _positives_by_doc(docs, path):
-    index = {doc.id: i for i, doc in enumerate(docs)}
-    per_doc = [[] for _ in docs]
-    with open(path, "r", encoding="utf-8") as fp:
-        for inst in pl.read_corpus_positives(docs, fp):
-            per_doc[index[inst.doc_id]].append(inst)
-    return per_doc
 
 
 @pl.collector_paused()
@@ -170,9 +161,9 @@ def cmd_negatives(args) -> int:
     seed = _resolve_seed(args, file_cfg, required=False)
     cfg = _section(pl.NegativesConfig, file_cfg, "negatives", args)
     docs = _load_documents_lenient(args.corpus)
-    per_doc = _positives_by_doc(docs, args.input)
-    bundles, counts = pl.stage_negatives(docs, per_doc, cfg, seed)
-    with pl.open_output(args.output) as fp:
+    with open(args.input, "r", encoding="utf-8") as src, open_output(args.output) as fp:
+        positives = pl.read_corpus_positives(docs, src)
+        bundles, counts = pl.stage_negatives(docs, positives, cfg, seed)
         write_bundles(bundles, fp)
     print(json.dumps(counts))
     return EXIT_OK
@@ -184,7 +175,7 @@ def cmd_counterfactual(args) -> int:
     seed = _resolve_seed(args, file_cfg, required=False)
     cfg = _section(pl.CounterfactualConfig, file_cfg, "counterfactual", args)
     docs = _load_documents_lenient(args.corpus)
-    with open(args.input, "r", encoding="utf-8") as src, pl.open_output(args.output) as fp:
+    with open(args.input, "r", encoding="utf-8") as src, open_output(args.output) as fp:
         bundles = pl.read_corpus_bundles(docs, src)
         out, counts = pl.stage_counterfactual(docs, bundles, cfg, seed)
         write_bundles(out, fp)
@@ -196,7 +187,7 @@ def cmd_emit(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg, required=False)
     copies = _section(pl.CounterfactualConfig, file_cfg, "counterfactual", args).copies
-    with open(args.input, "r", encoding="utf-8") as src, pl.open_output(args.output) as fp:
+    with open(args.input, "r", encoding="utf-8") as src, open_output(args.output) as fp:
         counts = pl.stage_emit(read_bundles(src), copies, seed, fp)
     print(json.dumps(counts))
     return EXIT_OK
@@ -209,11 +200,13 @@ def cmd_train(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fp:
         instances = list(read_instances(fp))
     params, metrics = train(instances, cfg)
-    save_params(params, args.params_out)
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fp:
-            for row in metrics:
-                fp.write(json.dumps(row) + "\n")
+    # The metrics file is moved into place only after the params file is,
+    # so a failure to write either leaves both as they were.
+    with ExitStack() as outputs:
+        if args.metrics_out:
+            fp = outputs.enter_context(open_output(args.metrics_out))
+            fp.writelines(json.dumps(row) + "\n" for row in metrics)
+        save_params(params, args.params_out)
     final = metrics[-1] if metrics else {"loss": None, "accuracy": None}
     print(json.dumps({"instances": len(instances), **final}))
     return EXIT_OK
@@ -222,8 +215,8 @@ def cmd_train(args) -> int:
 def cmd_grad_check(args) -> int:
     seed = args.seed if args.seed is not None else 0
     docs = make_corpus(3, seed=seed, blocks=1, fillers=2)
-    per_doc = pl.stage_extract(docs, ExtractorConfig(mode="all"))
-    bundles, _ = pl.stage_negatives(docs, per_doc, pl.NegativesConfig(), seed)
+    positives = pl.stage_extract(docs, ExtractorConfig(mode="all"))
+    bundles, _ = pl.stage_negatives(docs, positives, pl.NegativesConfig(), seed)
     instances = [i for b in bundles for i in bundle_to_instances(b, seed)][:4]
     if not instances:
         print("no instances for the check", file=sys.stderr)

@@ -121,6 +121,8 @@ def _problems(doc: Document) -> list[tuple[str, str]]:
     if problem := _separator_problem("document id", doc.id, _ROW_SEPARATOR):
         problems.append(("id", problem))
     seen_ids: set[str] = set()
+    # The valid mention spans of each sentence, for the overlap check below.
+    by_sentence: dict[int, list[tuple[int, int, str]]] = {}
     for i, entity in enumerate(doc.entities):
         if entity.id in seen_ids:
             problems.append((f"entities[{i}].id", f"duplicate entity id {entity.id!r}"))
@@ -145,13 +147,10 @@ def _problems(doc: Document) -> list[tuple[str, str]]:
                     f"entity {entity.id!r} span [{m.start}, {m.end}) invalid "
                     f"for sentence {m.sent} of length {length}",
                 ))
+            else:
+                by_sentence.setdefault(m.sent, []).append((m.start, m.end, entity.id))
 
     # Overlap check between distinct mentions sharing a sentence.
-    by_sentence: dict[int, list[tuple[int, int, str]]] = {}
-    for entity in doc.entities:
-        for m in entity.mentions:
-            if 0 <= m.sent < n_sent and 0 <= m.start < m.end <= len(doc.sentences[m.sent]):
-                by_sentence.setdefault(m.sent, []).append((m.start, m.end, entity.id))
     for k, spans in sorted(by_sentence.items()):
         spans.sort()
         for (s1, e1, id1), (s2, e2, id2) in zip(spans, spans[1:]):

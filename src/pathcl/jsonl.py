@@ -1,4 +1,5 @@
-"""JSON at the stage boundaries: record framing and the one typed-value check.
+"""JSON at the stage boundaries: record framing, atomic output files and
+the one typed-value check.
 
 Corpus, positives, bundles and instances files hold one JSON object per
 line; blank lines are ignored and a bad line raises RecordError. Every
@@ -13,7 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import field, fields
+from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -191,3 +195,21 @@ def write_records(items: Iterable[T], to_record: Callable[[T], object], fp: IO[s
         fp.write(record_line(to_record(item)))
         n += 1
     return n
+
+
+@contextmanager
+def open_output(path) -> Iterator[IO[str]]:
+    """Write `path` through a temporary file beside it, moved into place on success.
+
+    A failed writer leaves no half-written output: the temporary file is
+    removed and any earlier file at `path` stays as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fp:
+            yield fp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -194,8 +194,17 @@ class DonorSource:
             yield donor, (t_j, t_i)  # exchange the target mentions
 
 
-def _surfaces(doc: Document) -> dict[str, str]:
-    return {e.id: e.surface for e in doc.entities}
+def _spellings(doc: Document, k: int) -> dict[str, str]:
+    """Each entity mentioned in sentence k, spelled as at its first mention there.
+
+    A mention may spell its entity other than by its name (an alias); a
+    negative must not differ from the text it imitates in that alone.
+    """
+    text = doc.sentences[k]
+    spelled: dict[str, str] = {}
+    for eid, start, end in mentions_in_sentence(doc, k):
+        spelled.setdefault(eid, text[start:end])
+    return spelled
 
 
 def _target_with_surfaces(surfaces: dict[str, str], pair: tuple[str, str]):
@@ -208,14 +217,15 @@ def make_negative_options(
 ) -> tuple[SynthSentence, ...]:
     """Up to k distinct synthetic answer options for the instance.
 
-    Each candidate mentions both target entities. Candidates textually
-    equal to any answer sentence of the pair, to the donor itself, or to a
-    previously taken negative are rejected and the next one is tried.
+    Each candidate mentions both target entities, spelled as in the answer
+    sentence. Candidates textually equal to any answer sentence of the
+    pair, to the donor itself, or to a previously taken negative are
+    rejected and the next one is tried.
     """
     doc = source.doc
     answers = collect_answer_candidates(doc, inst.pair)
     forbidden = {doc.sentences[a] for a in answers}
-    target = _target_with_surfaces(_surfaces(doc), inst.pair)
+    target = _target_with_surfaces(_spellings(doc, inst.answer), inst.pair)
     taken: list[SynthSentence] = []
     seen_texts: set[str] = set()
     if k > 0:
@@ -236,35 +246,28 @@ def make_negative_contexts(
     """Up to k context variants, each replacing one context sentence.
 
     The pair rewritten into the chosen sentence is drawn from the
-    meta-path entities mentioned there; variants cycle over the context
-    sentences so no single sentence absorbs every edit.
+    meta-path entities mentioned there, spelled as there; variants cycle
+    over the context sentences so no single sentence absorbs every edit.
     """
     doc = source.doc
     answers = collect_answer_candidates(doc, inst.pair)
-    surfaces = _surfaces(doc)
     path_entities = inst.path_entities
-    # The meta-path entities each context sentence mentions.
-    on_path: dict[int, set[str]] = {s_i: set() for s_i in inst.context}
-    for e in doc.entities:
-        if e.id in path_entities:
-            for m in e.mentions:
-                if m.sent in on_path:
-                    on_path[m.sent].add(e.id)
 
     # Per context sentence: a lazily advanced stream of replacement tries.
     streams: list[tuple[int, Iterator[SynthSentence]]] = []
     order = list(inst.context)
     rng.shuffle(order)
     for s_i in order:
-        in_sentence = sorted(on_path[s_i])
+        spelled = _spellings(doc, s_i)
+        in_sentence = sorted(e for e in spelled if e in path_entities)
         pairs = [(p, q) for p in in_sentence for q in in_sentence if p != q]
         rng.shuffle(pairs)
         if not pairs:
             continue
 
-        def tries(s_i=s_i, pairs=pairs) -> Iterator[SynthSentence]:
+        def tries(s_i=s_i, pairs=pairs, spelled=spelled) -> Iterator[SynthSentence]:
             for p, q in pairs:
-                target = _target_with_surfaces(surfaces, (p, q))
+                target = _target_with_surfaces(spelled, (p, q))
                 for donor, dpair in source.candidates((p, q), answers, rng):
                     yield relation_replace(donor, dpair, target)
 
@@ -275,9 +278,6 @@ def make_negative_contexts(
     while len(taken) < k and streams:
         live: list[tuple[int, Iterator[SynthSentence]]] = []
         for s_i, stream in streams:
-            if len(taken) >= k:
-                live.append((s_i, stream))
-                continue
             original = doc.sentences[s_i]
             for synth in stream:
                 key = (s_i, synth.text)
@@ -288,5 +288,7 @@ def make_negative_contexts(
                 live.append((s_i, stream))
                 break
             # else: stream exhausted, dropped from the rotation
+            if len(taken) == k:
+                break
         streams = live
     return tuple(taken)

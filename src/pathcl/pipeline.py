@@ -4,10 +4,10 @@ Every stage boundary is a file, so each stage can run standalone and the
 full run is the byte-exact composition of the stages. Randomness is
 derived per instance from the root seed and the instance's stable key.
 
-The stages after extraction are lazy. `stage_negatives` and
-`stage_counterfactual` return an iterator of bundles together with a
-counters dict that is final once the iterator is drained, and
-`stage_emit` consumes bundles one at a time.
+The stages are lazy. `stage_extract` yields positives one document at a
+time, `stage_negatives` and `stage_counterfactual` return an iterator of
+bundles together with a counters dict that is final once the iterator is
+drained, and `stage_emit` consumes bundles one at a time.
 
 `run_pipeline` parses the corpus and builds the two sampling pools (donor
 sentences and alien entities) once. Everything after that depends only on
@@ -37,6 +37,8 @@ import json
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -47,7 +49,7 @@ from .bundle import (
     bundle_to_record,
     read_bundles,
 )
-from .corpus import Document, parse_corpus
+from .corpus import Document, Entity, parse_corpus
 from .counterfactual import apply_counterfactual, build_entity_pool, select_replacements
 from .emitter import TaggedLine, bundle_to_instances, emit_instances, tagged_line
 from .graph import EntityGraph, build_entity_graph, write_edge_list
@@ -55,6 +57,7 @@ from .jsonl import (
     RecordError,
     bounded,
     check_config,
+    open_output,
     read_records,
     record_line,
     require,
@@ -231,24 +234,6 @@ def _zeroed(stage: str) -> dict[str, int]:
 
 
 @contextmanager
-def open_output(path) -> Iterator[IO[str]]:
-    """Write `path` through a temporary file beside it, moved into place on success.
-
-    A failed stage leaves no half-written output: the temporary file is
-    removed and any earlier file at `path` stays as it was.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fp:
-            yield fp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-@contextmanager
 def collector_paused() -> Iterator[None]:
     """Run the block with Python's cyclic garbage collector disabled.
 
@@ -297,92 +282,82 @@ def _extract_worker(
     return extract_positive_instances(doc, graph, cfg)
 
 
-def stage_extract(docs: Sequence[Document], cfg: ExtractorConfig) -> list[list[PositiveInstance]]:
-    """Per-document positive instances, in input order."""
-    return [_extract_worker(doc, cfg, build_entity_graph(doc)) for doc in docs]
+def stage_extract(docs: Iterable[Document], cfg: ExtractorConfig) -> Iterator[PositiveInstance]:
+    """Lazily, every document's positive instances, in input order."""
+    for doc in docs:
+        yield from _extract_worker(doc, cfg, build_entity_graph(doc))
 
 
 def _negative_worker(
     doc: Document,
-    instances: Sequence[PositiveInstance],
-    pool: Sequence[DonorSentence],
-    cfg: NegativesConfig,
-    seed: int,
-) -> list[InstanceBundle]:
-    source = DonorSource(doc, pool)
-    bundles = []
-    for inst in instances:
-        rng = derive_rng(seed, "negatives", inst.doc_id, *inst.pair, inst.answer)
-        options = make_negative_options(inst, source, cfg.num_negatives, rng)
-        contexts = make_negative_contexts(inst, source, cfg.num_negatives, rng)
-        bundles.append(assemble_bundle(inst, doc, options, contexts, cfg.num_negatives))
-    return bundles
-
-
-def _kept_bundles(
-    doc: Document,
-    instances: Sequence[PositiveInstance],
+    instances: Iterable[PositiveInstance],
     pool: Sequence[DonorSentence],
     cfg: NegativesConfig,
     seed: int,
     counts: dict[str, int],
-) -> Iterator[InstanceBundle]:
+) -> list[InstanceBundle]:
     """The bundle of every positive of `doc` that found a donor; counts into `counts`."""
-    for b in _negative_worker(doc, instances, pool, cfg, seed):
-        if cfg.num_negatives > 0 and not b.options and not b.context_variants:
+    source = DonorSource(doc, pool)
+    k = cfg.num_negatives
+    bundles = []
+    for inst in instances:
+        rng = derive_rng(seed, "negatives", inst.doc_id, *inst.pair, inst.answer)
+        options = make_negative_options(inst, source, k, rng)
+        contexts = make_negative_contexts(inst, source, k, rng)
+        if k > 0 and not options and not contexts:
             counts["skipped_no_donor"] += 1
             continue
         counts["bundles"] += 1
-        counts["option_shortfalls"] += len(b.options) < cfg.num_negatives
-        counts["context_shortfalls"] += len(b.context_variants) < cfg.num_negatives
-        yield b
+        counts["option_shortfalls"] += len(options) < k
+        counts["context_shortfalls"] += len(contexts) < k
+        bundles.append(assemble_bundle(inst, doc, options, contexts, k))
+    return bundles
 
 
 def stage_negatives(
     docs: Sequence[Document],
-    per_doc_instances: Sequence[Sequence[PositiveInstance]],
+    positives: Iterable[PositiveInstance],
     cfg: NegativesConfig,
     seed: int,
 ) -> tuple[Iterator[InstanceBundle], dict]:
-    """Lazily, the bundle of every positive that found a donor, in input order.
+    """Lazily, the bundle of every positive that found a donor, in the order of `positives`.
 
-    The donor pool is built before this returns; the counters fill in as
-    the iterator is drained.
+    Every positive must be of a document in `docs`; `read_corpus_positives`
+    checks that of a positives file. Each run of one document's positives
+    goes to one `_negative_worker` call. The donor pool is built before
+    this returns; the counters fill in as the iterator is drained.
     """
     pool = build_donor_pool(docs, cfg.pool_size, derive_rng(seed, "donor-pool"))
     counters = _zeroed("negatives")
+    by_doc = {doc.id: doc for doc in docs}
     kept = (
         b
-        for doc, instances in zip(docs, per_doc_instances, strict=True)
-        for b in _kept_bundles(doc, instances, pool, cfg, seed, counters)
+        for doc_id, run in groupby(positives, key=attrgetter("doc_id"))
+        for b in _negative_worker(by_doc[doc_id], run, pool, cfg, seed, counters)
     )
     return kept, counters
 
 
-class _Augmenter:
-    """Counterfactual copies of bundles, drawn from one alien pool built once for `docs`."""
-
-    def __init__(self, docs: Sequence[Document], cfg: CounterfactualConfig):
-        self.cfg = cfg
-        self.pool = build_entity_pool(docs) if cfg.copies else []
-
-    def __call__(
-        self, bundle: InstanceBundle, doc: Document, seed: int, counts: dict[str, int]
-    ) -> Iterator[InstanceBundle]:
-        """`bundle`, then its copies; counts into `counts`."""
-        counts["originals"] += 1
-        yield bundle
-        for copy in range(1, self.cfg.copies + 1):
-            rng = derive_rng(seed, "counterfactual", *bundle.key(), copy)
-            try:
-                rmap = select_replacements(
-                    bundle, doc, self.pool, rng, include_prob=self.cfg.include_prob
-                )
-            except ValueError:
-                counts["skipped_small_pool"] += 1
-                continue
-            counts["copies"] += 1
-            yield apply_counterfactual(bundle, rmap, variant=copy)
+def _copies(
+    bundle: InstanceBundle,
+    doc: Document,
+    aliens: Sequence[Entity],
+    cfg: CounterfactualConfig,
+    seed: int,
+    counts: dict[str, int],
+) -> Iterator[InstanceBundle]:
+    """`bundle`, then its counterfactual copies drawn from `aliens`; counts into `counts`."""
+    counts["originals"] += 1
+    yield bundle
+    for copy in range(1, cfg.copies + 1):
+        rng = derive_rng(seed, "counterfactual", *bundle.key(), copy)
+        try:
+            rmap = select_replacements(bundle, doc, aliens, rng, include_prob=cfg.include_prob)
+        except ValueError:
+            counts["skipped_small_pool"] += 1
+            continue
+        counts["copies"] += 1
+        yield apply_counterfactual(bundle, rmap, variant=copy)
 
 
 def stage_counterfactual(
@@ -400,13 +375,13 @@ def stage_counterfactual(
     """
     counters = _zeroed("counterfactual")
     by_doc = {doc.id: doc for doc in docs}
-    augment = _Augmenter(docs, cfg)
-
-    def augmented() -> Iterator[InstanceBundle]:
-        for bundle in bundles:
-            yield from augment(bundle, by_doc[bundle.doc_id], seed, counters)
-
-    return augmented(), counters
+    aliens = build_entity_pool(docs) if cfg.copies else []
+    augmented = (
+        b
+        for bundle in bundles
+        for b in _copies(bundle, by_doc[bundle.doc_id], aliens, cfg, seed, counters)
+    )
+    return augmented, counters
 
 
 def _instance_lines(bundle: InstanceBundle, seed: int, counts: dict[str, int]) -> list[TaggedLine]:
@@ -459,7 +434,7 @@ class _DocumentChain:
         self.donors = build_donor_pool(
             docs, cfg.negatives.pool_size, derive_rng(cfg.seed, "donor-pool")
         )
-        self.augment = _Augmenter(docs, cfg.counterfactual)
+        self.aliens = build_entity_pool(docs) if cfg.counterfactual.copies else []
 
     def __call__(self, index: int) -> Iterator[Piece]:
         """Lazily, the document's output pieces, one bundle's at a time."""
@@ -472,12 +447,15 @@ class _DocumentChain:
         counts["extract"]["instances"] = len(positives)
         yield "graph", "".join(rows)
         yield "positives", "".join(record_line(positive_to_record(p)) for p in positives)
-        for original in _kept_bundles(
+        for original in _negative_worker(
             doc, positives, self.donors, cfg.negatives, seed, counts["negatives"]
         ):
             line = record_line(bundle_to_record(original))
             yield "bundles", line
-            for bundle in self.augment(original, doc, seed, counts["counterfactual"]):
+            copies = _copies(
+                original, doc, self.aliens, cfg.counterfactual, seed, counts["counterfactual"]
+            )
+            for bundle in copies:
                 if bundle is not original:
                     line = record_line(bundle_to_record(bundle))
                 yield "bundles_counterfactual", line

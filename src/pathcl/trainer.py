@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .emitter import ContrastiveInstance
-from .jsonl import bounded, check_config
+from .jsonl import bounded, check_config, open_output
 from .seeding import derive_rng
 
 UNK_TOKEN = "[unk]"
@@ -677,10 +677,13 @@ FORMAT_TAG = "pathcl-scorer v1"
 
 
 def save_params(params: ScorerParams, path) -> None:
-    """Versioned text dump: dims, vocabulary, then row-major array values."""
+    """Versioned text dump: dims, vocabulary, then row-major array values.
+
+    A failed save keeps any earlier file at `path` (`open_output`).
+    """
     params.validate()
     inverse = sorted(params.vocab.items(), key=lambda kv: kv[1])
-    with open(path, "w", encoding="utf-8") as fp:
+    with open_output(path) as fp:
         fp.write(FORMAT_TAG + "\n")
         fp.write(f"dims {params.dim} {params.hidden}\n")
         fp.write(f"vocab {len(inverse)}\n")

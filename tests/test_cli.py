@@ -148,6 +148,30 @@ def test_negatives_bad_positives_line_numbered(tmp_path, capsys):
         assert rc == 1
         assert "line 3" in capsys.readouterr().err
 
+
+def test_negatives_follow_the_positives_file_order(tmp_path, capsys):
+    # Each bundle depends only on its own positive, so reversing the
+    # positives file reverses the bundles file; nothing is regrouped by
+    # document.
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(6, seed=4), fp)
+    positives = tmp_path / "positives.jsonl"
+    assert main(["extract", "--input", str(corpus), "--output", str(positives),
+                 "--mode", "all"]) == 0
+    lines = positives.read_text().splitlines()
+    reversed_positives = tmp_path / "reversed.jsonl"
+    write_lines(reversed_positives, lines[::-1])
+    bundles = {}
+    for name, path in (("forward", positives), ("reversed", reversed_positives)):
+        out = tmp_path / f"{name}_bundles.jsonl"
+        assert main(["negatives", "--corpus", str(corpus), "--input", str(path),
+                     "--output", str(out), "--seed", "1"]) == 0
+        bundles[name] = out.read_text().splitlines()
+    assert len(bundles["forward"]) == len(lines) > 6
+    assert bundles["reversed"] == bundles["forward"][::-1]
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -449,6 +473,32 @@ def test_train_and_eval_round_trip(tmp_path, capsys):
     got = json.loads(capsys.readouterr().out)
     assert got["instances"] == 40
     assert 0.0 <= got["accuracy"] <= 1.0
+
+
+def test_failed_train_keeps_earlier_outputs(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(4, seed=6, blocks=1, fillers=2), fp)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--input", str(corpus), "--output-dir", str(out_dir), "--seed", "2",
+                 "--cf-ratio", "0"]) == 0
+    params = tmp_path / "scorer.txt"
+    metrics = tmp_path / "metrics.jsonl"
+    params.write_text("earlier params\n")
+    metrics.write_text("earlier metrics\n")
+    missing = tmp_path / "missing"
+    train = ["train", "--input", str(out_dir / "instances.jsonl"), "--epochs", "1",
+             "--seed", "1", "--dim", "4", "--hidden", "3"]
+    capsys.readouterr()
+    for params_out, metrics_out in ((params, missing / "m.jsonl"), (missing / "p.txt", metrics)):
+        rc = main([*train, "--params-out", str(params_out), "--metrics-out", str(metrics_out)])
+        assert rc == 1
+        assert "No such file or directory" in capsys.readouterr().err
+    assert params.read_text() == "earlier params\n"
+    assert metrics.read_text() == "earlier metrics\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "corpus.jsonl", "metrics.jsonl", "out", "scorer.txt"
+    ]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys, monkeypatch):

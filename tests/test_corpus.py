@@ -133,6 +133,28 @@ def test_validate_overlapping_mentions():
     assert any("overlaps" in p for p in problems)
 
 
+def test_validate_reports_problems_in_a_fixed_order():
+    # Mention problems in entity and mention order, then overlaps by
+    # sentence: the overlap in sentence 2 belongs to the first entity.
+    doc = Document(
+        id="bad",
+        sentences=("Ann met Ben.", "Cal left.", "Dee saw Cal."),
+        entities=(
+            Entity("d", "Dee", (Mention(2, 0, 3), Mention(2, 1, 5))),
+            Entity("a", "Ann", (Mention(0, 0, 3), Mention(5, 0, 3))),
+            Entity("b", "Ben", (Mention(0, 8, 11), Mention(1, 4, 20))),
+            Entity("c", "Cal", (Mention(0, 2, 6), Mention(1, 0, 3), Mention(2, 8, 11))),
+        ),
+        relations=(RelationTriple("a", "b", "knows"),),
+    )
+    assert validate_document(doc) == [
+        "entities[1].mentions[1]: entity 'a' mention sentence 5 out of range",
+        "entities[2].mentions[1]: entity 'b' span [4, 20) invalid for sentence 1 of length 9",
+        "sentences[0]: mention [0, 3) of 'a' overlaps [2, 6) of 'c'",
+        "sentences[2]: mention [0, 3) of 'd' overlaps [1, 5) of 'd'",
+    ]
+
+
 def test_validate_self_relation():
     doc = Document(
         id="d",

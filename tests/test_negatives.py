@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -242,6 +243,54 @@ def test_negative_contexts_worked_example():
         # the rewritten pair lies on the meta-path
         targets = {b for _, b in variant.replacement.replaced}
         assert targets <= set(inst.path.entities)
+
+
+def test_negative_contexts_rotation_runs_until_k():
+    # Document fuzz47 of the donor-path corpus: the ('e0', 'e2') context is
+    # sentences 1 and 8. Two rounds of the rotation take four variants; in
+    # the third, sentence 8's tries are spent and sentence 1 gives the fifth.
+    rng = random.Random(555)
+    doc = [random_micro_doc(rng, f"fuzz{i}") for i in range(48)][47]
+    graph = build_entity_graph(doc)
+    instances = extract_positive_instances(doc, graph, ExtractorConfig(mode="all"))
+    inst = next(i for i in instances if i.pair == ("e0", "e2"))
+    negs = make_negative_contexts(inst, DonorSource(doc), 5, random.Random(1))
+    assert [v.replaced_sentence for v in negs] == [8, 1, 8, 1, 1]
+    assert [v.replacement.text for v in negs] == [
+        "Node1 praised Node0.",
+        "Node2 mentioned Node1.",
+        "Node1 mentioned Node0.",
+        "Node1 mentioned Node2.",
+        "Node2 praised Node1.",
+    ]
+
+
+def test_negatives_spell_targets_as_the_text_they_imitate():
+    # An alias: entity e1 is named "D. McKean", and every mention reads
+    # "Dave McKean". A negative spelling the name would differ from the
+    # gold answer and the context in that spelling alone.
+    doc = film_cast_document()
+    entities = tuple(
+        dataclasses.replace(e, surface="D. McKean") if e.id == "e1" else e
+        for e in doc.entities
+    )
+    doc = dataclasses.replace(doc, entities=entities)
+    inst = extract_positive_instances(doc, build_entity_graph(doc), ExtractorConfig())[0]
+    assert inst.pair == ("e1", "e2")
+    rng = random.Random(0)
+    source = DonorSource(doc)
+    options = make_negative_options(inst, source, 3, rng)
+    variants = make_negative_contexts(inst, source, 3, rng)
+    assert len(options) == len(variants) == 3
+    spelled = {"e1": "Dave McKean", "e2": "Stephanie Leonidas", "e3": "MirrorMask"}
+    negatives = [*options, *(v.replacement for v in variants)]
+    for synth in negatives:
+        assert "D. McKean" not in synth.text
+        targets = {target for _, target in synth.replaced}
+        for eid, start, end in synth.mentions:
+            if eid in targets:
+                assert synth.text[start:end] == spelled[eid], synth.text
+    assert sum("Dave McKean" in synth.text for synth in negatives) == 5
 
 
 def test_negative_contexts_single_sentence_context():

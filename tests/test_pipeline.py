@@ -80,8 +80,7 @@ def test_config_values_typed_when_built_in_python():
 
 def test_positive_record_round_trip():
     docs = make_corpus(5, seed=2)
-    per_doc = pl.stage_extract(docs, ExtractorConfig(mode="all"))
-    flat = [i for doc in per_doc for i in doc]
+    flat = list(pl.stage_extract(docs, ExtractorConfig(mode="all")))
     buf = io.StringIO()
     pl.write_positives(flat, buf)
     buf.seek(0)
@@ -100,11 +99,11 @@ def test_skip_counter_for_donorless_instance():
         ],
         {"a": "Ann", "b": "Ben", "c": "Cal"},
     )
-    per_doc = pl.stage_extract([doc], ExtractorConfig(mode="first"))
-    assert per_doc[0], "expected an extractable instance"
-    inst = per_doc[0][0]
+    positives = list(pl.stage_extract([doc], ExtractorConfig(mode="first")))
+    assert positives, "expected an extractable instance"
+    inst = positives[0]
     assert inst.pair == ("a", "b")  # answers {0}; donors: only sentences 1, 2
-    bundles, counts = pl.stage_negatives([doc], per_doc, pl.NegativesConfig(), 1)
+    bundles, counts = pl.stage_negatives([doc], positives, pl.NegativesConfig(), 1)
     bundles = list(bundles)
     assert counts["bundles"] == len(bundles) == 1  # donors exist for this doc
 
@@ -119,10 +118,10 @@ def test_skip_counter_for_donorless_instance():
         {"a": "Ann", "b": "Ben", "c": "Cal"},
         relations=[("c", "b", "knows")],
     )
-    per_doc = pl.stage_extract([lonely], ExtractorConfig(mode="first"))
-    assert per_doc[0]
+    positives = list(pl.stage_extract([lonely], ExtractorConfig(mode="first")))
+    assert positives
     bundles, counts = pl.stage_negatives(
-        [lonely], per_doc, pl.NegativesConfig(), 1
+        [lonely], positives, pl.NegativesConfig(), 1
     )
     bundles = list(bundles)
     assert counts["skipped_no_donor"] == 0  # sentence 3 still provides a donor
@@ -165,22 +164,22 @@ def test_fuzzed_micro_corpus_end_to_end():
 
     rng = random.Random(555)
     docs = [random_micro_doc(rng, f"fuzz{i}") for i in range(150)]
-    per_doc = pl.stage_extract(docs, ExtractorConfig(mode="all"))
-    bundles, neg_counts = pl.stage_negatives(docs, per_doc, pl.NegativesConfig(), 1)
+    positives = list(pl.stage_extract(docs, ExtractorConfig(mode="all")))
+    bundles, neg_counts = pl.stage_negatives(docs, positives, pl.NegativesConfig(), 1)
     cf, cf_counts = pl.stage_counterfactual(docs, bundles, pl.CounterfactualConfig(copies=2), 1)
     buf = io.StringIO()
     emit_counts = pl.stage_emit(cf, 2, 1, buf)
     buf.seek(0)
     instances = list(read_instances(buf))
 
-    assert neg_counts["bundles"] + neg_counts["skipped_no_donor"] == sum(map(len, per_doc))
+    assert neg_counts["bundles"] + neg_counts["skipped_no_donor"] == len(positives)
     assert cf_counts["originals"] == neg_counts["bundles"]
     assert len(instances) == emit_counts["records"] > 0
     assert emit_counts["counterfactual"] <= 2 * (emit_counts["records"] - emit_counts["counterfactual"]) + 1
-    for doc, extracted in zip(docs, per_doc):
-        graph = build_entity_graph(doc)
-        for inst in extracted:
-            assert validate_instance(inst, doc, graph) == []
+    by_id = {doc.id: doc for doc in docs}
+    for inst in positives:
+        doc = by_id[inst.doc_id]
+        assert validate_instance(inst, doc, build_entity_graph(doc)) == []
 
 
 def test_manifest_counts_consistent(tmp_path):
@@ -396,6 +395,55 @@ def test_unbenched_emit_and_counterfactual_settings_byte_stable(tmp_path):
         assert any(
             tag.split(":")[0] != doc for doc, tag in tags
         ), "no relation-edited donor from another document"
+
+
+# sha256 of every output of `run_pipeline` on two corpora of the benchmark's
+# generator, `make_corpus(n, seed=99, blocks=2, fillers=8)` at seed 99: the
+# `all` workload's corpus and a 300-document `first` corpus. Recorded before
+# the standalone stages were rebuilt on the run's per-document steps; a
+# refactor that is meant to keep outputs must keep these.
+BENCH_CORPUS_DIGESTS = {
+    "all": (
+        150,
+        {
+            "bundles.jsonl": "199f773e320cf92e124dd5253facd9af821c68fda8b9b47ebd62e3153afea372",
+            "bundles_counterfactual.jsonl": "0ab34c230cf2dd76840fa15e19e2f3e9805dfce663f6c755a2145ab488ebc9be",
+            "graph.tsv": "2c86ad5313b9ea6648d804d16143657fd3440a8445349fd8c773adc3bf30430c",
+            "instances.jsonl": "53877eee5285612f086a330438170012bd330c216fb3e512efad85de8094817d",
+            "manifest.json": "edd7108a99375bc6ab2b052e543af41be40f5c0744222880e707a4f404d5aea3",
+            "positives.jsonl": "02116068bb5beabd48b84cc5adf68ee4446036049a00bc2bb5dd52870f273d04",
+        },
+    ),
+    "first": (
+        300,
+        {
+            "bundles.jsonl": "e1356cc006f654701f8697839037e7f823169615d537a806b6a7bf2766373ed1",
+            "bundles_counterfactual.jsonl": "6b17561b7220e7f623d1c3a4b1b77a0616d397135d79f9b80fabbf8daf0ed9f7",
+            "graph.tsv": "6e819b09018384ebd7865351f4c3ab5a347eea8be4df46d2d27136422a8a210c",
+            "instances.jsonl": "2d12cd0e27bfad644bccac218cda9acefa6eac99feed6aedcf9d8324925c8917",
+            "manifest.json": "b29d452c06c2e6c904ea26171458c31f372f3c7cdcefea18facb0902ad23b55f",
+            "positives.jsonl": "077a0dd0b2629e301b7d3b4a0298201aef6be24cd7f85dc8c2e83dafcd7afef4",
+        },
+    ),
+}
+
+
+def test_bench_corpora_byte_stable(tmp_path):
+    for mode, (n_docs, digests) in BENCH_CORPUS_DIGESTS.items():
+        corpus = tmp_path / f"{mode}.jsonl"
+        with open(corpus, "w", encoding="utf-8") as fp:
+            write_corpus(make_corpus(n_docs, seed=99, blocks=2, fillers=8), fp)
+        out = tmp_path / mode
+        pl.run_pipeline(
+            pl.PipelineConfig(
+                input=str(corpus),
+                output_dir=str(out),
+                seed=99,
+                extractor=ExtractorConfig(mode=mode),
+            )
+        )
+        fnames = sorted(pl.OUTPUT_FILES.values())
+        assert dict(zip(fnames, sha256s(out, fnames))) == digests, mode
 
 
 def cpus(monkeypatch, n):
