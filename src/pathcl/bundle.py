@@ -1,9 +1,11 @@
 """Assembled per-instance unit flowing between pipeline stages.
 
 A bundle holds one positive instance's texts together with its negatives
-and, after augmentation, the applied replacement map. Every text carries
-its mention spans so later stages can rewrite entities without re-parsing
-the corpus. Bundles serialize to line-delimited JSON at stage boundaries.
+and, after augmentation, the applied replacement map. Every text is a
+`spans.AnnotatedSentence`, carrying its mention spans so later stages can
+rewrite entities without re-parsing the corpus. Bundles serialize to
+line-delimited JSON at stage boundaries, the texts' ordinals as
+`context_sentences` and `answer_sentence`.
 """
 
 from __future__ import annotations
@@ -11,17 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from .corpus import Document, mentions_in_sentence
+from .corpus import Document
 from .jsonl import RecordError, read_records, require, require_list, require_map, write_records
 from .metapath import MetaPath, PositiveInstance, path_from_record, path_to_record
-from .negatives import ContextVariant, SynthSentence
-from .spans import MentionSpan, OverlappingSpans, check_disjoint
-
-
-@dataclass(frozen=True)
-class AnnotatedText:
-    text: str
-    mentions: tuple[MentionSpan, ...]
+from .negatives import ContextVariant, SynthSentence, annotated_sentence
+from .spans import AnnotatedSentence, MentionSpan, OverlappingSpans, check_disjoint
 
 
 @dataclass(frozen=True)
@@ -29,10 +25,8 @@ class InstanceBundle:
     doc_id: str
     pair: tuple[str, str]
     path: MetaPath
-    context_sentences: tuple[int, ...]
-    context: tuple[AnnotatedText, ...]  # aligned with context_sentences
-    answer_sentence: int
-    answer: AnnotatedText
+    context: tuple[AnnotatedSentence, ...]
+    answer: AnnotatedSentence
     options: tuple[SynthSentence, ...]
     context_variants: tuple[ContextVariant, ...]
     requested_negatives: int
@@ -42,11 +36,7 @@ class InstanceBundle:
 
     def key(self) -> tuple:
         """Stable identity used to derive per-instance seeds."""
-        return (self.doc_id, self.pair[0], self.pair[1], self.answer_sentence, self.variant)
-
-
-def annotated_sentence(doc: Document, k: int) -> AnnotatedText:
-    return AnnotatedText(text=doc.sentences[k], mentions=mentions_in_sentence(doc, k))
+        return (self.doc_id, self.pair[0], self.pair[1], self.answer.sentence, self.variant)
 
 
 def assemble_bundle(
@@ -61,9 +51,7 @@ def assemble_bundle(
         doc_id=inst.doc_id,
         pair=inst.pair,
         path=inst.path,
-        context_sentences=inst.context,
         context=tuple(annotated_sentence(doc, s) for s in inst.context),
-        answer_sentence=inst.answer,
         answer=annotated_sentence(doc, inst.answer),
         options=options,
         context_variants=contexts,
@@ -78,16 +66,15 @@ def _mentions_json(mentions: Iterable[MentionSpan]) -> list[list]:
     return [[eid, start, end] for eid, start, end in mentions]
 
 
-def _text_json(at: AnnotatedText) -> dict:
+def _text_json(at: AnnotatedSentence) -> dict:
     return {"text": at.text, "mentions": _mentions_json(at.mentions)}
 
 
 def _synth_json(s: SynthSentence) -> dict:
     return {
-        "text": s.text,
-        "mentions": _mentions_json(s.mentions),
-        "donor_doc": s.donor_doc,
-        "donor_sentence": s.donor_sentence,
+        **_text_json(s),
+        "donor_doc": s.doc_id,
+        "donor_sentence": s.sentence,
         "replaced": [[a, b] for a, b in s.replaced],
         "swap": s.swap,
     }
@@ -98,9 +85,9 @@ def bundle_to_record(b: InstanceBundle) -> dict:
         "doc": b.doc_id,
         "pair": list(b.pair),
         "path": path_to_record(b.path),
-        "context_sentences": list(b.context_sentences),
+        "context_sentences": [t.sentence for t in b.context],
         "context": [_text_json(t) for t in b.context],
-        "answer_sentence": b.answer_sentence,
+        "answer_sentence": b.answer.sentence,
         "answer": _text_json(b.answer),
         "options": [_synth_json(s) for s in b.options],
         "context_variants": [
@@ -114,9 +101,9 @@ def bundle_to_record(b: InstanceBundle) -> dict:
     }
 
 
-def _text_from(obj, line: int, at: str) -> AnnotatedText:
+def _text_from(doc_id: str, sentence: int, obj, line: int, at: str) -> AnnotatedSentence:
     text = require(obj, "text", str, line, at)
-    return AnnotatedText(text=text, mentions=_mentions_from(text, obj, line, at))
+    return AnnotatedSentence(doc_id, sentence, text, _mentions_from(text, obj, line, at))
 
 
 def _mentions_from(text: str, obj, line: int, at: str) -> tuple[MentionSpan, ...]:
@@ -132,8 +119,8 @@ def _synth_from(obj, line: int, at: str) -> SynthSentence:
     text = require(obj, "text", str, line, at)
     return SynthSentence(
         text=text,
-        donor_doc=require(obj, "donor_doc", str, line, at),
-        donor_sentence=require(obj, "donor_sentence", int, line, at),
+        doc_id=require(obj, "donor_doc", str, line, at),
+        sentence=require(obj, "donor_sentence", int, line, at),
         replaced=require_list(obj, "replaced", (str, str), line, at),
         mentions=_mentions_from(text, obj, line, at),
         swap=require(obj, "swap", bool, line, at),
@@ -171,14 +158,19 @@ def bundle_from_record(obj, line: int = 0) -> InstanceBundle:
                 f"got {v.replaced_sentence}",
                 path,
             )
+    doc_id = require(obj, "doc", str, line)
     return InstanceBundle(
-        doc_id=require(obj, "doc", str, line),
+        doc_id=doc_id,
         pair=require_list(obj, "pair", str, line, length=2),
         path=path_from_record(require(obj, "path", dict, line), line),
-        context_sentences=context_sentences,
-        context=tuple(_text_from(t, line, f"context[{i}]") for i, t in enumerate(context)),
-        answer_sentence=require(obj, "answer_sentence", int, line),
-        answer=_text_from(require(obj, "answer", dict, line), line, "answer"),
+        context=tuple(
+            _text_from(doc_id, k, t, line, f"context[{i}]")
+            for i, (k, t) in enumerate(zip(context_sentences, context))
+        ),
+        answer=_text_from(
+            doc_id, require(obj, "answer_sentence", int, line),
+            require(obj, "answer", dict, line), line, "answer",
+        ),
         options=tuple(_synth_from(s, line, f"options[{i}]") for i, s in enumerate(options)),
         context_variants=variants,
         requested_negatives=require(obj, "requested_negatives", int, line),

@@ -72,23 +72,10 @@ def sentence_entities(doc: Document, k: int) -> frozenset[str]:
     return frozenset(e.id for e in doc.entities if any(m.sent == k for m in e.mentions))
 
 
-def _by_start(spans: list[tuple[str, int, int]]) -> tuple[tuple[str, int, int], ...]:
-    return tuple(sorted(spans, key=lambda t: (t[1], t[2])))
-
-
 def mentions_in_sentence(doc: Document, k: int) -> tuple[tuple[str, int, int], ...]:
     """All mention spans in sentence k as (entity id, start, end), sorted by start."""
     spans = [(e.id, m.start, m.end) for e in doc.entities for m in e.mentions if m.sent == k]
-    return _by_start(spans)
-
-
-def mentions_by_sentence(doc: Document) -> list[tuple[tuple[str, int, int], ...]]:
-    """`mentions_in_sentence(doc, k)` for every k, from one pass over the mentions."""
-    spans: list[list[tuple[str, int, int]]] = [[] for _ in doc.sentences]
-    for e in doc.entities:
-        for m in e.mentions:
-            spans[m.sent].append((e.id, m.start, m.end))
-    return [_by_start(s) for s in spans]
+    return tuple(sorted(spans, key=lambda t: (t[1], t[2])))
 
 
 def validate_document(doc: Document) -> list[str]:

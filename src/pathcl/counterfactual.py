@@ -10,7 +10,8 @@ matches world knowledge; only the relational structure distinguishes it.
 The two target entities are always replaced; other path entities join
 independently with a configurable probability. The alien pool is the
 corpus's own entities, each id once, and a replacement map is a plain
-dict from original id to (alien id, alien surface).
+dict from original id to (alien id, alien surface). Context, answer and
+negatives are all annotated sentences, so one rewrite serves them all.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ import random
 from dataclasses import replace
 from typing import Sequence
 
-from .bundle import AnnotatedText, InstanceBundle
+from .bundle import InstanceBundle
 from .corpus import Document, Entity
 from .metapath import PositiveInstance
-from .negatives import ContextVariant, SynthSentence
-from .spans import rewrite_mentions
+from .spans import rewritten
 
 
 # An injective map from original path entities to (alien id, alien surface).
@@ -91,30 +91,15 @@ def select_replacements(
     return {orig: (alien.id, alien.surface) for orig, alien in zip(keys, chosen)}
 
 
-def _rewrite_text(at: AnnotatedText, mapping: Replacements) -> AnnotatedText:
-    text, mentions = rewrite_mentions(at.text, list(at.mentions), mapping)
-    return AnnotatedText(text=text, mentions=tuple(mentions))
-
-
-def _rewrite_synth(s: SynthSentence, mapping: Replacements) -> SynthSentence:
-    text, mentions = rewrite_mentions(s.text, list(s.mentions), mapping)
-    return SynthSentence(
-        text=text,
-        donor_doc=s.donor_doc,
-        donor_sentence=s.donor_sentence,
-        replaced=s.replaced,
-        mentions=tuple(mentions),
-        swap=s.swap,
-    )
-
-
 def apply_counterfactual(
     bundle: InstanceBundle, mapping: Replacements, variant: int = 1
 ) -> InstanceBundle:
     """Rewrite every keyed entity's mentions in every text of the bundle.
 
-    Texts change only inside mention spans; spans are recomputed. With an
-    empty map the bundle is returned unchanged and stays unflagged.
+    Every text, negatives included, goes through the one `spans.rewritten`:
+    it changes only inside mention spans, its spans are recomputed, and its
+    document, sentence ordinal and donor fields are kept. With an empty map
+    the bundle is returned unchanged and stays unflagged.
     """
     if not mapping:
         return bundle
@@ -123,14 +108,11 @@ def apply_counterfactual(
         counterfactual=True,
         variant=variant,
         replacements=tuple(sorted((orig, alien) for orig, (alien, _) in mapping.items())),
-        context=tuple(_rewrite_text(t, mapping) for t in bundle.context),
-        answer=_rewrite_text(bundle.answer, mapping),
-        options=tuple(_rewrite_synth(s, mapping) for s in bundle.options),
+        context=tuple(rewritten(t, mapping) for t in bundle.context),
+        answer=rewritten(bundle.answer, mapping),
+        options=tuple(rewritten(s, mapping) for s in bundle.options),
         context_variants=tuple(
-            ContextVariant(
-                replaced_sentence=v.replaced_sentence,
-                replacement=_rewrite_synth(v.replacement, mapping),
-            )
+            replace(v, replacement=rewritten(v.replacement, mapping))
             for v in bundle.context_variants
         ),
     )

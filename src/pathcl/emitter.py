@@ -59,7 +59,7 @@ class ContrastiveInstance:
 
 
 def _donor_tag(s: SynthSentence) -> str:
-    tag = f"{s.donor_doc}:{s.donor_sentence}"
+    tag = f"{s.doc_id}:{s.sentence}"
     if s.swap:
         tag += "+swap"
     return tag
@@ -117,10 +117,10 @@ def bundle_to_instances(bundle: InstanceBundle, root_seed: int) -> list[Contrast
 
 
 def _variant_text(bundle: InstanceBundle, variant: ContextVariant) -> str:
-    parts = []
-    for k, at in zip(bundle.context_sentences, bundle.context):
-        parts.append(variant.replacement.text if k == variant.replaced_sentence else at.text)
-    return JOIN.join(parts)
+    swapped = variant.replaced_sentence
+    return JOIN.join(
+        [variant.replacement.text if at.sentence == swapped else at.text for at in bundle.context]
+    )
 
 
 def instance_to_record(inst: ContrastiveInstance) -> dict:

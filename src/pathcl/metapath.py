@@ -86,15 +86,7 @@ class PositiveInstance:
     pair: tuple[str, str]
     path: MetaPath
     context: tuple[int, ...]  # consumed sentence indices, ascending
-    answers: frozenset[int]
-
-    @property
-    def answer(self) -> int:
-        return min(self.answers)
-
-    @property
-    def path_entities(self) -> frozenset[str]:
-        return frozenset(self.path.entities)
+    answer: int  # the answer sentence
 
 
 def collect_answer_candidates(doc: Document, pair: tuple[str, str]) -> frozenset[int]:
@@ -230,7 +222,7 @@ def extract_positive_instances(
                     pair=(a, b),
                     path=meta,
                     context=tuple(sorted(context)),
-                    answers=frozenset({ans}),
+                    answer=ans,
                 )
             )
         if cfg.mode == "first":
@@ -280,18 +272,14 @@ def validate_instance(
         if not 0 <= k < n_sent:
             problems.append(f"context sentence {k} out of range")
 
-    if not inst.answers:
-        problems.append("answer set is empty")
-    for k in inst.answers:
-        if not 0 <= k < n_sent:
-            problems.append(f"answer sentence {k} out of range")
-            continue
-        have = sentence_entities(doc, k)
-        missing = [e for e in inst.pair if e not in have]
+    k = inst.answer
+    if not 0 <= k < n_sent:
+        problems.append(f"answer sentence {k} out of range")
+    else:
+        missing = [e for e in inst.pair if e not in sentence_entities(doc, k)]
         if missing:
             problems.append(f"answer sentence {k} does not mention {missing!r}")
-    overlap = set(inst.context) & set(inst.answers)
-    if overlap:
-        problems.append(f"answers overlap context at {sorted(overlap)!r}")
+    if k in inst.context:
+        problems.append(f"answer sentence {k} overlaps the context")
 
     return problems

@@ -12,7 +12,8 @@ it replaces one context sentence, and the pair rewritten into it must lie
 on the meta-path. Where donors come from, and in which order they are
 tried, is one document's `DonorSource`. Sampling is driven entirely by the
 per-instance generator, so outputs are reproducible byte-for-byte for a
-fixed seed.
+fixed seed. Donors, like a bundle's texts, come from `annotated_sentence`;
+a negative (`SynthSentence`) keeps its donor's document and ordinal.
 """
 
 from __future__ import annotations
@@ -22,35 +23,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .corpus import Document, mentions_by_sentence, mentions_in_sentence
+from .corpus import Document, mentions_in_sentence
 from .metapath import PositiveInstance, collect_answer_candidates
-from .spans import MentionSpan, rewrite_mentions
+from .spans import AnnotatedSentence, rewrite_mentions
 
 
 @dataclass(frozen=True)
-class DonorSentence:
-    """A sentence usable as a relation provider, with its mention spans."""
+class SynthSentence(AnnotatedSentence):
+    """A rewritten donor: differs from it only inside mention spans.
 
-    doc_id: str
-    sentence: int
-    text: str
-    mentions: tuple[MentionSpan, ...]
+    `doc_id` and `sentence` are the donor's; `mentions` are the new text's.
+    """
 
-    @cached_property
-    def entity_ids(self) -> frozenset[str]:
-        return frozenset(m[0] for m in self.mentions)
-
-
-@dataclass(frozen=True)
-class SynthSentence:
-    """A rewritten donor: differs from the donor only inside mention spans."""
-
-    text: str
-    donor_doc: str
-    donor_sentence: int
     replaced: tuple[tuple[str, str], ...]  # (donor entity -> target entity), 2 entries
-    mentions: tuple[MentionSpan, ...]  # every mention span in the new text
-    swap: bool = False
+    swap: bool
 
 
 @dataclass(frozen=True)
@@ -61,13 +47,8 @@ class ContextVariant:
     replacement: SynthSentence
 
 
-def donor_from_document(doc: Document, k: int) -> DonorSentence:
-    return DonorSentence(
-        doc_id=doc.id,
-        sentence=k,
-        text=doc.sentences[k],
-        mentions=mentions_in_sentence(doc, k),
-    )
+def annotated_sentence(doc: Document, k: int) -> AnnotatedSentence:
+    return AnnotatedSentence(doc.id, k, doc.sentences[k], mentions_in_sentence(doc, k))
 
 
 def _donor_sentences(doc: Document) -> list[int]:
@@ -85,7 +66,7 @@ def _donor_sentences(doc: Document) -> list[int]:
 
 def build_donor_pool(
     docs: Sequence[Document], pool_size: int, rng: random.Random
-) -> list[DonorSentence]:
+) -> list[AnnotatedSentence]:
     """Cross-document donor pool: every document's donor sentences.
 
     When more are eligible than pool_size, a seeded sample is taken; corpus
@@ -95,11 +76,11 @@ def build_donor_pool(
     refs = [(d, k) for d, doc in enumerate(docs) for k in _donor_sentences(doc)]
     if len(refs) > pool_size:
         refs = sorted(rng.sample(refs, pool_size))
-    return [donor_from_document(docs[d], k) for d, k in refs]
+    return [annotated_sentence(docs[d], k) for d, k in refs]
 
 
 def relation_replace(
-    donor: DonorSentence,
+    donor: AnnotatedSentence,
     donor_pair: tuple[str, str],
     target: tuple[tuple[str, str], tuple[str, str]],
 ) -> SynthSentence:
@@ -120,17 +101,17 @@ def relation_replace(
     mapping = {e_a: (t_i, surf_i), e_b: (t_j, surf_j)}
     text, mentions = rewrite_mentions(donor.text, list(donor.mentions), mapping)
     return SynthSentence(
+        doc_id=donor.doc_id,
+        sentence=donor.sentence,
         text=text,
-        donor_doc=donor.doc_id,
-        donor_sentence=donor.sentence,
-        replaced=((e_a, t_i), (e_b, t_j)),
         mentions=tuple(mentions),
+        replaced=((e_a, t_i), (e_b, t_j)),
         swap={e_a, e_b} == {t_i, t_j},
     )
 
 
 def _eligible_pairs(
-    donor: DonorSentence, target_pair: tuple[str, str], rng: random.Random
+    donor: AnnotatedSentence, target_pair: tuple[str, str], rng: random.Random
 ) -> list[tuple[str, str]]:
     """Ordered donor pairs usable without exchanging the targets, shuffled."""
     t_i, t_j = target_pair
@@ -156,19 +137,15 @@ class DonorSource:
     """
 
     doc: Document
-    pool: Sequence[DonorSentence] = ()
+    pool: Sequence[AnnotatedSentence] = ()
 
     @cached_property
-    def host(self) -> list[DonorSentence]:
-        doc = self.doc
-        spans = mentions_by_sentence(doc)
-        return [
-            DonorSentence(doc.id, k, doc.sentences[k], spans[k]) for k in _donor_sentences(doc)
-        ]
+    def host(self) -> list[AnnotatedSentence]:
+        return [annotated_sentence(self.doc, k) for k in _donor_sentences(self.doc)]
 
     def candidates(
         self, target_pair: tuple[str, str], excluded: frozenset[int], rng: random.Random
-    ) -> Iterator[tuple[DonorSentence, tuple[str, str]]]:
+    ) -> Iterator[tuple[AnnotatedSentence, tuple[str, str]]]:
         """Yield (donor, ordered pair) candidates: host, then pool, then swaps.
 
         A donor whose only contribution would be the target pair itself is a
@@ -176,9 +153,9 @@ class DonorSource:
         pair of every donor has been tried.
         """
         t_i, t_j = target_pair
-        swaps: list[DonorSentence] = []
+        swaps: list[AnnotatedSentence] = []
 
-        def tried(donors: list[DonorSentence]):
+        def tried(donors: list[AnnotatedSentence]):
             rng.shuffle(donors)
             for donor in donors:
                 for pair in _eligible_pairs(donor, target_pair, rng):
@@ -251,7 +228,6 @@ def make_negative_contexts(
     """
     doc = source.doc
     answers = collect_answer_candidates(doc, inst.pair)
-    path_entities = inst.path_entities
 
     # Per context sentence: a lazily advanced stream of replacement tries.
     streams: list[tuple[int, Iterator[SynthSentence]]] = []
@@ -259,7 +235,7 @@ def make_negative_contexts(
     rng.shuffle(order)
     for s_i in order:
         spelled = _spellings(doc, s_i)
-        in_sentence = sorted(e for e in spelled if e in path_entities)
+        in_sentence = sorted(e for e in spelled if e in inst.path.entities)
         pairs = [(p, q) for p in in_sentence for q in in_sentence if p != q]
         rng.shuffle(pairs)
         if not pairs:

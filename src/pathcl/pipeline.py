@@ -37,6 +37,7 @@ import json
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -71,15 +72,16 @@ from .metapath import (
     extract_positive_instances,
     path_from_record,
     path_to_record,
+    validate_instance,
 )
 from .negatives import (
-    DonorSentence,
     DonorSource,
     build_donor_pool,
     make_negative_contexts,
     make_negative_options,
 )
 from .seeding import derive_rng
+from .spans import AnnotatedSentence
 
 
 @dataclass
@@ -115,16 +117,13 @@ class PipelineConfig:
         if typed(self.jobs, int, "jobs") < 1:
             raise ValueError(f"jobs: expected int >= 1, got {self.jobs!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def hash(self) -> str:
         """Digest of the semantic configuration.
 
         Paths and the worker count are excluded: neither changes what is
         produced.
         """
-        payload = self.to_dict()
+        payload = asdict(self)
         for key in ("input", "output_dir", "jobs"):
             payload.pop(key, None)
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -140,20 +139,18 @@ def positive_to_record(inst: PositiveInstance) -> dict:
         "pair": list(inst.pair),
         "path": path_to_record(inst.path),
         "context": list(inst.context),
-        "answers": sorted(inst.answers),
+        "answers": [inst.answer],
     }
 
 
 def positive_from_record(obj, line: int = 0) -> PositiveInstance:
-    answers = require_list(obj, "answers", int, line)
-    if not answers:
-        raise RecordError(line, "answers: expected at least one entry, got 0", "answers")
+    (answer,) = require_list(obj, "answers", int, line, length=1)
     return PositiveInstance(
         doc_id=require(obj, "doc", str, line),
         pair=require_list(obj, "pair", str, line, length=2),
         path=path_from_record(require(obj, "path", dict, line), line),
         context=require_list(obj, "context", int, line),
-        answers=frozenset(answers),
+        answer=answer,
     )
 
 
@@ -165,12 +162,16 @@ def read_positives(lines: Iterable[str]) -> Iterator[PositiveInstance]:
     yield from read_records(lines, positive_from_record)
 
 
-def _corpus_records(docs: Sequence[Document], lines: Iterable[str], from_record, what: str, named):
+def _corpus_records(
+    docs: Sequence[Document], lines: Iterable[str], from_record, what: str, named, problems=None
+):
     """The records of `lines`, each checked against its document in `docs` as it is read.
 
     A record of a document not in `docs`, or naming a sentence outside its
     document, is a bad record of its line. `named(record)` lists the
     (field path, sentence index) pairs a record names besides its path's.
+    `problems(record, doc)`, if given, lists what else is wrong with a record
+    whose sentences are in range; the first of them makes it a bad record.
     """
     by_id = {doc.id: doc for doc in docs}
 
@@ -190,6 +191,9 @@ def _corpus_records(docs: Sequence[Document], lines: Iterable[str], from_record,
                     f"outside its {n} sentences"
                 )
                 raise RecordError(line, message, at)
+        found = problems(record, doc) if problems else ()
+        if found:
+            raise RecordError(line, f"{what} in document {doc.id!r}: {found[0]}")
         return record
 
     return read_records(lines, checked)
@@ -198,21 +202,29 @@ def _corpus_records(docs: Sequence[Document], lines: Iterable[str], from_record,
 def read_corpus_positives(
     docs: Sequence[Document], lines: Iterable[str]
 ) -> Iterator[PositiveInstance]:
-    """`read_positives`, checking each positive's document and sentences against `docs`."""
+    """`read_positives`, checking each positive against its document in `docs`.
+
+    A positive whose sentences are in range must also pass `validate_instance`
+    on its document's graph, built once per run of one document's positives.
+    """
+    graph = lru_cache(maxsize=1)(build_entity_graph)
 
     def named(p: PositiveInstance) -> list[tuple[str, int]]:
         context = [(f"context[{i}]", k) for i, k in enumerate(p.context)]
-        return context + [("answers", k) for k in sorted(p.answers)]
+        return context + [("answers", p.answer)]
 
-    return _corpus_records(docs, lines, positive_from_record, "positive", named)
+    def problems(p: PositiveInstance, doc: Document) -> list[str]:
+        return validate_instance(p, doc, graph(doc))
+
+    return _corpus_records(docs, lines, positive_from_record, "positive", named, problems)
 
 
 def read_corpus_bundles(docs: Sequence[Document], lines: Iterable[str]) -> Iterator[InstanceBundle]:
     """`read_bundles`, checking each bundle's document and sentences against `docs`."""
 
     def named(b: InstanceBundle) -> list[tuple[str, int]]:
-        context = [(f"context_sentences[{i}]", k) for i, k in enumerate(b.context_sentences)]
-        return context + [("answer_sentence", b.answer_sentence)]
+        context = [(f"context_sentences[{i}]", t.sentence) for i, t in enumerate(b.context)]
+        return context + [("answer_sentence", b.answer.sentence)]
 
     return _corpus_records(docs, lines, bundle_from_record, "bundle", named)
 
@@ -291,7 +303,7 @@ def stage_extract(docs: Iterable[Document], cfg: ExtractorConfig) -> Iterator[Po
 def _negative_worker(
     doc: Document,
     instances: Iterable[PositiveInstance],
-    pool: Sequence[DonorSentence],
+    pool: Sequence[AnnotatedSentence],
     cfg: NegativesConfig,
     seed: int,
     counts: dict[str, int],

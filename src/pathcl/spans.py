@@ -1,13 +1,35 @@
-"""Span-preserving mention rewriting.
+"""Annotated sentences and span-preserving mention rewriting.
 
-Shared by negative synthesis and counterfactual augmentation: both edit a
-sentence only inside annotated mention spans, keeping every other byte
-intact, and need the resulting spans for later rewrites of the same text.
+Every strategy works on a sentence with its entity mentions
+(`AnnotatedSentence`): a context, an answer, a donor or a negative. A
+rewrite edits it only inside mention spans, keeping every other byte
+intact, and recomputes the spans for later rewrites of the same text.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import TypeVar
+
 MentionSpan = tuple[str, int, int]  # (entity id, start, end), half-open
+
+
+@dataclass(frozen=True)
+class AnnotatedSentence:
+    """Sentence `sentence` of document `doc_id`, or a rewrite of it, with its mention spans."""
+
+    doc_id: str
+    sentence: int
+    text: str
+    mentions: tuple[MentionSpan, ...]
+
+    @cached_property
+    def entity_ids(self) -> frozenset[str]:
+        return frozenset(m[0] for m in self.mentions)
+
+
+Annotated = TypeVar("Annotated", bound=AnnotatedSentence)
 
 
 class OverlappingSpans(ValueError):
@@ -56,3 +78,9 @@ def rewrite_mentions(
         cursor = end
     pieces.append(text[cursor:])
     return "".join(pieces), new_mentions
+
+
+def rewritten(x: Annotated, mapping: dict[str, tuple[str, str]]) -> Annotated:
+    """`x` with `rewrite_mentions` applied to its text and spans; every other field kept."""
+    text, mentions = rewrite_mentions(x.text, list(x.mentions), mapping)
+    return replace(x, text=text, mentions=tuple(mentions))

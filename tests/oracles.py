@@ -186,7 +186,7 @@ def ordered_pair_positives(
             continue
         meta, context = found
         out.extend(
-            PositiveInstance(doc.id, (a, b), meta, tuple(sorted(context)), frozenset({ans}))
+            PositiveInstance(doc.id, (a, b), meta, tuple(sorted(context)), ans)
             for ans in sorted(answers)
         )
         if cfg.mode == "first":

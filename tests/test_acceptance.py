@@ -106,7 +106,7 @@ def test_criterion_2_worked_example(tmp_path):
     surfaces = tuple(entity[e].surface for e in inst.pair)
     assert surfaces == ("Dave McKean", "Stephanie Leonidas")
     assert set(inst.context) == {1, 5}
-    assert inst.answers == {3}
+    assert inst.answer == 3
     assert len(inst.path.entities) == 3
     report("2 worked-example", "pair/context/answer/path all exact")
 

@@ -177,12 +177,21 @@ def test_negatives_follow_the_positives_file_order(tmp_path, capsys):
     [
         ("context", "12", "error: line 3: context: expected array, got string"),
         ("context", [999], "names sentence 999, outside its"),
-        ("answers", [], "error: line 3: answers: expected at least one entry, got 0"),
+        ("answers", [], "error: line 3: answers: expected 1 entries, got 0"),
         ("hops", {"sentence": "3", "kg": None},
          "error: line 3: path.hops[0].sentence: expected int, got string"),
         ("hops", {"sentence": 999, "kg": None}, "names sentence 999, outside its"),
         ("entities", "syn", "error: line 3: path.entities: expected array, got string"),
         ("doc", "nope", "error: line 3: doc: positive references unknown document 'nope'"),
+        ("answers", [0],
+         "error: line 3: positive in document 'syn000002': answer sentence 0 does not mention "
+         "['syn000002.a0', 'syn000002.a1']"),
+        ("pair", ["syn000002.a1", "syn000002.a0"],
+         "error: line 3: positive in document 'syn000002': path endpoints "
+         "'syn000002.a0'..'syn000002.a1' do not match target pair"),
+        ("pair", ["syn000002.a0", "syn000002.m01"],
+         "error: line 3: positive in document 'syn000002': path endpoints "
+         "'syn000002.a0'..'syn000002.a1' do not match target pair"),
     ],
 )
 def test_negatives_bad_positive_values_exit_1(tmp_path, capsys, key, value, message):

@@ -120,7 +120,7 @@ def test_extract_worked_example():
     inst = instances[0]
     assert inst.pair == ("e1", "e2")
     assert inst.context == (1, 5)
-    assert inst.answers == {3}
+    assert inst.answer == 3
     assert len(inst.path.entities) == 3
     assert validate_instance(inst, doc, graph) == []
 
@@ -151,8 +151,8 @@ def test_extract_two_answers_two_instances():
     assert len(instances) == 2
     assert instances[0].path == instances[1].path
     assert instances[0].context == instances[1].context
-    assert instances[0].answers == {0}
-    assert instances[1].answers == {3}
+    assert instances[0].answer == 0
+    assert instances[1].answer == 3
 
 
 def test_extract_all_mode_and_determinism():
@@ -260,7 +260,7 @@ def test_validate_instance_flags_violations():
         pair=inst.pair,
         path=inst.path,
         context=(1, 3),
-        answers=inst.answers,
+        answer=inst.answer,
     )
     problems = validate_instance(tampered, doc, graph)
     assert any("overlap" in p for p in problems)
@@ -270,7 +270,7 @@ def test_validate_instance_flags_violations():
         pair=("e1", "e4"),
         path=MetaPath(entities=("e1", "e4"), hops=(PathHop(via_sentence=2),)),
         context=(2,),
-        answers=frozenset({3}),
+        answer=3,
     )
     problems = validate_instance(skipping, doc, graph)
     assert any("missing intra-sentence edge" in p for p in problems)

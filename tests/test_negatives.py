@@ -6,16 +6,15 @@ import pytest
 from pathcl.graph import build_entity_graph
 from pathcl.metapath import ExtractorConfig, collect_answer_candidates, extract_positive_instances
 from pathcl.negatives import (
-    DonorSentence,
     DonorSource,
     _donor_sentences,
+    annotated_sentence,
     build_donor_pool,
-    donor_from_document,
     make_negative_contexts,
     make_negative_options,
     relation_replace,
 )
-from pathcl.spans import OverlappingSpans
+from pathcl.spans import AnnotatedSentence, OverlappingSpans
 from pathcl.synth import make_corpus
 
 from corpora import build_document, film_cast_document, random_micro_doc
@@ -39,7 +38,7 @@ def film_cast_instance():
 
 
 def test_relation_replace_simple():
-    donor = DonorSentence(
+    donor = AnnotatedSentence(
         doc_id="d",
         sentence=0,
         text="Carol founded Dune Corp.",
@@ -57,7 +56,7 @@ def test_relation_replace_simple():
 
 
 def test_relation_replace_swap():
-    donor = DonorSentence(
+    donor = AnnotatedSentence(
         doc_id="d",
         sentence=0,
         text="McKean cast Stephanie Leonidas.",
@@ -73,7 +72,7 @@ def test_relation_replace_swap():
 
 
 def test_relation_replace_all_mentions():
-    donor = DonorSentence(
+    donor = AnnotatedSentence(
         doc_id="d",
         sentence=0,
         text="Ada met Ada and Bob.",
@@ -84,12 +83,12 @@ def test_relation_replace_all_mentions():
 
 
 def test_relation_replace_errors():
-    donor = DonorSentence(
+    donor = AnnotatedSentence(
         doc_id="d", sentence=0, text="Solo.", mentions=(("a", 0, 4),)
     )
     with pytest.raises(ValueError):
         relation_replace(donor, ("a", "b"), (("x", "X"), ("y", "Y")))
-    overlapping = DonorSentence(
+    overlapping = AnnotatedSentence(
         doc_id="d",
         sentence=0,
         text="Alpha Beta",
@@ -100,7 +99,7 @@ def test_relation_replace_errors():
 
 
 def test_diff_confined_to_spans():
-    donor = DonorSentence(
+    donor = AnnotatedSentence(
         doc_id="d",
         sentence=0,
         text="Carol founded Dune Corp.",
@@ -115,7 +114,7 @@ def test_diff_confined_to_spans():
 def test_provider_prefers_in_document():
     doc, inst = film_cast_instance()
     pool = [
-        DonorSentence(
+        AnnotatedSentence(
             doc_id="other",
             sentence=0,
             text="X met Y.",
@@ -143,7 +142,7 @@ def test_provider_swap_fallback():
         {"a": "Ann", "b": "Ben", "c": "Cal"},
     )
     pool = [
-        DonorSentence(
+        AnnotatedSentence(
             doc_id="other",
             sentence=4,
             text="Ann hired Ben.",
@@ -157,7 +156,7 @@ def test_provider_swap_fallback():
         pair=("a", "b"),
         path=MetaPath(("a", "b"), (PathHop(via_sentence=0),)),
         context=(0,),
-        answers=frozenset({0}),
+        answer=0,
     )
     found = sample_relation_provider(inst, doc, pool, random.Random(0))
     assert found is not None
@@ -180,7 +179,7 @@ def test_provider_no_donor_anywhere():
         pair=("a", "b"),
         path=MetaPath(("a", "b"), (PathHop(via_sentence=0),)),
         context=(0,),
-        answers=frozenset({0}),
+        answer=0,
     )
     assert sample_relation_provider(inst, doc, [], random.Random(1)) is None
 
@@ -336,8 +335,8 @@ def test_pool_used_after_in_document_exhaustion():
     pool = build_donor_pool([doc, other], 100, random.Random(0))
     assert any(p.doc_id == "other" for p in pool)
     negs = make_negative_options(inst, DonorSource(doc, pool), 8, random.Random(0))
-    assert any(s.donor_doc == "other" for s in negs)
-    in_doc = [s for s in negs if s.donor_doc == "d"]
+    assert any(s.doc_id == "other" for s in negs)
+    in_doc = [s for s in negs if s.doc_id == "d"]
     assert in_doc  # host donors appear despite pool access
 
 
@@ -355,5 +354,5 @@ def test_host_donors_equal_per_sentence_donors():
     docs = [film_cast_document(), *make_corpus(12, seed=3)]
     docs += [random_micro_doc(rng, f"m{i}") for i in range(30)]
     for doc in docs:
-        want = [donor_from_document(doc, k) for k in _donor_sentences(doc)]
+        want = [annotated_sentence(doc, k) for k in _donor_sentences(doc)]
         assert DonorSource(doc).host == want, doc.id

@@ -11,10 +11,11 @@ import tracemalloc
 import pytest
 
 from pathcl import pipeline as pl
+from pathcl.bundle import bundle_from_record, bundle_to_record
 from pathcl.corpus import write_corpus
 from pathcl.emitter import read_instances
 from pathcl.graph import build_entity_graph, write_edge_list
-from pathcl.jsonl import RecordError
+from pathcl.jsonl import RecordError, record_line
 from pathcl.metapath import ExtractorConfig
 from pathcl.synth import make_corpus
 from pathcl.trainer import TrainConfig
@@ -444,6 +445,20 @@ def test_bench_corpora_byte_stable(tmp_path):
         )
         fnames = sorted(pl.OUTPUT_FILES.values())
         assert dict(zip(fnames, sha256s(out, fnames))) == digests, mode
+
+
+def test_bench_all_bundles_round_trip():
+    # Every text's document and sentence ordinal included: the record keeps
+    # them as `doc`, `context_sentences`, `answer_sentence` and each
+    # negative's `donor_doc` and `donor_sentence`.
+    docs = make_corpus(150, seed=99, blocks=2, fillers=8)
+    positives = pl.stage_extract(docs, ExtractorConfig(mode="all"))
+    bundles, _ = pl.stage_negatives(docs, positives, pl.NegativesConfig(), 99)
+    out, counts = pl.stage_counterfactual(docs, bundles, pl.CounterfactualConfig(), 99)
+    for bundle in out:
+        line = record_line(bundle_to_record(bundle))
+        assert bundle_from_record(json.loads(line), 1) == bundle
+    assert counts["originals"] > 0 and counts["copies"] > 0
 
 
 def cpus(monkeypatch, n):

@@ -115,6 +115,59 @@ def test_corrupted_record_raises_record_error_for_its_line(film_cast_run, name):
     check()
 
 
+@st.composite
+def same_typed_edits(draw, record, doc):
+    """`record` with one entity id, sentence index or KG label replaced by
+    another of the same kind from `doc`."""
+    pools = {
+        "entity": sorted(e.id for e in doc.entities),
+        "sentence": list(range(len(doc.sentences))),
+        "label": sorted({r.relation for r in doc.relations}),
+    }
+
+    def kind(path):
+        if path[:1] == ("pair",) or path[:2] == ("path", "entities"):
+            return "entity"
+        if path[-1:] == ("kg",):
+            return "label"
+        if path[-1:] == ("sentence",) or path[:1] in (("context",), ("answers",)):
+            return "sentence"
+        return None
+
+    edits = []
+    for path in json_paths(record):
+        old = lookup(record, path)
+        if kind(path) and not isinstance(old, (list, dict)):
+            edits += [(path, new) for new in pools[kind(path)] if new != old]
+    path, new = draw(st.sampled_from(edits))
+    obj = copy.deepcopy(record)
+    lookup(obj, path[:-1])[path[-1]] = new
+    return json.dumps(obj)
+
+
+def test_same_typed_positive_edits_exit_0_or_name_their_line(film_cast_run, tmp_path, capsys):
+    # Each edit keeps every value well-typed and in range, so only a check of
+    # the positive against its document's graph can tell a bad one.
+    corpus = film_cast_run / "corpus.jsonl"
+    with open(corpus, encoding="utf-8") as fp:
+        (doc,) = parse_corpus(fp)
+    valid = (film_cast_run / "positives.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    positives = tmp_path / "positives.jsonl"
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(same_typed_edits(json.loads(valid), doc))
+    def check(line):
+        positives.write_text(f"{valid}\n{line}\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["negatives", "--corpus", str(corpus), "--input", str(positives),
+                   "--output", str(tmp_path / "bundles.jsonl"), "--seed", "3"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert rc == 0 or (rc == 1 and err.startswith("error: line 2: ")), (rc, err, line)
+
+    check()
+
+
 def test_eval_truncated_params_exit_1_naming_line(film_cast_run, tmp_path, capsys):
     params = tmp_path / "scorer.txt"
     save_params(init_params(build_vocab(["alpha beta"]), 2, 2, seed=0), params)
