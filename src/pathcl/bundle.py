@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from .corpus import Document
 from .jsonl import RecordError, read_records, require, require_list, require_map, write_records
 from .metapath import MetaPath, PositiveInstance, path_from_record, path_to_record
-from .negatives import ContextVariant, SynthSentence, annotated_sentence
+from .negatives import ContextVariant, SentenceTable, SynthSentence
 from .spans import AnnotatedSentence, MentionSpan, OverlappingSpans, check_disjoint
 
 
@@ -41,18 +40,22 @@ class InstanceBundle:
 
 def assemble_bundle(
     inst: PositiveInstance,
-    doc: Document,
+    sentences: SentenceTable,
     options: tuple[SynthSentence, ...],
     contexts: tuple[ContextVariant, ...],
     k: int,
 ) -> InstanceBundle:
-    """The bundle of one positive whose negatives were requested K = `k` at a time."""
+    """The bundle of one positive whose negatives were requested K = `k` at a time.
+
+    `sentences` is the table of the positive's document, the one its
+    negatives were drawn with.
+    """
     return InstanceBundle(
         doc_id=inst.doc_id,
         pair=inst.pair,
         path=inst.path,
-        context=tuple(annotated_sentence(doc, s) for s in inst.context),
-        answer=annotated_sentence(doc, inst.answer),
+        context=tuple(sentences[s] for s in inst.context),
+        answer=sentences[inst.answer],
         options=options,
         context_variants=contexts,
         requested_negatives=k,
@@ -72,7 +75,8 @@ def _text_json(at: AnnotatedSentence) -> dict:
 
 def _synth_json(s: SynthSentence) -> dict:
     return {
-        **_text_json(s),
+        "text": s.text,
+        "mentions": _mentions_json(s.mentions),
         "donor_doc": s.doc_id,
         "donor_sentence": s.sentence,
         "replaced": [[a, b] for a, b in s.replaced],

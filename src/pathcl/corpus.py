@@ -57,6 +57,8 @@ class Document:
 
     No index is cached on it: a lookup by entity or by sentence is computed
     where it is used, from `entities`, of which a document has about ten.
+    The mentions grouped by sentence (`negatives.SentenceTable`) are built
+    per document chain call and freed when that call ends.
     """
 
     id: str
@@ -70,12 +72,6 @@ def sentence_entities(doc: Document, k: int) -> frozenset[str]:
     if not 0 <= k < len(doc.sentences):
         raise IndexError(f"sentence index {k} out of range for document {doc.id!r}")
     return frozenset(e.id for e in doc.entities if any(m.sent == k for m in e.mentions))
-
-
-def mentions_in_sentence(doc: Document, k: int) -> tuple[tuple[str, int, int], ...]:
-    """All mention spans in sentence k as (entity id, start, end), sorted by start."""
-    spans = [(e.id, m.start, m.end) for e in doc.entities for m in e.mentions if m.sent == k]
-    return tuple(sorted(spans, key=lambda t: (t[1], t[2])))
 
 
 def validate_document(doc: Document) -> list[str]:
@@ -103,7 +99,8 @@ def _separator_problem(what: str, text: str, separator: re.Pattern) -> str | Non
 def _problems(doc: Document) -> list[tuple[str, str]]:
     """Each violated invariant as (field path, description)."""
     problems: list[tuple[str, str]] = []
-    n_sent = len(doc.sentences)
+    sentences = doc.sentences
+    n_sent = len(sentences)
 
     if problem := _separator_problem("document id", doc.id, _ROW_SEPARATOR):
         problems.append(("id", problem))
@@ -121,21 +118,23 @@ def _problems(doc: Document) -> list[tuple[str, str]]:
         if not entity.mentions:
             problems.append((f"entities[{i}].mentions", f"entity {entity.id!r} has no mentions"))
         for j, m in enumerate(entity.mentions):
-            where = f"entities[{i}].mentions[{j}]"
-            if not 0 <= m.sent < n_sent:
-                problems.append(
-                    (where, f"entity {entity.id!r} mention sentence {m.sent} out of range")
-                )
-                continue
-            length = len(doc.sentences[m.sent])
-            if m.start < 0 or m.end > length or m.start >= m.end:
+            # The field path is built only for a violation: most records have none.
+            sent, start, end = m.sent, m.start, m.end
+            if not 0 <= sent < n_sent:
                 problems.append((
-                    where,
-                    f"entity {entity.id!r} span [{m.start}, {m.end}) invalid "
-                    f"for sentence {m.sent} of length {length}",
+                    f"entities[{i}].mentions[{j}]",
+                    f"entity {entity.id!r} mention sentence {sent} out of range",
+                ))
+                continue
+            length = len(sentences[sent])
+            if start < 0 or end > length or start >= end:
+                problems.append((
+                    f"entities[{i}].mentions[{j}]",
+                    f"entity {entity.id!r} span [{start}, {end}) invalid "
+                    f"for sentence {sent} of length {length}",
                 ))
             else:
-                by_sentence.setdefault(m.sent, []).append((m.start, m.end, entity.id))
+                by_sentence.setdefault(sent, []).append((start, end, entity.id))
 
     # Overlap check between distinct mentions sharing a sentence.
     for k, spans in sorted(by_sentence.items()):
@@ -160,49 +159,60 @@ def _problems(doc: Document) -> list[tuple[str, str]]:
 
 
 def parse_record(obj: dict, line: int = 0) -> Document:
-    """Build a Document from one decoded record, enforcing all invariants."""
+    """Build a Document from one decoded record, enforcing all invariants.
+
+    One walk over the record checks each value's exact JSON type inline.
+    An item with a value that fails is read again field by field through
+    `require`, which raises the error a field-by-field read would (or
+    takes a subclass, as `typed` does), so a record with several bad
+    fields reports the first of them, in the order written here.
+    """
     doc_id = require(obj, "id", str, line)
-    sentences = tuple(
-        require(s, "text", str, line, f"sentences[{i}]")
-        for i, s in enumerate(require(obj, "sentences", list, line))
-    )
+    sentences = []
+    for i, s in enumerate(require(obj, "sentences", list, line)):
+        if not (type(s) is dict and type(text := s.get("text")) is str):
+            text = require(s, "text", str, line, f"sentences[{i}]")
+        sentences.append(text)
     entities = []
     for i, e in enumerate(require(obj, "entities", list, line)):
-        at = f"entities[{i}]"
+        if not (type(e) is dict and type(raw := e.get("mentions")) is list):
+            raw = require(e, "mentions", list, line, f"entities[{i}]")
         mentions = []
-        for j, m in enumerate(require(e, "mentions", list, line, at)):
-            m_at = f"{at}.mentions[{j}]"
-            mentions.append(
-                Mention(
-                    sent=require(m, "sent", int, line, m_at),
-                    start=require(m, "start", int, line, m_at),
-                    end=require(m, "end", int, line, m_at),
-                )
-            )
-        entities.append(
-            Entity(
-                id=require(e, "id", str, line, at),
-                surface=sys.intern(require(e, "name", str, line, at)),
-                mentions=tuple(mentions),
-            )
-        )
+        for j, m in enumerate(raw):
+            if not (
+                type(m) is dict
+                and type(sent := m.get("sent")) is int
+                and type(start := m.get("start")) is int
+                and type(end := m.get("end")) is int
+            ):
+                at = f"entities[{i}].mentions[{j}]"
+                sent = require(m, "sent", int, line, at)
+                start = require(m, "start", int, line, at)
+                end = require(m, "end", int, line, at)
+            mentions.append(Mention(sent, start, end))
+        if not (
+            type(e) is dict
+            and type(entity_id := e.get("id")) is str
+            and type(name := e.get("name")) is str
+        ):
+            entity_id = require(e, "id", str, line, f"entities[{i}]")
+            name = require(e, "name", str, line, f"entities[{i}]")
+        entities.append(Entity(entity_id, sys.intern(name), tuple(mentions)))
     relations = []
     for i, r in enumerate(require(obj, "relations", list, line)):
-        at = f"relations[{i}]"
-        relations.append(
-            RelationTriple(
-                head=require(r, "head", str, line, at),
-                tail=require(r, "tail", str, line, at),
-                relation=sys.intern(require(r, "type", str, line, at)),
-            )
-        )
+        if not (
+            type(r) is dict
+            and type(head := r.get("head")) is str
+            and type(tail := r.get("tail")) is str
+            and type(relation := r.get("type")) is str
+        ):
+            at = f"relations[{i}]"
+            head = require(r, "head", str, line, at)
+            tail = require(r, "tail", str, line, at)
+            relation = require(r, "type", str, line, at)
+        relations.append(RelationTriple(head, tail, sys.intern(relation)))
 
-    doc = Document(
-        id=doc_id,
-        sentences=sentences,
-        entities=tuple(entities),
-        relations=tuple(relations),
-    )
+    doc = Document(doc_id, tuple(sentences), tuple(entities), tuple(relations))
     problems = _problems(doc)
     if problems:
         message = "; ".join(f"{where}: {problem}" for where, problem in problems)

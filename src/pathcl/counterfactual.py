@@ -23,6 +23,7 @@ from typing import Sequence
 from .bundle import InstanceBundle
 from .corpus import Document, Entity
 from .metapath import PositiveInstance
+from .negatives import ContextVariant
 from .spans import rewritten
 
 
@@ -112,7 +113,7 @@ def apply_counterfactual(
         answer=rewritten(bundle.answer, mapping),
         options=tuple(rewritten(s, mapping) for s in bundle.options),
         context_variants=tuple(
-            replace(v, replacement=rewritten(v.replacement, mapping))
+            ContextVariant(v.replaced_sentence, rewritten(v.replacement, mapping))
             for v in bundle.context_variants
         ),
     )

@@ -12,20 +12,24 @@ it replaces one context sentence, and the pair rewritten into it must lie
 on the meta-path. Where donors come from, and in which order they are
 tried, is one document's `DonorSource`. Sampling is driven entirely by the
 per-instance generator, so outputs are reproducible byte-for-byte for a
-fixed seed. Donors, like a bundle's texts, come from `annotated_sentence`;
-a negative (`SynthSentence`) keeps its donor's document and ordinal.
+fixed seed. Donors, like a bundle's texts, come from a document's
+`SentenceTable`; a negative (`SynthSentence`) keeps its donor's document
+and ordinal.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from itertools import accumulate, groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
-from .corpus import Document, mentions_in_sentence
+from .corpus import Document
 from .metapath import PositiveInstance, collect_answer_candidates
-from .spans import AnnotatedSentence, rewrite_mentions
+from .spans import AnnotatedSentence, MentionSpan, rewrite_mentions
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,9 @@ class SynthSentence(AnnotatedSentence):
     replaced: tuple[tuple[str, str], ...]  # (donor entity -> target entity), 2 entries
     swap: bool
 
+    def with_text(self, text: str, mentions: tuple[MentionSpan, ...]) -> SynthSentence:
+        return SynthSentence(self.doc_id, self.sentence, text, mentions, self.replaced, self.swap)
+
 
 @dataclass(frozen=True)
 class ContextVariant:
@@ -47,8 +54,38 @@ class ContextVariant:
     replacement: SynthSentence
 
 
-def annotated_sentence(doc: Document, k: int) -> AnnotatedSentence:
-    return AnnotatedSentence(doc.id, k, doc.sentences[k], mentions_in_sentence(doc, k))
+_by_start = itemgetter(1, 2)  # a mention span's (start, end)
+
+
+class SentenceTable:
+    """One document's sentences as `AnnotatedSentence`s, each built at most once.
+
+    One pass over the document's mentions groups them by sentence, in
+    entity order; `table[k]` sorts sentence k's spans by (start, end) and
+    annotates it the first time it is asked for. A table is made per use
+    and is never kept on the document: the table of a document's chain
+    lives as long as its `DonorSource`, and the donor pool keeps only the
+    sentences it picked. It refers to nothing that refers back to it.
+    """
+
+    __slots__ = ("_doc", "_spans", "_built")
+
+    def __init__(self, doc: Document):
+        spans: list[list[MentionSpan]] = [[] for _ in doc.sentences]
+        for entity in doc.entities:
+            for m in entity.mentions:
+                spans[m.sent].append((entity.id, m.start, m.end))
+        self._doc = doc
+        self._spans = spans
+        self._built: list[AnnotatedSentence | None] = [None] * len(spans)
+
+    def __getitem__(self, k: int) -> AnnotatedSentence:
+        built = self._built[k]
+        if built is None:
+            mentions = tuple(sorted(self._spans[k], key=_by_start))
+            built = AnnotatedSentence(self._doc.id, k, self._doc.sentences[k], mentions)
+            self._built[k] = built
+        return built
 
 
 def _donor_sentences(doc: Document) -> list[int]:
@@ -69,14 +106,20 @@ def build_donor_pool(
 ) -> list[AnnotatedSentence]:
     """Cross-document donor pool: every document's donor sentences.
 
-    When more are eligible than pool_size, a seeded sample is taken; corpus
-    order is preserved so pool content is independent of scheduling. Each
-    sampled donor reads only its own sentence's mentions.
+    When more are eligible than pool_size, a seeded sample of their indices
+    in corpus order is taken; corpus order is preserved so pool content is
+    independent of scheduling. Only a document with a sampled donor gets a
+    `SentenceTable`, and only its sampled sentences are annotated.
     """
-    refs = [(d, k) for d, doc in enumerate(docs) for k in _donor_sentences(doc)]
-    if len(refs) > pool_size:
-        refs = sorted(rng.sample(refs, pool_size))
-    return [annotated_sentence(docs[d], k) for d, k in refs]
+    donors = [_donor_sentences(doc) for doc in docs]
+    ends = list(accumulate(map(len, donors)))  # one past each document's last index
+    total = ends[-1] if ends else 0
+    picked = sorted(rng.sample(range(total), pool_size)) if total > pool_size else range(total)
+    pool: list[AnnotatedSentence] = []
+    for d, indices in groupby(picked, key=lambda i: bisect_right(ends, i)):
+        table, first = SentenceTable(docs[d]), ends[d] - len(donors[d])
+        pool.extend(table[donors[d][i - first]] for i in indices)
+    return pool
 
 
 def relation_replace(
@@ -140,8 +183,14 @@ class DonorSource:
     pool: Sequence[AnnotatedSentence] = ()
 
     @cached_property
-    def host(self) -> list[AnnotatedSentence]:
-        return [annotated_sentence(self.doc, k) for k in _donor_sentences(self.doc)]
+    def sentences(self) -> SentenceTable:
+        """The document's sentence table, shared by its donors, spellings and bundles."""
+        return SentenceTable(self.doc)
+
+    @cached_property
+    def host(self) -> list[int]:
+        """The ordinals of the document's donor sentences."""
+        return _donor_sentences(self.doc)
 
     def candidates(
         self, target_pair: tuple[str, str], excluded: frozenset[int], rng: random.Random
@@ -155,31 +204,36 @@ class DonorSource:
         t_i, t_j = target_pair
         swaps: list[AnnotatedSentence] = []
 
-        def tried(donors: list[AnnotatedSentence]):
-            rng.shuffle(donors)
+        def tried(donors: Iterable[AnnotatedSentence]):
             for donor in donors:
                 for pair in _eligible_pairs(donor, target_pair, rng):
                     yield donor, pair
                 if {t_i, t_j} <= donor.entity_ids:
                     swaps.append(donor)
 
-        yield from tried([d for d in self.host if d.sentence not in excluded])
+        host = [k for k in self.host if k not in excluded]
+        rng.shuffle(host)
+        # A host donor is annotated when first tried: most instances take
+        # their negatives from the first few.
+        yield from tried(map(self.sentences.__getitem__, host))
         # Filtered only when the host document runs dry: most instances
         # never touch the pool, and filtering it per instance is not free.
-        yield from tried([d for d in self.pool if d.doc_id != self.doc.id])
+        pool = [d for d in self.pool if d.doc_id != self.doc.id]
+        rng.shuffle(pool)
+        yield from tried(pool)
         for donor in swaps:
             yield donor, (t_j, t_i)  # exchange the target mentions
 
 
-def _spellings(doc: Document, k: int) -> dict[str, str]:
-    """Each entity mentioned in sentence k, spelled as at its first mention there.
+def _spellings(sentence: AnnotatedSentence) -> dict[str, str]:
+    """Each entity mentioned in `sentence`, spelled as at its first mention there.
 
     A mention may spell its entity other than by its name (an alias); a
     negative must not differ from the text it imitates in that alone.
     """
-    text = doc.sentences[k]
+    text = sentence.text
     spelled: dict[str, str] = {}
-    for eid, start, end in mentions_in_sentence(doc, k):
+    for eid, start, end in sentence.mentions:
         spelled.setdefault(eid, text[start:end])
     return spelled
 
@@ -202,7 +256,7 @@ def make_negative_options(
     doc = source.doc
     answers = collect_answer_candidates(doc, inst.pair)
     forbidden = {doc.sentences[a] for a in answers}
-    target = _target_with_surfaces(_spellings(doc, inst.answer), inst.pair)
+    target = _target_with_surfaces(_spellings(source.sentences[inst.answer]), inst.pair)
     taken: list[SynthSentence] = []
     seen_texts: set[str] = set()
     if k > 0:
@@ -234,7 +288,7 @@ def make_negative_contexts(
     order = list(inst.context)
     rng.shuffle(order)
     for s_i in order:
-        spelled = _spellings(doc, s_i)
+        spelled = _spellings(source.sentences[s_i])
         in_sentence = sorted(e for e in spelled if e in inst.path.entities)
         pairs = [(p, q) for p in in_sentence for q in in_sentence if p != q]
         rng.shuffle(pairs)

@@ -21,7 +21,11 @@ worker and only strings and counts come back. The parent writes the lines
 in input order, one document at a time. Every output file is written under
 a temporary name and moved into place only when its stage succeeds.
 Nothing is cached on a document, so the parsed corpus and the two pools
-are all that stays resident for the whole run.
+are all that stays resident for the whole run. A document's sentence
+table (`negatives.SentenceTable`: its mentions grouped by sentence, each
+sentence annotated at most once) is made by its `_negative_worker` call,
+held by that call's `DonorSource` and freed when the call's bundles are
+drained.
 
 `run_pipeline` and the CLI commands that parse a whole corpus run inside
 `collector_paused`: the per-document work creates no reference cycle, so
@@ -307,11 +311,14 @@ def _negative_worker(
     cfg: NegativesConfig,
     seed: int,
     counts: dict[str, int],
-) -> list[InstanceBundle]:
-    """The bundle of every positive of `doc` that found a donor; counts into `counts`."""
+) -> Iterator[InstanceBundle]:
+    """Lazily, the bundle of every positive of `doc` that found a donor.
+
+    Counts into `counts`, final once the iterator is drained. The
+    document's sentence table lives in `source`, so it is freed with it.
+    """
     source = DonorSource(doc, pool)
     k = cfg.num_negatives
-    bundles = []
     for inst in instances:
         rng = derive_rng(seed, "negatives", inst.doc_id, *inst.pair, inst.answer)
         options = make_negative_options(inst, source, k, rng)
@@ -322,8 +329,7 @@ def _negative_worker(
         counts["bundles"] += 1
         counts["option_shortfalls"] += len(options) < k
         counts["context_shortfalls"] += len(contexts) < k
-        bundles.append(assemble_bundle(inst, doc, options, contexts, k))
-    return bundles
+        yield assemble_bundle(inst, source.sentences, options, contexts, k)
 
 
 def stage_negatives(

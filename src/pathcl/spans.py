@@ -8,7 +8,7 @@ intact, and recomputes the spans for later rewrites of the same text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TypeVar
 
@@ -27,6 +27,14 @@ class AnnotatedSentence:
     @cached_property
     def entity_ids(self) -> frozenset[str]:
         return frozenset(m[0] for m in self.mentions)
+
+    def with_text(self, text: str, mentions: tuple[MentionSpan, ...]) -> AnnotatedSentence:
+        """This sentence with `text` and `mentions` in place of its own, every other field kept.
+
+        Built by the constructor, so nothing cached on this one (`entity_ids`)
+        carries over; a subclass with more fields overrides it.
+        """
+        return AnnotatedSentence(self.doc_id, self.sentence, text, mentions)
 
 
 Annotated = TypeVar("Annotated", bound=AnnotatedSentence)
@@ -83,4 +91,4 @@ def rewrite_mentions(
 def rewritten(x: Annotated, mapping: dict[str, tuple[str, str]]) -> Annotated:
     """`x` with `rewrite_mentions` applied to its text and spans; every other field kept."""
     text, mentions = rewrite_mentions(x.text, list(x.mentions), mapping)
-    return replace(x, text=text, mentions=tuple(mentions))
+    return x.with_text(text, tuple(mentions))

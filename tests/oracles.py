@@ -14,7 +14,11 @@ distinct ids by sorting, where the library marks them in a vocabulary
 mask; the batch interleaver queues every instance before writing any,
 where the library streams them; the ordered-pair extractor runs the
 library's search on every co-mentioned pair in both orders, where the
-library visits each unordered pair once.
+library visits each unordered pair once; the field-by-field corpus reader
+reads every value through `require` and builds every field path, where
+the library checks exact types inline in one walk; the per-sentence scan
+walks all of a document's mentions for each sentence, where the library's
+sentence table groups them in one pass.
 """
 
 from __future__ import annotations
@@ -22,15 +26,16 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from collections import deque
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from pathcl.corpus import Document, sentence_entities
+from pathcl.corpus import Document, Entity, Mention, RelationTriple, sentence_entities
 from pathcl.emitter import ContrastiveInstance, instance_to_record
 from pathcl.graph import EntityGraph, pair_key
-from pathcl.jsonl import write_records
+from pathcl.jsonl import RecordError, require, write_records
 from pathcl.metapath import ExtractorConfig, PositiveInstance, dfs_metapath
 from pathcl.seeding import derive_rng
 from pathcl.spans import MentionSpan
@@ -368,3 +373,132 @@ def oracle_train(instances, cfg):
             }
         )
     return params, metrics
+
+
+# -- corpus records --
+#
+# The corpus reader as it read before it checked types inline: every value
+# through `require`, every field path built, kept verbatim as the reference
+# for `corpus.parse_record`'s documents and errors.
+
+_ROW_SEPARATOR = re.compile("[\t\n\r]")
+_ENTITY_ID_SEPARATOR = re.compile("[|\t\n\r]")
+
+
+def _separator_problem(what: str, text: str, separator: re.Pattern) -> str | None:
+    held = separator.search(text)
+    if held is None:
+        return None
+    return f"{what} {text!r} holds {held[0]!r}, a graph.tsv separator"
+
+
+def _problems(doc: Document) -> list[tuple[str, str]]:
+    problems: list[tuple[str, str]] = []
+    n_sent = len(doc.sentences)
+
+    if problem := _separator_problem("document id", doc.id, _ROW_SEPARATOR):
+        problems.append(("id", problem))
+    seen_ids: set[str] = set()
+    by_sentence: dict[int, list[tuple[int, int, str]]] = {}
+    for i, entity in enumerate(doc.entities):
+        if entity.id in seen_ids:
+            problems.append((f"entities[{i}].id", f"duplicate entity id {entity.id!r}"))
+        seen_ids.add(entity.id)
+        if problem := _separator_problem("entity id", entity.id, _ENTITY_ID_SEPARATOR):
+            problems.append((f"entities[{i}].id", problem))
+        if not entity.surface:
+            problems.append((f"entities[{i}].name", f"entity {entity.id!r} has empty surface"))
+        if not entity.mentions:
+            problems.append((f"entities[{i}].mentions", f"entity {entity.id!r} has no mentions"))
+        for j, m in enumerate(entity.mentions):
+            where = f"entities[{i}].mentions[{j}]"
+            if not 0 <= m.sent < n_sent:
+                problems.append(
+                    (where, f"entity {entity.id!r} mention sentence {m.sent} out of range")
+                )
+                continue
+            length = len(doc.sentences[m.sent])
+            if m.start < 0 or m.end > length or m.start >= m.end:
+                problems.append((
+                    where,
+                    f"entity {entity.id!r} span [{m.start}, {m.end}) invalid "
+                    f"for sentence {m.sent} of length {length}",
+                ))
+            else:
+                by_sentence.setdefault(m.sent, []).append((m.start, m.end, entity.id))
+
+    for k, spans in sorted(by_sentence.items()):
+        spans.sort()
+        for (s1, e1, id1), (s2, e2, id2) in zip(spans, spans[1:]):
+            if s2 < e1:
+                problems.append((
+                    f"sentences[{k}]",
+                    f"mention [{s1}, {e1}) of {id1!r} overlaps [{s2}, {e2}) of {id2!r}",
+                ))
+
+    for i, rel in enumerate(doc.relations):
+        if problem := _separator_problem("relation type", rel.relation, _ROW_SEPARATOR):
+            problems.append((f"relations[{i}].type", problem))
+        if rel.head == rel.tail:
+            problems.append((f"relations[{i}]", f"self-relation on entity {rel.head!r}"))
+        for role, eid in (("head", rel.head), ("tail", rel.tail)):
+            if eid not in seen_ids:
+                problems.append((f"relations[{i}].{role}", f"unknown entity id {eid!r}"))
+
+    return problems
+
+
+def field_by_field_parse_record(obj: dict, line: int = 0) -> Document:
+    doc_id = require(obj, "id", str, line)
+    sentences = tuple(
+        require(s, "text", str, line, f"sentences[{i}]")
+        for i, s in enumerate(require(obj, "sentences", list, line))
+    )
+    entities = []
+    for i, e in enumerate(require(obj, "entities", list, line)):
+        at = f"entities[{i}]"
+        mentions = []
+        for j, m in enumerate(require(e, "mentions", list, line, at)):
+            m_at = f"{at}.mentions[{j}]"
+            mentions.append(
+                Mention(
+                    sent=require(m, "sent", int, line, m_at),
+                    start=require(m, "start", int, line, m_at),
+                    end=require(m, "end", int, line, m_at),
+                )
+            )
+        entities.append(
+            Entity(
+                id=require(e, "id", str, line, at),
+                surface=sys.intern(require(e, "name", str, line, at)),
+                mentions=tuple(mentions),
+            )
+        )
+    relations = []
+    for i, r in enumerate(require(obj, "relations", list, line)):
+        at = f"relations[{i}]"
+        relations.append(
+            RelationTriple(
+                head=require(r, "head", str, line, at),
+                tail=require(r, "tail", str, line, at),
+                relation=sys.intern(require(r, "type", str, line, at)),
+            )
+        )
+
+    doc = Document(
+        id=doc_id,
+        sentences=sentences,
+        entities=tuple(entities),
+        relations=tuple(relations),
+    )
+    problems = _problems(doc)
+    if problems:
+        message = "; ".join(f"{where}: {problem}" for where, problem in problems)
+        raise RecordError(line, message, problems[0][0])
+    return doc
+
+
+def mentions_in_sentence(doc: Document, k: int) -> tuple[MentionSpan, ...]:
+    """All mention spans in sentence k as (entity id, start, end), sorted by start."""
+    spans = [(e.id, m.start, m.end) for e in doc.entities for m in e.mentions if m.sent == k]
+    return tuple(sorted(spans, key=lambda t: (t[1], t[2])))

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import io
 import json
@@ -5,6 +6,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcl.corpus import (
     Document,
@@ -20,8 +23,10 @@ from pathcl.corpus import (
 )
 from pathcl.counterfactual import build_entity_pool
 from pathcl.jsonl import RecordError
+from pathcl.synth import make_corpus
 
 from corpora import film_cast_document, random_micro_doc
+from oracles import field_by_field_parse_record
 
 MINIMAL = {
     "id": "d0",
@@ -229,3 +234,96 @@ def test_resident_records_are_slotted_frozen_and_interned():
     # Surfaces and relation labels are interned: one string per distinct name.
     assert twin.entities[0].surface is doc.entities[0].surface
     assert twin.relations[0].relation is doc.relations[0].relation
+
+
+class Text(str):
+    """A str subclass: `typed` takes it, an exact-type check alone would not."""
+
+
+VALID_RECORDS = [document_to_record(d) for d in (film_cast_document(), *make_corpus(2, seed=8))]
+OTHER_VALUES = (None, True, 0, 1.5, "", "x", [], [0], {}, {"k": 1})
+
+
+def value_paths(obj, prefix=()):
+    """(key or index path, value) of every value in a decoded record, the root included."""
+    yield prefix, obj
+    items = obj.items() if type(obj) is dict else enumerate(obj) if type(obj) is list else ()
+    for key, value in items:
+        yield from value_paths(value, prefix + (key,))
+
+
+def set_at(record, path, value):
+    if not path:
+        return value
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return record
+
+
+DROP = object()
+
+
+@st.composite
+def mutated_records(draw):
+    """A valid corpus record with up to three edits: a key or item dropped, a
+    value of another JSON type, a bool or float for an int, a non-object
+    item, a str subclass, another string (a separator, a duplicate or
+    unknown id) or another mention span."""
+    record = copy.deepcopy(draw(st.sampled_from(VALID_RECORDS)))
+    texts = ["", "a\tb", "x|y", "e\n", *(e["id"] for e in record["entities"][:3])]
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(value_paths(record))
+        kind = draw(st.sampled_from(["drop", "retype", "int", "item", "subclass", "text", "span"]))
+        suits = {
+            "drop": lambda p, v: bool(p),
+            "retype": lambda p, v: True,
+            "int": lambda p, v: type(v) is int,
+            "item": lambda p, v: bool(p) and type(p[-1]) is int,
+            "subclass": lambda p, v: type(v) is str,
+            "text": lambda p, v: type(v) is str,
+            "span": lambda p, v: type(v) is dict and "start" in v,
+        }[kind]
+        candidates = [(p, v) for p, v in paths if suits(p, v)]
+        if not candidates:
+            continue
+        path, value = draw(st.sampled_from(candidates))
+        if kind == "drop":
+            new = DROP
+        elif kind == "retype":
+            new = draw(st.sampled_from([v for v in OTHER_VALUES if type(v) is not type(value)]))
+        elif kind == "int":
+            new = draw(st.sampled_from([True, False, float(value)]))
+        elif kind == "item":
+            new = draw(st.sampled_from([None, "x", 3, [], [{}]]))
+        elif kind == "subclass":
+            new = Text(value)
+        elif kind == "text":
+            new = draw(st.sampled_from(texts))
+        else:
+            span = st.integers(-2, 60)
+            new = {"sent": draw(st.integers(-1, 22)), "start": draw(span), "end": draw(span)}
+        record = set_at(record, path, new)
+    return record
+
+
+def read_outcome(parse, record):
+    try:
+        return parse(record, 9)
+    except RecordError as err:
+        return "RecordError", err.line, err.message, err.field
+    except TypeError as err:  # `sys.intern` takes no str subclass
+        return "TypeError", str(err)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600, database=None)
+@given(mutated_records())
+def test_reader_matches_the_field_by_field_reference(record):
+    # The one-walk reader checks exact types inline and builds a field path
+    # only for a violation; its documents and first errors must be those of
+    # reading every value through `require`.
+    assert read_outcome(parse_record, record) == read_outcome(field_by_field_parse_record, record)

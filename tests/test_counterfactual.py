@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,12 @@ from pathcl.corpus import Entity
 from pathcl.counterfactual import apply_counterfactual, build_entity_pool, select_replacements
 from pathcl.graph import build_entity_graph
 from pathcl.metapath import ExtractorConfig, extract_positive_instances
-from pathcl.negatives import DonorSource, make_negative_contexts, make_negative_options
+from pathcl.negatives import (
+    DonorSource,
+    SentenceTable,
+    make_negative_contexts,
+    make_negative_options,
+)
 
 from corpora import build_document, film_cast_document
 from oracles import diff_outside_spans, surface_occurrences
@@ -28,7 +34,7 @@ def film_cast_bundle():
     rng = random.Random(13)
     options = make_negative_options(inst, DonorSource(doc), 3, rng)
     contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
-    return doc, inst, assemble_bundle(inst, doc, options, contexts, 3)
+    return doc, inst, assemble_bundle(inst, SentenceTable(doc), options, contexts, 3)
 
 
 def test_select_always_keys_target_pair():
@@ -86,6 +92,29 @@ def test_apply_rewrites_every_text_consistently():
         for orig, (alien, alien_surface) in rmap.items():
             if surface_occurrences(old_t, originals[orig]):
                 assert surface_occurrences(new_t, alien_surface) >= 1
+
+
+def test_apply_keeps_each_text_field_and_recomputes_entity_ids():
+    # Every text is rebuilt by its own class: the document, ordinal and donor
+    # fields stay, and no `entity_ids` read before the rewrite carries over.
+    doc, inst, bundle = film_cast_bundle()
+    before = [*bundle.context, bundle.answer, *bundle.options]
+    before += [v.replacement for v in bundle.context_variants]
+    for text in before:
+        assert text.entity_ids  # cached on the original
+    rmap = select_replacements(inst, doc, ALIENS, random.Random(2), include_prob=1.0)
+    out = apply_counterfactual(bundle, rmap)
+    after = [*out.context, out.answer, *out.options]
+    after += [v.replacement for v in out.context_variants]
+    assert [v.replaced_sentence for v in out.context_variants] == [
+        v.replaced_sentence for v in bundle.context_variants
+    ]
+    for old, new in zip(before, after, strict=True):
+        assert type(new) is type(old)
+        fields = [f.name for f in dataclasses.fields(old) if f.name not in ("text", "mentions")]
+        assert [getattr(new, f) for f in fields] == [getattr(old, f) for f in fields]
+        assert new.entity_ids == {eid for eid, _, _ in new.mentions}
+        assert new.entity_ids == {rmap.get(eid, (eid,))[0] for eid in old.entity_ids}
 
 
 def test_apply_identity_on_empty_map():

@@ -21,7 +21,12 @@ from pathcl.emitter import (
 from pathcl.graph import build_entity_graph
 from pathcl.jsonl import RecordError
 from pathcl.metapath import ExtractorConfig, extract_positive_instances
-from pathcl.negatives import DonorSource, make_negative_contexts, make_negative_options
+from pathcl.negatives import (
+    DonorSource,
+    SentenceTable,
+    make_negative_contexts,
+    make_negative_options,
+)
 
 from corpora import film_cast_document
 from oracles import batch_emit_instances
@@ -35,7 +40,7 @@ def film_cast_instances(root_seed=7):
     rng = random.Random(root_seed)
     options = make_negative_options(inst, DonorSource(doc), 3, rng)
     contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
-    bundle = assemble_bundle(inst, doc, options, contexts, 3)
+    bundle = assemble_bundle(inst, SentenceTable(doc), options, contexts, 3)
     return doc, inst, bundle, bundle_to_instances(bundle, root_seed)
 
 
@@ -227,7 +232,7 @@ def test_gold_histogram_uniform_under_shuffle():
     rng = random.Random(1)
     options = make_negative_options(inst, DonorSource(doc), 3, rng)
     contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
-    bundle = assemble_bundle(inst, doc, options, contexts, 3)
+    bundle = assemble_bundle(inst, SentenceTable(doc), options, contexts, 3)
 
     from dataclasses import replace
 

@@ -7,8 +7,7 @@ from pathcl.graph import build_entity_graph
 from pathcl.metapath import ExtractorConfig, collect_answer_candidates, extract_positive_instances
 from pathcl.negatives import (
     DonorSource,
-    _donor_sentences,
-    annotated_sentence,
+    SentenceTable,
     build_donor_pool,
     make_negative_contexts,
     make_negative_options,
@@ -18,7 +17,7 @@ from pathcl.spans import AnnotatedSentence, OverlappingSpans
 from pathcl.synth import make_corpus
 
 from corpora import build_document, film_cast_document, random_micro_doc
-from oracles import diff_outside_spans, surface_occurrences
+from oracles import diff_outside_spans, mentions_in_sentence, surface_occurrences
 
 
 def sample_relation_provider(inst, doc, pool, rng):
@@ -349,10 +348,31 @@ def test_donor_pool_deterministic_and_capped():
     assert [p.sentence for p in pool_a] == sorted(p.sentence for p in pool_a)
 
 
-def test_host_donors_equal_per_sentence_donors():
+def test_sentence_table_equals_a_per_sentence_scan():
+    # The table groups a document's mentions in one pass; each sentence must
+    # equal the one annotated by scanning every mention for it. Here entity
+    # "a" is spelled three ways, and sentence 0 names it after "b".
+    aliased = build_document(
+        "aliased",
+        [
+            [("b", "Ben"), " met ", ("a", "Annie"), " and ", ("a", "Ann"), "."],
+            ["No one else came."],
+            [("a", "A."), " left with ", ("b", "Benjamin"), "."],
+        ],
+        {"a": "Ann", "b": "Ben"},
+    )
     rng = random.Random(17)
-    docs = [film_cast_document(), *make_corpus(12, seed=3)]
+    docs = [aliased, film_cast_document(), *make_corpus(12, seed=3)]
     docs += [random_micro_doc(rng, f"m{i}") for i in range(30)]
     for doc in docs:
-        want = [annotated_sentence(doc, k) for k in _donor_sentences(doc)]
-        assert DonorSource(doc).host == want, doc.id
+        table = SentenceTable(doc)
+        scans = [mentions_in_sentence(doc, k) for k in range(len(doc.sentences))]
+        for k, (text, scan) in enumerate(zip(doc.sentences, scans)):
+            assert table[k] == AnnotatedSentence(doc.id, k, text, scan), (doc.id, k)
+            assert table[k] is table[k]  # annotated once
+        # Donors are the sentences naming two entities or more, and a
+        # document's donors, spellings and bundle texts share one table.
+        source = DonorSource(doc)
+        assert source.host == [k for k, scan in enumerate(scans) if len({m[0] for m in scan}) > 1]
+        for donor, _ in source.candidates(("x", "y"), frozenset(), random.Random(0)):
+            assert donor is source.sentences[donor.sentence]
