@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
+from .corpus import SentenceTable
 from .jsonl import RecordError, read_records, require, require_list, require_map, write_records
 from .metapath import MetaPath, PositiveInstance, path_from_record, path_to_record
-from .negatives import ContextVariant, SentenceTable, SynthSentence
+from .negatives import ContextVariant, SynthSentence
 from .spans import AnnotatedSentence, MentionSpan, OverlappingSpans, check_disjoint
 
 

@@ -16,6 +16,10 @@ ids and relation types hold no tab, "\\n" or "\\r", and entity ids no "|":
 `graph.tsv` writes them unescaped. Documents are immutable after parsing;
 a parsed sentence is its text, and its ordinal is its position in
 `Document.sentences`.
+
+Which sentence names which entity is answered by one index, a document's
+`SentenceTable`: the graph's co-mention edges, the answer sentences of a
+pair, the relation donors and every annotated text come from it.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
 from .jsonl import RecordError, read_records, require, write_records
+from .spans import AnnotatedSentence, MentionSpan
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,10 +61,8 @@ class RelationTriple:
 class Document:
     """One parsed document: its records and nothing else.
 
-    No index is cached on it: a lookup by entity or by sentence is computed
-    where it is used, from `entities`, of which a document has about ten.
-    The mentions grouped by sentence (`negatives.SentenceTable`) are built
-    per document chain call and freed when that call ends.
+    No index is cached on it: a lookup by sentence goes through a
+    `SentenceTable`, built per use and freed when that use ends.
     """
 
     id: str
@@ -67,11 +71,60 @@ class Document:
     relations: tuple[RelationTriple, ...]
 
 
-def sentence_entities(doc: Document, k: int) -> frozenset[str]:
-    """Ids of entities with at least one mention in sentence k."""
-    if not 0 <= k < len(doc.sentences):
-        raise IndexError(f"sentence index {k} out of range for document {doc.id!r}")
-    return frozenset(e.id for e in doc.entities if any(m.sent == k for m in e.mentions))
+_by_start = itemgetter(1, 2)  # a mention span's (start, end)
+
+
+class SentenceTable:
+    """One validated document's mentions grouped by sentence, in one walk.
+
+    The walk keeps each sentence's spans, in entity order, and the set of
+    ids they name. `table[k]` is sentence k as an `AnnotatedSentence`, its
+    spans sorted by (start, end), annotated the first time it is asked for;
+    `entities(k)`, `donors` and `shared(a, b)` say which sentences name
+    which entities. A table is made per use and is never kept on the
+    document: a document chain's table lives as long as its
+    `negatives.DonorSource`, and the donor pool keeps only the sentences it
+    picked. It refers to nothing that refers back to it.
+    """
+
+    __slots__ = ("_doc", "_spans", "_named", "_built")
+
+    def __init__(self, doc: Document):
+        spans: list[list[MentionSpan]] = [[] for _ in doc.sentences]
+        named: list[set[str]] = [set() for _ in doc.sentences]
+        for entity in doc.entities:
+            eid = entity.id
+            for m in entity.mentions:
+                spans[m.sent].append((eid, m.start, m.end))
+                named[m.sent].add(eid)
+        self._doc = doc
+        self._spans = spans
+        self._named = named
+        self._built: list[AnnotatedSentence | None] = [None] * len(spans)
+
+    def __getitem__(self, k: int) -> AnnotatedSentence:
+        built = self._built[k]
+        if built is None:
+            mentions = tuple(sorted(self._spans[k], key=_by_start))
+            built = AnnotatedSentence(self._doc.id, k, self._doc.sentences[k], mentions)
+            self._built[k] = built
+        return built
+
+    def entities(self, k: int) -> frozenset[str]:
+        """Ids of the entities with at least one mention in sentence k."""
+        if not 0 <= k < len(self._named):
+            raise IndexError(f"sentence index {k} out of range for document {self._doc.id!r}")
+        return frozenset(self._named[k])
+
+    @property
+    def donors(self) -> list[int]:
+        """Ordinals of the sentences naming two or more distinct entities, ascending."""
+        return [k for k, named in enumerate(self._named) if len(named) >= 2]
+
+    def shared(self, a: str, b: str) -> frozenset[int]:
+        """Ordinals of the sentences naming both `a` and `b`."""
+        pair = {a, b}
+        return frozenset(k for k, named in enumerate(self._named) if pair <= named)
 
 
 def validate_document(doc: Document) -> list[str]:

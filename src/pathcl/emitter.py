@@ -153,7 +153,7 @@ def emit_instances(
     lines: Iterable[TaggedLine],
     copies: int,
     fp: IO[str],
-    tally: dict | None = None,
+    tally: dict,
 ) -> int:
     """Write instance lines interleaved one original to `copies` counterfactual ones.
 
@@ -163,9 +163,8 @@ def emit_instances(
     dropped. Lines are consumed lazily: a full round is written as soon as
     both queues hold it, and what is left at the end drains round by
     round, so the bytes do not depend on how far one queue runs ahead of
-    the other. With `tally` given, each written line adds one to its
-    orientation's entry and, if counterfactual, to the "counterfactual"
-    entry.
+    the other. Each written line adds one to its orientation's entry of
+    `tally` and, if counterfactual, to its "counterfactual" entry.
     """
     if copies < 0:
         raise ValueError(f"copies must be >= 0, got {copies}")
@@ -176,9 +175,8 @@ def emit_instances(
         for queue, n in ((originals, 1), (counterfactuals, copies)):
             for _ in range(min(n, len(queue))):
                 orientation, counterfactual, line = queue.popleft()
-                if tally is not None:
-                    tally[orientation] += 1
-                    tally["counterfactual"] += counterfactual
+                tally[orientation] += 1
+                tally["counterfactual"] += counterfactual
                 yield line
 
     def interleaved() -> Iterator[str]:

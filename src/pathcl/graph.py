@@ -2,8 +2,9 @@
 
 Nodes are the document's entities. Two maps keyed by the unordered
 `pair_key` hold the edges: `sentences` sends a pair to the sentences
-mentioning both, `labels` to its sorted relation labels. A pair may sit
-in either map or both; adjacency sees one slot per pair.
+mentioning both (read off the document's `corpus.SentenceTable`),
+`labels` to its sorted relation labels. A pair may sit in either map or
+both; adjacency sees one slot per pair.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import IO
 
-from .corpus import Document
+from .corpus import Document, SentenceTable
 
 
 def pair_key(a: str, b: str) -> tuple[str, str]:
@@ -47,14 +48,10 @@ def build_entity_graph(doc: Document) -> EntityGraph:
 
     Deterministic: equal documents produce equal graphs.
     """
-    named: list[set[str]] = [set() for _ in doc.sentences]
-    for entity in doc.entities:
-        for m in entity.mentions:
-            if 0 <= m.sent < len(named):
-                named[m.sent].add(entity.id)
+    table = SentenceTable(doc)
     sentences: dict[tuple[str, str], set[int]] = {}
-    for k, in_sentence in enumerate(named):
-        ids = sorted(in_sentence)
+    for k in table.donors:  # only a sentence naming two entities or more holds a pair
+        ids = sorted(table.entities(k))
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
                 sentences.setdefault(pair_key(a, b), set()).add(k)

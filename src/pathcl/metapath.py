@@ -1,14 +1,14 @@
 """Meta-path extraction: positive (context, answer) pairs from an entity graph.
 
 For a target entity pair, the answer candidates are the sentences
-mentioning both. A depth-first search then looks for a path between the
-two entities through the remaining graph. Each hop is realized either by
-a supporting sentence (consumed from the budget of sentences outside the
-answer set, at most once each) or by a bare KG relation edge, which
-contributes no sentence. The consumed sentences form the context; the
-pair (context, answer sentence) is logically consistent by construction:
-the context implies an indirect connection whose direct statement is the
-answer.
+mentioning both: the pair's intra-sentence edge in the graph. A
+depth-first search then looks for a path between the two entities
+through the remaining graph. Each hop is realized either by a supporting
+sentence (consumed from the budget of sentences outside the answer set,
+at most once each) or by a bare KG relation edge, which contributes no
+sentence. The consumed sentences form the context; the pair (context,
+answer sentence) is logically consistent by construction: the context
+implies an indirect connection whose direct statement is the answer.
 
 The search backtracks over every (neighbor, hop-support) alternative, so
 it is complete: it finds a valid path whenever one exists under the
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Document, sentence_entities
+from .corpus import Document, SentenceTable
 from .graph import EntityGraph
 from .jsonl import RecordError, bounded, check_config, require, require_list
 
@@ -87,16 +87,6 @@ class PositiveInstance:
     path: MetaPath
     context: tuple[int, ...]  # consumed sentence indices, ascending
     answer: int  # the answer sentence
-
-
-def collect_answer_candidates(doc: Document, pair: tuple[str, str]) -> frozenset[int]:
-    """Sentences mentioning both entities of the pair."""
-    mentioned = {e.id: {m.sent for m in e.mentions} for e in doc.entities if e.id in pair}
-    for eid in pair:
-        if eid not in mentioned:
-            raise KeyError(f"entity {eid!r} not in document {doc.id!r}")
-    a, b = pair
-    return frozenset(mentioned[a] & mentioned[b])
 
 
 def _hop_options(
@@ -276,7 +266,7 @@ def validate_instance(
     if not 0 <= k < n_sent:
         problems.append(f"answer sentence {k} out of range")
     else:
-        missing = [e for e in inst.pair if e not in sentence_entities(doc, k)]
+        missing = [e for e in inst.pair if e not in SentenceTable(doc).entities(k)]
         if missing:
             problems.append(f"answer sentence {k} does not mention {missing!r}")
     if k in inst.context:

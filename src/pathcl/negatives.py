@@ -12,9 +12,9 @@ it replaces one context sentence, and the pair rewritten into it must lie
 on the meta-path. Where donors come from, and in which order they are
 tried, is one document's `DonorSource`. Sampling is driven entirely by the
 per-instance generator, so outputs are reproducible byte-for-byte for a
-fixed seed. Donors, like a bundle's texts, come from a document's
-`SentenceTable`; a negative (`SynthSentence`) keeps its donor's document
-and ordinal.
+fixed seed. Donors, the answer sentences a negative must not repeat and a
+bundle's texts all come from a document's `corpus.SentenceTable`; a
+negative (`SynthSentence`) keeps its donor's document and ordinal.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, groupby
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import Document
-from .metapath import PositiveInstance, collect_answer_candidates
+from .corpus import Document, SentenceTable
+from .metapath import PositiveInstance
 from .spans import AnnotatedSentence, MentionSpan, rewrite_mentions
 
 
@@ -54,53 +53,6 @@ class ContextVariant:
     replacement: SynthSentence
 
 
-_by_start = itemgetter(1, 2)  # a mention span's (start, end)
-
-
-class SentenceTable:
-    """One document's sentences as `AnnotatedSentence`s, each built at most once.
-
-    One pass over the document's mentions groups them by sentence, in
-    entity order; `table[k]` sorts sentence k's spans by (start, end) and
-    annotates it the first time it is asked for. A table is made per use
-    and is never kept on the document: the table of a document's chain
-    lives as long as its `DonorSource`, and the donor pool keeps only the
-    sentences it picked. It refers to nothing that refers back to it.
-    """
-
-    __slots__ = ("_doc", "_spans", "_built")
-
-    def __init__(self, doc: Document):
-        spans: list[list[MentionSpan]] = [[] for _ in doc.sentences]
-        for entity in doc.entities:
-            for m in entity.mentions:
-                spans[m.sent].append((entity.id, m.start, m.end))
-        self._doc = doc
-        self._spans = spans
-        self._built: list[AnnotatedSentence | None] = [None] * len(spans)
-
-    def __getitem__(self, k: int) -> AnnotatedSentence:
-        built = self._built[k]
-        if built is None:
-            mentions = tuple(sorted(self._spans[k], key=_by_start))
-            built = AnnotatedSentence(self._doc.id, k, self._doc.sentences[k], mentions)
-            self._built[k] = built
-        return built
-
-
-def _donor_sentences(doc: Document) -> list[int]:
-    """Indices of the sentences usable as donors: those naming >=2 distinct entities.
-
-    Counted straight from the mentions: entity ids are unique within a
-    document.
-    """
-    named = [0] * len(doc.sentences)
-    for entity in doc.entities:
-        for k in {m.sent for m in entity.mentions}:
-            named[k] += 1
-    return [k for k, n in enumerate(named) if n >= 2]
-
-
 def build_donor_pool(
     docs: Sequence[Document], pool_size: int, rng: random.Random
 ) -> list[AnnotatedSentence]:
@@ -108,10 +60,12 @@ def build_donor_pool(
 
     When more are eligible than pool_size, a seeded sample of their indices
     in corpus order is taken; corpus order is preserved so pool content is
-    independent of scheduling. Only a document with a sampled donor gets a
-    `SentenceTable`, and only its sampled sentences are annotated.
+    independent of scheduling. Each document's donors are read off a
+    `SentenceTable` that is dropped at once, so no two tables are alive
+    together; a document with a sampled donor gets a second table, and only
+    its sampled sentences are annotated.
     """
-    donors = [_donor_sentences(doc) for doc in docs]
+    donors = [SentenceTable(doc).donors for doc in docs]
     ends = list(accumulate(map(len, donors)))  # one past each document's last index
     total = ends[-1] if ends else 0
     picked = sorted(rng.sample(range(total), pool_size)) if total > pool_size else range(total)
@@ -184,13 +138,8 @@ class DonorSource:
 
     @cached_property
     def sentences(self) -> SentenceTable:
-        """The document's sentence table, shared by its donors, spellings and bundles."""
+        """The document's sentence table, shared by its donors, answers, spellings and bundles."""
         return SentenceTable(self.doc)
-
-    @cached_property
-    def host(self) -> list[int]:
-        """The ordinals of the document's donor sentences."""
-        return _donor_sentences(self.doc)
 
     def candidates(
         self, target_pair: tuple[str, str], excluded: frozenset[int], rng: random.Random
@@ -211,7 +160,7 @@ class DonorSource:
                 if {t_i, t_j} <= donor.entity_ids:
                     swaps.append(donor)
 
-        host = [k for k in self.host if k not in excluded]
+        host = [k for k in self.sentences.donors if k not in excluded]
         rng.shuffle(host)
         # A host donor is annotated when first tried: most instances take
         # their negatives from the first few.
@@ -254,7 +203,7 @@ def make_negative_options(
     rejected and the next one is tried.
     """
     doc = source.doc
-    answers = collect_answer_candidates(doc, inst.pair)
+    answers = source.sentences.shared(*inst.pair)
     forbidden = {doc.sentences[a] for a in answers}
     target = _target_with_surfaces(_spellings(source.sentences[inst.answer]), inst.pair)
     taken: list[SynthSentence] = []
@@ -281,7 +230,7 @@ def make_negative_contexts(
     over the context sentences so no single sentence absorbs every edit.
     """
     doc = source.doc
-    answers = collect_answer_candidates(doc, inst.pair)
+    answers = source.sentences.shared(*inst.pair)
 
     # Per context sentence: a lazily advanced stream of replacement tries.
     streams: list[tuple[int, Iterator[SynthSentence]]] = []

@@ -22,10 +22,11 @@ in input order, one document at a time. Every output file is written under
 a temporary name and moved into place only when its stage succeeds.
 Nothing is cached on a document, so the parsed corpus and the two pools
 are all that stays resident for the whole run. A document's sentence
-table (`negatives.SentenceTable`: its mentions grouped by sentence, each
-sentence annotated at most once) is made by its `_negative_worker` call,
-held by that call's `DonorSource` and freed when the call's bundles are
-drained.
+table (`corpus.SentenceTable`: its mentions grouped by sentence, each
+sentence annotated at most once) answers which sentence names which
+entity. The chain's graph build makes one and drops it; its
+`_negative_worker` call makes another, held by that call's `DonorSource`
+and freed when the call's bundles are drained.
 
 `run_pipeline` and the CLI commands that parse a whole corpus run inside
 `collector_paused`: the per-document work creates no reference cycle, so

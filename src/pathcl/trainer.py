@@ -537,11 +537,11 @@ def grad_check(
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.1
+    learning_rate: float = bounded(0.1, low=0.0)
     epochs: int = bounded(200, low=0)
     batch_size: int = bounded(8, low=1)
     seed: int = 0
-    mlm_weight: float = 1.0
+    mlm_weight: float = bounded(1.0, low=0.0)
     mask_rate: float = bounded(0.15, low=0.0, high=1.0)
     dim: int = bounded(32, low=1)
     hidden: int = bounded(64, low=1)
@@ -744,6 +744,10 @@ def load_params(path) -> ScorerParams:
         arrays: dict[str, np.ndarray] = {}
         while pos < len(lines):
             name, rows, cols = header("array", 3)
+            if name not in ARRAY_FIELDS:
+                raise ValueError(f"unknown array {name!r}")
+            if name in arrays:
+                raise ValueError(f"array {name!r} given twice")
             rows, cols = int(rows), int(cols)
             block = [[float(v) for v in take().split()] for _ in range(rows)]
             if any(len(row) != cols for row in block):

@@ -16,9 +16,10 @@ where the library streams them; the ordered-pair extractor runs the
 library's search on every co-mentioned pair in both orders, where the
 library visits each unordered pair once; the field-by-field corpus reader
 reads every value through `require` and builds every field path, where
-the library checks exact types inline in one walk; the per-sentence scan
-walks all of a document's mentions for each sentence, where the library's
-sentence table groups them in one pass.
+the library checks exact types inline in one walk; the per-sentence scans
+(mentions, named entities, donors, answer sentences of a pair) walk a
+document's mentions again for each question, where the library's sentence
+table groups them in one pass and answers every one from it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from pathcl.corpus import Document, Entity, Mention, RelationTriple, sentence_entities
+from pathcl.corpus import Document, Entity, Mention, RelationTriple
 from pathcl.emitter import ContrastiveInstance, instance_to_record
 from pathcl.graph import EntityGraph, pair_key
 from pathcl.jsonl import RecordError, require, write_records
@@ -502,3 +503,33 @@ def mentions_in_sentence(doc: Document, k: int) -> tuple[MentionSpan, ...]:
     """All mention spans in sentence k as (entity id, start, end), sorted by start."""
     spans = [(e.id, m.start, m.end) for e in doc.entities for m in e.mentions if m.sent == k]
     return tuple(sorted(spans, key=lambda t: (t[1], t[2])))
+
+
+def sentence_entities(doc: Document, k: int) -> frozenset[str]:
+    """Ids of entities with at least one mention in sentence k."""
+    if not 0 <= k < len(doc.sentences):
+        raise IndexError(f"sentence index {k} out of range for document {doc.id!r}")
+    return frozenset(e.id for e in doc.entities if any(m.sent == k for m in e.mentions))
+
+
+def donor_sentences(doc: Document) -> list[int]:
+    """Indices of the sentences usable as donors: those naming >=2 distinct entities.
+
+    Counted straight from the mentions: entity ids are unique within a
+    document.
+    """
+    named = [0] * len(doc.sentences)
+    for entity in doc.entities:
+        for k in {m.sent for m in entity.mentions}:
+            named[k] += 1
+    return [k for k, n in enumerate(named) if n >= 2]
+
+
+def collect_answer_candidates(doc: Document, pair: tuple[str, str]) -> frozenset[int]:
+    """Sentences mentioning both entities of the pair."""
+    mentioned = {e.id: {m.sent for m in e.mentions} for e in doc.entities if e.id in pair}
+    for eid in pair:
+        if eid not in mentioned:
+            raise KeyError(f"entity {eid!r} not in document {doc.id!r}")
+    a, b = pair
+    return frozenset(mentioned[a] & mentioned[b])

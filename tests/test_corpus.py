@@ -14,10 +14,10 @@ from pathcl.corpus import (
     Entity,
     Mention,
     RelationTriple,
+    SentenceTable,
     document_to_record,
     parse_corpus,
     parse_record,
-    sentence_entities,
     validate_document,
     write_corpus,
 )
@@ -171,12 +171,13 @@ def test_validate_self_relation():
 
 
 def test_sentence_entities():
-    doc = film_cast_document()
-    assert sentence_entities(doc, 1) == {"e1", "e3"}
-    assert sentence_entities(doc, 4) == frozenset()
-    assert sentence_entities(doc, 3) == {"e1", "e2"}
-    with pytest.raises(IndexError):
-        sentence_entities(doc, 6)
+    table = SentenceTable(film_cast_document())
+    assert table.entities(1) == {"e1", "e3"}
+    assert table.entities(4) == frozenset()
+    assert table.entities(3) == {"e1", "e2"}
+    for k in (6, -1):
+        with pytest.raises(IndexError):
+            table.entities(k)
 
 
 def test_sentence_entities_deduplicates():
@@ -190,7 +191,7 @@ def test_sentence_entities_deduplicates():
         relations=(),
     )
     assert validate_document(doc) == []
-    assert sentence_entities(doc, 0) == {"a", "b"}
+    assert SentenceTable(doc).entities(0) == {"a", "b"}
 
 
 def test_round_trip_identity():
@@ -210,8 +211,9 @@ def test_parsed_documents_validate():
         assert validate_document(doc) == []
         round_tripped = parse_record(document_to_record(doc))
         assert validate_document(round_tripped) == []
+        table = SentenceTable(doc)
         for k in range(len(doc.sentences)):
-            assert sentence_entities(doc, k) <= {e.id for e in doc.entities}
+            assert table.entities(k) <= {e.id for e in doc.entities}
 
 
 def test_resident_records_are_slotted_frozen_and_interned():

@@ -4,13 +4,12 @@ import random
 import pytest
 
 from pathcl.bundle import assemble_bundle
-from pathcl.corpus import Entity
+from pathcl.corpus import Entity, SentenceTable
 from pathcl.counterfactual import apply_counterfactual, build_entity_pool, select_replacements
 from pathcl.graph import build_entity_graph
 from pathcl.metapath import ExtractorConfig, extract_positive_instances
 from pathcl.negatives import (
     DonorSource,
-    SentenceTable,
     make_negative_contexts,
     make_negative_options,
 )

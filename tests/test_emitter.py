@@ -1,12 +1,14 @@
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcl.bundle import assemble_bundle
+from pathcl.corpus import SentenceTable
 from pathcl.counterfactual import apply_counterfactual, select_replacements
 from pathcl.emitter import (
     ContrastiveInstance,
@@ -23,7 +25,6 @@ from pathcl.jsonl import RecordError
 from pathcl.metapath import ExtractorConfig, extract_positive_instances
 from pathcl.negatives import (
     DonorSource,
-    SentenceTable,
     make_negative_contexts,
     make_negative_options,
 )
@@ -85,7 +86,7 @@ def test_round_trip_fuzzed():
     rng = random.Random(31)
     originals = [random_instance(rng, counterfactual=rng.random() < 0.5) for _ in range(100)]
     buf = io.StringIO()
-    emit_instances(map(tagged_line, originals), 1, buf)
+    emit_instances(map(tagged_line, originals), 1, buf, Counter())
     buf.seek(0)
     parsed = list(read_instances(buf))
     assert sorted(map(repr, parsed)) == sorted(map(repr, originals))
@@ -132,8 +133,11 @@ def test_ratio_interleave_counts():
     originals = [random_instance(rng) for _ in range(10)]
     copies = [random_instance(rng, counterfactual=True) for _ in range(20)]
     buf = io.StringIO()
-    n = emit_instances(map(tagged_line, originals + copies), 2, buf)
+    tally = Counter()
+    n = emit_instances(map(tagged_line, originals + copies), 2, buf, tally)
     assert n == 30
+    # Each written line counts once for its orientation, a copy once more.
+    assert tally["option"] + tally["context"] == 30 and tally["counterfactual"] == 20
     buf.seek(0)
     recs = [json.loads(line) for line in buf]
     flags = [r["meta"]["counterfactual"] for r in recs]
@@ -148,17 +152,17 @@ def test_ratio_one_to_zero_drops_counterfactuals():
         random_instance(rng, counterfactual=True) for _ in range(4)
     ]
     buf = io.StringIO()
-    assert emit_instances(map(tagged_line, mixed), 0, buf) == 4
+    assert emit_instances(map(tagged_line, mixed), 0, buf, Counter()) == 4
     buf.seek(0)
     assert all(not json.loads(line)["meta"]["counterfactual"] for line in buf)
 
 
 def test_emit_empty_and_bad_ratio():
     buf = io.StringIO()
-    assert emit_instances([], 2, buf) == 0
+    assert emit_instances([], 2, buf, Counter()) == 0
     assert buf.getvalue() == ""
     with pytest.raises(ValueError):
-        emit_instances([], -1, buf)
+        emit_instances([], -1, buf, Counter())
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
@@ -174,7 +178,7 @@ def test_streaming_interleave_matches_batch_oracle(copies, runs, seed):
         random_instance(rng, counterfactual=flag) for flag, length in runs for _ in range(length)
     ]
     streamed, batched = io.StringIO(), io.StringIO()
-    n = emit_instances(map(tagged_line, instances), copies, streamed)
+    n = emit_instances(map(tagged_line, instances), copies, streamed, Counter())
     assert n == batch_emit_instances(instances, copies, batched)
     assert streamed.getvalue() == batched.getvalue()
 
@@ -191,7 +195,7 @@ def test_emit_writes_full_rounds_before_input_ends():
         assert buf.getvalue().count("\n") == 3  # the full round went out at once
         yield random_instance(rng)
 
-    assert emit_instances(map(tagged_line, arriving()), 2, buf) == 4
+    assert emit_instances(map(tagged_line, arriving()), 2, buf, Counter()) == 4
 
 
 def test_emit_deterministic_bytes():
@@ -200,8 +204,8 @@ def test_emit_deterministic_bytes():
         return [random_instance(rng, counterfactual=rng.random() < 0.4) for _ in range(50)]
 
     buf_a, buf_b = io.StringIO(), io.StringIO()
-    emit_instances(map(tagged_line, build()), 1, buf_a)
-    emit_instances(map(tagged_line, build()), 1, buf_b)
+    emit_instances(map(tagged_line, build()), 1, buf_a, Counter())
+    emit_instances(map(tagged_line, build()), 1, buf_b, Counter())
     assert buf_a.getvalue() == buf_b.getvalue()
 
 
@@ -211,7 +215,7 @@ def test_stats_counts():
     cf_bundle = apply_counterfactual(bundle, rmap)
     cf_instances = bundle_to_instances(cf_bundle, 7)
     buf = io.StringIO()
-    emit_instances(map(tagged_line, instances + cf_instances + cf_instances), 2, buf)
+    emit_instances(map(tagged_line, instances + cf_instances + cf_instances), 2, buf, Counter())
     buf.seek(0)
     got = stats(buf)
     assert got["total"] == 6

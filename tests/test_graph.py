@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from pathcl.corpus import sentence_entities
 from pathcl.graph import build_entity_graph, pair_key, write_edge_list
 
 from corpora import build_document, film_cast_document, random_micro_doc
+from oracles import sentence_entities
 
 
 def triangle_document():

@@ -1,17 +1,16 @@
 import gc
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathcl.corpus import SentenceTable
 from pathcl.graph import build_entity_graph
 from pathcl.metapath import (
     ExtractorConfig,
     MetaPath,
     PathHop,
     PositiveInstance,
-    collect_answer_candidates,
     dfs_metapath,
     extract_positive_instances,
     validate_instance,
@@ -19,15 +18,21 @@ from pathcl.metapath import (
 from pathcl.synth import make_corpus
 
 from corpora import build_document, film_cast_document, random_micro_doc
-from oracles import oracle_document_solvable, oracle_pair_solvable, ordered_pair_positives
+from oracles import (
+    collect_answer_candidates,
+    oracle_document_solvable,
+    oracle_pair_solvable,
+    ordered_pair_positives,
+)
 
 
 def test_answer_candidates_worked_example():
-    doc = film_cast_document()
-    assert collect_answer_candidates(doc, ("e1", "e2")) == {3}
-    assert collect_answer_candidates(doc, ("e2", "e4")) == frozenset()
-    with pytest.raises(KeyError):
-        collect_answer_candidates(doc, ("e1", "missing"))
+    table = SentenceTable(film_cast_document())
+    assert table.shared("e1", "e2") == {3}
+    assert table.shared("e2", "e4") == frozenset()
+    # An entity the document lacks shares no sentence; the positive readers
+    # check a pair against the document's graph before asking.
+    assert table.shared("e1", "missing") == frozenset()
 
 
 def test_answer_candidates_two_sentences():
@@ -40,7 +45,7 @@ def test_answer_candidates_two_sentences():
         ],
         {"a": "A", "b": "B"},
     )
-    assert collect_answer_candidates(doc, ("a", "b")) == {0, 2}
+    assert SentenceTable(doc).shared("a", "b") == SentenceTable(doc).shared("b", "a") == {0, 2}
 
 
 def test_dfs_worked_example():

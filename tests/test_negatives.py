@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from pathcl.corpus import SentenceTable
 from pathcl.graph import build_entity_graph
-from pathcl.metapath import ExtractorConfig, collect_answer_candidates, extract_positive_instances
+from pathcl.metapath import ExtractorConfig, extract_positive_instances
 from pathcl.negatives import (
     DonorSource,
-    SentenceTable,
     build_donor_pool,
     make_negative_contexts,
     make_negative_options,
@@ -17,14 +17,20 @@ from pathcl.spans import AnnotatedSentence, OverlappingSpans
 from pathcl.synth import make_corpus
 
 from corpora import build_document, film_cast_document, random_micro_doc
-from oracles import diff_outside_spans, mentions_in_sentence, surface_occurrences
+from oracles import (
+    collect_answer_candidates,
+    diff_outside_spans,
+    donor_sentences,
+    mentions_in_sentence,
+    sentence_entities,
+    surface_occurrences,
+)
 
 
 def sample_relation_provider(inst, doc, pool, rng):
     """First eligible (donor, pair, is_swap) for the instance, or None."""
-    answers = collect_answer_candidates(doc, inst.pair)
     source = DonorSource(doc, pool)
-    for donor, pair in source.candidates(inst.pair, answers, rng):
+    for donor, pair in source.candidates(inst.pair, source.sentences.shared(*inst.pair), rng):
         return donor, pair, set(pair) == set(inst.pair)
     return None
 
@@ -370,9 +376,16 @@ def test_sentence_table_equals_a_per_sentence_scan():
         for k, (text, scan) in enumerate(zip(doc.sentences, scans)):
             assert table[k] == AnnotatedSentence(doc.id, k, text, scan), (doc.id, k)
             assert table[k] is table[k]  # annotated once
-        # Donors are the sentences naming two entities or more, and a
-        # document's donors, spellings and bundle texts share one table.
+            assert table.entities(k) == sentence_entities(doc, k), (doc.id, k)
+        # Its other questions answer as the scans of every mention do: the
+        # donors are the sentences naming two entities or more.
+        assert table.donors == donor_sentences(doc)
+        assert table.donors == [k for k, scan in enumerate(scans) if len({m[0] for m in scan}) > 1]
+        ids = [e.id for e in doc.entities]
+        for a in ids:
+            for b in ids:
+                assert table.shared(a, b) == collect_answer_candidates(doc, (a, b)), (a, b)
+        # A document's donors, spellings and bundle texts share one table.
         source = DonorSource(doc)
-        assert source.host == [k for k, scan in enumerate(scans) if len({m[0] for m in scan}) > 1]
         for donor, _ in source.candidates(("x", "y"), frozenset(), random.Random(0)):
             assert donor is source.sentences[donor.sentence]

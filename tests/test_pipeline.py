@@ -73,6 +73,9 @@ def test_config_values_typed_when_built_in_python():
          "train.mask_rate: expected finite float, got nan"),
         (lambda: TrainConfig(learning_rate=float("inf")),
          "train.learning_rate: expected finite float, got inf"),
+        (lambda: TrainConfig(learning_rate=-1.0),
+         "train.learning_rate: expected float >= 0.0, got -1.0"),
+        (lambda: TrainConfig(mlm_weight=-5.0), "train.mlm_weight: expected float >= 0.0, got -5.0"),
     ):
         with pytest.raises(ValueError) as exc:
             build()

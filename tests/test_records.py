@@ -208,6 +208,29 @@ def test_eval_bad_params_vocab_exit_1_naming_line(
 
 
 @pytest.mark.parametrize(
+    "block, message",
+    [
+        ("array foo 1 1\n0.5\n", "line 24: unknown array 'foo'"),
+        ("array w2 1 2\n0 0\n", "line 24: array 'w2' given twice"),
+    ],
+    ids=["unknown", "twice"],
+)
+def test_eval_bad_params_array_exit_1_naming_line(
+    film_cast_run, tmp_path, capsys, block, message
+):
+    # A block the scorer has no slot for, or a second copy of one, is a
+    # hand edit gone wrong: neither is dropped nor lets its last copy win.
+    params = tmp_path / "scorer.txt"
+    save_params(init_params(build_vocab(["alpha beta gamma"]), 2, 2, seed=0), params)
+    text = params.read_text(encoding="utf-8")
+    assert text.count("\n") == 23
+    params.write_text(text + block, encoding="utf-8")
+    instances = str(film_cast_run / "instances.jsonl")
+    assert main(["eval", "--params", str(params), "--input", instances]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "edit, message",
     [
         ({"query": "   "}, "query: expected at least one token, got '   '"),
