@@ -114,11 +114,15 @@ class SystemExit2(Exception):
     """Usage-level error raised after argparse has run."""
 
 
+def _warn_skipped(errors: list[RecordError]) -> None:
+    for err in errors:
+        print(f"warning: skipped {err}", file=sys.stderr)
+
+
 def _load_documents_lenient(path: str):
     errors: list[RecordError] = []
     docs = pl.load_documents(path, errors)
-    for err in errors:
-        print(f"warning: skipped {err}", file=sys.stderr)
+    _warn_skipped(errors)
     return docs
 
 
@@ -264,7 +268,11 @@ def cmd_run(args) -> int:
     )
     if not Path(cfg.input).exists():
         raise FileNotFoundError(f"input corpus not found: {cfg.input}")
-    manifest = pl.run_pipeline(cfg)
+    skipped: list[RecordError] = []
+    try:
+        manifest = pl.run_pipeline(cfg, skipped)
+    finally:  # the corpus is parsed before the run can fail on a document
+        _warn_skipped(skipped)
     print(json.dumps(manifest["stages"]))
     print(f"manifest -> {Path(cfg.output_dir) / pl.OUTPUT_FILES['manifest']}")
     return EXIT_OK

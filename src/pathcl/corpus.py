@@ -82,9 +82,9 @@ class SentenceTable:
     spans sorted by (start, end), annotated the first time it is asked for;
     `entities(k)`, `donors` and `shared(a, b)` say which sentences name
     which entities. A table is made per use and is never kept on the
-    document: a document chain's table lives as long as its
-    `negatives.DonorSource`, and the donor pool keeps only the sentences it
-    picked. It refers to nothing that refers back to it.
+    document: a document chain's one table serves its graph, then lives as
+    long as its `negatives.DonorSource`, and the donor pool keeps only the
+    sentences it picked. It refers to nothing that refers back to it.
     """
 
     __slots__ = ("_doc", "_spans", "_named", "_built")
@@ -281,17 +281,27 @@ def parse_corpus(
     A document whose id an earlier document of the stream already has is
     a bad record: later stages find a document by its id.
     """
-    first_line: dict[str, int] = {}
+    first_lines: dict[str, int] = {}
 
     def parse(obj, line: int) -> Document:
         doc = parse_record(obj, line)
-        first = first_line.setdefault(doc.id, line)
-        if first != line:
-            message = f"id: duplicate document id {doc.id!r}, first on line {first}"
-            raise RecordError(line, message, "id")
+        claim_id(first_lines, doc.id, line)
         return doc
 
     yield from read_records(lines, parse, errors)
+
+
+def claim_id(first_lines: dict[str, int], doc_id: str, line: int) -> None:
+    """Record that the document on `line` has `doc_id`, unless an earlier line's has.
+
+    `first_lines` maps each id claimed so far to its line; lines are
+    claimed in input order. A repeated id raises the RecordError of the
+    later line, naming the first.
+    """
+    first = first_lines.setdefault(doc_id, line)
+    if first != line:
+        message = f"id: duplicate document id {doc_id!r}, first on line {first}"
+        raise RecordError(line, message, "id")
 
 
 def document_to_record(doc: Document) -> dict:

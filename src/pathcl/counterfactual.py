@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bundle import InstanceBundle
 from .corpus import Document, Entity
@@ -34,13 +34,19 @@ Replacements = dict[str, tuple[str, str]]
 def build_entity_pool(docs: Sequence[Document]) -> list[Entity]:
     """Each entity id of the corpus once, in document order: the documents' own objects."""
     seen: set[str] = set()
-    pool: list[Entity] = []
-    for doc in docs:
-        for entity in doc.entities:
-            if entity.id not in seen:
-                seen.add(entity.id)
-                pool.append(entity)
-    return pool
+    return [entity for doc in docs for entity in first_seen(doc.entities, seen)]
+
+
+def first_seen(entities: Iterable[Entity], seen: set[str]) -> Iterator[Entity]:
+    """Each of `entities` whose id is not in `seen`, which then gains it.
+
+    Fed every entity in corpus order with one `seen`, it yields the alien
+    pool: each id once, as its first entity.
+    """
+    for entity in entities:
+        if entity.id not in seen:
+            seen.add(entity.id)
+            yield entity
 
 
 def select_replacements(

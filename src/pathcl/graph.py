@@ -43,12 +43,14 @@ class EntityGraph:
         return {n: tuple(sorted(vs)) for n, vs in adj.items()}
 
 
-def build_entity_graph(doc: Document) -> EntityGraph:
+def build_entity_graph(doc: Document, table: SentenceTable | None = None) -> EntityGraph:
     """Construct the entity graph of a validated document.
 
+    `table` is the document's sentence table, built here if not given.
     Deterministic: equal documents produce equal graphs.
     """
-    table = SentenceTable(doc)
+    if table is None:
+        table = SentenceTable(doc)
     sentences: dict[tuple[str, str], set[int]] = {}
     for k in table.donors:  # only a sentence naming two entities or more holds a pair
         ids = sorted(table.entities(k))

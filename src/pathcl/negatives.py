@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 from typing import Iterable, Iterator, Sequence
 
@@ -59,21 +58,41 @@ def build_donor_pool(
     """Cross-document donor pool: every document's donor sentences.
 
     When more are eligible than pool_size, a seeded sample of their indices
-    in corpus order is taken; corpus order is preserved so pool content is
-    independent of scheduling. Each document's donors are read off a
-    `SentenceTable` that is dropped at once, so no two tables are alive
-    together; a document with a sampled donor gets a second table, and only
-    its sampled sentences are annotated.
+    in corpus order is taken (`draw_donors`); corpus order is preserved so
+    pool content is independent of scheduling. Each document's donors are
+    counted off a `SentenceTable` that is dropped at once, so no two tables
+    are alive together; a document with a sampled donor gets a second
+    table, and only its sampled sentences are annotated.
     """
-    donors = [SentenceTable(doc).donors for doc in docs]
-    ends = list(accumulate(map(len, donors)))  # one past each document's last index
+    counts = [len(SentenceTable(doc).donors) for doc in docs]
+    return [
+        donor
+        for d, picks in draw_donors(counts, pool_size, rng)
+        for donor in picked_donors(docs[d], picks)
+    ]
+
+
+def draw_donors(
+    counts: Sequence[int], pool_size: int, rng: random.Random
+) -> Iterator[tuple[int, list[int]]]:
+    """The donor pool's draw, given each document's donor count in corpus order.
+
+    Yields (document position, positions of its picked donors in its
+    `SentenceTable.donors`) for each document with a pick, in corpus order.
+    """
+    ends = list(accumulate(counts))  # one past each document's last index
     total = ends[-1] if ends else 0
     picked = sorted(rng.sample(range(total), pool_size)) if total > pool_size else range(total)
-    pool: list[AnnotatedSentence] = []
     for d, indices in groupby(picked, key=lambda i: bisect_right(ends, i)):
-        table, first = SentenceTable(docs[d]), ends[d] - len(donors[d])
-        pool.extend(table[donors[d][i - first]] for i in indices)
-    return pool
+        first = ends[d] - counts[d]
+        yield d, [i - first for i in indices]
+
+
+def picked_donors(doc: Document, picks: Iterable[int]) -> list[AnnotatedSentence]:
+    """The donors of `doc` at positions `picks` of its `SentenceTable.donors`, annotated."""
+    table = SentenceTable(doc)
+    donors = table.donors
+    return [table[donors[i]] for i in picks]
 
 
 def relation_replace(
@@ -131,15 +150,18 @@ class DonorSource:
     2. The cross-document `pool`, foreign documents only.
     3. The donors of 1 and 2 that mention both targets, with the two target
        mentions exchanged.
+
+    `sentences` is the document's sentence table, shared by its donors,
+    answers, spellings and bundles; built here if not given.
     """
 
     doc: Document
     pool: Sequence[AnnotatedSentence] = ()
+    sentences: SentenceTable | None = field(default=None, compare=False, repr=False)
 
-    @cached_property
-    def sentences(self) -> SentenceTable:
-        """The document's sentence table, shared by its donors, answers, spellings and bundles."""
-        return SentenceTable(self.doc)
+    def __post_init__(self):
+        if self.sentences is None:
+            object.__setattr__(self, "sentences", SentenceTable(self.doc))
 
     def candidates(
         self, target_pair: tuple[str, str], excluded: frozenset[int], rng: random.Random

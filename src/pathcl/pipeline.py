@@ -9,24 +9,34 @@ time, `stage_negatives` and `stage_counterfactual` return an iterator of
 bundles together with a counters dict that is final once the iterator is
 drained, and `stage_emit` consumes bundles one at a time.
 
-`run_pipeline` parses the corpus and builds the two sampling pools (donor
-sentences and alien entities) once. Everything after that depends only on
-one document, the seed and the pools, so each document's whole chain
-(graph, extraction, negatives, counterfactual copies, instances) is one
-task that returns the document's output lines and counts; the standalone
-stages share its per-document and per-bundle loop bodies. With
-`PipelineConfig.jobs` above 1 the tasks run in forked worker processes,
-which inherit the documents and pools; only a document's index goes to a
-worker and only strings and counts come back. The parent writes the lines
-in input order, one document at a time. Every output file is written under
-a temporary name and moved into place only when its stage succeeds.
-Nothing is cached on a document, so the parsed corpus and the two pools
-are all that stays resident for the whole run. A document's sentence
-table (`corpus.SentenceTable`: its mentions grouped by sentence, each
-sentence annotated at most once) answers which sentence names which
-entity. The chain's graph build makes one and drops it; its
-`_negative_worker` call makes another, held by that call's `DonorSource`
-and freed when the call's bundles are drained.
+`run_pipeline` cuts the corpus into chunks of `CHUNK_DOCS` lines and runs
+it in stripes: with W stripes, stripe w holds the chunks c with c % W ==
+w. With W above 1, each stripe runs in a worker process forked before
+anything is parsed; with one, it runs in the calling process and its
+objects pass by reference. Either way the run takes three rounds:
+
+1. Each stripe parses its own lines and returns its skipped lines and, per
+   document, its line, id and donor count. The parent merges them in line
+   order: a repeated id is a skipped line (`corpus.claim_id`), and the
+   donor pool's draw is made over all the counts (`negatives.draw_donors`).
+2. Each stripe annotates the donors picked from its documents and lists
+   its entities. Every stripe receives every stripe's share and merges
+   them into the same two sampling pools: the donors in draw order, the
+   aliens by the first-id rule (`counterfactual.first_seen`).
+3. Each stripe runs each document's whole chain (graph, extraction,
+   negatives, counterfactual copies, instances) and returns its output one
+   chunk at a time; the parent writes the chunks in line order.
+
+So no parsed document crosses a process boundary and the parent of forked
+workers holds none; the standalone stages share the chain's per-document
+and per-bundle loop bodies and the three merge rules. Every output file is
+written under a temporary name and moved into place only when its stage
+succeeds. Nothing is cached on a document. A document's sentence table
+(`corpus.SentenceTable`: its mentions grouped by sentence, each sentence
+annotated at most once) answers which sentence names which entity; its
+chain builds one, used by the graph build and then held by its
+`_negative_worker` call's `DonorSource`, and freed when the call's
+bundles are drained.
 
 `run_pipeline` and the CLI commands that parse a whole corpus run inside
 `collector_paused`: the per-document work creates no reference cycle, so
@@ -37,14 +47,17 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import heapq
 import io
 import json
 import os
+import pickle
+from collections import deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -55,8 +68,13 @@ from .bundle import (
     bundle_to_record,
     read_bundles,
 )
-from .corpus import Document, Entity, parse_corpus
-from .counterfactual import apply_counterfactual, build_entity_pool, select_replacements
+from .corpus import Document, Entity, SentenceTable, claim_id, parse_corpus, parse_record
+from .counterfactual import (
+    apply_counterfactual,
+    build_entity_pool,
+    first_seen,
+    select_replacements,
+)
 from .emitter import TaggedLine, bundle_to_instances, emit_instances, tagged_line
 from .graph import EntityGraph, build_entity_graph, write_edge_list
 from .jsonl import (
@@ -82,8 +100,10 @@ from .metapath import (
 from .negatives import (
     DonorSource,
     build_donor_pool,
+    draw_donors,
     make_negative_contexts,
     make_negative_options,
+    picked_donors,
 )
 from .seeding import derive_rng
 from .spans import AnnotatedSentence
@@ -312,13 +332,15 @@ def _negative_worker(
     cfg: NegativesConfig,
     seed: int,
     counts: dict[str, int],
+    table: SentenceTable | None = None,
 ) -> Iterator[InstanceBundle]:
     """Lazily, the bundle of every positive of `doc` that found a donor.
 
     Counts into `counts`, final once the iterator is drained. The
-    document's sentence table lives in `source`, so it is freed with it.
+    document's sentence table (`table`, or one built here) lives in
+    `source`, so it is freed with it.
     """
-    source = DonorSource(doc, pool)
+    source = DonorSource(doc, pool, table)
     k = cfg.num_negatives
     for inst in instances:
         rng = derive_rng(seed, "negatives", inst.doc_id, *inst.pair, inst.answer)
@@ -441,25 +463,26 @@ Piece = tuple[str, object]
 class _DocumentChain:
     """Graph, extraction, negatives, copies and instances of one document at a time.
 
-    Both sampling pools are built here, once per run and before any worker
-    forks, so forked workers inherit them with the documents. A call reads
-    its document and caches nothing on it: what the chain builds for the
-    document is freed when its lines are written.
+    Each stripe builds one over the run's two sampling pools, once they are
+    merged (round 2), and calls it on its documents in line order. A call
+    reads its document and caches nothing on it: the document's one
+    sentence table serves its graph and its negatives, and what the chain
+    builds for the document is freed when its lines are written.
     """
 
-    def __init__(self, docs: Sequence[Document], cfg: PipelineConfig):
-        self.docs = docs
+    def __init__(
+        self, cfg: PipelineConfig, donors: Sequence[AnnotatedSentence], aliens: Sequence[Entity]
+    ):
         self.cfg = cfg
-        self.donors = build_donor_pool(
-            docs, cfg.negatives.pool_size, derive_rng(cfg.seed, "donor-pool")
-        )
-        self.aliens = build_entity_pool(docs) if cfg.counterfactual.copies else []
+        self.donors = donors
+        self.aliens = aliens
 
-    def __call__(self, index: int) -> Iterator[Piece]:
+    def __call__(self, doc: Document) -> Iterator[Piece]:
         """Lazily, the document's output pieces, one bundle's at a time."""
-        doc, cfg, seed = self.docs[index], self.cfg, self.cfg.seed
+        cfg, seed = self.cfg, self.cfg.seed
         counts = {stage: _zeroed(stage) for stage in STAGE_COUNTS}
-        graph = build_entity_graph(doc)
+        table = SentenceTable(doc)
+        graph = build_entity_graph(doc, table)
         rows = _graph_rows(doc, graph)
         positives = _extract_worker(doc, cfg.extractor, graph)
         counts["graph"]["edges"] = len(rows)
@@ -467,7 +490,7 @@ class _DocumentChain:
         yield "graph", "".join(rows)
         yield "positives", "".join(record_line(positive_to_record(p)) for p in positives)
         for original in _negative_worker(
-            doc, positives, self.donors, cfg.negatives, seed, counts["negatives"]
+            doc, positives, self.donors, cfg.negatives, seed, counts["negatives"], table
         ):
             line = record_line(bundle_to_record(original))
             yield "bundles", line
@@ -503,56 +526,291 @@ def worker_count(jobs: int, n_docs: int) -> int:
     return min(wanted, cpus)
 
 
-# Documents per message to and from a worker. A `first` document's chain
-# takes about a millisecond: smaller chunks cost the parent more CPU in
-# messages, larger ones lengthen the uneven tail of a run.
+# Corpus lines per chunk, the unit of a stripe and of a message from a
+# worker. A `first` document's chain takes about a millisecond: smaller
+# chunks cost the parent more CPU in messages, larger ones lengthen the
+# uneven tail of a run.
 CHUNK_DOCS = 16
 
-# Set in each forked worker by `_install_chain`, never in the parent.
-_worker_chain: _DocumentChain | None = None
+# Chunks the parent holds from one worker before they are due, which bounds
+# its memory; a worker further ahead waits on its full pipe.
+AHEAD_CHUNKS = 2
 
 
-def _install_chain(chain: _DocumentChain) -> None:
-    global _worker_chain
-    _worker_chain = chain
+def _chunk(line: int) -> int:
+    return (line - 1) // CHUNK_DOCS
 
 
-def _run_chain(index: int) -> list[Piece]:
-    return list(_worker_chain(index))
+def _parsed(obj, line: int) -> tuple[int, Document]:
+    return line, parse_record(obj, line)
+
+
+# A stripe's answer to round 1: its skipped lines, and each parsed
+# document's (line, id, donor count) in line order.
+Summary = tuple[list[RecordError], list[tuple[int, str, int]]]
+# A stripe's answer to round 2, in line order: (line, picked donors) of each
+# document with a pick, and (line, entities) of each document.
+Pools = tuple[list[tuple[int, list[AnnotatedSentence]]], list[tuple[int, Sequence[Entity]]]]
+# The parent's round-2 request to a stripe: the lines to drop, and the
+# positions of the donors picked from each document, by line.
+Request = tuple[set[int], dict[int, list[int]]]
+
+
+class _Stripe:
+    """One worker's documents: those on the lines of chunks c with c % workers == index.
+
+    Its three methods are the worker's side of the run's three rounds, in
+    order. It keeps its documents until their chains have run.
+    """
+
+    def __init__(self, cfg: PipelineConfig, index: int, workers: int):
+        self.cfg = cfg
+        self.index = index
+        self.workers = workers
+        self.docs: list[tuple[int, Document]] = []  # (line, document), in line order
+
+    def summary(self) -> Summary:
+        """Parse the stripe's lines with `corpus.parse_record`."""
+        errors: list[RecordError] = []
+        with open(self.cfg.input, "r", encoding="utf-8") as fp:
+            # A line of another stripe reads as blank: skipped, but still numbered.
+            mine = (
+                raw if _chunk(line) % self.workers == self.index else ""
+                for line, raw in enumerate(fp, start=1)
+            )
+            self.docs = list(read_records(mine, _parsed, errors))
+        return errors, [
+            (line, doc.id, len(SentenceTable(doc).donors)) for line, doc in self.docs
+        ]
+
+    def pools(self, dropped: set[int], picks: dict[int, list[int]]) -> Pools:
+        """Drop the documents on `dropped` lines; return the others' shares of the pools.
+
+        `picks` maps a line to the positions of its picked donors, as
+        `negatives.draw_donors` gives them.
+        """
+        self.docs = [(line, doc) for line, doc in self.docs if line not in dropped]
+        donors = [(line, picked_donors(doc, picks[line])) for line, doc in self.docs if line in picks]
+        entities = []
+        if self.cfg.counterfactual.copies:  # else the run draws no aliens
+            entities = [(line, doc.entities) for line, doc in self.docs]
+        return donors, entities
+
+    def chains(
+        self, donors: Sequence[AnnotatedSentence], aliens: Sequence[Entity]
+    ) -> Iterator[Iterator[Piece]]:
+        """Lazily, each chunk's output pieces, in line order; each document is let go once run."""
+        chain = _DocumentChain(self.cfg, donors, aliens)
+        docs, self.docs = self.docs[::-1], []
+
+        def taken() -> Iterator[tuple[int, Document]]:
+            while docs:
+                yield docs.pop()
+
+        for _, run in groupby(taken(), key=lambda item: _chunk(item[0])):
+            yield (piece for _, doc in run for piece in chain(doc))
+
+
+def _merged_summaries(
+    cfg: PipelineConfig, summaries: list[Summary]
+) -> tuple[list[RecordError], list[int], list[Request]]:
+    """Round 1 in this process: the stripes' summaries merged in line order.
+
+    Returns the skipped lines' errors in line order, the lines of the kept
+    documents, and each stripe's round-2 request: its lines to drop, whose
+    ids an earlier line has (`corpus.claim_id`), and the donors picked from
+    its documents (`negatives.draw_donors`).
+    """
+    workers = len(summaries)
+    errors = [err for skipped, _ in summaries for err in skipped]
+    requests: list[Request] = [(set(), {}) for _ in summaries]
+    first_lines: dict[str, int] = {}
+    kept: list[tuple[int, int]] = []  # (line, donor count)
+    for line, doc_id, donors in heapq.merge(*(docs for _, docs in summaries)):
+        try:
+            claim_id(first_lines, doc_id, line)
+        except RecordError as err:
+            errors.append(err)
+            requests[_chunk(line) % workers][0].add(line)
+        else:
+            kept.append((line, donors))
+    errors.sort(key=attrgetter("line"))
+    rng = derive_rng(cfg.seed, "donor-pool")
+    for d, picks in draw_donors([n for _, n in kept], cfg.negatives.pool_size, rng):
+        line = kept[d][0]
+        requests[_chunk(line) % workers][1][line] = picks
+    return errors, [line for line, _ in kept], requests
+
+
+def _merged_pools(parts: list[Pools]) -> tuple[list[AnnotatedSentence], list[Entity]]:
+    """Round 2 in each stripe: the donor and alien pools, from every stripe's share.
+
+    Both are merged in line order: the donors as `negatives.draw_donors`
+    ordered them, the aliens by the first-id rule of `build_entity_pool`.
+    """
+    by_line = itemgetter(0)
+    donors = [
+        donor
+        for _, picked in heapq.merge(*(share for share, _ in parts), key=by_line)
+        for donor in picked
+    ]
+    seen: set[str] = set()
+    aliens = [
+        entity
+        for _, entities in heapq.merge(*(share for _, share in parts), key=by_line)
+        for entity in first_seen(entities, seen)
+    ]
+    return donors, aliens
+
+
+def _encoded(pools: Pools) -> bytes:
+    """A stripe's share of the pools as sent to every stripe.
+
+    An entity is sent as its id and surface, and only where it is first
+    seen in the stripe: the alien pool keeps each id's first entity.
+    """
+    donors, entities = pools
+    seen: set[str] = set()
+    packed = []
+    for line, ours in entities:
+        new = list(first_seen(ours, seen))
+        packed.append((line, [e.id for e in new], [e.surface for e in new]))
+    return pickle.dumps((donors, packed), pickle.HIGHEST_PROTOCOL)
+
+
+def _decoded(blob: bytes) -> Pools:
+    donors, packed = pickle.loads(blob)
+    return donors, [
+        (line, [Entity(eid, surface, ()) for eid, surface in zip(ids, surfaces)])
+        for line, ids, surfaces in packed
+    ]
+
+
+def _serve(conn, inherited, cfg: PipelineConfig, index: int, workers: int) -> None:
+    """A forked worker: run stripe `index`'s three rounds over `conn`.
+
+    An exception is sent in place of the next message, and ends the worker.
+    """
+    for other in inherited:  # the parent's ends of earlier workers' pipes
+        other.close()
+    try:
+        stripe = _Stripe(cfg, index, workers)
+        conn.send(stripe.summary())
+        ours = stripe.pools(*conn.recv())
+        conn.send(_encoded(ours))
+        shares = conn.recv()
+        pools = _merged_pools(
+            [ours if w == index else _decoded(blob) for w, blob in enumerate(shares)]
+        )
+        del ours, shares  # the pools hold what the chains need of them
+        for pieces in stripe.chains(*pools):
+            conn.send(list(pieces))
+    except BaseException as exc:
+        try:
+            conn.send(exc)
+        except Exception:  # an exception that does not pickle
+            conn.send(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    finally:
+        conn.close()
+
+
+def _received(conn):
+    """The next message of a worker; an exception it sent is raised here."""
+    try:
+        message = conn.recv()
+    except EOFError:
+        raise RuntimeError("a pipeline worker exited without finishing") from None
+    if isinstance(message, BaseException):
+        raise message
+    return message
+
+
+def _chunks_in_order(conns: list, order: list[int]) -> Iterator[list[Piece]]:
+    """The chunks of `order` from the workers that run them, in that order.
+
+    A worker's messages are read as they arrive, so that one worker does
+    not wait on the parent while it waits on the other; but never more than
+    AHEAD_CHUNKS of one worker's are held before they are due.
+    """
+    from multiprocessing.connection import wait
+
+    workers = len(conns)
+    held: list[deque[list[Piece]]] = [deque() for _ in conns]
+    due = [0] * workers  # chunks each worker has still to send
+    for c in order:
+        due[c % workers] += 1
+    for c in order:
+        w = c % workers
+        while not held[w]:
+            readable = [
+                conn
+                for v, conn in enumerate(conns)
+                if due[v] and (v == w or len(held[v]) < AHEAD_CHUNKS)
+            ]
+            for conn in wait(readable):
+                v = conns.index(conn)
+                held[v].append(_received(conn))
+                due[v] -= 1
+        yield held[w].popleft()
 
 
 @contextmanager
-def _document_outputs(chain: _DocumentChain, jobs: int) -> Iterator[Iterator[Iterable[Piece]]]:
-    """Each document's output, lazily and in input order.
+def _stripes(
+    cfg: PipelineConfig, workers: int
+) -> Iterator[tuple[list[RecordError], int, Iterator[Iterable[Piece]]]]:
+    """Run the corpus in `workers` stripes: (skipped lines, documents, chunk outputs).
 
-    With one worker the chain runs here, one document at a time. Otherwise
-    it runs in forked worker processes, which inherit `chain` (documents
-    and pools) instead of receiving it pickled; all of them are forked
-    before the executor starts its own thread. `multiprocessing.Pool.imap`
-    would do the same, but its worker-handler thread also waits on the
-    result pipe and spins while results wait there: on 2,000 `first`
-    documents that cost the parent about 0.2 s of CPU, as much again as
-    all its other work after set-up. On an error, unstarted chunks are
-    cancelled and the workers are joined before it propagates.
+    The chunk outputs come lazily and in line order. One stripe runs here,
+    its objects passed by reference. More run in worker processes forked
+    before anything is parsed; this process then holds no document, only
+    the stripes' summaries, their shares of the pools as bytes, and up to
+    AHEAD_CHUNKS chunks of output per worker. On an error the workers are
+    stopped and joined before it propagates.
     """
-    n_docs = len(chain.docs)
-    workers = worker_count(jobs, n_docs)
     if workers == 1:
-        yield map(chain, range(n_docs))
+        stripe = _Stripe(cfg, 0, 1)
+        errors, kept, (request,) = _merged_summaries(cfg, [stripe.summary()])
+        pools = _merged_pools([stripe.pools(*request)])
+        yield errors, len(kept), stripe.chains(*pools)
         return
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    executor = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_install_chain,
-        initargs=(chain,),
-    )
+    context = multiprocessing.get_context("fork")
+    conns: list = []
+    procs: list = []
     try:
-        yield executor.map(_run_chain, range(n_docs), chunksize=CHUNK_DOCS)
+        for index in range(workers):
+            conn, child = context.Pipe()
+            args = (child, list(conns), cfg, index, workers)
+            proc = context.Process(target=_serve, args=args, daemon=True)
+            proc.start()
+            child.close()
+            conns.append(conn)
+            procs.append(proc)
+        errors, kept, requests = _merged_summaries(cfg, [_received(conn) for conn in conns])
+        for conn, request in zip(conns, requests):
+            conn.send(request)
+        shares = [_received(conn) for conn in conns]
+        for conn in conns:
+            conn.send(shares)
+        del shares
+        order = sorted({_chunk(line) for line in kept})
+        yield errors, len(kept), _chunks_in_order(conns, order)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
     finally:
-        executor.shutdown(cancel_futures=True)
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def _records(path) -> int:
+    """The corpus's non-blank lines: the most documents it can hold."""
+    with open(path, "r", encoding="utf-8") as fp:
+        return sum(1 for raw in fp if raw.strip())
 
 
 OUTPUT_FILES = {
@@ -566,18 +824,20 @@ OUTPUT_FILES = {
 
 
 @collector_paused()
-def run_pipeline(cfg: PipelineConfig) -> dict:
+def run_pipeline(cfg: PipelineConfig, skipped: list[RecordError] | None = None) -> dict:
     """Ingest, graph, extract, negatives, counterfactual, emit; write manifest.
 
     Each intermediate file matches what the corresponding standalone
-    subcommand would produce with the same configuration. After parsing
-    and building the two sampling pools, each document's whole chain runs
-    as one task, in `worker_count(cfg.jobs, documents)` processes; its
-    graph is built once, for both the export and the extraction, and an
-    original bundle is serialized once for both bundle files. This process
-    writes the pieces to the five files in input order and interleaves
-    the instance lines 1:copies; with one worker it holds one bundle's
-    output at a time. The outputs do not depend on `cfg.jobs`.
+    subcommand would produce with the same configuration. The corpus runs
+    in `worker_count(cfg.jobs, non-blank lines)` stripes (`_stripes`),
+    which parse their own lines; each document's whole chain runs in its
+    stripe, its graph built once for both the export and the extraction,
+    and an original bundle serialized once for both bundle files. This
+    process writes the pieces to the five files in input order and
+    interleaves the instance lines 1:copies; with one stripe it holds one
+    bundle's output at a time. The outputs do not depend on `cfg.jobs`.
+    The error of each skipped corpus line is appended to `skipped`, in
+    line order, once the corpus is parsed.
 
     The run holds the cyclic garbage collector paused (`collector_paused`),
     and forked workers inherit the pause. This relies on an invariant: a
@@ -590,10 +850,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {name: out_dir / fname for name, fname in OUTPUT_FILES.items()}
-
-    parse_errors: list[RecordError] = []
-    docs = load_documents(cfg.input, parse_errors)
-    chain = _DocumentChain(docs, cfg)
+    workers = worker_count(cfg.jobs, _records(cfg.input)) if cfg.jobs > 1 else 1
     stages = {stage: _zeroed(stage) for stage in STAGE_COUNTS}
 
     with ExitStack() as stack:
@@ -601,10 +858,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             name: stack.enter_context(open_output(paths[name]))
             for name in ("graph", "positives", "bundles", "bundles_counterfactual", "instances")
         }
-        outputs = stack.enter_context(_document_outputs(chain, cfg.jobs))
+        parse_errors, n_docs, chunks = stack.enter_context(_stripes(cfg, workers))
+        if skipped is not None:
+            skipped.extend(parse_errors)
 
         def instance_lines() -> Iterator[TaggedLine]:
-            for pieces in outputs:
+            for pieces in chunks:
                 for name, piece in pieces:
                     if name == "instances":
                         yield piece
@@ -623,7 +882,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     manifest = {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
-        "stages": {"parse": {"documents": len(docs), "errors": len(parse_errors)}, **stages},
+        "stages": {"parse": {"documents": n_docs, "errors": len(parse_errors)}, **stages},
         # File names are relative to the manifest's directory, keeping the
         # manifest byte-identical across runs into different locations.
         "outputs": {name: fname for name, fname in OUTPUT_FILES.items() if name != "manifest"},

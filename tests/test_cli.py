@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from pathcl import corpus as corpus_module
 from pathcl import pipeline as pl
 from pathcl.cli import build_parser, main
 from pathcl.corpus import document_to_record, write_corpus
@@ -400,13 +401,16 @@ def test_corpus_commands_parse_with_collector_paused(tmp_path, monkeypatch):
     with open(corpus, "w", encoding="utf-8") as fp:
         write_corpus(make_corpus(6, seed=4), fp)
     seen = []
-    real = pl.load_documents
+    real = corpus_module.parse_record
 
-    def load(*args):
+    def parse(*args):
         seen.append(gc.isenabled())
         return real(*args)
 
-    monkeypatch.setattr(pl, "load_documents", load)
+    # `load_documents` parses each record through the corpus module, and
+    # `run`'s stripes through the name the pipeline imported.
+    monkeypatch.setattr(corpus_module, "parse_record", parse)
+    monkeypatch.setattr(pl, "parse_record", parse)
     c, out = str(corpus), tmp_path
     commands = [
         (["validate", "--input", c], 0),
@@ -422,9 +426,29 @@ def test_corpus_commands_parse_with_collector_paused(tmp_path, monkeypatch):
     ]
     assert gc.isenabled()
     for argv, code in commands:
+        parsed = len(seen)
         assert main(argv) == code, argv
         assert gc.isenabled(), argv
-    assert seen == [False] * len(commands)
+        assert seen[parsed:] == [False] * 6, argv
+    assert len(seen) == 6 * len(commands)
+
+
+def test_run_names_the_lines_it_skips(tmp_path, capsys):
+    records = [document_to_record(doc) for doc in make_corpus(6, seed=4)]
+    records[3]["sentences"] = 7
+    records[4]["id"] = records[0]["id"]
+    corpus = tmp_path / "corpus.jsonl"
+    write_lines(corpus, [json.dumps(record) for record in records])
+    warnings = (
+        "warning: skipped line 4: sentences: expected array, got int\n"
+        f"warning: skipped line 5: id: duplicate document id {records[0]['id']!r}, first on line 1\n"
+    )
+    assert main(["build-graph", "--input", str(corpus), "--output", str(tmp_path / "g.tsv")]) == 0
+    assert capsys.readouterr().err == warnings
+    assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path / "r"), "--seed", "1"]) == 0
+    assert capsys.readouterr().err == warnings
+    manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+    assert manifest["stages"]["parse"] == {"documents": 4, "errors": 2}
 
 
 def test_emit_counts_the_instances_it_writes(tmp_path, capsys):

@@ -8,6 +8,10 @@ build negatives, bundles and runs from them.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -73,3 +77,18 @@ def test_modules_import_no_cycle():
 def test_lower_layers_import_nothing_above(low):
     above = reachable(import_graph(), low) & {"negatives", "bundle", "pipeline"}
     assert not above, f"{low} imports {sorted(above)}, directly or not"
+
+
+def test_cli_import_loads_no_process_machinery():
+    # `run` forks its workers only when it has more than one to fork, so
+    # importing the CLI (every command's start-up) loads neither module.
+    probe = (
+        "import json, sys, pathcl.cli; "
+        "print(json.dumps([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []

@@ -11,8 +11,8 @@ import tracemalloc
 import pytest
 
 from pathcl import pipeline as pl
-from pathcl.bundle import bundle_from_record, bundle_to_record
-from pathcl.corpus import write_corpus
+from pathcl.bundle import bundle_from_record, bundle_to_record, write_bundles
+from pathcl.corpus import document_to_record, write_corpus
 from pathcl.emitter import read_instances
 from pathcl.graph import build_entity_graph, write_edge_list
 from pathcl.jsonl import RecordError, record_line
@@ -550,18 +550,20 @@ def test_run_leaves_no_per_document_cycles(tmp_path):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_caches_no_index_on_the_parsed_documents(tmp_path, monkeypatch, jobs):
-    # The parsed documents stay resident for the whole run and for each
-    # standalone stage, so none may hold anything beyond its records: a
-    # document without a `__dict__` has nowhere to cache an index.
-    kept = []
-    real = pl.load_documents
+    # A stripe keeps its documents until their chains have run, and each
+    # standalone stage keeps the corpus, so none may hold anything beyond
+    # its records: a document without a `__dict__` has nowhere to cache an
+    # index. Each chain logs its document once it has run, from whichever
+    # process runs it.
+    log = tmp_path / "chained.tsv"
+    real = pl._DocumentChain.__call__
 
-    def keeping(*args):
-        docs = real(*args)
-        kept.extend(docs)
-        return docs
+    def logging(chain, doc):
+        yield from real(chain, doc)
+        with open(log, "a", encoding="utf-8") as fp:
+            fp.write(f"{doc.id}\t{hasattr(doc, '__dict__')}\n")
 
-    monkeypatch.setattr(pl, "load_documents", keeping)
+    monkeypatch.setattr(pl._DocumentChain, "__call__", logging)
     cpus(monkeypatch, 2)
     corpus = tmp_path / "corpus.jsonl"
     with open(corpus, "w", encoding="utf-8") as fp:
@@ -581,9 +583,111 @@ def test_run_caches_no_index_on_the_parsed_documents(tmp_path, monkeypatch, jobs
     bundles, _ = pl.stage_negatives(docs, per_doc, cfg.negatives, cfg.seed)
     copies, counts = pl.stage_counterfactual(docs, bundles, cfg.counterfactual, cfg.seed)
     assert sum(1 for _ in copies) == counts["originals"] + counts["copies"] > 0
-    assert len(kept) == 80
-    for doc in kept:
+    chained = [row.split("\t") for row in log.read_text(encoding="utf-8").splitlines()]
+    assert sorted(doc_id for doc_id, _ in chained) == sorted(doc.id for doc in docs)
+    assert len(chained) + len(docs) == 80
+    for doc_id, has_dict in chained:
+        assert has_dict == "False", doc_id
+    for doc in docs:
         assert not hasattr(doc, "__dict__"), doc.id
+
+
+def striped_corpus(path) -> None:
+    """A corpus that every way of striping it cuts between workers.
+
+    With four lines to a chunk, line 6 repeats line 1's id, from another
+    stripe at two and three jobs; it carries line 8's entities, which the
+    alien pool must take from line 8, after line 7's. Line 2 is blank,
+    line 4 no JSON and line 9 no valid record.
+    """
+    records = [document_to_record(doc) for doc in make_corpus(24, seed=6)]
+    lines = [json.dumps(record) for record in records]
+    repeated = dict(records[6], id=records[0]["id"])
+    bad = dict(records[7], sentences=3)
+    lines[1:1] = [""]
+    lines[3] = "{not json"
+    lines[5] = json.dumps(repeated)
+    lines[8] = json.dumps(bad)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def test_stripes_merge_to_the_one_process_run(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    striped_corpus(corpus)
+    monkeypatch.setattr(pl, "CHUNK_DOCS", 4)
+    cpus(monkeypatch, 3)
+    runs = {}
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"jobs{jobs}"
+        skipped = []
+        cfg = pl.PipelineConfig(input=str(corpus), output_dir=str(out), seed=3, jobs=jobs)
+        manifest = pl.run_pipeline(cfg, skipped)
+        files = {fname: (out / fname).read_bytes() for fname in pl.OUTPUT_FILES.values()}
+        lines = [(type(err), str(err), err.line, err.field) for err in skipped]
+        runs[jobs] = (files, lines)
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+    assert [line for _, _, line, _ in runs[1][1]] == [4, 6, 9]
+    assert manifest["stages"]["parse"] == {"documents": 21, "errors": 3}
+
+    # The standalone stages, on the corpus as `load_documents` reads it,
+    # draw the same pools.
+    errors = []
+    docs = pl.load_documents(corpus, errors)
+    assert [(type(e), str(e), e.line, e.field) for e in errors] == runs[1][1]
+    positives = pl.stage_extract(docs, cfg.extractor)
+    bundles, _ = pl.stage_negatives(docs, positives, cfg.negatives, cfg.seed)
+    copies, counts = pl.stage_counterfactual(docs, bundles, cfg.counterfactual, cfg.seed)
+    buf = io.StringIO()
+    write_bundles(copies, buf)
+    assert counts["copies"] > 0
+    assert buf.getvalue().encode("utf-8") == runs[1][0]["bundles_counterfactual.jsonl"]
+
+
+def test_an_error_while_a_worker_parses_reaches_the_caller(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(40, seed=4), fp)
+    real = pl.parse_record
+
+    def failing(obj, line):
+        if line == 20:  # in the second stripe at every number of workers
+            raise ZeroDivisionError(f"no parse of line {line}")
+        return real(obj, line)
+
+    monkeypatch.setattr(pl, "parse_record", failing)
+    cpus(monkeypatch, 3)
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"out{jobs}"
+        cfg = pl.PipelineConfig(input=str(corpus), output_dir=str(out), seed=1, jobs=jobs)
+        with pytest.raises(ZeroDivisionError, match="^no parse of line 20$"):
+            pl.run_pipeline(cfg)
+        assert list(out.iterdir()) == [], jobs
+        assert multiprocessing.active_children() == [], jobs
+
+
+def test_parent_of_forked_workers_parses_nothing(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(40, seed=4), fp)
+    parent = os.getpid()
+    parsed = []
+    real = pl.parse_record
+
+    def counted(obj, line):
+        if os.getpid() == parent:
+            parsed.append(line)
+        return real(obj, line)
+
+    monkeypatch.setattr(pl, "parse_record", counted)
+    cpus(monkeypatch, 2)
+    for jobs in (2, 1):
+        cfg = pl.PipelineConfig(
+            input=str(corpus), output_dir=str(tmp_path / f"out{jobs}"), seed=1, jobs=jobs
+        )
+        manifest = pl.run_pipeline(cfg)
+        assert manifest["stages"]["parse"]["documents"] == 40
+        assert len(parsed) == (40 if jobs == 1 else 0), jobs
 
 
 @pytest.mark.parametrize("enabled", [True, False])
