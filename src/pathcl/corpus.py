@@ -17,6 +17,13 @@ ids and relation types hold no tab, "\\n" or "\\r", and entity ids no "|":
 a parsed sentence is its text, and its ordinal is its position in
 `Document.sentences`.
 
+A parsed document shares what repeats across the corpus, since a run holds
+its documents until their chains have run: entity surfaces and relation
+labels are interned strings; equal mention spans are one `Mention`, in any
+documents, through a least-recently-used cache of `MENTION_CACHE_SIZE`
+spans; and a relation's head and tail are the string objects of its
+document's entity ids.
+
 Which sentence names which entity is answered by one index, a document's
 `SentenceTable`: the graph's co-mention edges, the answer sentences of a
 pair, the relation donors and every annotated text come from it.
@@ -27,6 +34,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
@@ -71,6 +79,12 @@ class Document:
     relations: tuple[RelationTriple, ...]
 
 
+# The distinct spans of a corpus follow its documents' shape, not their
+# number (2,235 of the 48,000 mentions of a 2,000-document `make_corpus`),
+# so a fixed bound holds nearly all of them.
+MENTION_CACHE_SIZE = 4096
+_mention = lru_cache(maxsize=MENTION_CACHE_SIZE)(Mention)
+
 _by_start = itemgetter(1, 2)  # a mention span's (start, end)
 
 
@@ -87,7 +101,7 @@ class SentenceTable:
     sentences it picked. It refers to nothing that refers back to it.
     """
 
-    __slots__ = ("_doc", "_spans", "_named", "_built")
+    __slots__ = ("_doc", "_spans", "_named", "_built", "donors")
 
     def __init__(self, doc: Document):
         spans: list[list[MentionSpan]] = [[] for _ in doc.sentences]
@@ -101,6 +115,8 @@ class SentenceTable:
         self._spans = spans
         self._named = named
         self._built: list[AnnotatedSentence | None] = [None] * len(spans)
+        # Ordinals of the sentences naming two or more distinct entities, ascending.
+        self.donors = [k for k, ids in enumerate(named) if len(ids) >= 2]
 
     def __getitem__(self, k: int) -> AnnotatedSentence:
         built = self._built[k]
@@ -115,11 +131,6 @@ class SentenceTable:
         if not 0 <= k < len(self._named):
             raise IndexError(f"sentence index {k} out of range for document {self._doc.id!r}")
         return frozenset(self._named[k])
-
-    @property
-    def donors(self) -> list[int]:
-        """Ordinals of the sentences naming two or more distinct entities, ascending."""
-        return [k for k, named in enumerate(self._named) if len(named) >= 2]
 
     def shared(self, a: str, b: str) -> frozenset[int]:
         """Ordinals of the sentences naming both `a` and `b`."""
@@ -227,6 +238,7 @@ def parse_record(obj: dict, line: int = 0) -> Document:
             text = require(s, "text", str, line, f"sentences[{i}]")
         sentences.append(text)
     entities = []
+    ids: dict[str, str] = {}  # each entity id, to itself: a relation end reuses the object
     for i, e in enumerate(require(obj, "entities", list, line)):
         if not (type(e) is dict and type(raw := e.get("mentions")) is list):
             raw = require(e, "mentions", list, line, f"entities[{i}]")
@@ -242,7 +254,7 @@ def parse_record(obj: dict, line: int = 0) -> Document:
                 sent = require(m, "sent", int, line, at)
                 start = require(m, "start", int, line, at)
                 end = require(m, "end", int, line, at)
-            mentions.append(Mention(sent, start, end))
+            mentions.append(_mention(sent, start, end))
         if not (
             type(e) is dict
             and type(entity_id := e.get("id")) is str
@@ -251,6 +263,7 @@ def parse_record(obj: dict, line: int = 0) -> Document:
             entity_id = require(e, "id", str, line, f"entities[{i}]")
             name = require(e, "name", str, line, f"entities[{i}]")
         entities.append(Entity(entity_id, sys.intern(name), tuple(mentions)))
+        ids[entity_id] = entity_id
     relations = []
     for i, r in enumerate(require(obj, "relations", list, line)):
         if not (
@@ -263,7 +276,9 @@ def parse_record(obj: dict, line: int = 0) -> Document:
             head = require(r, "head", str, line, at)
             tail = require(r, "tail", str, line, at)
             relation = require(r, "type", str, line, at)
-        relations.append(RelationTriple(head, tail, sys.intern(relation)))
+        relations.append(
+            RelationTriple(ids.get(head, head), ids.get(tail, tail), sys.intern(relation))
+        )
 
     doc = Document(doc_id, tuple(sentences), tuple(entities), tuple(relations))
     problems = _problems(doc)

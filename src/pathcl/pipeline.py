@@ -654,7 +654,7 @@ def _merged_pools(parts: list[Pools]) -> tuple[list[AnnotatedSentence], list[Ent
         for _, picked in heapq.merge(*(share for share, _ in parts), key=by_line)
         for donor in picked
     ]
-    seen: set[str] = set()
+    seen: dict[str, None] = {}
     aliens = [
         entity
         for _, entities in heapq.merge(*(share for _, share in parts), key=by_line)
@@ -670,7 +670,7 @@ def _encoded(pools: Pools) -> bytes:
     seen in the stripe: the alien pool keeps each id's first entity.
     """
     donors, entities = pools
-    seen: set[str] = set()
+    seen: dict[str, None] = {}
     packed = []
     for line, ours in entities:
         new = list(first_seen(ours, seen))

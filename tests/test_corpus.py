@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcl.corpus import (
+    MENTION_CACHE_SIZE,
     Document,
     Entity,
     Mention,
@@ -236,6 +237,22 @@ def test_resident_records_are_slotted_frozen_and_interned():
     # Surfaces and relation labels are interned: one string per distinct name.
     assert twin.entities[0].surface is doc.entities[0].surface
     assert twin.relations[0].relation is doc.relations[0].relation
+    # A mention span that two parsed documents share is one object.
+    assert twin.entities[0].mentions[0] is doc.entities[0].mentions[0]
+    parsed = [
+        parse_record(json.loads(json.dumps(document_to_record(d))))
+        for d in make_corpus(20, seed=8)
+    ]
+    spans = [m for d in parsed for e in d.entities for m in e.mentions]
+    shared: dict[Mention, Mention] = {}
+    assert all(shared.setdefault(m, m) is m for m in spans)
+    assert len(shared) < len(spans)
+    # Each relation's head and tail are its document's entity id objects.
+    for d in [twin, *parsed]:
+        ids = {e.id: e.id for e in d.entities}
+        assert d.relations
+        for r in d.relations:
+            assert r.head is ids[r.head] and r.tail is ids[r.tail]
 
 
 class Text(str):
@@ -329,3 +346,27 @@ def test_reader_matches_the_field_by_field_reference(record):
     # only for a violation; its documents and first errors must be those of
     # reading every value through `require`.
     assert read_outcome(parse_record, record) == read_outcome(field_by_field_parse_record, record)
+
+
+def test_reader_past_the_mention_cache_bound_matches_the_reference():
+    # Parsed spans are shared through a bounded cache: a record with more
+    # distinct spans than the bound evicts its own first spans, and reading
+    # it again still gives the reference's document.
+    n = MENTION_CACHE_SIZE // 2 + 50
+
+    def mentions(start, end):
+        return [{"sent": k, "start": start, "end": end} for k in range(n)]
+
+    record = {
+        "id": "long",
+        "sentences": [{"text": "Ann met Bo."}] * n,
+        "entities": [
+            {"id": "a", "name": "Ann", "mentions": mentions(0, 3)},
+            {"id": "b", "name": "Bo", "mentions": mentions(8, 10)},
+        ],
+        "relations": [{"head": "a", "tail": "b", "type": "met"}],
+    }
+    expected = field_by_field_parse_record(record, 3)
+    assert 2 * n > MENTION_CACHE_SIZE
+    for _ in range(2):
+        assert parse_record(record, 3) == expected

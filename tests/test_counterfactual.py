@@ -148,6 +148,12 @@ def test_entity_pool_from_corpus():
     doc_b = build_document(
         "z", [[("x", "Xu"), " met ", ("y", "Yi"), "."]], {"x": "Xu", "y": "Yi"}
     )
-    pool = build_entity_pool([doc_a, doc_b])
-    assert [a.id for a in pool] == ["e1", "e2", "e3", "e4", "x", "y"]
-    assert pool[-1] is doc_b.entities[-1]
+    # A later document that names an earlier entity id, under another surface.
+    doc_c = build_document(
+        "w", [[("w", "Wu"), " saw ", ("x", "Xavier"), "."]], {"w": "Wu", "x": "Xavier"}
+    )
+    pool = build_entity_pool([doc_a, doc_b, doc_c])
+    assert [a.id for a in pool] == ["e1", "e2", "e3", "e4", "x", "y", "w"]
+    assert pool[-2] is doc_b.entities[-1]
+    assert pool[-1] is doc_c.entities[0]
+    assert pool[4] is doc_b.entities[0] and pool[4].surface == "Xu"
