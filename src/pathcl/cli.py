@@ -302,7 +302,7 @@ def _add_negative_flags(p: argparse.ArgumentParser):
     p.add_argument("--pool-size", type=int, default=None, help="cross-document donor pool cap")
 
 
-def _add_counterfactual_flags(p: argparse.ArgumentParser):
+def _add_counterfactual_flags(p: argparse.ArgumentParser, *, include_prob: bool = True):
     p.add_argument(
         "--cf-ratio",
         dest="copies",
@@ -311,7 +311,11 @@ def _add_counterfactual_flags(p: argparse.ArgumentParser):
         metavar="1:N",
         help="original:counterfactual mix ('0' disables)",
     )
-    p.add_argument("--include-prob", type=float, default=None, help="replacement probability for non-target path entities")
+    if include_prob:
+        p.add_argument(
+            "--include-prob", type=float, default=None,
+            help="replacement probability for non-target path entities",
+        )
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -367,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="bundles file")
     p.add_argument("--output", required=True)
     _add_common(p)
-    _add_counterfactual_flags(p)
+    _add_counterfactual_flags(p, include_prob=False)  # emit reads only the mix
     p.set_defaults(func=cmd_emit)
 
     p = sub.add_parser("train", help="train the toy scorer")

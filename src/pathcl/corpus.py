@@ -138,15 +138,6 @@ class SentenceTable:
         return frozenset(k for k, named in enumerate(self._named) if pair <= named)
 
 
-def validate_document(doc: Document) -> list[str]:
-    """Check every document invariant; return one description per violation.
-
-    An empty list means the document is well-formed. Violations are data,
-    not exceptions: callers decide whether to skip, report, or abort.
-    """
-    return [f"{where}: {problem}" for where, problem in _problems(doc)]
-
-
 # `graph.tsv` writes ids and labels unescaped: a tab separates its fields,
 # a line break its rows, and "|" the two entity ids of a pair.
 _ROW_SEPARATOR = re.compile("[\t\n\r]")

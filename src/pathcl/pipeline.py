@@ -20,9 +20,10 @@ objects pass by reference. Either way the run takes three rounds:
    order: a repeated id is a skipped line (`corpus.claim_id`), and the
    donor pool's draw is made over all the counts (`negatives.draw_donors`).
 2. Each stripe annotates the donors picked from its documents and lists
-   its entities. Every stripe receives every stripe's share and merges
-   them into the same two sampling pools: the donors in draw order, the
-   aliens by the first-id rule (`counterfactual.first_seen`).
+   its first-seen entities (`counterfactual.alien_share`). Every stripe
+   receives every stripe's share and merges them into the same two
+   sampling pools: the donors in draw order, the aliens in line order
+   (`counterfactual.merged_aliens`).
 3. Each stripe runs each document's whole chain (graph, extraction,
    negatives, counterfactual copies, instances) and returns its output one
    chunk at a time; the parent writes the chunks in line order.
@@ -68,11 +69,14 @@ from .bundle import (
     bundle_to_record,
     read_bundles,
 )
-from .corpus import Document, Entity, SentenceTable, claim_id, parse_corpus, parse_record
+from .corpus import Document, SentenceTable, claim_id, parse_corpus, parse_record
 from .counterfactual import (
+    AlienPool,
+    AlienShare,
+    alien_share,
     apply_counterfactual,
     build_entity_pool,
-    first_seen,
+    merged_aliens,
     select_replacements,
 )
 from .emitter import TaggedLine, bundle_to_instances, emit_instances, tagged_line
@@ -382,7 +386,7 @@ def stage_negatives(
 def _copies(
     bundle: InstanceBundle,
     doc: Document,
-    aliens: Sequence[Entity],
+    aliens: AlienPool,
     cfg: CounterfactualConfig,
     seed: int,
     counts: dict[str, int],
@@ -416,7 +420,7 @@ def stage_counterfactual(
     """
     counters = _zeroed("counterfactual")
     by_doc = {doc.id: doc for doc in docs}
-    aliens = build_entity_pool(docs) if cfg.copies else []
+    aliens = build_entity_pool(docs if cfg.copies else ())
     augmented = (
         b
         for bundle in bundles
@@ -471,7 +475,7 @@ class _DocumentChain:
     """
 
     def __init__(
-        self, cfg: PipelineConfig, donors: Sequence[AnnotatedSentence], aliens: Sequence[Entity]
+        self, cfg: PipelineConfig, donors: Sequence[AnnotatedSentence], aliens: AlienPool
     ):
         self.cfg = cfg
         self.donors = donors
@@ -548,9 +552,9 @@ def _parsed(obj, line: int) -> tuple[int, Document]:
 # A stripe's answer to round 1: its skipped lines, and each parsed
 # document's (line, id, donor count) in line order.
 Summary = tuple[list[RecordError], list[tuple[int, str, int]]]
-# A stripe's answer to round 2, in line order: (line, picked donors) of each
-# document with a pick, and (line, entities) of each document.
-Pools = tuple[list[tuple[int, list[AnnotatedSentence]]], list[tuple[int, Sequence[Entity]]]]
+# A stripe's answer to round 2: (line, picked donors) of each document with
+# a pick, in line order, and its share of the alien pool.
+Pools = tuple[list[tuple[int, list[AnnotatedSentence]]], AlienShare]
 # The parent's round-2 request to a stripe: the lines to drop, and the
 # positions of the donors picked from each document, by line.
 Request = tuple[set[int], dict[int, list[int]]]
@@ -591,13 +595,11 @@ class _Stripe:
         """
         self.docs = [(line, doc) for line, doc in self.docs if line not in dropped]
         donors = [(line, picked_donors(doc, picks[line])) for line, doc in self.docs if line in picks]
-        entities = []
-        if self.cfg.counterfactual.copies:  # else the run draws no aliens
-            entities = [(line, doc.entities) for line, doc in self.docs]
-        return donors, entities
+        # A run without copies draws no aliens.
+        return donors, alien_share(self.docs if self.cfg.counterfactual.copies else ())
 
     def chains(
-        self, donors: Sequence[AnnotatedSentence], aliens: Sequence[Entity]
+        self, donors: Sequence[AnnotatedSentence], aliens: AlienPool
     ) -> Iterator[Iterator[Piece]]:
         """Lazily, each chunk's output pieces, in line order; each document is let go once run."""
         chain = _DocumentChain(self.cfg, donors, aliens)
@@ -642,48 +644,18 @@ def _merged_summaries(
     return errors, [line for line, _ in kept], requests
 
 
-def _merged_pools(parts: list[Pools]) -> tuple[list[AnnotatedSentence], list[Entity]]:
+def _merged_pools(parts: list[Pools]) -> tuple[list[AnnotatedSentence], AlienPool]:
     """Round 2 in each stripe: the donor and alien pools, from every stripe's share.
 
     Both are merged in line order: the donors as `negatives.draw_donors`
-    ordered them, the aliens by the first-id rule of `build_entity_pool`.
+    ordered them, the aliens by `counterfactual.merged_aliens`.
     """
-    by_line = itemgetter(0)
     donors = [
         donor
-        for _, picked in heapq.merge(*(share for share, _ in parts), key=by_line)
+        for _, picked in heapq.merge(*(share for share, _ in parts), key=itemgetter(0))
         for donor in picked
     ]
-    seen: dict[str, None] = {}
-    aliens = [
-        entity
-        for _, entities in heapq.merge(*(share for _, share in parts), key=by_line)
-        for entity in first_seen(entities, seen)
-    ]
-    return donors, aliens
-
-
-def _encoded(pools: Pools) -> bytes:
-    """A stripe's share of the pools as sent to every stripe.
-
-    An entity is sent as its id and surface, and only where it is first
-    seen in the stripe: the alien pool keeps each id's first entity.
-    """
-    donors, entities = pools
-    seen: dict[str, None] = {}
-    packed = []
-    for line, ours in entities:
-        new = list(first_seen(ours, seen))
-        packed.append((line, [e.id for e in new], [e.surface for e in new]))
-    return pickle.dumps((donors, packed), pickle.HIGHEST_PROTOCOL)
-
-
-def _decoded(blob: bytes) -> Pools:
-    donors, packed = pickle.loads(blob)
-    return donors, [
-        (line, [Entity(eid, surface, ()) for eid, surface in zip(ids, surfaces)])
-        for line, ids, surfaces in packed
-    ]
+    return donors, merged_aliens([share for _, share in parts])
 
 
 def _serve(conn, inherited, cfg: PipelineConfig, index: int, workers: int) -> None:
@@ -696,13 +668,8 @@ def _serve(conn, inherited, cfg: PipelineConfig, index: int, workers: int) -> No
     try:
         stripe = _Stripe(cfg, index, workers)
         conn.send(stripe.summary())
-        ours = stripe.pools(*conn.recv())
-        conn.send(_encoded(ours))
-        shares = conn.recv()
-        pools = _merged_pools(
-            [ours if w == index else _decoded(blob) for w, blob in enumerate(shares)]
-        )
-        del ours, shares  # the pools hold what the chains need of them
+        conn.send(pickle.dumps(stripe.pools(*conn.recv()), pickle.HIGHEST_PROTOCOL))
+        pools = _merged_pools([pickle.loads(blob) for blob in conn.recv()])
         for pieces in stripe.chains(*pools):
             conn.send(list(pieces))
     except BaseException as exc:

@@ -58,32 +58,38 @@ def test_usage_errors_exit_2(tmp_path):
             main(["run", "--input", "c", "--output-dir", str(tmp_path / "o"), "--seed", "1",
                   *deleted])
         assert exc.value.code == 2, deleted
+    with pytest.raises(SystemExit) as exc:  # emit reads only --cf-ratio
+        main(["emit", "--input", "b", "--output", str(tmp_path / "i"), "--include-prob", "0.3"])
+    assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
 
 
-# The config sections each subcommand builds from its flags and config file.
-FLAG_SECTIONS = {
-    "extract": (ExtractorConfig,),
-    "negatives": (pl.NegativesConfig,),
-    "counterfactual": (pl.CounterfactualConfig,),
-    "emit": (pl.CounterfactualConfig,),
-    "train": (TrainConfig,),
-    "run": (ExtractorConfig, pl.NegativesConfig, pl.CounterfactualConfig),
+def field_names(*sections) -> set[str]:
+    return {f.name for cls in sections for f in dataclasses.fields(cls)}
+
+
+# The config fields each subcommand reads from its flags and config file.
+FLAG_FIELDS = {
+    "extract": field_names(ExtractorConfig),
+    "negatives": field_names(pl.NegativesConfig),
+    "counterfactual": field_names(pl.CounterfactualConfig),
+    "emit": {"copies"},
+    "train": field_names(TrainConfig),
+    "run": field_names(ExtractorConfig, pl.NegativesConfig, pl.CounterfactualConfig),
 }
 FIXED_DESTS = {"help", "input", "output", "output_dir", "corpus", "config", "seed",
                "params", "params_out", "metrics_out"}
 
 
 def test_every_flag_sets_a_config_field_or_fixed_argument():
-    # A flag whose dest is no field of a section its subcommand builds is
-    # dropped without a word, so a flag left behind by a deleted field would
-    # silently do nothing.
+    # A flag whose dest is no field its subcommand reads is dropped without
+    # a word, so a flag left behind by a deleted field, or one that a
+    # subcommand parses but never reads, would silently do nothing.
     (subparsers,) = [a for a in build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
     stray = []
     for command, sub in subparsers.choices.items():
-        known = {f.name for cls in FLAG_SECTIONS.get(command, ()) for f in dataclasses.fields(cls)}
-        known |= FIXED_DESTS
+        known = FLAG_FIELDS.get(command, set()) | FIXED_DESTS
         stray += [f"{command} {a.option_strings[0]}" for a in sub._actions if a.dest not in known]
     assert stray == []
 
@@ -627,7 +633,7 @@ BAD_CONFIG_VALUES = [
     ("run", {"counterfactual": {"window": 64}}, [],
      "counterfactual.window: unknown config key"),
     ("run", {}, ["--include-prob", "5"], "counterfactual.include_prob"),
-    ("emit", {}, ["--include-prob", "-0.5"], "counterfactual.include_prob"),
+    ("emit", {"counterfactual": {"include_prob": -0.5}}, [], "counterfactual.include_prob"),
     ("run", {"negative": {"num_negatives": 0}}, [], "negative"),
     ("run", {"jobs": 2}, [], "jobs"),
     ("emit", {"emit": {"shuffle_gold": False}}, [], "emit"),

@@ -19,7 +19,6 @@ from pathcl.corpus import (
     document_to_record,
     parse_corpus,
     parse_record,
-    validate_document,
     write_corpus,
 )
 from pathcl.counterfactual import build_entity_pool
@@ -94,8 +93,18 @@ def test_missing_field_path():
     assert exc.value.field == "entities[0].mentions"
 
 
+def record_problems(doc: Document) -> list[str]:
+    """What `parse_record` rejects in `doc`'s record, in order; [] if it parses back equal."""
+    try:
+        parsed = parse_record(document_to_record(doc))
+    except RecordError as err:
+        return err.message.split("; ")
+    assert parsed == doc
+    return []
+
+
 def test_validate_well_formed():
-    assert validate_document(film_cast_document()) == []
+    assert record_problems(film_cast_document()) == []
 
 
 def test_validate_unknown_relation_entity():
@@ -106,7 +115,7 @@ def test_validate_unknown_relation_entity():
         entities=doc.entities,
         relations=doc.relations + (RelationTriple("e1", "zzz", "x"),),
     )
-    problems = validate_document(bad)
+    problems = record_problems(bad)
     assert len(problems) == 1
     assert "zzz" in problems[0]
 
@@ -120,7 +129,7 @@ def test_validate_duplicate_entity_id():
         entities=doc.entities + (dup,),
         relations=doc.relations,
     )
-    problems = validate_document(bad)
+    problems = record_problems(bad)
     assert any("duplicate" in p for p in problems)
 
 
@@ -135,7 +144,7 @@ def test_validate_overlapping_mentions():
         ),
         relations=(),
     )
-    problems = validate_document(bad)
+    problems = record_problems(bad)
     assert any("overlaps" in p for p in problems)
 
 
@@ -153,7 +162,7 @@ def test_validate_reports_problems_in_a_fixed_order():
         ),
         relations=(RelationTriple("a", "b", "knows"),),
     )
-    assert validate_document(doc) == [
+    assert record_problems(doc) == [
         "entities[1].mentions[1]: entity 'a' mention sentence 5 out of range",
         "entities[2].mentions[1]: entity 'b' span [4, 20) invalid for sentence 1 of length 9",
         "sentences[0]: mention [0, 3) of 'a' overlaps [2, 6) of 'c'",
@@ -168,7 +177,7 @@ def test_validate_self_relation():
         entities=(Entity("a", "A", (Mention(0, 0, 1),)),),
         relations=(RelationTriple("a", "a", "loop"),),
     )
-    assert any("self-relation" in p for p in validate_document(doc))
+    assert any("self-relation" in p for p in record_problems(doc))
 
 
 def test_sentence_entities():
@@ -191,7 +200,7 @@ def test_sentence_entities_deduplicates():
         ),
         relations=(),
     )
-    assert validate_document(doc) == []
+    assert record_problems(doc) == []
     assert SentenceTable(doc).entities(0) == {"a", "b"}
 
 
@@ -209,9 +218,9 @@ def test_parsed_documents_validate():
     rng = random.Random(3)
     docs = [random_micro_doc(rng, f"m{i}") for i in range(30)]
     for doc in docs:
-        assert validate_document(doc) == []
+        assert record_problems(doc) == []
         round_tripped = parse_record(document_to_record(doc))
-        assert validate_document(round_tripped) == []
+        assert record_problems(round_tripped) == []
         table = SentenceTable(doc)
         for k in range(len(doc.sentences)):
             assert table.entities(k) <= {e.id for e in doc.entities}
@@ -221,10 +230,11 @@ def test_resident_records_are_slotted_frozen_and_interned():
     # The parsed records and the alien pool stay in memory for a whole run,
     # so none carries a per-instance `__dict__`, and repeated names are shared.
     doc = parse_record(document_to_record(film_cast_document()))
-    # A sentence is its text, and the alien pool holds the document's own entities.
+    # A sentence is its text, and the alien pool holds the document's own strings.
     assert all(type(text) is str for text in doc.sentences)
     pool = build_entity_pool([doc])
-    assert all(alien is entity for alien, entity in zip(pool, doc.entities, strict=True))
+    for eid, surface, entity in zip(pool.ids, pool.surfaces, doc.entities, strict=True):
+        assert eid is entity.id and surface is entity.surface
     records = [doc.entities[0], doc.entities[0].mentions[0], doc.relations[0]]
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__

@@ -4,8 +4,15 @@ import random
 import pytest
 
 from pathcl.bundle import assemble_bundle
-from pathcl.corpus import Entity, SentenceTable
-from pathcl.counterfactual import apply_counterfactual, build_entity_pool, select_replacements
+from pathcl.corpus import SentenceTable
+from pathcl.counterfactual import (
+    AlienPool,
+    alien_share,
+    apply_counterfactual,
+    build_entity_pool,
+    merged_aliens,
+    select_replacements,
+)
 from pathcl.graph import build_entity_graph
 from pathcl.metapath import ExtractorConfig, extract_positive_instances
 from pathcl.negatives import (
@@ -17,13 +24,10 @@ from pathcl.negatives import (
 from corpora import build_document, film_cast_document
 from oracles import diff_outside_spans, surface_occurrences
 
-ALIENS = [
-    Entity("q1", "Nadia Petrov", ()),
-    Entity("q2", "Lumen Pictures", ()),
-    Entity("q3", "Oskar Finch", ()),
-    Entity("q4", "Tessa Wilde", ()),
-    Entity("q5", "Harbor Lane Press", ()),
-]
+ALIENS = AlienPool(
+    ["q1", "q2", "q3", "q4", "q5"],
+    ["Nadia Petrov", "Lumen Pictures", "Oskar Finch", "Tessa Wilde", "Harbor Lane Press"],
+)
 
 
 def film_cast_bundle():
@@ -57,12 +61,17 @@ def test_select_inclusion_probability_bounds():
 
 def test_select_pool_too_small():
     doc, inst, _ = film_cast_bundle()
+    lone = AlienPool(ALIENS.ids[:1], ALIENS.surfaces[:1])
     with pytest.raises(ValueError, match="pool too small"):
-        select_replacements(inst, doc, ALIENS[:1], random.Random(0))
-    host_like = [Entity("e1", "Dave McKean", ())] + ALIENS[:1]
+        select_replacements(inst, doc, lone, random.Random(0))
+    host_like = AlienPool(["e1", "q1"], ["Dave McKean", "Nadia Petrov"])
     with pytest.raises(ValueError, match="pool too small"):
         # the host-document entity does not count toward the pool
         select_replacements(inst, doc, host_like, random.Random(0))
+    # An empty pool is still a (truthy) pair of lists.
+    for empty in (AlienPool([], []), merged_aliens([]), build_entity_pool([])):
+        with pytest.raises(ValueError, match="^alien pool too small: need 2, have 0 usable"):
+            select_replacements(inst, doc, empty, random.Random(0))
 
 
 def all_bundle_texts(bundle):
@@ -153,7 +162,26 @@ def test_entity_pool_from_corpus():
         "w", [[("w", "Wu"), " saw ", ("x", "Xavier"), "."]], {"w": "Wu", "x": "Xavier"}
     )
     pool = build_entity_pool([doc_a, doc_b, doc_c])
-    assert [a.id for a in pool] == ["e1", "e2", "e3", "e4", "x", "y", "w"]
-    assert pool[-2] is doc_b.entities[-1]
-    assert pool[-1] is doc_c.entities[0]
-    assert pool[4] is doc_b.entities[0] and pool[4].surface == "Xu"
+    assert pool.ids == ["e1", "e2", "e3", "e4", "x", "y", "w"]
+    assert pool.surfaces[4:] == ["Xu", "Yi", "Wu"]
+    # The pool holds the documents' own strings, not copies.
+    firsts = [*doc_a.entities, *doc_b.entities, doc_c.entities[0]]
+    for eid, surface, entity in zip(pool.ids, pool.surfaces, firsts, strict=True):
+        assert eid is entity.id and surface is entity.surface
+
+
+def test_alien_shares_merge_in_line_order():
+    # Lines 1 and 3 in one share, line 2 in another: an id that two of
+    # them name keeps its earliest line's surface, in either share order.
+    def pair_doc(doc_id, a, b):
+        return build_document(doc_id, [[a, " met ", b, "."]], dict([a, b]))
+
+    doc_1 = pair_doc("a", ("p", "Pat"), ("q", "Quin"))
+    doc_2 = pair_doc("b", ("x", "Xu"), ("q", "Quinn"))
+    doc_3 = pair_doc("c", ("x", "Xavier"), ("z", "Zed"))
+    odd = alien_share([(1, doc_1), (3, doc_3)])
+    even = alien_share([(2, doc_2)])
+    assert odd == ([1, 1, 3, 3], ["p", "q", "x", "z"], ["Pat", "Quin", "Xavier", "Zed"])
+    pool = AlienPool(["p", "q", "x", "z"], ["Pat", "Quin", "Xu", "Zed"])
+    assert merged_aliens([odd, even]) == merged_aliens([even, odd]) == pool
+    assert build_entity_pool([doc_1, doc_2, doc_3]) == pool

@@ -1,10 +1,10 @@
-import concurrent.futures
 import gc
 import hashlib
 import io
 import json
 import multiprocessing
 import os
+import pickle
 import random
 import tracemalloc
 
@@ -13,6 +13,7 @@ import pytest
 from pathcl import pipeline as pl
 from pathcl.bundle import bundle_from_record, bundle_to_record, write_bundles
 from pathcl.corpus import document_to_record, write_corpus
+from pathcl.counterfactual import build_entity_pool, merged_aliens
 from pathcl.emitter import read_instances
 from pathcl.graph import build_entity_graph, write_edge_list
 from pathcl.jsonl import RecordError, record_line
@@ -644,6 +645,23 @@ def test_stripes_merge_to_the_one_process_run(tmp_path, monkeypatch):
     assert buf.getvalue().encode("utf-8") == runs[1][0]["bundles_counterfactual.jsonl"]
 
 
+def test_stripes_share_the_one_alien_pool(tmp_path, monkeypatch):
+    # Each stripe's share of the alien pool, as a worker sends it, merges
+    # to the pool the standalone stage builds.
+    corpus = tmp_path / "corpus.jsonl"
+    striped_corpus(corpus)
+    monkeypatch.setattr(pl, "CHUNK_DOCS", 4)
+    cfg = pl.PipelineConfig(input=str(corpus), output_dir=str(tmp_path / "out"), seed=3)
+    whole = build_entity_pool(pl.load_documents(corpus, []))
+    for workers in (1, 2, 3):
+        stripes = [pl._Stripe(cfg, w, workers) for w in range(workers)]
+        _, _, requests = pl._merged_summaries(cfg, [stripe.summary() for stripe in stripes])
+        shares = [stripe.pools(*request)[1] for stripe, request in zip(stripes, requests)]
+        assert all(ids for _, ids, _ in shares), workers
+        sent = [pickle.loads(pickle.dumps(share)) for share in shares]
+        assert merged_aliens(sent) == whole, workers
+
+
 def test_an_error_while_a_worker_parses_reaches_the_caller(tmp_path, monkeypatch):
     corpus = tmp_path / "corpus.jsonl"
     with open(corpus, "w", encoding="utf-8") as fp:
@@ -737,10 +755,9 @@ def test_one_worker_never_forks(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process was started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(os, "fork", refuse)
     cpus(monkeypatch, 4)
-    # One job asked for, or one document to run: no pool either way.
+    # One job asked for, or one document to run: no worker either way.
     for path, jobs in ((corpus, 1), (lone, 4)):
         manifest = pl.run_pipeline(
             pl.PipelineConfig(input=str(path), output_dir=str(tmp_path / f"out{jobs}"), seed=2, jobs=jobs)
@@ -750,9 +767,9 @@ def test_one_worker_never_forks(tmp_path, monkeypatch):
 
 def test_worker_count_bounded_by_cpus_and_documents(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a pool was created")
+        raise AssertionError("a process was started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     usable = len(os.sched_getaffinity(0))
     assert pl.worker_count(10_000, 10_000) == usable
     assert pl.worker_count(10_000, 1) == 1
