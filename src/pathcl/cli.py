@@ -24,7 +24,7 @@ from pathlib import Path
 from . import pipeline as pl
 from .bundle import read_bundles, write_bundles
 from .emitter import bundle_to_instances, read_instances, stats
-from .jsonl import RecordError, open_output, typed
+from .jsonl import FIELD_TYPES, RecordError, open_output, typed
 from .metapath import ExtractorConfig
 from .synth import make_corpus
 from .trainer import (
@@ -69,11 +69,13 @@ def _load_config_file(path: str | None) -> dict:
     resolved = path or os.environ.get(CONFIG_ENV)
     if not resolved:
         return {}
-    with open(resolved, "r", encoding="utf-8") as fp:
-        try:
-            data = typed(json.load(fp), dict, resolved)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{resolved}: invalid JSON: {exc}") from exc
+    blob = Path(resolved).read_bytes()
+    try:
+        data = typed(json.loads(blob.decode("utf-8")), dict, resolved)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{resolved}: invalid UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{resolved}: invalid JSON: {exc}") from exc
     unknown = sorted(set(data) - set(CONFIG_KEYS))
     if unknown:
         raise ValueError(
@@ -165,7 +167,7 @@ def cmd_negatives(args) -> int:
     seed = _resolve_seed(args, file_cfg, required=False)
     cfg = _section(pl.NegativesConfig, file_cfg, "negatives", args)
     docs = _load_documents_lenient(args.corpus)
-    with open(args.input, "r", encoding="utf-8") as src, open_output(args.output) as fp:
+    with open(args.input, "rb") as src, open_output(args.output) as fp:
         positives = pl.read_corpus_positives(docs, src)
         bundles, counts = pl.stage_negatives(docs, positives, cfg, seed)
         write_bundles(bundles, fp)
@@ -179,7 +181,7 @@ def cmd_counterfactual(args) -> int:
     seed = _resolve_seed(args, file_cfg, required=False)
     cfg = _section(pl.CounterfactualConfig, file_cfg, "counterfactual", args)
     docs = _load_documents_lenient(args.corpus)
-    with open(args.input, "r", encoding="utf-8") as src, open_output(args.output) as fp:
+    with open(args.input, "rb") as src, open_output(args.output) as fp:
         bundles = pl.read_corpus_bundles(docs, src)
         out, counts = pl.stage_counterfactual(docs, bundles, cfg, seed)
         write_bundles(out, fp)
@@ -191,7 +193,7 @@ def cmd_emit(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg, required=False)
     copies = _section(pl.CounterfactualConfig, file_cfg, "counterfactual", args).copies
-    with open(args.input, "r", encoding="utf-8") as src, open_output(args.output) as fp:
+    with open(args.input, "rb") as src, open_output(args.output) as fp:
         counts = pl.stage_emit(read_bundles(src), copies, seed, fp)
     print(json.dumps(counts))
     return EXIT_OK
@@ -201,7 +203,7 @@ def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg, required=False)
     cfg = _section(TrainConfig, file_cfg, "train", args, seed=seed)
-    with open(args.input, "r", encoding="utf-8") as fp:
+    with open(args.input, "rb") as fp:
         instances = list(read_instances(fp))
     params, metrics = train(instances, cfg)
     # The metrics file is moved into place only after the params file is,
@@ -241,7 +243,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_eval(args) -> int:
     params = load_params(args.params)
-    with open(args.input, "r", encoding="utf-8") as fp:
+    with open(args.input, "rb") as fp:
         instances = list(read_instances(fp))
     acc = evaluate(params, instances)
     print(json.dumps({"instances": len(instances), "accuracy": acc}))
@@ -249,7 +251,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fp:
+    with open(args.input, "rb") as fp:
         print(json.dumps(stats(fp), indent=2))
     return EXIT_OK
 
@@ -292,40 +294,22 @@ def _add_common(p: argparse.ArgumentParser, *, seed=True, config=True):
         )
 
 
-def _add_extractor_flags(p: argparse.ArgumentParser):
-    p.add_argument("--max-hops", type=int, default=None, help="max entities on a path")
-    p.add_argument("--mode", choices=["first", "all"], default=None, help="pair iteration mode")
+def _add_config_flags(p: argparse.ArgumentParser, cls, only: tuple[str, ...] | None = None):
+    """One flag per field of config class `cls` (or of its fields in `only`).
 
-
-def _add_negative_flags(p: argparse.ArgumentParser):
-    p.add_argument("--num-negatives", type=int, default=None, help="negatives per instance (K)")
-    p.add_argument("--pool-size", type=int, default=None, help="cross-document donor pool cap")
-
-
-def _add_counterfactual_flags(p: argparse.ArgumentParser, *, include_prob: bool = True):
-    p.add_argument(
-        "--cf-ratio",
-        dest="copies",
-        type=parse_ratio,
-        default=None,
-        metavar="1:N",
-        help="original:counterfactual mix ('0' disables)",
-    )
-    if include_prob:
-        p.add_argument(
-            "--include-prob", type=float, default=None,
-            help="replacement probability for non-target path entities",
-        )
-
-
-def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--mlm-weight", type=float, default=None)
-    p.add_argument("--mask-rate", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--hidden", type=int, default=None)
+    A field's flag is "--" and its name with "-" for "_"; its type, choices
+    and help are those the field declares. `copies` is spelled
+    `--cf-ratio 1:N`, and `seed` is left to `_add_common`.
+    """
+    for f in fields(cls):
+        if f.name == "seed" or (only is not None and f.name not in only):
+            continue
+        if f.name == "copies":
+            flag, kind = "--cf-ratio", {"type": parse_ratio, "metavar": "1:N"}
+        else:
+            flag = "--" + f.name.replace("_", "-")
+            kind = {"type": FIELD_TYPES[f.type], "choices": list(f.metadata["choices"]) or None}
+        p.add_argument(flag, dest=f.name, default=None, help=f.metadata["help"], **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     _add_common(p, seed=False)
-    _add_extractor_flags(p)
+    _add_config_flags(p, ExtractorConfig)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("negatives", help="generate relation-edited negatives")
@@ -356,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="positives file")
     p.add_argument("--output", required=True, help="bundles file")
     _add_common(p)
-    _add_negative_flags(p)
+    _add_config_flags(p, pl.NegativesConfig)
     p.set_defaults(func=cmd_negatives)
 
     p = sub.add_parser("counterfactual", help="add counterfactual copies")
@@ -364,14 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="bundles file")
     p.add_argument("--output", required=True)
     _add_common(p)
-    _add_counterfactual_flags(p)
+    _add_config_flags(p, pl.CounterfactualConfig)
     p.set_defaults(func=cmd_counterfactual)
 
     p = sub.add_parser("emit", help="serialize contrastive instances")
     p.add_argument("--input", required=True, help="bundles file")
     p.add_argument("--output", required=True)
     _add_common(p)
-    _add_counterfactual_flags(p, include_prob=False)  # emit reads only the mix
+    _add_config_flags(p, pl.CounterfactualConfig, only=("copies",))  # emit reads only the mix
     p.set_defaults(func=cmd_emit)
 
     p = sub.add_parser("train", help="train the toy scorer")
@@ -379,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params-out", required=True)
     p.add_argument("--metrics-out", default=None)
     _add_common(p)
-    _add_train_flags(p)
+    _add_config_flags(p, TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("grad-check", help="verify analytic gradients numerically")
@@ -399,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output-dir", required=True)
     _add_common(p)
-    _add_extractor_flags(p)
-    _add_negative_flags(p)
-    _add_counterfactual_flags(p)
+    for cls in (ExtractorConfig, pl.NegativesConfig, pl.CounterfactualConfig):
+        _add_config_flags(p, cls)
     p.set_defaults(func=cmd_run)
 
     return parser

@@ -1,10 +1,11 @@
 """JSON at the stage boundaries: record framing, atomic output files and
 the one typed-value check.
 
-Corpus, positives, bundles and instances files hold one JSON object per
-line; blank lines are ignored and a bad line raises RecordError. Every
-value a record reader takes and every config field goes through `typed`,
-so a value of the wrong type reads the same everywhere:
+Corpus, positives, bundles and instances files hold one UTF-8 JSON
+object per line, ended by "\\n"; blank lines are ignored and a bad line
+raises RecordError. Every value a record reader takes and every config
+field goes through `typed`, so a value of the wrong type reads the same
+everywhere:
 
     line 3: options[0].donor_sentence: expected int, got string
     negatives.num_negatives: expected int, got string
@@ -117,12 +118,14 @@ def require_map(obj, key: str, kind: type, line: int, at: str = "") -> tuple:
 
 # -- config values --
 
-_FIELD_TYPES = {"int": int, "float": float, "str": str}
+# The Python type of each declared config field type; also the type of its CLI flag.
+FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
-def bounded(default, *, low=None, high=None, choices: tuple = ()):
-    """A config field whose value must lie in [low, high] or be one of `choices`."""
-    return field(default=default, metadata={"low": low, "high": high, "choices": choices})
+def bounded(default, *, low=None, high=None, choices: tuple = (), help: str | None = None):
+    """A config field whose value lies in [low, high] or in `choices`; `help` is its flag's."""
+    metadata = {"low": low, "high": high, "choices": choices, "help": help}
+    return field(default=default, metadata=metadata)
 
 
 def check_config(config, section: str) -> None:
@@ -134,7 +137,7 @@ def check_config(config, section: str) -> None:
     """
     for f in fields(config):
         path, low, high = f"{section}.{f.name}", f.metadata.get("low"), f.metadata.get("high")
-        kind = _FIELD_TYPES[f.type]
+        kind = FIELD_TYPES[f.type]
         value = typed(getattr(config, f.name), kind, path)
         if kind is float:
             value = float(value)
@@ -153,21 +156,27 @@ def check_config(config, section: str) -> None:
 
 
 def read_records(
-    lines: Iterable[str],
+    lines: Iterable[bytes | str],
     from_record: Callable[[object, int], T],
     errors: list[RecordError] | None = None,
 ) -> Iterator[T]:
     """Lazily yield `from_record(obj, line)` for each non-blank line.
 
-    With `errors` given, a bad line is skipped and its RecordError appended
-    there (per-line recovery); with `errors=None` the first bad line raises.
+    A `bytes` line, as a file opened in binary mode gives it (so that only
+    "\\n" ends a line), must be strict UTF-8. With `errors` given, a bad
+    line is skipped and its RecordError appended there (per-line recovery);
+    with `errors=None` the first bad line raises.
     """
     for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
         try:
             try:
-                obj = json.loads(raw)
+                text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+                if not text.strip():
+                    continue
+                obj = json.loads(text)
+            except UnicodeDecodeError as exc:
+                message = f"invalid UTF-8: {exc.reason} at byte {exc.start}"
+                raise RecordError(line_no, message) from exc
             except json.JSONDecodeError as exc:
                 raise RecordError(line_no, f"invalid JSON: {exc.msg}") from exc
             record = from_record(obj, line_no)

@@ -27,9 +27,8 @@ from .jsonl import RecordError, bounded, check_config, require, require_list
 
 @dataclass(frozen=True)
 class ExtractorConfig:
-    max_hops: int = bounded(4, low=2)  # maximum entities on a path (4 entities = 3 hops)
-    # "first": stop at the first successful pair; "all": every unordered pair
-    mode: str = bounded("first", choices=("first", "all"))
+    max_hops: int = bounded(4, low=2, help="max entities on a path")
+    mode: str = bounded("first", choices=("first", "all"), help="pair iteration mode")
 
     def __post_init__(self):
         check_config(self, "extractor")

@@ -19,11 +19,12 @@ objects pass by reference. Either way the run takes three rounds:
    document, its line, id and donor count. The parent merges them in line
    order: a repeated id is a skipped line (`corpus.claim_id`), and the
    donor pool's draw is made over all the counts (`negatives.draw_donors`).
-2. Each stripe annotates the donors picked from its documents and lists
-   its first-seen entities (`counterfactual.alien_share`). Every stripe
-   receives every stripe's share and merges them into the same two
-   sampling pools: the donors in draw order, the aliens in line order
-   (`counterfactual.merged_aliens`).
+2. Every stripe gets one request, the same for all: the lines to drop
+   and every document's donor picks. It annotates the donors picked from
+   its own documents and lists their first-seen entities
+   (`counterfactual.alien_share`). Every stripe receives every stripe's
+   share and merges them into the same two sampling pools: the donors in
+   draw order, the aliens in line order (`counterfactual.merged_aliens`).
 3. Each stripe runs each document's whole chain (graph, extraction,
    negatives, counterfactual copies, instances) and returns its output one
    chunk at a time; the parent writes the chunks in line order.
@@ -115,8 +116,8 @@ from .spans import AnnotatedSentence
 
 @dataclass
 class NegativesConfig:
-    num_negatives: int = bounded(3, low=0)
-    pool_size: int = bounded(1000, low=0)
+    num_negatives: int = bounded(3, low=0, help="negatives per instance (K)")
+    pool_size: int = bounded(1000, low=0, help="cross-document donor pool cap")
 
     def __post_init__(self):
         check_config(self, "negatives")
@@ -124,8 +125,10 @@ class NegativesConfig:
 
 @dataclass
 class CounterfactualConfig:
-    copies: int = bounded(1, low=0)  # counterfactual copies per original (the N of a 1:N mix)
-    include_prob: float = bounded(0.5, low=0.0, high=1.0)
+    copies: int = bounded(1, low=0, help="original:counterfactual mix ('0' disables)")
+    include_prob: float = bounded(
+        0.5, low=0.0, high=1.0, help="replacement probability for non-target path entities"
+    )
 
     def __post_init__(self):
         check_config(self, "counterfactual")
@@ -295,7 +298,7 @@ def collector_paused() -> Iterator[None]:
 
 
 def load_documents(path, errors: list[RecordError] | None = None) -> list[Document]:
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "rb") as fp:
         return list(parse_corpus(fp, errors))
 
 
@@ -555,8 +558,8 @@ Summary = tuple[list[RecordError], list[tuple[int, str, int]]]
 # A stripe's answer to round 2: (line, picked donors) of each document with
 # a pick, in line order, and its share of the alien pool.
 Pools = tuple[list[tuple[int, list[AnnotatedSentence]]], AlienShare]
-# The parent's round-2 request to a stripe: the lines to drop, and the
-# positions of the donors picked from each document, by line.
+# The parent's round-2 request, the same to every stripe: the lines to drop,
+# and the positions of the donors picked from each document, by line.
 Request = tuple[set[int], dict[int, list[int]]]
 
 
@@ -576,10 +579,10 @@ class _Stripe:
     def summary(self) -> Summary:
         """Parse the stripe's lines with `corpus.parse_record`."""
         errors: list[RecordError] = []
-        with open(self.cfg.input, "r", encoding="utf-8") as fp:
+        with open(self.cfg.input, "rb") as fp:
             # A line of another stripe reads as blank: skipped, but still numbered.
             mine = (
-                raw if _chunk(line) % self.workers == self.index else ""
+                raw if _chunk(line) % self.workers == self.index else b""
                 for line, raw in enumerate(fp, start=1)
             )
             self.docs = list(read_records(mine, _parsed, errors))
@@ -590,8 +593,8 @@ class _Stripe:
     def pools(self, dropped: set[int], picks: dict[int, list[int]]) -> Pools:
         """Drop the documents on `dropped` lines; return the others' shares of the pools.
 
-        `picks` maps a line to the positions of its picked donors, as
-        `negatives.draw_donors` gives them.
+        `picks` maps a line of any stripe to the positions of its picked
+        donors, as `negatives.draw_donors` gives them.
         """
         self.docs = [(line, doc) for line, doc in self.docs if line not in dropped]
         donors = [(line, picked_donors(doc, picks[line])) for line, doc in self.docs if line in picks]
@@ -615,17 +618,16 @@ class _Stripe:
 
 def _merged_summaries(
     cfg: PipelineConfig, summaries: list[Summary]
-) -> tuple[list[RecordError], list[int], list[Request]]:
+) -> tuple[list[RecordError], list[int], Request]:
     """Round 1 in this process: the stripes' summaries merged in line order.
 
     Returns the skipped lines' errors in line order, the lines of the kept
-    documents, and each stripe's round-2 request: its lines to drop, whose
-    ids an earlier line has (`corpus.claim_id`), and the donors picked from
-    its documents (`negatives.draw_donors`).
+    documents, and the round-2 request: the lines to drop, whose ids an
+    earlier line has (`corpus.claim_id`), and the donors picked from each
+    document (`negatives.draw_donors`).
     """
-    workers = len(summaries)
     errors = [err for skipped, _ in summaries for err in skipped]
-    requests: list[Request] = [(set(), {}) for _ in summaries]
+    dropped: set[int] = set()
     first_lines: dict[str, int] = {}
     kept: list[tuple[int, int]] = []  # (line, donor count)
     for line, doc_id, donors in heapq.merge(*(docs for _, docs in summaries)):
@@ -633,15 +635,14 @@ def _merged_summaries(
             claim_id(first_lines, doc_id, line)
         except RecordError as err:
             errors.append(err)
-            requests[_chunk(line) % workers][0].add(line)
+            dropped.add(line)
         else:
             kept.append((line, donors))
     errors.sort(key=attrgetter("line"))
     rng = derive_rng(cfg.seed, "donor-pool")
-    for d, picks in draw_donors([n for _, n in kept], cfg.negatives.pool_size, rng):
-        line = kept[d][0]
-        requests[_chunk(line) % workers][1][line] = picks
-    return errors, [line for line, _ in kept], requests
+    draws = draw_donors([n for _, n in kept], cfg.negatives.pool_size, rng)
+    picks = {kept[d][0]: positions for d, positions in draws}
+    return errors, [line for line, _ in kept], (dropped, picks)
 
 
 def _merged_pools(parts: list[Pools]) -> tuple[list[AnnotatedSentence], AlienPool]:
@@ -661,7 +662,9 @@ def _merged_pools(parts: list[Pools]) -> tuple[list[AnnotatedSentence], AlienPoo
 def _serve(conn, inherited, cfg: PipelineConfig, index: int, workers: int) -> None:
     """A forked worker: run stripe `index`'s three rounds over `conn`.
 
-    An exception is sent in place of the next message, and ends the worker.
+    An exception is sent in place of the next message, and ends the worker;
+    one that does not survive a pickle round trip is sent as a RuntimeError
+    naming its type and message.
     """
     for other in inherited:  # the parent's ends of earlier workers' pipes
         other.close()
@@ -674,9 +677,10 @@ def _serve(conn, inherited, cfg: PipelineConfig, index: int, workers: int) -> No
             conn.send(list(pieces))
     except BaseException as exc:
         try:
-            conn.send(exc)
-        except Exception:  # an exception that does not pickle
-            conn.send(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        conn.send(exc)
     finally:
         conn.close()
 
@@ -736,7 +740,7 @@ def _stripes(
     """
     if workers == 1:
         stripe = _Stripe(cfg, 0, 1)
-        errors, kept, (request,) = _merged_summaries(cfg, [stripe.summary()])
+        errors, kept, request = _merged_summaries(cfg, [stripe.summary()])
         pools = _merged_pools([stripe.pools(*request)])
         yield errors, len(kept), stripe.chains(*pools)
         return
@@ -754,8 +758,8 @@ def _stripes(
             child.close()
             conns.append(conn)
             procs.append(proc)
-        errors, kept, requests = _merged_summaries(cfg, [_received(conn) for conn in conns])
-        for conn, request in zip(conns, requests):
+        errors, kept, request = _merged_summaries(cfg, [_received(conn) for conn in conns])
+        for conn in conns:
             conn.send(request)
         shares = [_received(conn) for conn in conns]
         for conn in conns:
@@ -776,7 +780,7 @@ def _stripes(
 
 def _records(path) -> int:
     """The corpus's non-blank lines: the most documents it can hold."""
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "rb") as fp:
         return sum(1 for raw in fp if raw.strip())
 
 
@@ -861,5 +865,5 @@ def run_pipeline(cfg: PipelineConfig, skipped: list[RecordError] | None = None) 
 
 
 def read_bundle_file(path) -> list[InstanceBundle]:
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "rb") as fp:
         return list(read_bundles(fp))

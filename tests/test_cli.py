@@ -142,18 +142,23 @@ def test_negatives_bad_positives_line_numbered(tmp_path, capsys):
         write_corpus(make_corpus(6, seed=4), fp)
     positives = tmp_path / "positives.jsonl"
     assert main(["extract", "--input", str(corpus), "--output", str(positives)]) == 0
-    good = positives.read_text().splitlines()
+    good = positives.read_bytes().splitlines()
     assert len(good) >= 3
     missing_path = json.loads(good[2])
     del missing_path["path"]
     capsys.readouterr()
-    for bad_line in ['{"doc": "d0", "pair": ["a"', json.dumps(missing_path)]:
+    bad_lines = {
+        b'{"doc": "d0", "pair": ["a"': "invalid JSON",
+        json.dumps(missing_path).encode(): "path: missing field",
+        b"\xff" + good[2]: "invalid UTF-8: invalid start byte at byte 0",
+    }
+    for bad_line, message in bad_lines.items():
         bad = tmp_path / "bad.jsonl"
-        write_lines(bad, [good[0], good[1], bad_line, *good[3:]])
+        bad.write_bytes(b"".join(line + b"\n" for line in [*good[:2], bad_line, *good[3:]]))
         rc = main(["negatives", "--corpus", str(corpus), "--input", str(bad),
                    "--output", str(tmp_path / "bundles.jsonl"), "--seed", "1"])
         assert rc == 1
-        assert "line 3" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: line 3: {message}")
 
 
 def test_negatives_follow_the_positives_file_order(tmp_path, capsys):
@@ -443,18 +448,24 @@ def test_run_names_the_lines_it_skips(tmp_path, capsys):
     records = [document_to_record(doc) for doc in make_corpus(6, seed=4)]
     records[3]["sentences"] = 7
     records[4]["id"] = records[0]["id"]
+    lines = [json.dumps(record).encode() for record in records]
+    lines[1] = lines[1][:2] + b"\xff" + lines[1][2:]  # not UTF-8
     corpus = tmp_path / "corpus.jsonl"
-    write_lines(corpus, [json.dumps(record) for record in records])
-    warnings = (
-        "warning: skipped line 4: sentences: expected array, got int\n"
-        f"warning: skipped line 5: id: duplicate document id {records[0]['id']!r}, first on line 1\n"
+    corpus.write_bytes(b"".join(line + b"\n" for line in lines))
+    problems = (
+        "line 2: invalid UTF-8: invalid start byte at byte 2\n"
+        "line 4: sentences: expected array, got int\n"
+        f"line 5: id: duplicate document id {records[0]['id']!r}, first on line 1\n"
     )
+    warnings = "".join(f"warning: skipped {line}\n" for line in problems.splitlines())
+    assert main(["validate", "--input", str(corpus)]) == 3
+    assert capsys.readouterr() == ("3 documents ok, 3 problems\n", problems)
     assert main(["build-graph", "--input", str(corpus), "--output", str(tmp_path / "g.tsv")]) == 0
     assert capsys.readouterr().err == warnings
     assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path / "r"), "--seed", "1"]) == 0
     assert capsys.readouterr().err == warnings
     manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
-    assert manifest["stages"]["parse"] == {"documents": 4, "errors": 2}
+    assert manifest["stages"]["parse"] == {"documents": 3, "errors": 3}
 
 
 def test_emit_counts_the_instances_it_writes(tmp_path, capsys):
@@ -682,6 +693,12 @@ def test_config_file_syntax_error_names_file(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {config}: invalid JSON: Expecting property name enclosed in double quotes: "
         "line 1 column 12 (char 11)\n"
+    )
+    config.write_bytes(b'{"seed": "\xff"}')
+    assert main(["run", "--input", str(corpus), "--output-dir", str(tmp_path / "out"),
+                 "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: invalid UTF-8: invalid start byte at byte 10\n"
     )
     assert not (tmp_path / "out").exists()
 

@@ -655,14 +655,38 @@ def test_stripes_share_the_one_alien_pool(tmp_path, monkeypatch):
     whole = build_entity_pool(pl.load_documents(corpus, []))
     for workers in (1, 2, 3):
         stripes = [pl._Stripe(cfg, w, workers) for w in range(workers)]
-        _, _, requests = pl._merged_summaries(cfg, [stripe.summary() for stripe in stripes])
-        shares = [stripe.pools(*request)[1] for stripe, request in zip(stripes, requests)]
+        _, _, request = pl._merged_summaries(cfg, [stripe.summary() for stripe in stripes])
+        shares = [stripe.pools(*request)[1] for stripe in stripes]
         assert all(ids for _, ids, _ in shares), workers
         sent = [pickle.loads(pickle.dumps(share)) for share in shares]
         assert merged_aliens(sent) == whole, workers
 
 
-def test_an_error_while_a_worker_parses_reaches_the_caller(tmp_path, monkeypatch):
+class NoPickle(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None  # a lambda does not pickle
+
+
+class NoUnpickle(Exception):
+    def __init__(self, a, b):  # pickled with one argument, so unpickling fails
+        super().__init__(f"{a} {b}")
+
+
+# What the parse of line 20 raises (None: its process exits), and the
+# error a caller of forked workers gets for it.
+WORKER_ERRORS = {
+    "pickles": (ZeroDivisionError("no parse of line 20"), ZeroDivisionError,
+                "no parse of line 20"),
+    "no-pickle": (NoPickle("np"), RuntimeError, "NoPickle: np"),
+    "no-unpickle": (NoUnpickle("nu", "x"), RuntimeError, "NoUnpickle: nu x"),
+    "exit": (None, RuntimeError, "a pipeline worker exited without finishing"),
+}
+
+
+@pytest.mark.parametrize("case", WORKER_ERRORS)
+def test_an_error_while_a_worker_parses_reaches_the_caller(tmp_path, monkeypatch, case):
+    error, kind, message = WORKER_ERRORS[case]
     corpus = tmp_path / "corpus.jsonl"
     with open(corpus, "w", encoding="utf-8") as fp:
         write_corpus(make_corpus(40, seed=4), fp)
@@ -670,16 +694,22 @@ def test_an_error_while_a_worker_parses_reaches_the_caller(tmp_path, monkeypatch
 
     def failing(obj, line):
         if line == 20:  # in the second stripe at every number of workers
-            raise ZeroDivisionError(f"no parse of line {line}")
+            if error is None:
+                os._exit(3)
+            raise error
         return real(obj, line)
 
     monkeypatch.setattr(pl, "parse_record", failing)
     cpus(monkeypatch, 3)
-    for jobs in (1, 2, 3):
+    for jobs in (1, 2, 3) if error else (2, 3):  # at jobs 1 `os._exit` ends this process
         out = tmp_path / f"out{jobs}"
         cfg = pl.PipelineConfig(input=str(corpus), output_dir=str(out), seed=1, jobs=jobs)
-        with pytest.raises(ZeroDivisionError, match="^no parse of line 20$"):
+        with pytest.raises(BaseException) as caught:
             pl.run_pipeline(cfg)
+        if jobs == 1:  # passed by reference
+            assert caught.value is error
+        else:
+            assert (type(caught.value), str(caught.value)) == (kind, message), jobs
         assert list(out.iterdir()) == [], jobs
         assert multiprocessing.active_children() == [], jobs
 
