@@ -27,7 +27,9 @@ objects pass by reference. Either way the run takes three rounds:
    draw order, the aliens in line order (`counterfactual.merged_aliens`).
 3. Each stripe runs each document's whole chain (graph, extraction,
    negatives, counterfactual copies, instances) and returns its output one
-   chunk at a time; the parent writes the chunks in line order.
+   chunk at a time. The parent reads each chunk, in line order, from the
+   worker that ran it and writes it, so it holds one chunk at a time; a
+   worker further ahead waits on its full pipe.
 
 So no parsed document crosses a process boundary and the parent of forked
 workers holds none; the standalone stages share the chain's per-document
@@ -54,7 +56,6 @@ import io
 import json
 import os
 import pickle
-from collections import deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -539,10 +540,6 @@ def worker_count(jobs: int, n_docs: int) -> int:
 # uneven tail of a run.
 CHUNK_DOCS = 16
 
-# Chunks the parent holds from one worker before they are due, which bounds
-# its memory; a worker further ahead waits on its full pipe.
-AHEAD_CHUNKS = 2
-
 
 def _chunk(line: int) -> int:
     return (line - 1) // CHUNK_DOCS
@@ -672,7 +669,7 @@ def _serve(conn, inherited, cfg: PipelineConfig, index: int, workers: int) -> No
         stripe = _Stripe(cfg, index, workers)
         conn.send(stripe.summary())
         conn.send(pickle.dumps(stripe.pools(*conn.recv()), pickle.HIGHEST_PROTOCOL))
-        pools = _merged_pools([pickle.loads(blob) for blob in conn.recv()])
+        pools = _merged_pools([pickle.loads(conn.recv_bytes()) for _ in range(workers)])
         for pieces in stripe.chains(*pools):
             conn.send(list(pieces))
     except BaseException as exc:
@@ -696,35 +693,6 @@ def _received(conn):
     return message
 
 
-def _chunks_in_order(conns: list, order: list[int]) -> Iterator[list[Piece]]:
-    """The chunks of `order` from the workers that run them, in that order.
-
-    A worker's messages are read as they arrive, so that one worker does
-    not wait on the parent while it waits on the other; but never more than
-    AHEAD_CHUNKS of one worker's are held before they are due.
-    """
-    from multiprocessing.connection import wait
-
-    workers = len(conns)
-    held: list[deque[list[Piece]]] = [deque() for _ in conns]
-    due = [0] * workers  # chunks each worker has still to send
-    for c in order:
-        due[c % workers] += 1
-    for c in order:
-        w = c % workers
-        while not held[w]:
-            readable = [
-                conn
-                for v, conn in enumerate(conns)
-                if due[v] and (v == w or len(held[v]) < AHEAD_CHUNKS)
-            ]
-            for conn in wait(readable):
-                v = conns.index(conn)
-                held[v].append(_received(conn))
-                due[v] -= 1
-        yield held[w].popleft()
-
-
 @contextmanager
 def _stripes(
     cfg: PipelineConfig, workers: int
@@ -734,9 +702,10 @@ def _stripes(
     The chunk outputs come lazily and in line order. One stripe runs here,
     its objects passed by reference. More run in worker processes forked
     before anything is parsed; this process then holds no document, only
-    the stripes' summaries, their shares of the pools as bytes, and up to
-    AHEAD_CHUNKS chunks of output per worker. On an error the workers are
-    stopped and joined before it propagates.
+    the stripes' summaries, their shares of the pools as bytes, and one
+    chunk of output. No deadlock: a worker waits only on its own pipe, and
+    this process reads each pipe in the order its worker writes it. On an
+    error the workers are stopped and joined before it propagates.
     """
     if workers == 1:
         stripe = _Stripe(cfg, 0, 1)
@@ -763,10 +732,11 @@ def _stripes(
             conn.send(request)
         shares = [_received(conn) for conn in conns]
         for conn in conns:
-            conn.send(shares)
+            for blob in shares:
+                conn.send_bytes(blob)
         del shares
         order = sorted({_chunk(line) for line in kept})
-        yield errors, len(kept), _chunks_in_order(conns, order)
+        yield errors, len(kept), (_received(conns[c % workers]) for c in order)
     except BaseException:
         for proc in procs:
             proc.terminate()

@@ -702,9 +702,9 @@ def load_params(path) -> ScorerParams:
     A malformed or truncated file raises ValueError naming the 1-based line
     where parsing stopped.
     """
-    with open(path, "r", encoding="utf-8") as fp:
-        text = fp.read()
-    lines = text.splitlines()
+    with open(path, "rb") as fp:
+        blob = fp.read()
+    lines = blob.splitlines()
     pos = 0  # lines consumed; the line being parsed is lines[pos - 1]
 
     def take() -> str:
@@ -712,7 +712,10 @@ def load_params(path) -> ScorerParams:
         pos += 1
         if pos > len(lines):
             raise ValueError("unexpected end of file")
-        return lines[pos - 1]
+        try:
+            return lines[pos - 1].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"invalid UTF-8: {exc.reason} at byte {exc.start}") from exc
 
     def header(tag: str, n: int) -> list[str]:
         parts = take().split()
@@ -753,7 +756,7 @@ def load_params(path) -> ScorerParams:
             if any(len(row) != cols for row in block):
                 raise ValueError(f"array {name}: expected {cols} values per row")
             arrays[name] = np.array(block).reshape(rows, cols)
-        if not text.endswith("\n"):
+        if not blob.endswith(b"\n"):
             raise ValueError("last line is cut off")
         missing = [name for name in ARRAY_FIELDS if name not in arrays]
         if missing:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import random
@@ -712,6 +713,64 @@ def test_an_error_while_a_worker_parses_reaches_the_caller(tmp_path, monkeypatch
             assert (type(caught.value), str(caught.value)) == (kind, message), jobs
         assert list(out.iterdir()) == [], jobs
         assert multiprocessing.active_children() == [], jobs
+
+
+def test_a_worker_that_exits_mid_chain_stops_the_run(tmp_path, monkeypatch):
+    # The parent reads each chunk from the worker that runs it, so it may be
+    # waiting on another worker's pipe when this one dies.
+    corpus = tmp_path / "corpus.jsonl"
+    docs = make_corpus(40, seed=4)
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(docs, fp)
+    real = pl._negative_worker
+
+    def exiting(doc, *args):
+        if doc.id == docs[19].id:  # line 20: the second stripe at every number of workers
+            os._exit(3)
+        return real(doc, *args)
+
+    monkeypatch.setattr(pl, "_negative_worker", exiting)
+    cpus(monkeypatch, 3)
+    for jobs in (2, 3):
+        out = tmp_path / f"out{jobs}"
+        cfg = pl.PipelineConfig(input=str(corpus), output_dir=str(out), seed=1, jobs=jobs)
+        with pytest.raises(RuntimeError, match="^a pipeline worker exited without finishing$"):
+            pl.run_pipeline(cfg)
+        assert list(out.iterdir()) == [], jobs
+        assert multiprocessing.active_children() == [], jobs
+
+
+def holds_bytes(obj) -> bool:
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return True
+    if isinstance(obj, dict):
+        return any(holds_bytes(k) or holds_bytes(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return any(holds_bytes(item) for item in obj)
+    return False
+
+
+def test_parent_of_forked_workers_relays_shares_unpickled(tmp_path, monkeypatch):
+    # Each stripe's share of the pools is already pickled: the parent passes
+    # the bytes on as they came, and pickles no message that holds them.
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(40, seed=4), fp)
+    parent = os.getpid()
+    sent = []
+    real = multiprocessing.connection.Connection.send
+
+    def recorded(conn, obj):
+        if os.getpid() == parent:
+            sent.append(obj)
+        return real(conn, obj)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", recorded)
+    cpus(monkeypatch, 2)
+    cfg = pl.PipelineConfig(input=str(corpus), output_dir=str(tmp_path / "out"), seed=1, jobs=2)
+    pl.run_pipeline(cfg)
+    assert not any(holds_bytes(obj) for obj in sent)
+    assert len(sent) == 2  # one round-2 request to each worker
 
 
 def test_parent_of_forked_workers_parses_nothing(tmp_path, monkeypatch):

@@ -185,23 +185,25 @@ def test_eval_truncated_params_exit_1_naming_line(film_cast_run, tmp_path, capsy
 @pytest.mark.parametrize(
     "entry, edited, message",
     [
-        ("gamma\t4", "gamma\t9", "line 8: vocab index 9 outside 0..4"),
-        ("gamma\t4", "gamma\t3", "line 8: vocab index 3 given twice"),
-        ("[unk]\t0", "delta\t0", "line 8: vocab lacks the reserved token '[unk]'"),
-        ("gamma\t4", "beta\t4", "line 8: vocab token 'beta' given twice"),
+        (b"gamma\t4", b"gamma\t9", "line 8: vocab index 9 outside 0..4"),
+        (b"gamma\t4", b"gamma\t3", "line 8: vocab index 3 given twice"),
+        (b"[unk]\t0", b"delta\t0", "line 8: vocab lacks the reserved token '[unk]'"),
+        (b"gamma\t4", b"beta\t4", "line 8: vocab token 'beta' given twice"),
+        (b"[sep]\t1", b"[s\xffp]\t1", "line 5: invalid UTF-8: invalid start byte at byte 2"),
     ],
-    ids=["index-outside", "index-twice", "no-unk", "token-twice"],
+    ids=["index-outside", "index-twice", "no-unk", "token-twice", "not-utf-8"],
 )
 def test_eval_bad_params_vocab_exit_1_naming_line(
     film_cast_run, tmp_path, capsys, entry, edited, message
 ):
     # An index outside the embedding rows, or one shared by two tokens, would
     # pool the wrong row; the reserved tokens are what unknown words map to.
+    # A byte that is not UTF-8 is named by its line, as in a JSONL input.
     params = tmp_path / "scorer.txt"
     save_params(init_params(build_vocab(["alpha beta gamma"]), 2, 2, seed=0), params)
-    text = params.read_text(encoding="utf-8")
-    assert f"\n{entry}\n" in text
-    params.write_text(text.replace(f"\n{entry}\n", f"\n{edited}\n"), encoding="utf-8")
+    blob = params.read_bytes()
+    assert b"\n" + entry + b"\n" in blob
+    params.write_bytes(blob.replace(b"\n" + entry + b"\n", b"\n" + edited + b"\n"))
     instances = str(film_cast_run / "instances.jsonl")
     assert main(["eval", "--params", str(params), "--input", instances]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -538,9 +538,11 @@ def test_params_save_load_round_trip(tmp_path):
     params = init_params(vocab, 7, 5, seed=31)
     path = tmp_path / "scorer.txt"
     save_params(params, path)
-    loaded = load_params(path)
-    assert loaded.vocab == params.vocab
-    for name, arr in params.arrays().items():
-        assert np.array_equal(arr, loaded.arrays()[name]), name
+    crlf = tmp_path / "scorer-crlf.txt"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    for loaded in (load_params(path), load_params(crlf)):
+        assert loaded.vocab == params.vocab
+        for name, arr in params.arrays().items():
+            assert np.array_equal(arr, loaded.arrays()[name]), name
     with pytest.raises(ValueError):
         load_params(__file__)
