@@ -196,14 +196,14 @@ def read_positives(lines: Iterable[str]) -> Iterator[PositiveInstance]:
 
 
 def _corpus_records(
-    docs: Sequence[Document], lines: Iterable[str], from_record, what: str, named, problems=None
+    docs: Sequence[Document], lines: Iterable[str], from_record, what: str, named, problems
 ):
     """The records of `lines`, each checked against its document in `docs` as it is read.
 
     A record of a document not in `docs`, or naming a sentence outside its
     document, is a bad record of its line. `named(record)` lists the
     (field path, sentence index) pairs a record names besides its path's.
-    `problems(record, doc)`, if given, lists what else is wrong with a record
+    `problems(record, doc)` lists what else is wrong with a record
     whose sentences are in range; the first of them makes it a bad record.
     """
     by_id = {doc.id: doc for doc in docs}
@@ -224,7 +224,7 @@ def _corpus_records(
                     f"outside its {n} sentences"
                 )
                 raise RecordError(line, message, at)
-        found = problems(record, doc) if problems else ()
+        found = problems(record, doc)
         if found:
             raise RecordError(line, f"{what} in document {doc.id!r}: {found[0]}")
         return record
@@ -253,13 +253,35 @@ def read_corpus_positives(
 
 
 def read_corpus_bundles(docs: Sequence[Document], lines: Iterable[str]) -> Iterator[InstanceBundle]:
-    """`read_bundles`, checking each bundle's document and sentences against `docs`."""
+    """`read_bundles`, checking each bundle against its document in `docs`.
+
+    A bundle whose sentences are in range must also hold a positive (its
+    pair, path, context sentences and answer sentence) that passes
+    `validate_instance`, and an original bundle's context and answer must
+    be its document's sentences, text and mention spans alike. The graph
+    and the sentence table are built once per run of one document's bundles.
+    """
+    graph = lru_cache(maxsize=1)(build_entity_graph)
+    table = lru_cache(maxsize=1)(SentenceTable)
 
     def named(b: InstanceBundle) -> list[tuple[str, int]]:
         context = [(f"context_sentences[{i}]", t.sentence) for i, t in enumerate(b.context)]
         return context + [("answer_sentence", b.answer.sentence)]
 
-    return _corpus_records(docs, lines, bundle_from_record, "bundle", named)
+    def problems(b: InstanceBundle, doc: Document) -> list[str]:
+        context = tuple(t.sentence for t in b.context)
+        positive = PositiveInstance(b.doc_id, b.pair, b.path, context, b.answer.sentence)
+        found = validate_instance(positive, doc, graph(doc))
+        if not b.counterfactual:
+            texts = [(f"context[{i}]", t) for i, t in enumerate(b.context)]
+            found += [
+                f"{at} differs from sentence {t.sentence} of the document in text or mentions"
+                for at, t in texts + [("answer", b.answer)]
+                if t != table(doc)[t.sentence]
+            ]
+        return found
+
+    return _corpus_records(docs, lines, bundle_from_record, "bundle", named, problems)
 
 
 # -- stages --

@@ -1,23 +1,26 @@
-"""Desk-scale trainable scorer and the contrastive training objectives.
+"""Desk-scale trainable scorer and the contrastive training objective.
 
-The scorer is the smallest model that exercises every objective: a learned
+The scorer is the smallest model that exercises the objective: a learned
 token embedding table, mean pooling over the separator-joined pair text,
-and a two-layer tanh head producing a scalar score. All losses share one
-softmax cross-entropy core
+and a two-layer tanh head producing a scalar score. Each instance's
+contrastive term is one softmax cross-entropy
 
     loss = -log( exp(s_pos) / (exp(s_pos) + sum_j exp(s_neg_j)) )
 
 computed with max subtraction. Option-oriented instances score
-(context, candidate answer) pairs, context-oriented instances score
-(answer, candidate context) pairs, and the multiple-choice loss scores
-(passage + question, option) pairs. A masked-token auxiliary predicts
-held-out tokens from the mean of the remaining embeddings through the
-embedding-tied softmax.
+(context, candidate answer) pairs and context-oriented instances score
+(answer, candidate context) pairs; a multiple-choice example is an
+option-oriented instance whose query is "passage [sep] question". A
+masked-token auxiliary predicts held-out tokens from the mean of the
+remaining embeddings through the embedding-tied softmax.
+`total_loss_and_grads` is the one entry point to the combined loss of a
+batch and its gradients.
 
-Every loss and the evaluation run on one minibatch layout: all candidate
-pairs and masked-token contexts of a batch are segments of one flat id
-array, pooled by one matrix product, scored by one head pass and grouped
-back into per-instance softmaxes with segment reductions.
+Training, the loss entry point and the evaluation run on one minibatch
+layout: all candidate pairs and masked-token contexts of a batch are
+segments of one flat id array, pooled by one matrix product, scored by one
+head pass and grouped back into per-instance softmaxes with segment
+reductions.
 
 Gradients are analytic throughout and verified against central
 differences; everything is float64 and deterministic under a fixed seed.
@@ -161,25 +164,19 @@ class _Encoded(NamedTuple):
     lengths: np.ndarray  # pair length of each candidate
 
 
-def _encode(
-    params: ScorerParams, orientation: str, query: str, candidates: Sequence[str], gold: int
-) -> _Encoded:
-    if len(candidates) < 2:
+def _encode_instance(params: ScorerParams, inst: ContrastiveInstance) -> _Encoded:
+    if len(inst.candidates) < 2:
         raise ValueError("candidate set must contain at least one negative")
-    head = token_ids(params, query)
+    head = token_ids(params, inst.query)
     prefix = head + [params.vocab[SEP_TOKEN]]
-    pairs = [prefix + token_ids(params, cand) for cand in candidates]
+    pairs = [prefix + token_ids(params, cand) for cand in inst.candidates]
     return _Encoded(
-        orientation=orientation,
-        gold=gold,
+        orientation=inst.orientation,
+        gold=inst.gold,
         query=np.array(head, dtype=np.intp),
         pairs=np.array([i for pair in pairs for i in pair], dtype=np.intp),
         lengths=np.array([len(pair) for pair in pairs], dtype=np.intp),
     )
-
-
-def _encode_instance(params: ScorerParams, inst: ContrastiveInstance) -> _Encoded:
-    return _encode(params, inst.orientation, inst.query, inst.candidates, inst.gold)
 
 
 def _pool(params: ScorerParams, flat: np.ndarray, lengths: np.ndarray):
@@ -229,15 +226,6 @@ def _group_softmax(scores: np.ndarray, sizes: np.ndarray, golds: np.ndarray):
     return losses, dscores
 
 
-def cl_loss(s_pos: float, s_negs: Sequence[float]) -> float:
-    """Softmax cross-entropy of the positive against the negatives; >= 0."""
-    if len(s_negs) == 0:
-        raise ValueError("candidate set must contain at least one negative")
-    scores = np.array([s_pos, *s_negs], dtype=float)
-    losses, _ = _group_softmax(scores, np.array([scores.size]), np.array([0]))
-    return float(losses[0])
-
-
 class _Masked(NamedTuple):
     """Masked-token draws of a batch of texts, as segments."""
 
@@ -281,13 +269,13 @@ def _batch(
     cl_weights: np.ndarray,
     masked: _Masked | None,
     mlm_weight: float,
-    grads: dict[str, np.ndarray] | None,
+    grads: dict[str, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Contrastive loss of each group and masked-token loss of each text.
 
     Candidate pairs and unmasked contexts share one layout, so the
-    embedding table is gathered once and, when `grads` is given, scattered
-    into once; each group's gradient is scaled by its `cl_weights` entry
+    embedding table is gathered once and its gradient scattered into
+    `grads` once; each group's gradient is scaled by its `cl_weights` entry
     and each text's by `mlm_weight`. The masked tokens are predicted from
     their context mean through the embedding-tied softmax.
     """
@@ -301,18 +289,16 @@ def _batch(
     ids, pool, means = _pool(params, np.concatenate(segments), np.concatenate(lengths))
     pair_means, contexts = means[:n_pairs], means[n_pairs:]
     dmeans = np.zeros_like(means)
-    cl = mlm = np.zeros(0)
-    if groups:
-        scores, hidden = _head_forward(params, pair_means)
-        cl, dscores = _group_softmax(scores, sizes, np.array([e.gold for e in groups]))
-        if grads is not None:
-            dscores *= np.repeat(cl_weights, sizes)
-            dhidden = np.outer(dscores, params.w2) * (1.0 - hidden * hidden)
-            grads["w2"] += hidden.T @ dscores
-            grads["b2"][0] += dscores.sum()
-            grads["w1"] += pair_means.T @ dhidden
-            grads["b1"] += dhidden.sum(axis=0)
-            dmeans[:n_pairs] = dhidden @ params.w1.T
+    scores, hidden = _head_forward(params, pair_means)
+    cl, dscores = _group_softmax(scores, sizes, np.array([e.gold for e in groups]))
+    dscores *= np.repeat(cl_weights, sizes)
+    dhidden = np.outer(dscores, params.w2) * (1.0 - hidden * hidden)
+    grads["w2"] += hidden.T @ dscores
+    grads["b2"][0] += dscores.sum()
+    grads["w1"] += pair_means.T @ dhidden
+    grads["b1"] += dhidden.sum(axis=0)
+    dmeans[:n_pairs] = dhidden @ params.w1.T
+    mlm = np.zeros(0)
     if masked is not None:
         emb = params.embeddings
         texts, vocab_size = masked.counts.size, emb.shape[0]
@@ -327,52 +313,12 @@ def _batch(
         exp = np.exp(logits - top)
         norm = exp.sum(axis=1, keepdims=True)
         mlm = (np.log(norm) + top)[:, 0] - (target_share * logits).sum(axis=1)
-        if grads is not None:
-            dlogits = mlm_weight * (exp / norm - target_share)
-            # logits = E @ context: output side plus the context's own dependence on E
-            grads["embeddings"] += dlogits.T @ contexts
-            dmeans[n_pairs:] = dlogits @ emb
-    if grads is not None:
-        grads["embeddings"][ids] += pool @ dmeans
+        dlogits = mlm_weight * (exp / norm - target_share)
+        # logits = E @ context: output side plus the context's own dependence on E
+        grads["embeddings"] += dlogits.T @ contexts
+        dmeans[n_pairs:] = dlogits @ emb
+    grads["embeddings"][ids] += pool @ dmeans
     return cl, mlm
-
-
-def _require_orientation(inst: ContrastiveInstance, orientation: str) -> None:
-    if inst.orientation != orientation:
-        raise ValueError(f"expected {orientation} instance, got {inst.orientation}")
-
-
-def ocl_loss(params: ScorerParams, inst: ContrastiveInstance) -> float:
-    """Option-oriented loss: the context queries, answers are candidates."""
-    _require_orientation(inst, "option")
-    return total_loss(params, [inst], mlm_weight=0.0)
-
-
-def ccl_loss(params: ScorerParams, inst: ContrastiveInstance) -> float:
-    """Context-oriented loss: the answer queries, contexts are candidates."""
-    _require_orientation(inst, "context")
-    return total_loss(params, [inst], mlm_weight=0.0)
-
-
-def mlm_loss(params: ScorerParams, text: str, mask_rate: float, rng: random.Random) -> float:
-    """Mean cross-entropy of masked tokens under the embedding-tied softmax."""
-    masked = _mask([np.array(token_ids(params, text), dtype=np.intp)], mask_rate, rng)
-    if masked is None:
-        return 0.0
-    _, mlm = _batch(params, [], np.zeros(0), masked, 1.0, None)
-    return float(mlm[0])
-
-
-def total_loss(
-    params: ScorerParams,
-    batch: Sequence[ContrastiveInstance],
-    *,
-    mlm_weight: float = 1.0,
-    mask_rate: float = 0.15,
-    seed: int = 0,
-) -> float:
-    encoded = [_encode_instance(params, inst) for inst in batch]
-    return _total(params, encoded, None, mlm_weight=mlm_weight, mask_rate=mask_rate, seed=seed)
 
 
 def total_loss_and_grads(
@@ -383,23 +329,8 @@ def total_loss_and_grads(
     mask_rate: float = 0.15,
     seed: int = 0,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    grads = _views(np.zeros_like(params.flat), params.arrays())
-    encoded = [_encode_instance(params, inst) for inst in batch]
-    loss = _total(params, encoded, grads, mlm_weight=mlm_weight, mask_rate=mask_rate, seed=seed)
-    return loss, grads
-
-
-def _total(
-    params: ScorerParams,
-    batch: Sequence[_Encoded],
-    grads: dict[str, np.ndarray] | None,
-    *,
-    mlm_weight: float,
-    mask_rate: float,
-    seed: int,
-) -> float:
-    """Combined loss of one batch: the sum of its orientation means plus the
-    weighted mean of its masked-token losses.
+    """Combined loss of one batch and its gradients: the sum of the batch's
+    orientation means plus the weighted mean of its masked-token losses.
 
     An orientation term is skipped when the batch holds none of its
     instances, the masked-token term when `mlm_weight` is 0. Every mask
@@ -409,16 +340,18 @@ def _total(
     """
     if not batch:
         raise ValueError("empty batch")
-    option = np.array([e.orientation == "option" for e in batch])
+    grads = _views(np.zeros_like(params.flat), params.arrays())
+    encoded = [_encode_instance(params, inst) for inst in batch]
+    option = np.array([e.orientation == "option" for e in encoded])
     weights = _weights(option, np.array([len(batch)]))
     masked = None
     if mlm_weight != 0.0:
-        masked = _mask([e.query for e in batch], mask_rate, derive_rng(seed, "mlm"))
-    cl, mlm = _batch(params, batch, weights, masked, mlm_weight / len(batch), grads)
+        masked = _mask([e.query for e in encoded], mask_rate, derive_rng(seed, "mlm"))
+    cl, mlm = _batch(params, encoded, weights, masked, mlm_weight / len(batch), grads)
     loss = float(cl @ weights)
     if mlm.size:
         loss += mlm_weight * float(mlm.mean())
-    return loss
+    return loss, grads
 
 
 def _weights(option: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -446,25 +379,6 @@ def _split_mask(masked: _Masked, sizes: np.ndarray) -> Iterator[_Masked]:
             masked.targets[target_at[b] : target_at[b + 1]],
             masked.counts[texts],
         )
-
-
-@dataclass(frozen=True)
-class MCQAExample:
-    passage: str
-    question: str
-    options: tuple[str, ...]
-    gold: int
-
-    def __post_init__(self):
-        if not 0 <= self.gold < len(self.options):
-            raise ValueError(f"gold index {self.gold} outside {len(self.options)} options")
-
-
-def mcqa_loss(params: ScorerParams, ex: MCQAExample) -> float:
-    """Multiple-choice loss: softmax over score(passage + question, option)."""
-    query = f"{ex.passage} {SEP_TOKEN} {ex.question}"
-    encoded = _encode(params, "option", query, ex.options, ex.gold)
-    return _total(params, [encoded], None, mlm_weight=0.0, mask_rate=0.0, seed=0)
 
 
 # -- gradient verification --

@@ -21,17 +21,11 @@ from pathcl.graph import build_entity_graph
 from pathcl.metapath import ExtractorConfig, extract_positive_instances, validate_instance
 from pathcl.synth import make_corpus, split_corpus
 from pathcl.trainer import (
-    MCQAExample,
     TrainConfig,
     build_vocab,
-    ccl_loss,
-    cl_loss,
     evaluate,
     grad_check,
     init_params,
-    mcqa_loss,
-    mlm_loss,
-    ocl_loss,
     total_loss_and_grads,
     train,
     zero_params,
@@ -39,7 +33,7 @@ from pathcl.trainer import (
 
 from corpora import film_cast_document, random_micro_doc
 from oracles import oracle_document_solvable
-from test_trainer import make_instance
+from test_trainer import cl_term, make_instance, mlm_term, softmax_loss
 
 LN4 = math.log(4.0)
 
@@ -112,16 +106,17 @@ def test_criterion_2_worked_example(tmp_path):
 
 
 def test_criterion_3_loss_constants():
-    assert cl_loss(1.25, [1.25, 1.25, 1.25]) == pytest.approx(LN4, abs=1e-9)
+    assert softmax_loss(1.25, [1.25, 1.25, 1.25]) == pytest.approx(LN4, abs=1e-9)
     vocab = build_vocab(["ctx ans c1 c2 c3 p q o1 o2 o3 o4"])
     params = zero_params(vocab, 6, 4)
     option = make_instance("option", "ctx", ["ans", "c1", "c2", "c3"], 0)
     context = make_instance("context", "ans", ["ctx", "c1", "c2", "c3"], 0)
-    assert ocl_loss(params, option) == pytest.approx(LN4, abs=1e-9)
-    assert ccl_loss(params, context) == pytest.approx(LN4, abs=1e-9)
-    ex = MCQAExample(passage="p", question="q", options=("o1", "o2", "o3", "o4"), gold=1)
-    assert mcqa_loss(params, ex) == pytest.approx(LN4, abs=1e-9)
-    assert mlm_loss(params, "ctx ans c1", 0.0, random.Random(0)) == 0.0
+    assert cl_term(params, option) == pytest.approx(LN4, abs=1e-9)
+    assert cl_term(params, context) == pytest.approx(LN4, abs=1e-9)
+    # A multiple-choice example: an option instance whose query is "passage [sep] question".
+    mcqa = make_instance("option", "p [sep] q", ["o1", "o2", "o3", "o4"], 1)
+    assert cl_term(params, mcqa) == pytest.approx(LN4, abs=1e-9)
+    assert mlm_term(params, "ctx ans c1", 0.0, seed=0) == 0.0
     report("3 loss-constants", "cl/ocl/ccl/mcqa = ln4 within 1e-9; mlm(0) = 0 exactly")
 
 

@@ -236,6 +236,41 @@ def test_negatives_bad_positive_values_exit_1(tmp_path, capsys, key, value, mess
         )
 
 
+def test_counterfactual_rejects_bundles_their_document_contradicts(tmp_path, capsys):
+    # Each edit keeps the line well-typed and its sentences in range, so only
+    # a check of the bundle against its document can tell it.
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(40, 3, blocks=2, fillers=4), fp)
+    positives, bundles = tmp_path / "positives.jsonl", tmp_path / "bundles.jsonl"
+    assert main(["extract", "--input", str(corpus), "--output", str(positives)]) == 0
+    assert main(["negatives", "--corpus", str(corpus), "--input", str(positives),
+                 "--output", str(bundles), "--seed", "3"]) == 0
+    good = bundles.read_text(encoding="utf-8").splitlines()
+    moved, swapped = json.loads(good[1]), json.loads(good[1])
+    assert moved["answer"]["mentions"][0][1] == 0
+    moved["answer"]["mentions"][0][1] = 3  # still inside the text, and disjoint
+    swapped["pair"].reverse()
+    prefix = "error: line 2: bundle in document 'syn000001': "
+    cases = [
+        (good[1], None),
+        (json.dumps(moved), "answer differs from sentence 12 of the document in text or mentions"),
+        (json.dumps(swapped),
+         "path endpoints 'syn000001.a0'..'syn000001.a1' do not match target pair"),
+    ]
+    edited, output = tmp_path / "edited.jsonl", tmp_path / "out.jsonl"
+    for line, message in cases:
+        write_lines(edited, [good[0], line, *good[2:]])
+        capsys.readouterr()
+        rc = main(["counterfactual", "--corpus", str(corpus), "--input", str(edited),
+                   "--output", str(output), "--seed", "3"])
+        err = capsys.readouterr().err
+        if message is None:
+            assert (rc, err) == (0, "")
+        else:
+            assert (rc, err) == (1, prefix + message + "\n")
+
+
 def test_grad_check_passes(capsys):
     assert main(["grad-check", "--seed", "7"]) == 0
     out = capsys.readouterr().out

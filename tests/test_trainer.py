@@ -5,29 +5,31 @@ import numpy as np
 import pytest
 
 from pathcl.emitter import ContrastiveInstance, InstanceMeta
+from pathcl.seeding import derive_rng
 from pathcl.trainer import (
-    MCQAExample,
     TrainConfig,
+    _group_softmax,
     _pool,
     build_vocab,
-    cl_loss,
-    ccl_loss,
     evaluate,
     grad_check,
     grad_check_flat,
     init_params,
     load_params,
-    mcqa_loss,
-    mlm_loss,
-    ocl_loss,
     save_params,
-    total_loss,
     total_loss_and_grads,
     train,
     zero_params,
 )
 
-from oracles import oracle_loss_and_grads, oracle_train, score_pair, softmax_grad, unique_pool
+from oracles import (
+    oracle_batch,
+    oracle_loss_and_grads,
+    oracle_train,
+    score_pair,
+    softmax_grad,
+    unique_pool,
+)
 
 LN4 = math.log(4.0)
 
@@ -54,19 +56,45 @@ def tiny_vocab(*texts):
     return build_vocab(texts)
 
 
+def softmax_loss(s_pos, s_negs):
+    """Cross-entropy of the positive score against the negatives, by the
+    trainer's grouped softmax."""
+    scores = np.array([s_pos, *s_negs], dtype=float)
+    losses, _ = _group_softmax(scores, np.array([scores.size]), np.array([0]))
+    return float(losses[0])
+
+
+def total(params, batch, **kwargs):
+    return total_loss_and_grads(params, batch, **kwargs)[0]
+
+
+def cl_term(params, inst):
+    """One instance's contrastive loss: its one-instance total without the
+    masked-token term."""
+    return total(params, [inst], mlm_weight=0.0)
+
+
+def mlm_term(params, text, mask_rate, seed):
+    """The masked-token loss of `text` as the query of a one-instance batch:
+    the total at mlm_weight 1 minus the total at mlm_weight 0."""
+    inst = make_instance("option", text, ["x", "y"], 0)
+    with_mlm = total(params, [inst], mlm_weight=1.0, mask_rate=mask_rate, seed=seed)
+    return with_mlm - cl_term(params, inst)
+
+
 def test_cl_loss_uniform():
-    assert cl_loss(0.0, [0.0, 0.0, 0.0]) == pytest.approx(LN4, abs=1e-12)
-    assert cl_loss(2.5, [2.5, 2.5, 2.5]) == pytest.approx(LN4, abs=1e-12)
+    assert softmax_loss(0.0, [0.0, 0.0, 0.0]) == pytest.approx(LN4, abs=1e-12)
+    assert softmax_loss(2.5, [2.5, 2.5, 2.5]) == pytest.approx(LN4, abs=1e-12)
 
 
 def test_cl_loss_margin_one():
-    assert cl_loss(1.0, [0.0]) == pytest.approx(math.log1p(math.exp(-1.0)), abs=1e-12)
+    assert softmax_loss(1.0, [0.0]) == pytest.approx(math.log1p(math.exp(-1.0)), abs=1e-12)
 
 
 def test_cl_loss_large_margin():
     expected = math.log1p(3.0 * math.exp(-20.0))  # ~6.18e-9
-    assert cl_loss(20.0, [0.0, 0.0, 0.0]) == pytest.approx(expected, rel=1e-9)
-    assert cl_loss(20.0, [0.0, 0.0, 0.0]) == pytest.approx(6.1834608e-09, rel=1e-6)
+    assert softmax_loss(20.0, [0.0, 0.0, 0.0]) == pytest.approx(expected, rel=1e-9)
+    assert softmax_loss(20.0, [0.0, 0.0, 0.0]) == pytest.approx(6.1834608e-09, rel=1e-6)
 
 
 def test_cl_loss_properties():
@@ -74,21 +102,19 @@ def test_cl_loss_properties():
     for _ in range(200):
         s_pos = rng.uniform(-5, 5)
         negs = [rng.uniform(-5, 5) for _ in range(rng.randint(1, 6))]
-        loss = cl_loss(s_pos, negs)
+        loss = softmax_loss(s_pos, negs)
         assert loss >= 0.0
         shift = rng.uniform(-10, 10)
-        shifted = cl_loss(s_pos + shift, [s + shift for s in negs])
+        shifted = softmax_loss(s_pos + shift, [s + shift for s in negs])
         assert shifted == pytest.approx(loss, abs=1e-12)
-        better = cl_loss(s_pos + 0.5, negs)
+        better = softmax_loss(s_pos + 0.5, negs)
         assert better < loss
-    assert cl_loss(0.0, [0.0] * 3) == pytest.approx(LN4, abs=1e-12)
-    with pytest.raises(ValueError):
-        cl_loss(1.0, [])
+    assert softmax_loss(0.0, [0.0] * 3) == pytest.approx(LN4, abs=1e-12)
 
 
 def test_cl_loss_stable_at_extremes():
-    assert math.isfinite(cl_loss(1000.0, [-1000.0, 900.0]))
-    assert cl_loss(-1000.0, [1000.0]) == pytest.approx(2000.0, rel=1e-12)
+    assert math.isfinite(softmax_loss(1000.0, [-1000.0, 900.0]))
+    assert softmax_loss(-1000.0, [1000.0]) == pytest.approx(2000.0, rel=1e-12)
 
 
 def test_score_pair_zero_params_constant():
@@ -113,19 +139,15 @@ def test_ocl_ccl_uniform():
     inst_o = make_instance("option", "some context", ["a", "b", "c", "d"], 2)
     inst_c = make_instance("context", "an answer", ["w", "x", "y", "z"], 0)
     params = zero_params(tiny_vocab("some context an answer a b c d w x y z"), 4, 3)
-    assert ocl_loss(params, inst_o) == pytest.approx(LN4, abs=1e-12)
-    assert ccl_loss(params, inst_c) == pytest.approx(LN4, abs=1e-12)
-    with pytest.raises(ValueError):
-        ocl_loss(params, inst_c)
-    with pytest.raises(ValueError):
-        ccl_loss(params, inst_o)
+    assert cl_term(params, inst_o) == pytest.approx(LN4, abs=1e-12)
+    assert cl_term(params, inst_c) == pytest.approx(LN4, abs=1e-12)
 
 
 def test_cl_single_candidate_errors():
     inst = make_instance("option", "q", ["only"], 0)
     params = zero_params(tiny_vocab("q only"), 4, 3)
     with pytest.raises(ValueError):
-        ocl_loss(params, inst)
+        total_loss_and_grads(params, [inst])
 
 
 def rigged_params():
@@ -146,7 +168,7 @@ def test_ocl_rigged_margin():
     params = rigged_params()
     inst = make_instance("option", "", ["pos", "neg"], 0)
     assert score_pair(params, "", "pos") - score_pair(params, "", "neg") == pytest.approx(1.0, abs=1e-12)
-    assert ocl_loss(params, inst) == pytest.approx(math.log1p(math.exp(-1.0)), abs=1e-9)
+    assert cl_term(params, inst) == pytest.approx(math.log1p(math.exp(-1.0)), abs=1e-9)
 
 
 def test_ccl_mirrors_ocl_on_swapped_texts():
@@ -154,22 +176,22 @@ def test_ccl_mirrors_ocl_on_swapped_texts():
     params = init_params(vocab, 6, 5, seed=11)
     option = make_instance("option", "alpha beta", ["gamma", "delta"], 1)
     context = make_instance("context", "alpha beta", ["gamma", "delta"], 1)
-    assert ocl_loss(params, option) == pytest.approx(ccl_loss(params, context), abs=1e-12)
+    assert cl_term(params, option) == pytest.approx(cl_term(params, context), abs=1e-12)
 
 
 def test_ccl_rigged_margin():
     params = rigged_params()
     inst = make_instance("context", "", ["pos", "neg"], 0)
-    assert ccl_loss(params, inst) == pytest.approx(math.log1p(math.exp(-1.0)), abs=1e-9)
+    assert cl_term(params, inst) == pytest.approx(math.log1p(math.exp(-1.0)), abs=1e-9)
 
 
 def test_mlm_zero_rate_and_empty_text():
     params = init_params(tiny_vocab("one two three"), 4, 3, seed=1)
-    assert mlm_loss(params, "one two three", 0.0, random.Random(0)) == 0.0
+    assert mlm_term(params, "one two three", 0.0, seed=0) == 0.0
     with pytest.raises(ValueError):
-        mlm_loss(params, "   ", 0.5, random.Random(0))
+        mlm_term(params, "   ", 0.5, seed=0)
     with pytest.raises(ValueError):
-        mlm_loss(params, "one", 1.5, random.Random(0))
+        mlm_term(params, "one", 1.5, seed=0)
 
 
 def test_mlm_uniform_logits():
@@ -177,15 +199,15 @@ def test_mlm_uniform_logits():
     vocab = build_vocab([words])
     assert len(vocab) == 50
     params = zero_params(vocab, 4, 3)
-    loss = mlm_loss(params, words, 0.25, random.Random(3))
+    loss = mlm_term(params, words, 0.25, seed=3)
     assert loss == pytest.approx(math.log(50.0), abs=1e-12)
 
 
 def test_mlm_deterministic_under_seed():
     params = init_params(tiny_vocab("a b c d e f g h"), 6, 4, seed=2)
-    losses = {mlm_loss(params, "a b c d e f g h", 0.4, random.Random(9)) for _ in range(5)}
+    losses = {mlm_term(params, "a b c d e f g h", 0.4, seed=9) for _ in range(5)}
     assert len(losses) == 1
-    other = mlm_loss(params, "a b c d e f g h", 0.4, random.Random(10))
+    other = mlm_term(params, "a b c d e f g h", 0.4, seed=10)
     assert other not in losses  # different mask pattern moves the loss
 
 
@@ -194,11 +216,11 @@ def test_total_loss_uniform_batches():
     params = zero_params(tiny_vocab(texts), 4, 3)
     option = make_instance("option", "ctx", ["c1", "c2", "c3", "c4"], 1)
     context = make_instance("context", "ans", ["c1", "c2", "c3", "c4"], 3)
-    assert total_loss(params, [option, option], mlm_weight=0.0) == pytest.approx(LN4, abs=1e-12)
-    both = total_loss(params, [option, context], mlm_weight=0.0)
+    assert total(params, [option, option], mlm_weight=0.0) == pytest.approx(LN4, abs=1e-12)
+    both = total(params, [option, context], mlm_weight=0.0)
     assert both == pytest.approx(2 * LN4, abs=1e-12)
     with pytest.raises(ValueError):
-        total_loss(params, [], mlm_weight=0.0)
+        total(params, [], mlm_weight=0.0)
 
 
 def test_total_loss_recomposition():
@@ -216,17 +238,16 @@ def test_total_loss_recomposition():
     batch = [rand_inst("option"), rand_inst("context"), rand_inst("option")]
     seed = 99
     w = 0.7
-    total = total_loss(params, batch, mlm_weight=w, mask_rate=0.3, seed=seed)
+    got = total(params, batch, mlm_weight=w, mask_rate=0.3, seed=seed)
     options = [b for b in batch if b.orientation == "option"]
     contexts = [b for b in batch if b.orientation == "context"]
-    expected = sum(ocl_loss(params, b) for b in options) / len(options)
-    expected += sum(ccl_loss(params, b) for b in contexts) / len(contexts)
-    from pathcl.seeding import derive_rng
-
-    rng = derive_rng(seed, "mlm")  # one generator, drawn text by text in batch order
-    mlm_terms = [mlm_loss(params, inst.query, 0.3, rng) for inst in batch]
+    expected = sum(cl_term(params, b) for b in options) / len(options)
+    expected += sum(cl_term(params, b) for b in contexts) / len(contexts)
+    # The reference masks each text from one generator, text by text in batch order.
+    rng = derive_rng(seed, "mlm")
+    _, _, _, mlm_terms = oracle_batch(params, batch, mlm_weight=w, mask_rate=0.3, rng=rng)
     expected += w * sum(mlm_terms) / len(batch)
-    assert total == pytest.approx(expected, abs=1e-12)
+    assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_one_mask_generator_per_batch(monkeypatch):
@@ -266,26 +287,24 @@ def test_one_mask_generator_per_batch(monkeypatch):
 
 
 def test_mcqa_uniform_and_errors():
+    # A multiple-choice example is an option instance whose query is
+    # "passage [sep] question".
     params = zero_params(tiny_vocab("p q o1 o2 o3 o4"), 4, 3)
-    ex = MCQAExample(passage="p", question="q", options=("o1", "o2", "o3", "o4"), gold=2)
-    assert mcqa_loss(params, ex) == pytest.approx(LN4, abs=1e-12)
+    ex = make_instance("option", "p [sep] q", ["o1", "o2", "o3", "o4"], 2)
+    assert cl_term(params, ex) == pytest.approx(LN4, abs=1e-12)
     with pytest.raises(ValueError):
-        MCQAExample(passage="p", question="q", options=("o1", "o2"), gold=5)
+        make_instance("option", "p [sep] q", ["o1", "o2"], 5)
 
 
 def test_mcqa_matches_scalar_composition():
     vocab = tiny_vocab("museum opened early visitors waited quietly outside doors")
     params = init_params(vocab, 8, 6, seed=13)
-    ex = MCQAExample(
-        passage="museum opened early",
-        question="visitors waited",
-        options=("quietly", "outside doors", "early visitors", "museum"),
-        gold=1,
-    )
     query = "museum opened early [sep] visitors waited"
-    scores = [score_pair(params, query, o) for o in ex.options]
-    expected = cl_loss(scores[1], [scores[0], scores[2], scores[3]])
-    assert mcqa_loss(params, ex) == pytest.approx(expected, abs=1e-12)
+    options = ["quietly", "outside doors", "early visitors", "museum"]
+    ex = make_instance("option", query, options, 1)
+    scores = [score_pair(params, query, o) for o in options]
+    expected = softmax_loss(scores[1], [scores[0], scores[2], scores[3]])
+    assert cl_term(params, ex) == pytest.approx(expected, abs=1e-12)
 
 
 def test_grad_softmax_versus_finite_difference():
@@ -516,8 +535,8 @@ def test_train_metrics_report_objective_terms():
     # the epoch means of the contrastive terms are the per-instance losses.
     cfg = TrainConfig(learning_rate=0.0, epochs=2, batch_size=5, seed=3, dim=6, hidden=4)
     params, metrics = train(insts, cfg)
-    want_ocl = sum(ocl_loss(params, i) for i in insts if i.orientation == "option") / 8
-    want_ccl = sum(ccl_loss(params, i) for i in insts if i.orientation == "context") / 4
+    want_ocl = sum(cl_term(params, i) for i in insts if i.orientation == "option") / 8
+    want_ccl = sum(cl_term(params, i) for i in insts if i.orientation == "context") / 4
     for row in metrics:
         assert set(row) == {"epoch", "loss", "accuracy", "ocl", "ccl", "mlm", "grad_norm"}
         assert row["ocl"] == pytest.approx(want_ocl, abs=1e-12)
