@@ -185,9 +185,55 @@ def bundle_from_record(obj, line: int = 0) -> InstanceBundle:
     )
 
 
+def standalone_problems(b: InstanceBundle) -> list[tuple[str, str]]:
+    """What the bundle alone shows to be wrong, as (field path, description).
+
+    These are what `emitter.bundle_to_instances` takes for granted: the
+    path runs from `pair[0]` to `pair[1]`; a copy's `replacements` map
+    both pair entities; and the answer and every option mention both pair
+    entities, or in a copy the entities they map to.
+    """
+    problems: list[tuple[str, str]] = []
+    start, end = b.path.entities[0], b.path.entities[-1]
+    if (start, end) != b.pair:
+        a, z = b.pair
+        problems.append(("path.entities", f"runs from {start!r} to {end!r}, not {a!r} to {z!r}"))
+    pair = b.pair
+    if b.counterfactual:
+        mapped = dict(b.replacements)
+        problems += [
+            ("replacements", f"no replacement for pair entity {eid!r}")
+            for eid in pair if eid not in mapped
+        ]
+        pair = tuple(mapped.get(eid, eid) for eid in pair)
+    texts = [("answer", b.answer), *((f"options[{i}]", s) for i, s in enumerate(b.options))]
+    for at, text in texts:
+        missing = [eid for eid in pair if eid not in text.entity_ids]
+        if missing:
+            problems.append((f"{at}.mentions", f"no mention of {missing!r}"))
+    return problems
+
+
 def write_bundles(bundles: Iterable[InstanceBundle], fp: IO[str]) -> int:
     return write_records(bundles, bundle_to_record, fp)
 
 
 def read_bundles(lines: Iterable[str]) -> Iterator[InstanceBundle]:
     yield from read_records(lines, bundle_from_record)
+
+
+def read_standalone_bundles(lines: Iterable[str]) -> Iterator[InstanceBundle]:
+    """`read_bundles` without a corpus: a bundle with `standalone_problems` is a bad record.
+
+    The first of its problems names the record's error.
+    """
+
+    def checked(obj, line: int) -> InstanceBundle:
+        bundle = bundle_from_record(obj, line)
+        problems = standalone_problems(bundle)
+        if problems:
+            at, problem = problems[0]
+            raise RecordError(line, f"{at}: {problem}", at)
+        return bundle
+
+    yield from read_records(lines, checked)

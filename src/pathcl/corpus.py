@@ -17,12 +17,13 @@ ids and relation types hold no tab, "\\n" or "\\r", and entity ids no "|":
 a parsed sentence is its text, and its ordinal is its position in
 `Document.sentences`.
 
-A parsed document shares what repeats across the corpus, since a run holds
-its documents until their chains have run: entity surfaces and relation
-labels are interned strings; equal mention spans are one `Mention`, in any
-documents, through a least-recently-used cache of `MENTION_CACHE_SIZE`
-spans; and a relation's head and tail are the string objects of its
-document's entity ids.
+A run holds its documents until their chains have run, so a parsed
+document is small: its sentence texts are one string with each sentence's
+end offset (`Sentences`, read as a tuple of plain strings); entity
+surfaces and relation labels are interned strings; equal mention spans are
+one `Mention`, in any documents, through a least-recently-used cache of
+`MENTION_CACHE_SIZE` spans; and a relation's head and tail are the string
+objects of its document's entity ids.
 
 Which sentence names which entity is answered by one index, a document's
 `SentenceTable`: the graph's co-mention edges, the answer sentences of a
@@ -33,8 +34,10 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
@@ -65,18 +68,78 @@ class RelationTriple:
     relation: str
 
 
+class Sentences(Sequence[str]):
+    """A document's sentence texts, in order, stored as one string.
+
+    It reads as the tuple of texts it is built from: `len`, indexing
+    (negative indexes too), iteration, `==` and `hash`, and each item is a
+    plain `str`, sliced out when it is read. The texts are held joined,
+    with each one's start and end offset, because a run holds its parsed
+    documents until their chains have run: one string in place of one per
+    sentence saves a string header per sentence, about 1 KB of a
+    20-sentence document.
+    """
+
+    __slots__ = ("_text", "_bounds")
+
+    def __init__(self, texts: Iterable[str]):
+        # Imported here, so that a process that builds no document (the
+        # parent of forked workers, `train`) never loads the extension
+        # module: 0.1-0.3 MB of RSS.
+        from array import array
+
+        texts = list(texts)
+        self._text = "".join(texts)
+        # _bounds[k] and _bounds[k + 1] are the start and end of sentence k;
+        # built from a list, the array takes no room to grow.
+        self._bounds = array("I", list(accumulate(map(len, texts), initial=0)))
+
+    def __len__(self) -> int:
+        return len(self._bounds) - 1
+
+    def __getitem__(self, k: int) -> str:
+        bounds = self._bounds
+        if k < 0:
+            k += len(bounds) - 1
+            if k < 0:
+                raise IndexError("sentence index out of range")
+        # Past the last sentence, bounds[k + 1] raises the IndexError.
+        return self._text[bounds[k]:bounds[k + 1]]
+
+    def __iter__(self) -> Iterator[str]:
+        text, bounds = self._text, self._bounds
+        return (text[start:end] for start, end in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sentences):
+            return NotImplemented
+        return self._text == other._text and self._bounds == other._bounds
+
+    def __hash__(self) -> int:
+        return hash((self._text, self._bounds.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Sentences({tuple(self)!r})"
+
+
 @dataclass(frozen=True, slots=True)
 class Document:
     """One parsed document: its records and nothing else.
 
     No index is cached on it: a lookup by sentence goes through a
-    `SentenceTable`, built per use and freed when that use ends.
+    `SentenceTable`, built per use and freed when that use ends. The
+    sentences may be given as any sequence of texts, a tuple say; they are
+    held as `Sentences`.
     """
 
     id: str
-    sentences: tuple[str, ...]  # the texts, in order: a sentence's ordinal is its index
+    sentences: Sentences  # the texts, in order: a sentence's ordinal is its index
     entities: tuple[Entity, ...]
     relations: tuple[RelationTriple, ...]
+
+    def __post_init__(self):
+        if type(self.sentences) is not Sentences:
+            object.__setattr__(self, "sentences", Sentences(self.sentences))
 
 
 # The distinct spans of a corpus follow its documents' shape, not their
@@ -104,8 +167,9 @@ class SentenceTable:
     __slots__ = ("_doc", "_spans", "_named", "_built", "donors")
 
     def __init__(self, doc: Document):
-        spans: list[list[MentionSpan]] = [[] for _ in doc.sentences]
-        named: list[set[str]] = [set() for _ in doc.sentences]
+        n = len(doc.sentences)
+        spans: list[list[MentionSpan]] = [[] for _ in range(n)]
+        named: list[set[str]] = [set() for _ in range(n)]
         for entity in doc.entities:
             eid = entity.id
             for m in entity.mentions:
@@ -154,8 +218,8 @@ def _separator_problem(what: str, text: str, separator: re.Pattern) -> str | Non
 def _problems(doc: Document) -> list[tuple[str, str]]:
     """Each violated invariant as (field path, description)."""
     problems: list[tuple[str, str]] = []
-    sentences = doc.sentences
-    n_sent = len(sentences)
+    bounds = doc.sentences._bounds  # sentence k spans bounds[k]..bounds[k + 1]
+    n_sent = len(bounds) - 1
 
     if problem := _separator_problem("document id", doc.id, _ROW_SEPARATOR):
         problems.append(("id", problem))
@@ -181,7 +245,7 @@ def _problems(doc: Document) -> list[tuple[str, str]]:
                     f"entity {entity.id!r} mention sentence {sent} out of range",
                 ))
                 continue
-            length = len(sentences[sent])
+            length = bounds[sent + 1] - bounds[sent]
             if start < 0 or end > length or start >= end:
                 problems.append((
                     f"entities[{i}].mentions[{j}]",
@@ -271,7 +335,7 @@ def parse_record(obj: dict, line: int = 0) -> Document:
             RelationTriple(ids.get(head, head), ids.get(tail, tail), sys.intern(relation))
         )
 
-    doc = Document(doc_id, tuple(sentences), tuple(entities), tuple(relations))
+    doc = Document(doc_id, Sentences(sentences), tuple(entities), tuple(relations))
     problems = _problems(doc)
     if problems:
         message = "; ".join(f"{where}: {problem}" for where, problem in problems)

@@ -20,6 +20,7 @@ whitespace-separated token: the trainer's masked-token objective masks it.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
@@ -32,7 +33,7 @@ from .seeding import derive_rng
 JOIN = " "
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceMeta:
     doc: str
     pair: tuple[str, str]
@@ -43,7 +44,7 @@ class InstanceMeta:
     context_texts: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContrastiveInstance:
     orientation: str  # "option" | "context"
     query: str
@@ -197,8 +198,18 @@ def emit_instances(
     return written
 
 
+def _interned(names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(map(sys.intern, names))
+
+
 def instance_from_record(obj, line: int = 0) -> ContrastiveInstance:
-    orientation = require(obj, "orientation", str, line)
+    """Decode one instance line.
+
+    `train` holds every instance it reads, so the short names that records
+    repeat (the orientation, the document id, and the pair, path and
+    replacement ids) are interned: one string per distinct name.
+    """
+    orientation = sys.intern(require(obj, "orientation", str, line))
     query = require(obj, "query", str, line)
     if not query.split():
         raise RecordError(line, f"query: expected at least one token, got {query!r}", "query")
@@ -209,11 +220,13 @@ def instance_from_record(obj, line: int = 0) -> ContrastiveInstance:
     gold = require(obj, "gold", int, line)
     meta = require(obj, "meta", dict, line)
     info = InstanceMeta(
-        doc=require(meta, "doc", str, line, "meta"),
-        pair=require_list(meta, "pair", str, line, "meta", length=2),
-        path=require_list(meta, "path", str, line, "meta"),
+        doc=sys.intern(require(meta, "doc", str, line, "meta")),
+        pair=_interned(require_list(meta, "pair", str, line, "meta", length=2)),
+        path=_interned(require_list(meta, "path", str, line, "meta")),
         counterfactual=require(meta, "counterfactual", bool, line, "meta"),
-        replacements=require_map(meta, "replacements", str, line, "meta"),
+        replacements=tuple(
+            _interned(item) for item in require_map(meta, "replacements", str, line, "meta")
+        ),
         strategy=require(meta, "strategy", str, line, "meta"),
         context_texts=require_list(meta, "context_texts", str, line, "meta"),
     )

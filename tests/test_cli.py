@@ -271,6 +271,67 @@ def test_counterfactual_rejects_bundles_their_document_contradicts(tmp_path, cap
             assert (rc, err) == (1, prefix + message + "\n")
 
 
+def test_emit_rejects_bundles_that_contradict_themselves(tmp_path, capsys):
+    # `emit` has no corpus. Each edit keeps the line well-typed and its
+    # spans inside their texts, so only a check of what the bundle alone
+    # shows can tell it: the path's ends, the pair mentions and a copy's map.
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(40, 3, blocks=2, fillers=4), fp)
+    positives, bundles = tmp_path / "positives.jsonl", tmp_path / "bundles.jsonl"
+    copies = tmp_path / "copies.jsonl"
+    assert main(["extract", "--input", str(corpus), "--output", str(positives)]) == 0
+    assert main(["negatives", "--corpus", str(corpus), "--input", str(positives),
+                 "--output", str(bundles), "--seed", "3"]) == 0
+    assert main(["counterfactual", "--corpus", str(corpus), "--input", str(bundles),
+                 "--output", str(copies), "--seed", "3"]) == 0
+    good = copies.read_text(encoding="utf-8").splitlines()
+    original, copy = json.loads(good[0]), json.loads(good[1])
+    assert not original["counterfactual"] and copy["counterfactual"]
+    a0, a1 = copy["pair"]
+    alien = copy["replacements"][a1]
+
+    def edited(record, edit):
+        record = json.loads(json.dumps(record))
+        edit(record)
+        return json.dumps(record)
+
+    def rename_mention(at, old, new):
+        def edit(record):
+            mentions = at(record)["mentions"]
+            (i,) = [i for i, m in enumerate(mentions) if m[0] == old]
+            mentions[i][0] = new
+        return edit
+
+    middle = original["path"]["entities"][1]
+    cases = [
+        (0, good[0], None),
+        (1, good[1], None),
+        (1, edited(copy, lambda r: r["pair"].reverse()),
+         f"path.entities: runs from {a0!r} to {a1!r}, not {a1!r} to {a0!r}"),
+        (1, edited(copy, lambda r: r["replacements"].pop(a1)),
+         f"replacements: no replacement for pair entity {a1!r}"),
+        (1, edited(copy, rename_mention(lambda r: r["answer"], alien, a1)),
+         f"answer.mentions: no mention of {[alien]!r}"),
+        (1, edited(copy, rename_mention(lambda r: r["options"][0], alien, a1)),
+         f"options[0].mentions: no mention of {[alien]!r}"),
+        (0, edited(original, rename_mention(lambda r: r["answer"], a0, middle)),
+         f"answer.mentions: no mention of {[a0]!r}"),
+    ]
+    output = tmp_path / "out.jsonl"
+    for at, line, message in cases:
+        lines = list(good)
+        lines[at] = line
+        write_lines(copies, lines)
+        capsys.readouterr()
+        rc = main(["emit", "--input", str(copies), "--output", str(output), "--seed", "3"])
+        err = capsys.readouterr().err
+        if message is None:
+            assert (rc, err) == (0, "")
+        else:
+            assert (rc, err) == (1, f"error: line {at + 1}: {message}\n")
+
+
 def test_grad_check_passes(capsys):
     assert main(["grad-check", "--seed", "7"]) == 0
     out = capsys.readouterr().out

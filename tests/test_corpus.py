@@ -15,6 +15,7 @@ from pathcl.corpus import (
     Entity,
     Mention,
     RelationTriple,
+    Sentences,
     SentenceTable,
     document_to_record,
     parse_corpus,
@@ -263,6 +264,39 @@ def test_resident_records_are_slotted_frozen_and_interned():
         assert d.relations
         for r in d.relations:
             assert r.head is ids[r.head] and r.tail is ids[r.tail]
+
+
+def test_sentences_read_as_the_tuple_they_replace():
+    texts = ("Ann met Ben.", "", "Cal left é.")
+    sentences = Sentences(texts)
+    assert len(sentences) == 3 and len(Sentences(())) == 0
+    assert [sentences[k] for k in range(3)] == list(texts)
+    assert [sentences[k] for k in (-1, -2, -3)] == [texts[-1], texts[-2], texts[-3]]
+    for k in (3, -4):
+        with pytest.raises(IndexError):
+            sentences[k]
+    with pytest.raises(IndexError):
+        Sentences(())[0]
+    assert tuple(sentences) == texts
+    assert all(type(text) is str for text in sentences)
+    assert sentences == Sentences(list(texts)) and sentences != Sentences(texts[:2])
+    # The same joined text split elsewhere is another sequence.
+    assert Sentences(("ab", "c")) != Sentences(("a", "bc"))
+    assert hash(sentences) == hash(Sentences(list(texts)))
+    assert repr(sentences) == f"Sentences({texts!r})"
+    assert pickle.loads(pickle.dumps(sentences)) == sentences
+
+
+def test_parsed_and_tuple_built_documents_are_equal():
+    doc = film_cast_document()
+    built = Document(doc.id, tuple(doc.sentences), doc.entities, doc.relations)
+    parsed = parse_record(json.loads(json.dumps(document_to_record(doc))))
+    assert type(parsed.sentences) is Sentences and type(built.sentences) is Sentences
+    assert parsed == built and hash(parsed) == hash(built)
+    assert all(type(text) is str for text in parsed.sentences)
+    assert parsed.sentences[-1] == doc.sentences[len(doc.sentences) - 1]
+    for d in make_corpus(30, seed=5, blocks=2, fillers=4):
+        assert parse_record(document_to_record(d)) == d
 
 
 class Text(str):

@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -250,3 +252,33 @@ def test_gold_histogram_uniform_under_shuffle():
     assert total == 2 * n
     for index, count in counts.items():
         assert abs(count / total - 0.25) < 0.035, counts
+
+
+def test_read_instances_are_slotted_frozen_and_interned():
+    # `train` holds every instance it reads, so no record carries a
+    # per-instance `__dict__`, and the ids a bundle's records repeat are shared.
+    doc, inst, bundle, _ = film_cast_instances()
+    rmap = select_replacements(inst, doc, ALIENS, random.Random(3))
+    copy = apply_counterfactual(bundle, rmap)
+    buf = io.StringIO()
+    emit_instances(map(tagged_line, bundle_to_instances(copy, 7)), 1, buf, Counter())
+    option, context = read_instances(io.StringIO(buf.getvalue()))
+    assert (option.orientation, context.orientation) == ("option", "context")
+    for record in (option, context, option.meta, context.meta):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        field = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
+    a, b = option.meta, context.meta
+    assert a.doc is b.doc
+    assert all(x is y for x, y in zip(a.pair, b.pair, strict=True))
+    assert all(x is y for x, y in zip(a.path, b.path, strict=True))
+    assert a.replacements and all(
+        x is y for pa, pb in zip(a.replacements, b.replacements, strict=True)
+        for x, y in zip(pa, pb, strict=True)
+    )
+    # The orientation and the ids are interned, so records of different bundles share them too.
+    assert option.orientation is sys.intern("option")
+    ids = {eid: eid for eid in a.path}
+    assert all(ids[eid] is eid for eid in a.pair)
+    assert all(ids[eid] is eid for eid, _ in a.replacements)
