@@ -219,11 +219,7 @@ def write_bundles(bundles: Iterable[InstanceBundle], fp: IO[str]) -> int:
 
 
 def read_bundles(lines: Iterable[str]) -> Iterator[InstanceBundle]:
-    yield from read_records(lines, bundle_from_record)
-
-
-def read_standalone_bundles(lines: Iterable[str]) -> Iterator[InstanceBundle]:
-    """`read_bundles` without a corpus: a bundle with `standalone_problems` is a bad record.
+    """Decode bundle lines; a bundle with `standalone_problems` is a bad record.
 
     The first of its problems names the record's error.
     """

@@ -22,7 +22,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pl
-from .bundle import read_standalone_bundles, write_bundles
+from .bundle import read_bundles, write_bundles
 from .emitter import bundle_to_instances, read_instances, stats
 from .jsonl import FIELD_TYPES, RecordError, open_output, typed
 from .metapath import ExtractorConfig
@@ -194,7 +194,7 @@ def cmd_emit(args) -> int:
     seed = _resolve_seed(args, file_cfg, required=False)
     copies = _section(pl.CounterfactualConfig, file_cfg, "counterfactual", args).copies
     with open(args.input, "rb") as src, open_output(args.output) as fp:
-        counts = pl.stage_emit(read_standalone_bundles(src), copies, seed, fp)
+        counts = pl.stage_emit(read_bundles(src), copies, seed, fp)
     print(json.dumps(counts))
     return EXIT_OK
 

@@ -70,6 +70,7 @@ from .bundle import (
     bundle_from_record,
     bundle_to_record,
     read_bundles,
+    standalone_problems,
 )
 from .corpus import Document, SentenceTable, claim_id, parse_corpus, parse_record
 from .counterfactual import (
@@ -257,9 +258,10 @@ def read_corpus_bundles(docs: Sequence[Document], lines: Iterable[str]) -> Itera
 
     A bundle whose sentences are in range must also hold a positive (its
     pair, path, context sentences and answer sentence) that passes
-    `validate_instance`, and an original bundle's context and answer must
-    be its document's sentences, text and mention spans alike. The graph
-    and the sentence table are built once per run of one document's bundles.
+    `validate_instance`, an original bundle's context and answer must be
+    its document's sentences, text and mention spans alike, and it must
+    pass `read_bundles`' check (`standalone_problems`). The graph and the
+    sentence table are built once per run of one document's bundles.
     """
     graph = lru_cache(maxsize=1)(build_entity_graph)
     table = lru_cache(maxsize=1)(SentenceTable)
@@ -279,7 +281,7 @@ def read_corpus_bundles(docs: Sequence[Document], lines: Iterable[str]) -> Itera
                 for at, t in texts + [("answer", b.answer)]
                 if t != table(doc)[t.sentence]
             ]
-        return found
+        return found + [f"{at}: {problem}" for at, problem in standalone_problems(b)]
 
     return _corpus_records(docs, lines, bundle_from_record, "bundle", named, problems)
 
@@ -536,14 +538,13 @@ class _DocumentChain:
         yield "counts", counts
 
 
-def worker_count(jobs: int, n_docs: int) -> int:
-    """Processes to run `n_docs` document chains on when `jobs` are asked for.
+def worker_count(jobs: int) -> int:
+    """Processes to run the document chains on when `jobs` are asked for.
 
-    Never more than the usable CPUs or the documents, and 1 where the fork
-    start method is unavailable.
+    Never more than the usable CPUs, and 1 where the fork start method is
+    unavailable. A corpus of fewer documents leaves some stripes empty.
     """
-    wanted = min(jobs, n_docs)
-    if wanted <= 1:
+    if jobs <= 1:
         return 1
     import multiprocessing  # here, so that a run without workers never loads it
 
@@ -553,7 +554,7 @@ def worker_count(jobs: int, n_docs: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(wanted, cpus)
+    return min(jobs, cpus)
 
 
 # Corpus lines per chunk, the unit of a stripe and of a message from a
@@ -770,12 +771,6 @@ def _stripes(
             conn.close()
 
 
-def _records(path) -> int:
-    """The corpus's non-blank lines: the most documents it can hold."""
-    with open(path, "rb") as fp:
-        return sum(1 for raw in fp if raw.strip())
-
-
 OUTPUT_FILES = {
     "graph": "graph.tsv",
     "positives": "positives.jsonl",
@@ -792,15 +787,14 @@ def run_pipeline(cfg: PipelineConfig, skipped: list[RecordError] | None = None) 
 
     Each intermediate file matches what the corresponding standalone
     subcommand would produce with the same configuration. The corpus runs
-    in `worker_count(cfg.jobs, non-blank lines)` stripes (`_stripes`),
-    which parse their own lines; each document's whole chain runs in its
-    stripe, its graph built once for both the export and the extraction,
-    and an original bundle serialized once for both bundle files. This
-    process writes the pieces to the five files in input order and
-    interleaves the instance lines 1:copies; with one stripe it holds one
-    bundle's output at a time. The outputs do not depend on `cfg.jobs`.
-    The error of each skipped corpus line is appended to `skipped`, in
-    line order, once the corpus is parsed.
+    in `worker_count(cfg.jobs)` stripes (`_stripes`), which parse their own
+    lines; each document's whole chain runs in its stripe, its graph built
+    once for both the export and the extraction, and an original bundle
+    serialized once for both bundle files. This process writes the pieces
+    to the five files in input order and interleaves the instance lines
+    1:copies; with one stripe it holds one bundle's output at a time. The
+    outputs do not depend on `cfg.jobs`. The error of each skipped corpus
+    line is appended to `skipped`, in line order, once the corpus is parsed.
 
     The run holds the cyclic garbage collector paused (`collector_paused`),
     and forked workers inherit the pause. This relies on an invariant: a
@@ -813,7 +807,7 @@ def run_pipeline(cfg: PipelineConfig, skipped: list[RecordError] | None = None) 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {name: out_dir / fname for name, fname in OUTPUT_FILES.items()}
-    workers = worker_count(cfg.jobs, _records(cfg.input)) if cfg.jobs > 1 else 1
+    workers = worker_count(cfg.jobs)
     stages = {stage: _zeroed(stage) for stage in STAGE_COUNTS}
 
     with ExitStack() as stack:

@@ -99,6 +99,20 @@ def test_missing_file_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_cf_ratio_and_missing_run_corpus(tmp_path, capsys):
+    out = tmp_path / "out"
+    for ratio, message in (("1:x", "bad ratio '1:x'"), ("1:-1", "ratio component must be >= 0")):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", "c", "--output-dir", str(out), "--seed", "1",
+                  "--cf-ratio", ratio])
+        assert exc.value.code == 2, ratio
+        assert message in capsys.readouterr().err, ratio
+    missing = tmp_path / "nope.jsonl"
+    assert main(["run", "--input", str(missing), "--output-dir", str(out), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: input corpus not found: {missing}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_graph(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     film_cast_corpus(corpus)
@@ -182,6 +196,32 @@ def test_negatives_follow_the_positives_file_order(tmp_path, capsys):
         bundles[name] = out.read_text().splitlines()
     assert len(bundles["forward"]) == len(lines) > 6
     assert bundles["reversed"] == bundles["forward"][::-1]
+
+
+def test_positive_without_a_donor_is_skipped_and_counted(tmp_path, capsys):
+    # Every entity is spelled "X", so every rewritten sentence reads "X r X",
+    # the text of the answer and of its donor: no negative can be made.
+    x = {eid: (eid, "X") for eid in ("a", "b", "m")}
+    doc = build_document(
+        "same", [[x["a"], " r ", x["b"]], [x["a"], " r ", x["m"]]],
+        surfaces={eid: "X" for eid in x}, relations=[("m", "b", "k")],
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    write_lines(corpus, [json.dumps(document_to_record(doc))])
+    counts = {"bundles": 0, "skipped_no_donor": 1, "option_shortfalls": 0, "context_shortfalls": 0}
+    for jobs in (1, 2):
+        cfg = pl.PipelineConfig(input=str(corpus), output_dir=str(tmp_path / f"run{jobs}"),
+                                seed=3, jobs=jobs)
+        stages = pl.run_pipeline(cfg)["stages"]
+        assert stages["extract"] == {"instances": 1}, jobs
+        assert stages["negatives"] == counts, jobs
+    positives, bundles = tmp_path / "positives.jsonl", tmp_path / "bundles.jsonl"
+    assert main(["extract", "--input", str(corpus), "--output", str(positives)]) == 0
+    capsys.readouterr()
+    assert main(["negatives", "--corpus", str(corpus), "--input", str(positives),
+                 "--output", str(bundles), "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out) == counts
+    assert bundles.read_bytes() == b""
 
 
 @pytest.mark.parametrize(

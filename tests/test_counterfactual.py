@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pathcl.bundle import assemble_bundle
-from pathcl.corpus import SentenceTable
+from pathcl.corpus import Entity, Mention, SentenceTable
 from pathcl.counterfactual import (
     AlienPool,
     alien_share,
@@ -72,6 +72,33 @@ def test_select_pool_too_small():
     for empty in (AlienPool([], []), merged_aliens([]), build_entity_pool([])):
         with pytest.raises(ValueError, match="^alien pool too small: need 2, have 0 usable"):
             select_replacements(inst, doc, empty, random.Random(0))
+
+
+def test_select_falls_back_to_every_usable_entity():
+    # 2,000 host entities and 2 foreign ones: 80 rejection tries rarely find
+    # both, so the exhaustive filter does. Only the host's entity ids matter.
+    doc, inst, _ = film_cast_bundle()
+    hosts = tuple(Entity(f"h{i}", "The", (Mention(4, 0, 3),)) for i in range(2000))
+    host = dataclasses.replace(doc, entities=doc.entities + hosts)
+    ids = [e.id for e in hosts]
+
+    class Counted(random.Random):
+        samples = 0
+
+        def sample(self, *args, **kwargs):  # drawn only by the exhaustive filter
+            self.samples += 1
+            return super().sample(*args, **kwargs)
+
+    pool = AlienPool([*ids, "q1", "q2"], ["The"] * len(ids) + ALIENS.surfaces[:2])
+    rng = Counted(0)
+    rmap = select_replacements(inst, host, pool, rng, include_prob=0)
+    assert rng.samples == 1
+    assert sorted(alien for alien, _ in rmap.values()) == ["q1", "q2"]
+    assert list(rmap) == ["e1", "e2"]
+    assert select_replacements(inst, host, pool, Counted(0), include_prob=0) == rmap
+    lone = AlienPool([*ids, "q1"], ["The"] * len(ids) + ALIENS.surfaces[:1])
+    with pytest.raises(ValueError, match="^alien pool too small: need 2, have 1 usable entities$"):
+        select_replacements(inst, host, lone, Counted(0), include_prob=0)
 
 
 def all_bundle_texts(bundle):

@@ -475,7 +475,7 @@ def test_outputs_do_not_depend_on_jobs(tmp_path, monkeypatch):
     # The runs of the two pinned-digest tests above: swaps, foreign donors,
     # skipped orientations and two copies.
     cpus(monkeypatch, 3)
-    assert pl.worker_count(3, 12) == 3
+    assert pl.worker_count(3) == 3
     files = {}
     for jobs in (1, 2, 3):
         root = tmp_path / f"jobs{jobs}"
@@ -844,28 +844,39 @@ def test_one_worker_never_forks(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process was started")
 
-    monkeypatch.setattr(os, "fork", refuse)
     cpus(monkeypatch, 4)
-    # One job asked for, or one document to run: no worker either way.
-    for path, jobs in ((corpus, 1), (lone, 4)):
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "fork", refuse)
         manifest = pl.run_pipeline(
-            pl.PipelineConfig(input=str(path), output_dir=str(tmp_path / f"out{jobs}"), seed=2, jobs=jobs)
+            pl.PipelineConfig(input=str(corpus), output_dir=str(tmp_path / "out1"), seed=2, jobs=1)
         )
-        assert manifest["stages"]["emit"]["records"] > 0
+    assert manifest["stages"]["emit"]["records"] > 0
+    # One document at four jobs: three stripes hold none, and the bytes are one job's.
+    written = {}
+    for jobs in (1, 4):
+        out = tmp_path / f"lone{jobs}"
+        pl.run_pipeline(pl.PipelineConfig(input=str(lone), output_dir=str(out), seed=2, jobs=jobs))
+        written[jobs] = {fname: (out / fname).read_bytes() for fname in pl.OUTPUT_FILES.values()}
+    assert written[4] == written[1]
+    assert json.loads(written[1]["manifest.json"])["stages"]["emit"]["records"] > 0
 
 
-def test_worker_count_bounded_by_cpus_and_documents(monkeypatch):
+def test_worker_count_bounded_by_cpus(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process was started")
 
     monkeypatch.setattr(os, "fork", refuse)
     usable = len(os.sched_getaffinity(0))
-    assert pl.worker_count(10_000, 10_000) == usable
-    assert pl.worker_count(10_000, 1) == 1
-    assert pl.worker_count(10_000, 0) == 1
-    assert pl.worker_count(1, 10_000) == 1
+    assert pl.worker_count(10_000) == usable
     cpus(monkeypatch, 3)
-    assert pl.worker_count(10_000, 10_000) == 3
-    assert pl.worker_count(2, 10_000) == 2
+    assert pl.worker_count(10_000) == 3
+    assert pl.worker_count(2) == 2
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert pl.worker_count(10_000, 10_000) == 1
+    assert pl.worker_count(10_000) == 1
+
+    def unasked():
+        raise AssertionError("one job asked multiprocessing for its start methods")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", unasked)
+    assert pl.worker_count(1) == 1
+    assert pl.worker_count(0) == 1

@@ -117,28 +117,49 @@ def test_corrupted_record_raises_record_error_for_its_line(film_cast_run, name):
 
 @st.composite
 def same_typed_edits(draw, record, doc):
-    """`record` with one entity id, sentence index or KG label replaced by
-    another of the same kind from `doc`."""
+    """`record` with one value replaced by another of its kind from `doc`: an
+    entity id, sentence index or KG label, a mention offset moved to another
+    boundary or end of its text, another small count, or a flipped flag."""
     pools = {
         "entity": sorted(e.id for e in doc.entities),
         "sentence": list(range(len(doc.sentences))),
         "label": sorted({r.relation for r in doc.relations}),
+        "count": list(range(4)),
     }
+    sentence_keys = ("sentence", "answer_sentence", "donor_sentence", "replaced_sentence")
 
-    def kind(path):
-        if path[:1] == ("pair",) or path[:2] == ("path", "entities"):
+    def kind(path, old):
+        if path[-3:-2] == ("mentions",):  # a bundle text's [entity id, start, end]
+            return "entity" if path[-1] == 0 else "offset"
+        if isinstance(old, bool):
+            return "flag"
+        if path[:1] == ("pair",) or path[:2] == ("path", "entities") or old in pools["entity"]:
             return "entity"
         if path[-1:] == ("kg",):
             return "label"
-        if path[-1:] == ("sentence",) or path[:1] in (("context",), ("answers",)):
+        if path[-1] in sentence_keys or (
+            path[:1] in (("context",), ("answers",), ("context_sentences",))
+            and isinstance(old, int)
+        ):
             return "sentence"
+        if path[-1] in ("requested_negatives", "variant"):
+            return "count"
         return None
+
+    def values(path, old):
+        found = kind(path, old)
+        if found == "offset":  # another mention boundary or end of the text
+            text = lookup(record, path[:-3])
+            return sorted({0, len(text["text"]), *(k for m in text["mentions"] for k in m[1:])})
+        if found == "flag":
+            return [not old]
+        return pools.get(found, ())
 
     edits = []
     for path in json_paths(record):
         old = lookup(record, path)
-        if kind(path) and not isinstance(old, (list, dict)):
-            edits += [(path, new) for new in pools[kind(path)] if new != old]
+        if not isinstance(old, (list, dict)):
+            edits += [(path, new) for new in values(path, old) if new != old]
     path, new = draw(st.sampled_from(edits))
     obj = copy.deepcopy(record)
     lookup(obj, path[:-1])[path[-1]] = new
@@ -164,6 +185,34 @@ def test_same_typed_positive_edits_exit_0_or_name_their_line(film_cast_run, tmp_
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert rc == 0 or (rc == 1 and err.startswith("error: line 2: ")), (rc, err, line)
+
+    check()
+
+
+def test_same_typed_bundle_edits_exit_0_or_name_their_line(film_cast_run, tmp_path, capsys):
+    # Each edit keeps the line well-typed, so only a check of the bundle
+    # against itself (`emit`), or against its document too
+    # (`counterfactual`), can tell a bad one.
+    corpus = film_cast_run / "corpus.jsonl"
+    with open(corpus, encoding="utf-8") as fp:
+        (doc,) = parse_corpus(fp)
+    valid = (film_cast_run / "bundles.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    bundles = tmp_path / "bundles.jsonl"
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(same_typed_edits(json.loads(valid), doc))
+    def check(line):
+        bundles.write_text(f"{valid}\n{line}\n", encoding="utf-8")
+        rcs = {}
+        for args in stage_commands(film_cast_run, bundles, tmp_path / "out.jsonl"):
+            capsys.readouterr()
+            rc = main(args)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert rc == 0 or (rc == 1 and err.startswith("error: line 2: ")), (rc, err, line)
+            rcs[args[0]] = rc
+        # `counterfactual` accepts no bundle that `emit` would reject.
+        assert not (rcs["counterfactual"] == 0 and rcs["emit"] == 1), line
 
     check()
 
