@@ -189,23 +189,38 @@ def standalone_problems(b: InstanceBundle) -> list[tuple[str, str]]:
     """What the bundle alone shows to be wrong, as (field path, description).
 
     These are what `emitter.bundle_to_instances` takes for granted: the
-    path runs from `pair[0]` to `pair[1]`; a copy's `replacements` map
-    both pair entities; and the answer and every option mention both pair
-    entities, or in a copy the entities they map to.
+    path runs from `pair[0]` to `pair[1]`; `requested_negatives` is at
+    least the options and context variants held; an original is variant 0
+    with no `replacements`; a copy is variant 1 or more, and its
+    `replacements` map both pair entities; and the answer and every option
+    mention both pair entities, or in a copy the entities they map to.
     """
     problems: list[tuple[str, str]] = []
     start, end = b.path.entities[0], b.path.entities[-1]
     if (start, end) != b.pair:
         a, z = b.pair
         problems.append(("path.entities", f"runs from {start!r} to {end!r}, not {a!r} to {z!r}"))
+    k = b.requested_negatives
+    problems += [
+        ("requested_negatives", f"{k} is below the {len(held)} {field} held")
+        for field, held in (("options", b.options), ("context_variants", b.context_variants))
+        if len(held) > k
+    ]
     pair = b.pair
     if b.counterfactual:
+        if b.variant < 1:
+            problems.append(("variant", f"{b.variant} in a copy, not 1 or more"))
         mapped = dict(b.replacements)
         problems += [
             ("replacements", f"no replacement for pair entity {eid!r}")
             for eid in pair if eid not in mapped
         ]
         pair = tuple(mapped.get(eid, eid) for eid in pair)
+    else:
+        if b.variant != 0:
+            problems.append(("variant", f"{b.variant} in an original, not 0"))
+        if b.replacements:
+            problems.append(("replacements", f"{dict(b.replacements)!r} in an original, not {{}}"))
     texts = [("answer", b.answer), *((f"options[{i}]", s) for i, s in enumerate(b.options))]
     for at, text in texts:
         missing = [eid for eid in pair if eid not in text.entity_ids]

@@ -13,9 +13,10 @@ Entity ids are opaque strings; the same id appearing in two documents
 denotes the same entity. Relation type labels are carried as opaque
 metadata. Document ids are unique within a corpus. Document ids, entity
 ids and relation types hold no tab, "\\n" or "\\r", and entity ids no "|":
-`graph.tsv` writes them unescaped. Documents are immutable after parsing;
-a parsed sentence is its text, and its ordinal is its position in
-`Document.sentences`.
+`graph.tsv` writes them unescaped. `parse_record` reads, type-checks,
+validates and builds a record in one walk over it. Documents are immutable
+after parsing; a parsed sentence is its text, and its ordinal is its
+position in `Document.sentences`.
 
 A run holds its documents until their chains have run, so a parsed
 document is small: its sentence texts are one string with each sentence's
@@ -215,83 +216,30 @@ def _separator_problem(what: str, text: str, separator: re.Pattern) -> str | Non
     return f"{what} {text!r} holds {held[0]!r}, a graph.tsv separator"
 
 
-def _problems(doc: Document) -> list[tuple[str, str]]:
-    """Each violated invariant as (field path, description)."""
-    problems: list[tuple[str, str]] = []
-    bounds = doc.sentences._bounds  # sentence k spans bounds[k]..bounds[k + 1]
-    n_sent = len(bounds) - 1
-
-    if problem := _separator_problem("document id", doc.id, _ROW_SEPARATOR):
-        problems.append(("id", problem))
-    seen_ids: set[str] = set()
-    # The valid mention spans of each sentence, for the overlap check below.
-    by_sentence: dict[int, list[tuple[int, int, str]]] = {}
-    for i, entity in enumerate(doc.entities):
-        if entity.id in seen_ids:
-            problems.append((f"entities[{i}].id", f"duplicate entity id {entity.id!r}"))
-        seen_ids.add(entity.id)
-        if problem := _separator_problem("entity id", entity.id, _ENTITY_ID_SEPARATOR):
-            problems.append((f"entities[{i}].id", problem))
-        if not entity.surface:
-            problems.append((f"entities[{i}].name", f"entity {entity.id!r} has empty surface"))
-        if not entity.mentions:
-            problems.append((f"entities[{i}].mentions", f"entity {entity.id!r} has no mentions"))
-        for j, m in enumerate(entity.mentions):
-            # The field path is built only for a violation: most records have none.
-            sent, start, end = m.sent, m.start, m.end
-            if not 0 <= sent < n_sent:
-                problems.append((
-                    f"entities[{i}].mentions[{j}]",
-                    f"entity {entity.id!r} mention sentence {sent} out of range",
-                ))
-                continue
-            length = bounds[sent + 1] - bounds[sent]
-            if start < 0 or end > length or start >= end:
-                problems.append((
-                    f"entities[{i}].mentions[{j}]",
-                    f"entity {entity.id!r} span [{start}, {end}) invalid "
-                    f"for sentence {sent} of length {length}",
-                ))
-            else:
-                by_sentence.setdefault(sent, []).append((start, end, entity.id))
-
-    # Overlap check between distinct mentions sharing a sentence.
-    for k, spans in sorted(by_sentence.items()):
-        spans.sort()
-        for (s1, e1, id1), (s2, e2, id2) in zip(spans, spans[1:]):
-            if s2 < e1:
-                problems.append((
-                    f"sentences[{k}]",
-                    f"mention [{s1}, {e1}) of {id1!r} overlaps [{s2}, {e2}) of {id2!r}",
-                ))
-
-    for i, rel in enumerate(doc.relations):
-        if problem := _separator_problem("relation type", rel.relation, _ROW_SEPARATOR):
-            problems.append((f"relations[{i}].type", problem))
-        if rel.head == rel.tail:
-            problems.append((f"relations[{i}]", f"self-relation on entity {rel.head!r}"))
-        for role, eid in (("head", rel.head), ("tail", rel.tail)):
-            if eid not in seen_ids:
-                problems.append((f"relations[{i}].{role}", f"unknown entity id {eid!r}"))
-
-    return problems
-
-
 def parse_record(obj: dict, line: int = 0) -> Document:
     """Build a Document from one decoded record, enforcing all invariants.
 
-    One walk over the record checks each value's exact JSON type inline.
-    An item with a value that fails is read again field by field through
-    `require`, which raises the error a field-by-field read would (or
-    takes a subclass, as `typed` does), so a record with several bad
-    fields reports the first of them, in the order written here.
+    One walk reads, type-checks, validates and builds the record. Each
+    value's exact JSON type is checked inline; an item with a value that
+    fails is read again field by field through `require`, which raises the
+    error a field-by-field read would (or takes a subclass, as `typed`
+    does). So a type error anywhere raises first, naming the first bad
+    field in the order written here. Broken invariants are collected as
+    the walk reaches them and raised together, joined by "; ", under the
+    field path of the first.
     """
+    problems: list[tuple[str, str]] = []  # (field path, description)
     doc_id = require(obj, "id", str, line)
+    if problem := _separator_problem("document id", doc_id, _ROW_SEPARATOR):
+        problems.append(("id", problem))
     sentences = []
     for i, s in enumerate(require(obj, "sentences", list, line)):
         if not (type(s) is dict and type(text := s.get("text")) is str):
             text = require(s, "text", str, line, f"sentences[{i}]")
         sentences.append(text)
+    n_sent = len(sentences)
+    # The valid mention spans of each sentence, for the overlap check.
+    by_sentence: dict[int, list[tuple[int, int, str]]] = {}
     entities = []
     ids: dict[str, str] = {}  # each entity id, to itself: a relation end reuses the object
     for i, e in enumerate(require(obj, "entities", list, line)):
@@ -317,8 +265,39 @@ def parse_record(obj: dict, line: int = 0) -> Document:
         ):
             entity_id = require(e, "id", str, line, f"entities[{i}]")
             name = require(e, "name", str, line, f"entities[{i}]")
+        # The field paths are built only for a violation: most records have none.
+        if entity_id in ids:
+            problems.append((f"entities[{i}].id", f"duplicate entity id {entity_id!r}"))
+        if problem := _separator_problem("entity id", entity_id, _ENTITY_ID_SEPARATOR):
+            problems.append((f"entities[{i}].id", problem))
+        if not name:
+            problems.append((f"entities[{i}].name", f"entity {entity_id!r} has empty surface"))
+        if not mentions:
+            problems.append((f"entities[{i}].mentions", f"entity {entity_id!r} has no mentions"))
+        for j, m in enumerate(mentions):
+            sent, start, end = m.sent, m.start, m.end
+            if not 0 <= sent < n_sent:
+                problem = f"entity {entity_id!r} mention sentence {sent} out of range"
+            elif not 0 <= start < end <= len(sentences[sent]):
+                problem = (
+                    f"entity {entity_id!r} span [{start}, {end}) invalid "
+                    f"for sentence {sent} of length {len(sentences[sent])}"
+                )
+            else:
+                by_sentence.setdefault(sent, []).append((start, end, entity_id))
+                continue
+            problems.append((f"entities[{i}].mentions[{j}]", problem))
         entities.append(Entity(entity_id, sys.intern(name), tuple(mentions)))
         ids[entity_id] = entity_id
+    # Overlaps between distinct mentions sharing a sentence.
+    for k, spans in sorted(by_sentence.items()):
+        spans.sort()
+        for (s1, e1, id1), (s2, e2, id2) in zip(spans, spans[1:]):
+            if s2 < e1:
+                problems.append((
+                    f"sentences[{k}]",
+                    f"mention [{s1}, {e1}) of {id1!r} overlaps [{s2}, {e2}) of {id2!r}",
+                ))
     relations = []
     for i, r in enumerate(require(obj, "relations", list, line)):
         if not (
@@ -331,16 +310,21 @@ def parse_record(obj: dict, line: int = 0) -> Document:
             head = require(r, "head", str, line, at)
             tail = require(r, "tail", str, line, at)
             relation = require(r, "type", str, line, at)
+        if problem := _separator_problem("relation type", relation, _ROW_SEPARATOR):
+            problems.append((f"relations[{i}].type", problem))
+        if head == tail:
+            problems.append((f"relations[{i}]", f"self-relation on entity {head!r}"))
+        for role, eid in (("head", head), ("tail", tail)):
+            if eid not in ids:
+                problems.append((f"relations[{i}].{role}", f"unknown entity id {eid!r}"))
         relations.append(
             RelationTriple(ids.get(head, head), ids.get(tail, tail), sys.intern(relation))
         )
 
-    doc = Document(doc_id, Sentences(sentences), tuple(entities), tuple(relations))
-    problems = _problems(doc)
     if problems:
         message = "; ".join(f"{where}: {problem}" for where, problem in problems)
         raise RecordError(line, message, problems[0][0])
-    return doc
+    return Document(doc_id, Sentences(sentences), tuple(entities), tuple(relations))
 
 
 def parse_corpus(

@@ -358,8 +358,27 @@ def test_emit_rejects_bundles_that_contradict_themselves(tmp_path, capsys):
         (0, edited(original, rename_mention(lambda r: r["answer"], a0, middle)),
          f"answer.mentions: no mention of {[a0]!r}"),
     ]
+    def set_fields(**fields):
+        return lambda record: record.update(fields)
+
+    # Fields the counts and seeds of `emit` rest on: `counterfactual` must
+    # name the same line, after its own checks of the bundle's document.
+    assert len(original["options"]) == len(original["context_variants"]) == 3
+    field_cases = [
+        (0, edited(original, set_fields(requested_negatives=2)),
+         "requested_negatives: 2 is below the 3 options held"),
+        (0, edited(original, set_fields(requested_negatives=0)),
+         "requested_negatives: 0 is below the 3 options held"),
+        (0, edited(original, set_fields(requested_negatives=1, options=original["options"][:1])),
+         "requested_negatives: 1 is below the 3 context_variants held"),
+        (0, edited(original, set_fields(variant=1)), "variant: 1 in an original, not 0"),
+        (0, edited(original, set_fields(replacements={a1: alien})),
+         f"replacements: {({a1: alien})!r} in an original, not {{}}"),
+        (1, edited(copy, set_fields(variant=0)), "variant: 0 in a copy, not 1 or more"),
+        (1, edited(copy, set_fields(variant=-1)), "variant: -1 in a copy, not 1 or more"),
+    ]
     output = tmp_path / "out.jsonl"
-    for at, line, message in cases:
+    for at, line, message in cases + field_cases:
         lines = list(good)
         lines[at] = line
         write_lines(copies, lines)
@@ -370,6 +389,15 @@ def test_emit_rejects_bundles_that_contradict_themselves(tmp_path, capsys):
             assert (rc, err) == (0, "")
         else:
             assert (rc, err) == (1, f"error: line {at + 1}: {message}\n")
+    for at, line, message in field_cases:
+        lines = list(good)
+        lines[at] = line
+        write_lines(copies, lines)
+        capsys.readouterr()
+        rc = main(["counterfactual", "--corpus", str(corpus), "--input", str(copies),
+                   "--output", str(output), "--seed", "3"])
+        prefix = f"error: line {at + 1}: bundle in document {original['doc']!r}: "
+        assert (rc, capsys.readouterr().err) == (1, prefix + message + "\n")
 
 
 def test_grad_check_passes(capsys):

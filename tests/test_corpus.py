@@ -6,7 +6,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathcl.corpus import (
@@ -383,8 +383,20 @@ def read_outcome(parse, record):
         return "TypeError", str(err)
 
 
+def duplicate_id_then_bad_start():
+    """entities[0] takes entities[1]'s id, and entities[1]'s first mention a
+    string `start`: the type error of entities[1].mentions[0].start must
+    raise, not the duplicate id that a read of entities[1].id would find."""
+    record = copy.deepcopy(VALID_RECORDS[0])
+    first, second = record["entities"][:2]
+    first["id"] = second["id"]
+    second["mentions"][0]["start"] = "0"
+    return record
+
+
 @settings(derandomize=True, deadline=None, max_examples=600, database=None)
 @given(mutated_records())
+@example(duplicate_id_then_bad_start())
 def test_reader_matches_the_field_by_field_reference(record):
     # The one-walk reader checks exact types inline and builds a field path
     # only for a violation; its documents and first errors must be those of
