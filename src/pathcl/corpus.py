@@ -28,7 +28,8 @@ objects of its document's entity ids.
 
 Which sentence names which entity is answered by one index, a document's
 `SentenceTable`: the graph's co-mention edges, the answer sentences of a
-pair, the relation donors and every annotated text come from it.
+pair, the relation donors and every annotated text come from it. A
+document chain's one table is its graph's.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ class SentenceTable:
     spans sorted by (start, end), annotated the first time it is asked for;
     `entities(k)`, `donors` and `shared(a, b)` say which sentences name
     which entities. A table is made per use and is never kept on the
-    document: a document chain's one table serves its graph, then lives as
+    document: a document chain's one table is its graph's, then lives as
     long as its `negatives.DonorSource`, and the donor pool keeps only the
     sentences it picked. It refers to nothing that refers back to it.
     """

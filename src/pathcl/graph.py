@@ -2,14 +2,14 @@
 
 Nodes are the document's entities. Two maps keyed by the unordered
 `pair_key` hold the edges: `sentences` sends a pair to the sentences
-mentioning both (read off the document's `corpus.SentenceTable`),
-`labels` to its sorted relation labels. A pair may sit in either map or
-both; adjacency sees one slot per pair.
+mentioning both (read off the document's `corpus.SentenceTable`, which
+the graph keeps as `table`), `labels` to its sorted relation labels. A
+pair may sit in either map or both; adjacency sees one slot per pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO
 
@@ -26,6 +26,7 @@ class EntityGraph:
     nodes: frozenset[str]
     sentences: dict[tuple[str, str], frozenset[int]]
     labels: dict[tuple[str, str], tuple[str, ...]]
+    table: SentenceTable = field(compare=False, repr=False)
 
     def intra_sentences(self, a: str, b: str) -> frozenset[int]:
         return self.sentences.get(pair_key(a, b), frozenset())
@@ -43,14 +44,12 @@ class EntityGraph:
         return {n: tuple(sorted(vs)) for n, vs in adj.items()}
 
 
-def build_entity_graph(doc: Document, table: SentenceTable | None = None) -> EntityGraph:
-    """Construct the entity graph of a validated document.
+def build_entity_graph(doc: Document) -> EntityGraph:
+    """Construct the entity graph of a validated document, and its sentence table.
 
-    `table` is the document's sentence table, built here if not given.
     Deterministic: equal documents produce equal graphs.
     """
-    if table is None:
-        table = SentenceTable(doc)
+    table = SentenceTable(doc)
     sentences: dict[tuple[str, str], set[int]] = {}
     for k in table.donors:  # only a sentence naming two entities or more holds a pair
         ids = sorted(table.entities(k))
@@ -67,6 +66,7 @@ def build_entity_graph(doc: Document, table: SentenceTable | None = None) -> Ent
         nodes=frozenset(e.id for e in doc.entities),
         sentences={key: frozenset(ks) for key, ks in sentences.items()},
         labels={key: tuple(sorted(ls)) for key, ls in labels.items()},
+        table=table,
     )
 
 

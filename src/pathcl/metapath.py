@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Document, SentenceTable
+from .corpus import Document
 from .graph import EntityGraph
 from .jsonl import RecordError, bounded, check_config, require, require_list
 
@@ -222,7 +222,7 @@ def extract_positive_instances(
 def validate_instance(
     inst: PositiveInstance, doc: Document, graph: EntityGraph
 ) -> list[str]:
-    """Check every instance invariant against its document and graph."""
+    """Check every instance invariant against its document and graph (and its table)."""
     problems: list[str] = []
     ents = inst.path.entities
     n_sent = len(doc.sentences)
@@ -265,7 +265,7 @@ def validate_instance(
     if not 0 <= k < n_sent:
         problems.append(f"answer sentence {k} out of range")
     else:
-        missing = [e for e in inst.pair if e not in SentenceTable(doc).entities(k)]
+        missing = [e for e in inst.pair if e not in graph.table.entities(k)]
         if missing:
             problems.append(f"answer sentence {k} does not mention {missing!r}")
     if k in inst.context:

@@ -38,7 +38,7 @@ written under a temporary name and moved into place only when its stage
 succeeds. Nothing is cached on a document. A document's sentence table
 (`corpus.SentenceTable`: its mentions grouped by sentence, each sentence
 annotated at most once) answers which sentence names which entity; its
-chain builds one, used by the graph build and then held by its
+chain's one table is its graph's (`EntityGraph.table`), then held by its
 `_negative_worker` call's `DonorSource`, and freed when the call's
 bundles are drained.
 
@@ -204,10 +204,12 @@ def _corpus_records(
     A record of a document not in `docs`, or naming a sentence outside its
     document, is a bad record of its line. `named(record)` lists the
     (field path, sentence index) pairs a record names besides its path's.
-    `problems(record, doc)` lists what else is wrong with a record
+    `problems(record, doc, graph)` lists what else is wrong with a record
     whose sentences are in range; the first of them makes it a bad record.
+    `graph` is the document's, table included, built once per run of its records.
     """
     by_id = {doc.id: doc for doc in docs}
+    graph = lru_cache(maxsize=1)(build_entity_graph)
 
     def checked(obj, line: int):
         record = from_record(obj, line)
@@ -225,7 +227,7 @@ def _corpus_records(
                     f"outside its {n} sentences"
                 )
                 raise RecordError(line, message, at)
-        found = problems(record, doc)
+        found = problems(record, doc, graph(doc))
         if found:
             raise RecordError(line, f"{what} in document {doc.id!r}: {found[0]}")
         return record
@@ -239,18 +241,14 @@ def read_corpus_positives(
     """`read_positives`, checking each positive against its document in `docs`.
 
     A positive whose sentences are in range must also pass `validate_instance`
-    on its document's graph, built once per run of one document's positives.
+    on its document's graph.
     """
-    graph = lru_cache(maxsize=1)(build_entity_graph)
 
     def named(p: PositiveInstance) -> list[tuple[str, int]]:
         context = [(f"context[{i}]", k) for i, k in enumerate(p.context)]
         return context + [("answers", p.answer)]
 
-    def problems(p: PositiveInstance, doc: Document) -> list[str]:
-        return validate_instance(p, doc, graph(doc))
-
-    return _corpus_records(docs, lines, positive_from_record, "positive", named, problems)
+    return _corpus_records(docs, lines, positive_from_record, "positive", named, validate_instance)
 
 
 def read_corpus_bundles(docs: Sequence[Document], lines: Iterable[str]) -> Iterator[InstanceBundle]:
@@ -259,29 +257,30 @@ def read_corpus_bundles(docs: Sequence[Document], lines: Iterable[str]) -> Itera
     A bundle whose sentences are in range must also hold a positive (its
     pair, path, context sentences and answer sentence) that passes
     `validate_instance`, an original bundle's context and answer must be
-    its document's sentences, text and mention spans alike, and it must
-    pass `read_bundles`' check (`standalone_problems`). The graph and the
-    sentence table are built once per run of one document's bundles.
+    its document's sentences (in its graph's table), text and mention spans
+    alike, and it must pass `read_bundles`' check (`standalone_problems`).
+    Last, it must be an original: `counterfactual` makes copies of originals.
     """
-    graph = lru_cache(maxsize=1)(build_entity_graph)
-    table = lru_cache(maxsize=1)(SentenceTable)
 
     def named(b: InstanceBundle) -> list[tuple[str, int]]:
         context = [(f"context_sentences[{i}]", t.sentence) for i, t in enumerate(b.context)]
         return context + [("answer_sentence", b.answer.sentence)]
 
-    def problems(b: InstanceBundle, doc: Document) -> list[str]:
+    def problems(b: InstanceBundle, doc: Document, graph: EntityGraph) -> list[str]:
         context = tuple(t.sentence for t in b.context)
         positive = PositiveInstance(b.doc_id, b.pair, b.path, context, b.answer.sentence)
-        found = validate_instance(positive, doc, graph(doc))
+        found = validate_instance(positive, doc, graph)
         if not b.counterfactual:
             texts = [(f"context[{i}]", t) for i, t in enumerate(b.context)]
             found += [
                 f"{at} differs from sentence {t.sentence} of the document in text or mentions"
                 for at, t in texts + [("answer", b.answer)]
-                if t != table(doc)[t.sentence]
+                if t != graph.table[t.sentence]
             ]
-        return found + [f"{at}: {problem}" for at, problem in standalone_problems(b)]
+        found += [f"{at}: {problem}" for at, problem in standalone_problems(b)]
+        if b.counterfactual:
+            found.append("counterfactual: true; the counterfactual command reads originals only")
+        return found
 
     return _corpus_records(docs, lines, bundle_from_record, "bundle", named, problems)
 
@@ -369,8 +368,8 @@ def _negative_worker(
     """Lazily, the bundle of every positive of `doc` that found a donor.
 
     Counts into `counts`, final once the iterator is drained. The
-    document's sentence table (`table`, or one built here) lives in
-    `source`, so it is freed with it.
+    document's sentence table (`table`, in `run` its graph's, or one built
+    here) lives in `source`, so it is freed with it.
     """
     source = DonorSource(doc, pool, table)
     k = cfg.num_negatives
@@ -497,8 +496,8 @@ class _DocumentChain:
 
     Each stripe builds one over the run's two sampling pools, once they are
     merged (round 2), and calls it on its documents in line order. A call
-    reads its document and caches nothing on it: the document's one
-    sentence table serves its graph and its negatives, and what the chain
+    reads its document and caches nothing on it: the table its graph keeps
+    (`EntityGraph.table`) serves its negatives too, and what the chain
     builds for the document is freed when its lines are written.
     """
 
@@ -513,8 +512,7 @@ class _DocumentChain:
         """Lazily, the document's output pieces, one bundle's at a time."""
         cfg, seed = self.cfg, self.cfg.seed
         counts = {stage: _zeroed(stage) for stage in STAGE_COUNTS}
-        table = SentenceTable(doc)
-        graph = build_entity_graph(doc, table)
+        graph = build_entity_graph(doc)
         rows = _graph_rows(doc, graph)
         positives = _extract_worker(doc, cfg.extractor, graph)
         counts["graph"]["edges"] = len(rows)
@@ -522,7 +520,7 @@ class _DocumentChain:
         yield "graph", "".join(rows)
         yield "positives", "".join(record_line(positive_to_record(p)) for p in positives)
         for original in _negative_worker(
-            doc, positives, self.donors, cfg.negatives, seed, counts["negatives"], table
+            doc, positives, self.donors, cfg.negatives, seed, counts["negatives"], graph.table
         ):
             line = record_line(bundle_to_record(original))
             yield "bundles", line

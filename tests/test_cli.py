@@ -311,6 +311,32 @@ def test_counterfactual_rejects_bundles_their_document_contradicts(tmp_path, cap
             assert (rc, err) == (1, prefix + message + "\n")
 
 
+def test_counterfactual_rejects_its_own_output(tmp_path, capsys):
+    # Its output holds each original followed by its copy; a copy fed back
+    # in would be copied again as if it were an original.
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(40, 3, blocks=2, fillers=4), fp)
+    positives, bundles = tmp_path / "positives.jsonl", tmp_path / "bundles.jsonl"
+    copies, again = tmp_path / "copies.jsonl", tmp_path / "again.jsonl"
+    assert main(["extract", "--input", str(corpus), "--output", str(positives)]) == 0
+    assert main(["negatives", "--corpus", str(corpus), "--input", str(positives),
+                 "--output", str(bundles), "--seed", "3"]) == 0
+    assert main(["counterfactual", "--corpus", str(corpus), "--input", str(bundles),
+                 "--output", str(copies), "--seed", "3"]) == 0
+    first_copy = json.loads(copies.read_text(encoding="utf-8").splitlines()[1])
+    assert first_copy["counterfactual"]
+    capsys.readouterr()
+    rc = main(["counterfactual", "--corpus", str(corpus), "--input", str(copies),
+               "--output", str(again), "--seed", "3"])
+    assert (rc, capsys.readouterr().err) == (
+        1,
+        f"error: line 2: bundle in document {first_copy['doc']!r}: counterfactual: true; "
+        "the counterfactual command reads originals only\n",
+    )
+    assert not again.exists()
+
+
 def test_emit_rejects_bundles_that_contradict_themselves(tmp_path, capsys):
     # `emit` has no corpus. Each edit keeps the line well-typed and its
     # spans inside their texts, so only a check of what the bundle alone
