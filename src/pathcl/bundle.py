@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from .corpus import SentenceTable
+from .graph import EntityGraph
 from .jsonl import RecordError, read_records, require, require_list, require_map, write_records
 from .metapath import MetaPath, PositiveInstance, path_from_record, path_to_record
 from .negatives import ContextVariant, SynthSentence
@@ -41,22 +41,22 @@ class InstanceBundle:
 
 def assemble_bundle(
     inst: PositiveInstance,
-    sentences: SentenceTable,
+    graph: EntityGraph,
     options: tuple[SynthSentence, ...],
     contexts: tuple[ContextVariant, ...],
     k: int,
 ) -> InstanceBundle:
     """The bundle of one positive whose negatives were requested K = `k` at a time.
 
-    `sentences` is the table of the positive's document, the one its
-    negatives were drawn with.
+    `graph` is the one index of the positive's document, the one its
+    negatives were drawn with; the texts are its annotated sentences.
     """
     return InstanceBundle(
         doc_id=inst.doc_id,
         pair=inst.pair,
         path=inst.path,
-        context=tuple(sentences[s] for s in inst.context),
-        answer=sentences[inst.answer],
+        context=tuple(graph[s] for s in inst.context),
+        answer=graph[inst.answer],
         options=options,
         context_variants=contexts,
         requested_negatives=k,

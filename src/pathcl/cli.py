@@ -200,6 +200,9 @@ def cmd_emit(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # One file for both has one temporary name: its second move would fail.
+    if args.metrics_out and Path(args.metrics_out).resolve() == Path(args.params_out).resolve():
+        raise SystemExit2(f"--params-out and --metrics-out name the same file: {args.params_out}")
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg, required=False)
     cfg = _section(TrainConfig, file_cfg, "train", args, seed=seed)

@@ -26,10 +26,10 @@ one `Mention`, in any documents, through a least-recently-used cache of
 `MENTION_CACHE_SIZE` spans; and a relation's head and tail are the string
 objects of its document's entity ids.
 
-Which sentence names which entity is answered by one index, a document's
-`SentenceTable`: the graph's co-mention edges, the answer sentences of a
-pair, the relation donors and every annotated text come from it. A
-document chain's one table is its graph's.
+A document has one index, its entity graph (`graph.build_entity_graph`):
+which sentence names which entity, the co-mention edges, the answer
+sentences of a pair, the relation donors and every annotated text come
+from it.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
 from .jsonl import RecordError, read_records, require, write_records
-from .spans import AnnotatedSentence, MentionSpan
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,10 +126,10 @@ class Sentences(Sequence[str]):
 class Document:
     """One parsed document: its records and nothing else.
 
-    No index is cached on it: a lookup by sentence goes through a
-    `SentenceTable`, built per use and freed when that use ends. The
-    sentences may be given as any sequence of texts, a tuple say; they are
-    held as `Sentences`.
+    No index is cached on it: a lookup by sentence goes through its one
+    index, a `graph.EntityGraph`, built per use and freed when that use
+    ends. The sentences may be given as any sequence of texts, a tuple
+    say; they are held as `Sentences`.
     """
 
     id: str
@@ -149,60 +147,6 @@ class Document:
 # so a fixed bound holds nearly all of them.
 MENTION_CACHE_SIZE = 4096
 _mention = lru_cache(maxsize=MENTION_CACHE_SIZE)(Mention)
-
-_by_start = itemgetter(1, 2)  # a mention span's (start, end)
-
-
-class SentenceTable:
-    """One validated document's mentions grouped by sentence, in one walk.
-
-    The walk keeps each sentence's spans, in entity order, and the set of
-    ids they name. `table[k]` is sentence k as an `AnnotatedSentence`, its
-    spans sorted by (start, end), annotated the first time it is asked for;
-    `entities(k)`, `donors` and `shared(a, b)` say which sentences name
-    which entities. A table is made per use and is never kept on the
-    document: a document chain's one table is its graph's, then lives as
-    long as its `negatives.DonorSource`, and the donor pool keeps only the
-    sentences it picked. It refers to nothing that refers back to it.
-    """
-
-    __slots__ = ("_doc", "_spans", "_named", "_built", "donors")
-
-    def __init__(self, doc: Document):
-        n = len(doc.sentences)
-        spans: list[list[MentionSpan]] = [[] for _ in range(n)]
-        named: list[set[str]] = [set() for _ in range(n)]
-        for entity in doc.entities:
-            eid = entity.id
-            for m in entity.mentions:
-                spans[m.sent].append((eid, m.start, m.end))
-                named[m.sent].add(eid)
-        self._doc = doc
-        self._spans = spans
-        self._named = named
-        self._built: list[AnnotatedSentence | None] = [None] * len(spans)
-        # Ordinals of the sentences naming two or more distinct entities, ascending.
-        self.donors = [k for k, ids in enumerate(named) if len(ids) >= 2]
-
-    def __getitem__(self, k: int) -> AnnotatedSentence:
-        built = self._built[k]
-        if built is None:
-            mentions = tuple(sorted(self._spans[k], key=_by_start))
-            built = AnnotatedSentence(self._doc.id, k, self._doc.sentences[k], mentions)
-            self._built[k] = built
-        return built
-
-    def entities(self, k: int) -> frozenset[str]:
-        """Ids of the entities with at least one mention in sentence k."""
-        if not 0 <= k < len(self._named):
-            raise IndexError(f"sentence index {k} out of range for document {self._doc.id!r}")
-        return frozenset(self._named[k])
-
-    def shared(self, a: str, b: str) -> frozenset[int]:
-        """Ordinals of the sentences naming both `a` and `b`."""
-        pair = {a, b}
-        return frozenset(k for k, named in enumerate(self._named) if pair <= named)
-
 
 # `graph.tsv` writes ids and labels unescaped: a tab separates its fields,
 # a line break its rows, and "|" the two entity ids of a pair.

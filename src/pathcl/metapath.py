@@ -222,7 +222,7 @@ def extract_positive_instances(
 def validate_instance(
     inst: PositiveInstance, doc: Document, graph: EntityGraph
 ) -> list[str]:
-    """Check every instance invariant against its document and graph (and its table)."""
+    """Check every instance invariant against its document and its graph, the one index."""
     problems: list[str] = []
     ents = inst.path.entities
     n_sent = len(doc.sentences)
@@ -265,7 +265,7 @@ def validate_instance(
     if not 0 <= k < n_sent:
         problems.append(f"answer sentence {k} out of range")
     else:
-        missing = [e for e in inst.pair if e not in graph.table.entities(k)]
+        missing = [e for e in inst.pair if e not in graph.entities(k)]
         if missing:
             problems.append(f"answer sentence {k} does not mention {missing!r}")
     if k in inst.context:

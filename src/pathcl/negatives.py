@@ -13,19 +13,21 @@ on the meta-path. Where donors come from, and in which order they are
 tried, is one document's `DonorSource`. Sampling is driven entirely by the
 per-instance generator, so outputs are reproducible byte-for-byte for a
 fixed seed. Donors, the answer sentences a negative must not repeat and a
-bundle's texts all come from a document's `corpus.SentenceTable`; a
-negative (`SynthSentence`) keeps its donor's document and ordinal.
+bundle's texts all come from the document's one index, its
+`graph.EntityGraph`; a negative (`SynthSentence`) keeps its donor's
+document and ordinal.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, groupby
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import Document, SentenceTable
+from .corpus import Document
+from .graph import EntityGraph, build_entity_graph
 from .metapath import PositiveInstance
 from .spans import AnnotatedSentence, MentionSpan, rewrite_mentions
 
@@ -60,11 +62,11 @@ def build_donor_pool(
     When more are eligible than pool_size, a seeded sample of their indices
     in corpus order is taken (`draw_donors`); corpus order is preserved so
     pool content is independent of scheduling. Each document's donors are
-    counted off a `SentenceTable` that is dropped at once, so no two tables
-    are alive together; a document with a sampled donor gets a second
-    table, and only its sampled sentences are annotated.
+    counted off a graph that is dropped at once, so no two are alive
+    together; a document with a sampled donor gets a second graph. Both
+    make only their walk, and only the sampled sentences are annotated.
     """
-    counts = [len(SentenceTable(doc).donors) for doc in docs]
+    counts = [len(build_entity_graph(doc).donors) for doc in docs]
     return [
         donor
         for d, picks in draw_donors(counts, pool_size, rng)
@@ -78,7 +80,7 @@ def draw_donors(
     """The donor pool's draw, given each document's donor count in corpus order.
 
     Yields (document position, positions of its picked donors in its
-    `SentenceTable.donors`) for each document with a pick, in corpus order.
+    graph's `donors`) for each document with a pick, in corpus order.
     """
     ends = list(accumulate(counts))  # one past each document's last index
     total = ends[-1] if ends else 0
@@ -89,10 +91,10 @@ def draw_donors(
 
 
 def picked_donors(doc: Document, picks: Iterable[int]) -> list[AnnotatedSentence]:
-    """The donors of `doc` at positions `picks` of its `SentenceTable.donors`, annotated."""
-    table = SentenceTable(doc)
-    donors = table.donors
-    return [table[donors[i]] for i in picks]
+    """The donors of `doc` at positions `picks` of its graph's `donors`, annotated."""
+    graph = build_entity_graph(doc)
+    donors = graph.donors
+    return [graph[donors[i]] for i in picks]
 
 
 def relation_replace(
@@ -151,17 +153,13 @@ class DonorSource:
     3. The donors of 1 and 2 that mention both targets, with the two target
        mentions exchanged.
 
-    `sentences` is the document's sentence table, shared by its donors,
-    answers, spellings and bundles; built here if not given.
+    `graph` is the document's one index, built by the caller and shared by
+    its donors, answers, spellings and bundles.
     """
 
     doc: Document
+    graph: EntityGraph
     pool: Sequence[AnnotatedSentence] = ()
-    sentences: SentenceTable | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.sentences is None:
-            object.__setattr__(self, "sentences", SentenceTable(self.doc))
 
     def candidates(
         self, target_pair: tuple[str, str], excluded: frozenset[int], rng: random.Random
@@ -182,11 +180,11 @@ class DonorSource:
                 if {t_i, t_j} <= donor.entity_ids:
                     swaps.append(donor)
 
-        host = [k for k in self.sentences.donors if k not in excluded]
+        host = [k for k in self.graph.donors if k not in excluded]
         rng.shuffle(host)
         # A host donor is annotated when first tried: most instances take
         # their negatives from the first few.
-        yield from tried(map(self.sentences.__getitem__, host))
+        yield from tried(map(self.graph.__getitem__, host))
         # Filtered only when the host document runs dry: most instances
         # never touch the pool, and filtering it per instance is not free.
         pool = [d for d in self.pool if d.doc_id != self.doc.id]
@@ -224,10 +222,10 @@ def make_negative_options(
     pair, to the donor itself, or to a previously taken negative are
     rejected and the next one is tried.
     """
-    doc = source.doc
-    answers = source.sentences.shared(*inst.pair)
+    doc, graph = source.doc, source.graph
+    answers = graph.intra_sentences(*inst.pair)
     forbidden = {doc.sentences[a] for a in answers}
-    target = _target_with_surfaces(_spellings(source.sentences[inst.answer]), inst.pair)
+    target = _target_with_surfaces(_spellings(graph[inst.answer]), inst.pair)
     taken: list[SynthSentence] = []
     seen_texts: set[str] = set()
     if k > 0:
@@ -251,15 +249,15 @@ def make_negative_contexts(
     meta-path entities mentioned there, spelled as there; variants cycle
     over the context sentences so no single sentence absorbs every edit.
     """
-    doc = source.doc
-    answers = source.sentences.shared(*inst.pair)
+    doc, graph = source.doc, source.graph
+    answers = graph.intra_sentences(*inst.pair)
 
     # Per context sentence: a lazily advanced stream of replacement tries.
     streams: list[tuple[int, Iterator[SynthSentence]]] = []
     order = list(inst.context)
     rng.shuffle(order)
     for s_i in order:
-        spelled = _spellings(source.sentences[s_i])
+        spelled = _spellings(graph[s_i])
         in_sentence = sorted(e for e in spelled if e in inst.path.entities)
         pairs = [(p, q) for p in in_sentence for q in in_sentence if p != q]
         rng.shuffle(pairs)

@@ -35,11 +35,10 @@ So no parsed document crosses a process boundary and the parent of forked
 workers holds none; the standalone stages share the chain's per-document
 and per-bundle loop bodies and the three merge rules. Every output file is
 written under a temporary name and moved into place only when its stage
-succeeds. Nothing is cached on a document. A document's sentence table
-(`corpus.SentenceTable`: its mentions grouped by sentence, each sentence
-annotated at most once) answers which sentence names which entity; its
-chain's one table is its graph's (`EntityGraph.table`), then held by its
-`_negative_worker` call's `DonorSource`, and freed when the call's
+succeeds. Nothing is cached on a document. Its one index is its entity
+graph (`graph.EntityGraph`), which a stage builds with `build_entity_graph`
+and passes down: a chain's graph serves its extraction, then its
+`_negative_worker` call's `DonorSource`, and is freed when the call's
 bundles are drained.
 
 `run_pipeline` and the CLI commands that parse a whole corpus run inside
@@ -72,7 +71,7 @@ from .bundle import (
     read_bundles,
     standalone_problems,
 )
-from .corpus import Document, SentenceTable, claim_id, parse_corpus, parse_record
+from .corpus import Document, claim_id, parse_corpus, parse_record
 from .counterfactual import (
     AlienPool,
     AlienShare,
@@ -206,7 +205,7 @@ def _corpus_records(
     (field path, sentence index) pairs a record names besides its path's.
     `problems(record, doc, graph)` lists what else is wrong with a record
     whose sentences are in range; the first of them makes it a bad record.
-    `graph` is the document's, table included, built once per run of its records.
+    `graph` is the document's one index, built once per run of its records.
     """
     by_id = {doc.id: doc for doc in docs}
     graph = lru_cache(maxsize=1)(build_entity_graph)
@@ -257,7 +256,7 @@ def read_corpus_bundles(docs: Sequence[Document], lines: Iterable[str]) -> Itera
     A bundle whose sentences are in range must also hold a positive (its
     pair, path, context sentences and answer sentence) that passes
     `validate_instance`, an original bundle's context and answer must be
-    its document's sentences (in its graph's table), text and mention spans
+    its document's sentences (as its graph annotates them), text and mention spans
     alike, and it must pass `read_bundles`' check (`standalone_problems`).
     Last, it must be an original: `counterfactual` makes copies of originals.
     """
@@ -275,7 +274,7 @@ def read_corpus_bundles(docs: Sequence[Document], lines: Iterable[str]) -> Itera
             found += [
                 f"{at} differs from sentence {t.sentence} of the document in text or mentions"
                 for at, t in texts + [("answer", b.answer)]
-                if t != graph.table[t.sentence]
+                if t != graph[t.sentence]
             ]
         found += [f"{at}: {problem}" for at, problem in standalone_problems(b)]
         if b.counterfactual:
@@ -363,15 +362,14 @@ def _negative_worker(
     cfg: NegativesConfig,
     seed: int,
     counts: dict[str, int],
-    table: SentenceTable | None = None,
+    graph: EntityGraph,
 ) -> Iterator[InstanceBundle]:
     """Lazily, the bundle of every positive of `doc` that found a donor.
 
-    Counts into `counts`, final once the iterator is drained. The
-    document's sentence table (`table`, in `run` its graph's, or one built
-    here) lives in `source`, so it is freed with it.
+    Counts into `counts`, final once the iterator is drained. `graph` is
+    the document's, built by the caller.
     """
-    source = DonorSource(doc, pool, table)
+    source = DonorSource(doc, graph, pool)
     k = cfg.num_negatives
     for inst in instances:
         rng = derive_rng(seed, "negatives", inst.doc_id, *inst.pair, inst.answer)
@@ -383,7 +381,7 @@ def _negative_worker(
         counts["bundles"] += 1
         counts["option_shortfalls"] += len(options) < k
         counts["context_shortfalls"] += len(contexts) < k
-        yield assemble_bundle(inst, source.sentences, options, contexts, k)
+        yield assemble_bundle(inst, graph, options, contexts, k)
 
 
 def stage_negatives(
@@ -396,18 +394,21 @@ def stage_negatives(
 
     Every positive must be of a document in `docs`; `read_corpus_positives`
     checks that of a positives file. Each run of one document's positives
-    goes to one `_negative_worker` call. The donor pool is built before
-    this returns; the counters fill in as the iterator is drained.
+    goes to one `_negative_worker` call, with the document's graph built for
+    it. The donor pool is built before this returns; the counters fill in
+    as the iterator is drained.
     """
     pool = build_donor_pool(docs, cfg.pool_size, derive_rng(seed, "donor-pool"))
     counters = _zeroed("negatives")
     by_doc = {doc.id: doc for doc in docs}
-    kept = (
-        b
-        for doc_id, run in groupby(positives, key=attrgetter("doc_id"))
-        for b in _negative_worker(by_doc[doc_id], run, pool, cfg, seed, counters)
-    )
-    return kept, counters
+
+    def kept() -> Iterator[InstanceBundle]:
+        for doc_id, run in groupby(positives, key=attrgetter("doc_id")):
+            doc = by_doc[doc_id]
+            graph = build_entity_graph(doc)
+            yield from _negative_worker(doc, run, pool, cfg, seed, counters, graph)
+
+    return kept(), counters
 
 
 def _copies(
@@ -496,9 +497,10 @@ class _DocumentChain:
 
     Each stripe builds one over the run's two sampling pools, once they are
     merged (round 2), and calls it on its documents in line order. A call
-    reads its document and caches nothing on it: the table its graph keeps
-    (`EntityGraph.table`) serves its negatives too, and what the chain
-    builds for the document is freed when its lines are written.
+    reads its document and caches nothing on it: it builds the document's
+    one index, its graph, which serves its graph rows, extraction,
+    negatives and bundle texts, and what the chain builds for the document
+    is freed when its lines are written.
     """
 
     def __init__(
@@ -520,7 +522,7 @@ class _DocumentChain:
         yield "graph", "".join(rows)
         yield "positives", "".join(record_line(positive_to_record(p)) for p in positives)
         for original in _negative_worker(
-            doc, positives, self.donors, cfg.negatives, seed, counts["negatives"], graph.table
+            doc, positives, self.donors, cfg.negatives, seed, counts["negatives"], graph
         ):
             line = record_line(bundle_to_record(original))
             yield "bundles", line
@@ -605,7 +607,7 @@ class _Stripe:
             )
             self.docs = list(read_records(mine, _parsed, errors))
         return errors, [
-            (line, doc.id, len(SentenceTable(doc).donors)) for line, doc in self.docs
+            (line, doc.id, len(build_entity_graph(doc).donors)) for line, doc in self.docs
         ]
 
     def pools(self, dropped: set[int], picks: dict[int, list[int]]) -> Pools:

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+from functools import cached_property
 
 import pytest
 
@@ -10,6 +11,7 @@ from pathcl import corpus as corpus_module
 from pathcl import pipeline as pl
 from pathcl.cli import build_parser, main
 from pathcl.corpus import document_to_record, write_corpus
+from pathcl.graph import EntityGraph
 from pathcl.metapath import ExtractorConfig
 from pathcl.synth import make_corpus
 from pathcl.trainer import TrainConfig
@@ -335,6 +337,51 @@ def test_counterfactual_rejects_its_own_output(tmp_path, capsys):
         "the counterfactual command reads originals only\n",
     )
     assert not again.exists()
+
+
+def test_each_command_builds_one_index_per_document_use(tmp_path, monkeypatch):
+    # A document's one index is its graph. Each command builds it where a
+    # stage needs it and passes it down, and only a stage that reads edges
+    # computes them: the donor pool's count and picks need the walk alone.
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(40, 3, blocks=2, fillers=4), fp)
+    built = {"graphs": 0, "edge maps": 0}
+    real_init, real_sentences = EntityGraph.__init__, EntityGraph.sentences.func
+
+    def counted_init(graph, doc):
+        built["graphs"] += 1
+        real_init(graph, doc)
+
+    def counted_sentences(graph):
+        built["edge maps"] += 1
+        return real_sentences(graph)
+
+    sentences = cached_property(counted_sentences)
+    sentences.__set_name__(EntityGraph, "sentences")
+    monkeypatch.setattr(EntityGraph, "__init__", counted_init)
+    monkeypatch.setattr(EntityGraph, "sentences", sentences)
+    positives, bundles = tmp_path / "positives.jsonl", tmp_path / "bundles.jsonl"
+    commands = {
+        "extract": ["extract", "--input", str(corpus), "--output", str(positives)],
+        "negatives": ["negatives", "--corpus", str(corpus), "--input", str(positives),
+                      "--output", str(bundles), "--seed", "3"],
+        "counterfactual": ["counterfactual", "--corpus", str(corpus), "--input", str(bundles),
+                           "--output", str(tmp_path / "copies.jsonl"), "--seed", "3"],
+        "run": ["run", "--input", str(corpus), "--output-dir", str(tmp_path / "out"),
+                "--seed", "3"],
+    }
+    counts = {}
+    for name, argv in commands.items():
+        built.update(dict.fromkeys(built, 0))
+        assert main(argv) == 0, name
+        counts[name] = (built["graphs"], built["edge maps"])
+    assert counts == {
+        "extract": (40, 40),
+        "negatives": (160, 80),  # reader, pool count, pool picks, negatives
+        "counterfactual": (40, 40),
+        "run": (120, 40),  # round-1 count, round-2 picks, chain
+    }
 
 
 def test_emit_rejects_bundles_that_contradict_themselves(tmp_path, capsys):
@@ -713,6 +760,25 @@ def test_train_and_eval_round_trip(tmp_path, capsys):
     got = json.loads(capsys.readouterr().out)
     assert got["instances"] == 40
     assert 0.0 <= got["accuracy"] <= 1.0
+
+
+def test_train_refuses_one_file_for_params_and_metrics(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fp:
+        write_corpus(make_corpus(20, seed=3), fp)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--input", str(corpus), "--output-dir", str(out_dir), "--seed", "3"]) == 0
+    capsys.readouterr()
+    same = tmp_path / "x.txt"
+    same.write_text("earlier bytes\n")
+    rc = main(["train", "--input", str(out_dir / "instances.jsonl"),
+               "--params-out", str(same), "--metrics-out", str(tmp_path / "." / "x.txt"),
+               "--seed", "3", "--epochs", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--params-out and --metrics-out name the same file" in err
+    assert same.read_text() == "earlier bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "out", "x.txt"]
 
 
 def test_failed_train_keeps_earlier_outputs(tmp_path, capsys):

@@ -16,13 +16,13 @@ from pathcl.corpus import (
     Mention,
     RelationTriple,
     Sentences,
-    SentenceTable,
     document_to_record,
     parse_corpus,
     parse_record,
     write_corpus,
 )
 from pathcl.counterfactual import build_entity_pool
+from pathcl.graph import build_entity_graph
 from pathcl.jsonl import RecordError
 from pathcl.synth import make_corpus
 
@@ -182,13 +182,13 @@ def test_validate_self_relation():
 
 
 def test_sentence_entities():
-    table = SentenceTable(film_cast_document())
-    assert table.entities(1) == {"e1", "e3"}
-    assert table.entities(4) == frozenset()
-    assert table.entities(3) == {"e1", "e2"}
+    graph = build_entity_graph(film_cast_document())
+    assert graph.entities(1) == {"e1", "e3"}
+    assert graph.entities(4) == frozenset()
+    assert graph.entities(3) == {"e1", "e2"}
     for k in (6, -1):
         with pytest.raises(IndexError):
-            table.entities(k)
+            graph.entities(k)
 
 
 def test_sentence_entities_deduplicates():
@@ -202,7 +202,7 @@ def test_sentence_entities_deduplicates():
         relations=(),
     )
     assert record_problems(doc) == []
-    assert SentenceTable(doc).entities(0) == {"a", "b"}
+    assert build_entity_graph(doc).entities(0) == {"a", "b"}
 
 
 def test_round_trip_identity():
@@ -222,9 +222,9 @@ def test_parsed_documents_validate():
         assert record_problems(doc) == []
         round_tripped = parse_record(document_to_record(doc))
         assert record_problems(round_tripped) == []
-        table = SentenceTable(doc)
+        graph = build_entity_graph(doc)
         for k in range(len(doc.sentences)):
-            assert table.entities(k) <= {e.id for e in doc.entities}
+            assert graph.entities(k) <= {e.id for e in doc.entities}
 
 
 def test_resident_records_are_slotted_frozen_and_interned():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pathcl.bundle import assemble_bundle
-from pathcl.corpus import Entity, Mention, SentenceTable
+from pathcl.corpus import Entity, Mention
 from pathcl.counterfactual import (
     AlienPool,
     alien_share,
@@ -35,9 +35,9 @@ def film_cast_bundle():
     graph = build_entity_graph(doc)
     inst = extract_positive_instances(doc, graph, ExtractorConfig())[0]
     rng = random.Random(13)
-    options = make_negative_options(inst, DonorSource(doc), 3, rng)
-    contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
-    return doc, inst, assemble_bundle(inst, SentenceTable(doc), options, contexts, 3)
+    options = make_negative_options(inst, DonorSource(doc, graph), 3, rng)
+    contexts = make_negative_contexts(inst, DonorSource(doc, graph), 3, rng)
+    return doc, inst, assemble_bundle(inst, graph, options, contexts, 3)
 
 
 def test_select_always_keys_target_pair():

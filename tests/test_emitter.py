@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcl.bundle import assemble_bundle
-from pathcl.corpus import SentenceTable
 from pathcl.counterfactual import apply_counterfactual, select_replacements
 from pathcl.emitter import (
     ContrastiveInstance,
@@ -41,9 +40,9 @@ def film_cast_instances(root_seed=7):
     graph = build_entity_graph(doc)
     inst = extract_positive_instances(doc, graph, ExtractorConfig())[0]
     rng = random.Random(root_seed)
-    options = make_negative_options(inst, DonorSource(doc), 3, rng)
-    contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
-    bundle = assemble_bundle(inst, SentenceTable(doc), options, contexts, 3)
+    options = make_negative_options(inst, DonorSource(doc, graph), 3, rng)
+    contexts = make_negative_contexts(inst, DonorSource(doc, graph), 3, rng)
+    bundle = assemble_bundle(inst, graph, options, contexts, 3)
     return doc, inst, bundle, bundle_to_instances(bundle, root_seed)
 
 
@@ -236,9 +235,9 @@ def test_gold_histogram_uniform_under_shuffle():
     graph = build_entity_graph(doc)
     inst = extract_positive_instances(doc, graph, ExtractorConfig())[0]
     rng = random.Random(1)
-    options = make_negative_options(inst, DonorSource(doc), 3, rng)
-    contexts = make_negative_contexts(inst, DonorSource(doc), 3, rng)
-    bundle = assemble_bundle(inst, SentenceTable(doc), options, contexts, 3)
+    options = make_negative_options(inst, DonorSource(doc, graph), 3, rng)
+    contexts = make_negative_contexts(inst, DonorSource(doc, graph), 3, rng)
+    bundle = assemble_bundle(inst, graph, options, contexts, 3)
 
     from dataclasses import replace
 

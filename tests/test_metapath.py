@@ -4,7 +4,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcl.corpus import SentenceTable
 from pathcl.graph import build_entity_graph
 from pathcl.metapath import (
     ExtractorConfig,
@@ -27,12 +26,12 @@ from oracles import (
 
 
 def test_answer_candidates_worked_example():
-    table = SentenceTable(film_cast_document())
-    assert table.shared("e1", "e2") == {3}
-    assert table.shared("e2", "e4") == frozenset()
+    graph = build_entity_graph(film_cast_document())
+    assert graph.intra_sentences("e1", "e2") == {3}
+    assert graph.intra_sentences("e2", "e4") == frozenset()
     # An entity the document lacks shares no sentence; the positive readers
     # check a pair against the document's graph before asking.
-    assert table.shared("e1", "missing") == frozenset()
+    assert graph.intra_sentences("e1", "missing") == frozenset()
 
 
 def test_answer_candidates_two_sentences():
@@ -45,7 +44,8 @@ def test_answer_candidates_two_sentences():
         ],
         {"a": "A", "b": "B"},
     )
-    assert SentenceTable(doc).shared("a", "b") == SentenceTable(doc).shared("b", "a") == {0, 2}
+    graph = build_entity_graph(doc)
+    assert graph.intra_sentences("a", "b") == graph.intra_sentences("b", "a") == {0, 2}
 
 
 def test_dfs_worked_example():

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from pathcl.corpus import SentenceTable
 from pathcl.graph import build_entity_graph
 from pathcl.metapath import ExtractorConfig, extract_positive_instances
 from pathcl.negatives import (
@@ -29,8 +28,8 @@ from oracles import (
 
 def sample_relation_provider(inst, doc, pool, rng):
     """First eligible (donor, pair, is_swap) for the instance, or None."""
-    source = DonorSource(doc, pool)
-    for donor, pair in source.candidates(inst.pair, source.sentences.shared(*inst.pair), rng):
+    source = DonorSource(doc, build_entity_graph(doc), pool)
+    for donor, pair in source.candidates(inst.pair, source.graph.intra_sentences(*inst.pair), rng):
         return donor, pair, set(pair) == set(inst.pair)
     return None
 
@@ -192,7 +191,7 @@ def test_provider_no_donor_anywhere():
 def test_negative_options_worked_example():
     doc, inst = film_cast_instance()
     rng = random.Random(42)
-    negs = make_negative_options(inst, DonorSource(doc), 3, rng)
+    negs = make_negative_options(inst, DonorSource(doc, build_entity_graph(doc)), 3, rng)
     assert len(negs) == 3
     answer_text = doc.sentences[3]
     seen = set()
@@ -210,11 +209,11 @@ def test_negative_options_worked_example():
 
 def test_negative_options_k_zero_and_seeded_reproducibility():
     doc, inst = film_cast_instance()
-    assert make_negative_options(inst, DonorSource(doc), 0, random.Random(1)) == ()
-    a = make_negative_options(inst, DonorSource(doc), 3, random.Random(7))
-    b = make_negative_options(inst, DonorSource(doc), 3, random.Random(7))
+    assert make_negative_options(inst, DonorSource(doc, build_entity_graph(doc)), 0, random.Random(1)) == ()
+    a = make_negative_options(inst, DonorSource(doc, build_entity_graph(doc)), 3, random.Random(7))
+    b = make_negative_options(inst, DonorSource(doc, build_entity_graph(doc)), 3, random.Random(7))
     assert a == b
-    c = make_negative_options(inst, DonorSource(doc), 3, random.Random(8))
+    c = make_negative_options(inst, DonorSource(doc, build_entity_graph(doc)), 3, random.Random(8))
     assert a != c  # different seed reshuffles donor order
 
 
@@ -232,13 +231,13 @@ def test_negative_options_shortfall():
     graph = build_entity_graph(doc)
     inst = extract_positive_instances(doc, graph, ExtractorConfig())[0]
     assert inst.pair == ("a", "b")
-    negs = make_negative_options(inst, DonorSource(doc), 8, random.Random(0))
+    negs = make_negative_options(inst, DonorSource(doc, graph), 8, random.Random(0))
     assert 0 < len(negs) < 8
 
 
 def test_negative_contexts_worked_example():
     doc, inst = film_cast_instance()
-    negs = make_negative_contexts(inst, DonorSource(doc), 3, random.Random(5))
+    negs = make_negative_contexts(inst, DonorSource(doc, build_entity_graph(doc)), 3, random.Random(5))
     assert len(negs) == 3
     for variant in negs:
         assert variant.replaced_sentence in inst.context
@@ -258,7 +257,7 @@ def test_negative_contexts_rotation_runs_until_k():
     graph = build_entity_graph(doc)
     instances = extract_positive_instances(doc, graph, ExtractorConfig(mode="all"))
     inst = next(i for i in instances if i.pair == ("e0", "e2"))
-    negs = make_negative_contexts(inst, DonorSource(doc), 5, random.Random(1))
+    negs = make_negative_contexts(inst, DonorSource(doc, graph), 5, random.Random(1))
     assert [v.replaced_sentence for v in negs] == [8, 1, 8, 1, 1]
     assert [v.replacement.text for v in negs] == [
         "Node1 praised Node0.",
@@ -282,7 +281,7 @@ def test_negatives_spell_targets_as_the_text_they_imitate():
     inst = extract_positive_instances(doc, build_entity_graph(doc), ExtractorConfig())[0]
     assert inst.pair == ("e1", "e2")
     rng = random.Random(0)
-    source = DonorSource(doc)
+    source = DonorSource(doc, build_entity_graph(doc))
     options = make_negative_options(inst, source, 3, rng)
     variants = make_negative_contexts(inst, source, 3, rng)
     assert len(options) == len(variants) == 3
@@ -313,7 +312,7 @@ def test_negative_contexts_single_sentence_context():
     instances = extract_positive_instances(doc, graph, ExtractorConfig(mode="all"))
     inst = next(i for i in instances if i.pair == ("a", "b"))
     assert len(inst.context) == 1
-    negs = make_negative_contexts(inst, DonorSource(doc), 2, random.Random(3))
+    negs = make_negative_contexts(inst, DonorSource(doc, graph), 2, random.Random(3))
     assert len(negs) == 2
     assert {v.replaced_sentence for v in negs} == set(inst.context)
     texts = [v.replacement.text for v in negs]
@@ -339,7 +338,7 @@ def test_pool_used_after_in_document_exhaustion():
     )
     pool = build_donor_pool([doc, other], 100, random.Random(0))
     assert any(p.doc_id == "other" for p in pool)
-    negs = make_negative_options(inst, DonorSource(doc, pool), 8, random.Random(0))
+    negs = make_negative_options(inst, DonorSource(doc, graph, pool), 8, random.Random(0))
     assert any(s.doc_id == "other" for s in negs)
     in_doc = [s for s in negs if s.doc_id == "d"]
     assert in_doc  # host donors appear despite pool access
@@ -355,7 +354,7 @@ def test_donor_pool_deterministic_and_capped():
 
 
 def test_sentence_table_equals_a_per_sentence_scan():
-    # The table groups a document's mentions in one pass; each sentence must
+    # The graph groups a document's mentions in one pass; each sentence must
     # equal the one annotated by scanning every mention for it. Here entity
     # "a" is spelled three ways, and sentence 0 names it after "b".
     aliased = build_document(
@@ -371,21 +370,22 @@ def test_sentence_table_equals_a_per_sentence_scan():
     docs = [aliased, film_cast_document(), *make_corpus(12, seed=3)]
     docs += [random_micro_doc(rng, f"m{i}") for i in range(30)]
     for doc in docs:
-        table = SentenceTable(doc)
+        graph = build_entity_graph(doc)
         scans = [mentions_in_sentence(doc, k) for k in range(len(doc.sentences))]
         for k, (text, scan) in enumerate(zip(doc.sentences, scans)):
-            assert table[k] == AnnotatedSentence(doc.id, k, text, scan), (doc.id, k)
-            assert table[k] is table[k]  # annotated once
-            assert table.entities(k) == sentence_entities(doc, k), (doc.id, k)
+            assert graph[k] == AnnotatedSentence(doc.id, k, text, scan), (doc.id, k)
+            assert graph[k] is graph[k]  # annotated once
+            assert graph.entities(k) == sentence_entities(doc, k), (doc.id, k)
         # Its other questions answer as the scans of every mention do: the
         # donors are the sentences naming two entities or more.
-        assert table.donors == donor_sentences(doc)
-        assert table.donors == [k for k, scan in enumerate(scans) if len({m[0] for m in scan}) > 1]
+        assert graph.donors == donor_sentences(doc)
+        assert graph.donors == [k for k, scan in enumerate(scans) if len({m[0] for m in scan}) > 1]
         ids = [e.id for e in doc.entities]
         for a in ids:
             for b in ids:
-                assert table.shared(a, b) == collect_answer_candidates(doc, (a, b)), (a, b)
-        # A document's donors, spellings and bundle texts share one table.
-        source = DonorSource(doc)
+                if a != b:
+                    assert graph.intra_sentences(a, b) == collect_answer_candidates(doc, (a, b)), (a, b)
+        # A document's donors, spellings and bundle texts share one graph.
+        source = DonorSource(doc, graph)
         for donor, _ in source.candidates(("x", "y"), frozenset(), random.Random(0)):
-            assert donor is source.sentences[donor.sentence]
+            assert donor is source.graph[donor.sentence]

@@ -13,10 +13,10 @@ import pytest
 
 from pathcl import pipeline as pl
 from pathcl.bundle import bundle_from_record, bundle_to_record, write_bundles
-from pathcl.corpus import SentenceTable, document_to_record, write_corpus
+from pathcl.corpus import document_to_record, write_corpus
 from pathcl.counterfactual import build_entity_pool, merged_aliens
 from pathcl.emitter import read_instances
-from pathcl.graph import build_entity_graph, write_edge_list
+from pathcl.graph import EntityGraph, build_entity_graph, write_edge_list
 from pathcl.jsonl import RecordError, record_line
 from pathcl.metapath import ExtractorConfig, extract_positive_instances, validate_instance
 from pathcl.synth import make_corpus
@@ -595,9 +595,9 @@ def test_run_caches_no_index_on_the_parsed_documents(tmp_path, monkeypatch, jobs
 
 
 def test_corpus_checked_positives_build_one_table_per_document(monkeypatch):
-    # A graph keeps the sentence table it was read off, and the checks read
-    # the answer's entities from it: a run of one document's positives
-    # builds one table, and checking against a built graph builds none.
+    # A graph is its document's one index, and the checks read the answer's
+    # entities from it: a run of one document's positives builds one
+    # graph, and checking against a built graph builds none.
     doc = build_document(
         "d",
         [
@@ -612,13 +612,13 @@ def test_corpus_checked_positives_build_one_table_per_document(monkeypatch):
     positives = extract_positive_instances(doc, graph, ExtractorConfig())
     assert len(positives) == 2
     built = []
-    real = SentenceTable.__init__
+    real = EntityGraph.__init__
 
-    def counted(table, document):
+    def counted(graph, document):
         built.append(document.id)
-        real(table, document)
+        real(graph, document)
 
-    monkeypatch.setattr(SentenceTable, "__init__", counted)
+    monkeypatch.setattr(EntityGraph, "__init__", counted)
     lines = [record_line(pl.positive_to_record(p)) for p in positives]
     assert list(pl.read_corpus_positives([doc], lines)) == positives
     assert built == ["d"]

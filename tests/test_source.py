@@ -1,7 +1,8 @@
 """Checks on the program's own source.
 
 `src/` keeps only what the program and its benchmark use: a public
-function or class that only tests call belongs in the tests, or nowhere.
+function or class that only tests call belongs in the tests, or nowhere,
+and a module imports only the names it reads.
 """
 
 import ast
@@ -39,4 +40,21 @@ def test_every_public_name_in_src_has_a_caller_in_src_or_bench():
         and not node.name.startswith("_")
         and not any(node.name in used for _, other, used in statements if other is not node)
     ]
+    assert unused == []
+
+
+def test_every_module_in_src_reads_every_name_it_imports():
+    unused = []
+    for path in sorted((ROOT / "src" / "pathcl").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno}: {bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            # `import a.b` binds `a`.
+            if (bound := alias.asname or alias.name.partition(".")[0]) not in read
+        ]
     assert unused == []
